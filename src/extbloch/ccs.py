@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import TextIO
 
 from .cover import FlattenedNumber, parse_flattened, serialize_flattened
-from .prebloch import FormalSum, eval_lhat, splitting
+from .prebloch import FormalSum, eval_lhat
 from .rogers import CmodZ2, reduce_mod_transfer
 
 
@@ -145,7 +145,7 @@ class VolumeReport:
 def volume_report(t: FlattenedTriangulation) -> VolumeReport:
     value = complex_volume(t)
     transfer = reduce_mod_transfer(value)
-    split = splitting(t.as_formal_sum())
+    split = value.split()
     return VolumeReport(
         name=t.name,
         simplex_count=len(t),

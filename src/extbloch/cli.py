@@ -11,7 +11,7 @@ from typing import Sequence
 from . import ccs as ccs_mod
 from .cover import parse_flattened
 from .dilog import set_precision
-from .prebloch import FormalSum, eval_lhat, kappa_hat, splitting
+from .prebloch import FormalSum, eval_lhat, kappa_hat
 from .rogers import reduce_mod_transfer
 from .sweeps import RELATIONS, SweepConfig, run_sweep
 
@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit_value(s: FormalSum, fmt: str) -> None:
     value = eval_lhat(s)
     transfer = reduce_mod_transfer(value)
-    split = splitting(s)
+    split = value.split()
     if fmt == "structured":
         print(json.dumps({
             "value_re": value.value.real,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .cover import (
     FlattenedFT,
@@ -21,15 +21,7 @@ from .cover import (
     flattened,
     is_flattened_ft,
 )
-from .dilog import (
-    PI,
-    TWO_PI_I,
-    CutPoint,
-    Side,
-    arg_cut,
-    as_cut_point,
-    principal_log,
-)
+from .dilog import PI, CutPoint, Side, arg_cut, as_cut_point
 from .rogers import CmodZ2, rogers_l_bar
 
 
@@ -301,14 +293,6 @@ def kappa_hat(z: complex | CutPoint = 0.5 + 0.0j, p: int = 1) -> FormalSum:
     return curly(point, p) - curly(point, p - 1)
 
 
-def _phase(z: complex) -> float:
-    # Principal argument in (-pi, pi]; negative-zero imaginary parts are
-    # normalized away first so the negative real axis maps to +pi.
-    if z.imag == 0.0:
-        z = complex(z.real, 0.0)
-    return cmath.phase(z)
-
-
 def chi_hat(z: complex) -> FormalSum:
     """The multiplicative branch-correction homomorphism into formal sums.
 
@@ -327,7 +311,7 @@ def chi_hat(z: complex) -> FormalSum:
     square = z * z
     if square == 0:
         raise ValueError("z^2 underflowed to zero")
-    ph = _phase(z)
+    ph = arg_cut(z)
     p = 0 if (-PI / 2 < ph <= PI / 2) else 1
     return curly(as_cut_point(square), p)
 
@@ -340,10 +324,9 @@ def check_chi_homomorphism(z: complex, w: complex) -> CmodZ2:
 def splitting(s: FormalSum) -> complex:
     """exp of the lifted evaluation divided by 2 pi i.
 
-    Well defined on classes mod 4 pi^2 since exp(4 pi^2 / 2 pi i) = 1;
-    composing with chi recovers the identity on nonzero numbers.
+    Composing with chi recovers the identity on nonzero numbers.
     """
-    return cmath.exp(eval_lhat(s).value / TWO_PI_I)
+    return eval_lhat(s).split()
 
 
 def root4(z: complex) -> complex:
@@ -351,7 +334,7 @@ def root4(z: complex) -> complex:
     z = complex(z)
     if z == 0:
         raise ValueError("fourth root of zero is excluded")
-    return cmath.exp(complex(math.log(abs(z)), _phase(z)) / 4.0)
+    return cmath.exp(complex(math.log(abs(z)), arg_cut(z)) / 4.0)
 
 
 _I_POWER = (1 + 0j, 1j, -1 + 0j, -1j)

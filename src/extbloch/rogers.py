@@ -13,6 +13,7 @@ hyperbolic volume) is exact and never touched.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -72,6 +73,10 @@ class CmodZ2:
     def serialize(self) -> str:
         return f"{self.value.real!r} {self.value.imag!r}"
 
+    def split(self) -> complex:
+        """exp(value / 2 pi i), well defined since exp(4 pi^2 / 2 pi i) = 1."""
+        return cmath.exp(self.value / TWO_PI_I)
+
 
 def reduce_mod_transfer(v: CmodZ2) -> complex:
     """The image in C / 2 pi^2 Z, real part reduced into (-pi^2, pi^2].
@@ -89,17 +94,18 @@ def l_bar_at(z: complex, side: Side | str, p: int, q: int) -> complex:
     4 pi^2 p across the right cut.  Prefer :func:`rogers_l_bar` for
     canonical cover points.
     """
-    point = CutPoint(complex(z), Side.coerce(side))
-    a = principal_log(point) + TWO_PI_I * p
-    b = log_one_minus(point) + TWO_PI_I * q
-    return li2(point) + 0.5 * a * b - PI_SQ / 6.0
+    return _l_bar(CutPoint(complex(z), Side.coerce(side)), p, q)
 
 
 def rogers_l_bar(f: FlattenedNumber) -> complex:
     """Unreduced branch-corrected Rogers value of a canonical cover point."""
-    a = principal_log(f.base) + TWO_PI_I * f.p
-    b = log_one_minus(f.base) + TWO_PI_I * f.q
-    return li2(f.base) + 0.5 * a * b - PI_SQ / 6.0
+    return _l_bar(f.base, f.p, f.q)
+
+
+def _l_bar(point: CutPoint, p: int, q: int) -> complex:
+    a = principal_log(point) + TWO_PI_I * p
+    b = log_one_minus(point) + TWO_PI_I * q
+    return li2(point) + 0.5 * a * b - PI_SQ / 6.0
 
 
 def rogers_l_hat(f: FlattenedNumber) -> CmodZ2:

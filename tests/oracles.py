@@ -35,6 +35,21 @@ def li2_reference(z: complex) -> complex:
     return complex(mp.polylog(2, mp.mpc(z)))
 
 
+def li2_mpmath(z: complex, side: str = "i", dps: int = 40) -> complex:
+    """Dilogarithm from mpmath.polylog at ``dps`` digits, cut boundaries included.
+
+    ``side`` is "a" or "b" for x + 0i or x - 0i on a cut.  The left cut
+    needs nothing (Li2 is continuous there); on the right cut the value is
+    Re Li2(x) +- i pi log x.
+    """
+    with mp.workdps(dps):
+        if side == "i" or z.real < 1.0:
+            return complex(mp.polylog(2, mp.mpc(z)))
+        x = mp.mpf(z.real)
+        sign = 1 if side == "a" else -1
+        return complex(mp.re(mp.polylog(2, x)), sign * mp.pi * mp.log(x))
+
+
 def lobachevsky(theta: float, terms: int = 80) -> float:
     """Lobachevsky function via its zeta-coefficient expansion, |theta| < pi."""
     total = theta - theta * math.log(2 * abs(theta))

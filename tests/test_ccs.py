@@ -163,3 +163,24 @@ def test_volume_report_fields():
     json.dumps(payload)
     text = report.render_text()
     assert "value:" in text and "split:" in text and "note:" in text
+
+
+def test_volume_report_evaluates_the_sum_once(monkeypatch):
+    import extbloch.ccs as ccs_mod
+    import extbloch.prebloch as prebloch_mod
+
+    calls = []
+    original = prebloch_mod.eval_lhat
+
+    def counting(s):
+        calls.append(len(s))
+        return original(s)
+
+    monkeypatch.setattr(ccs_mod, "eval_lhat", counting)
+    monkeypatch.setattr(prebloch_mod, "eval_lhat", counting)
+    t = fig8_triangulation()
+    report = volume_report(t)
+    assert calls == [1]
+    # the split value is exp(value / 2 pi i) of that one value, bit for bit
+    split = prebloch_mod.splitting(t.as_formal_sum())
+    assert (report.split_re, report.split_im) == (split.real, split.imag)

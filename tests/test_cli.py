@@ -182,6 +182,19 @@ def test_ccs_missing_file(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("z_re,z_im", [
+    ("nan", "0.5"), ("0.5", "nan"), ("inf", "0.5"), ("0.5", "inf"),
+    ("-inf", "0"), ("0.5", "-inf"),
+])
+def test_ccs_non_finite_input_is_an_error(capsys, tmp_path, z_re, z_im):
+    path = tmp_path / "bad.tri"
+    path.write_text(f"+1 0.5 0.5 i 0 0\n+1 {z_re} {z_im} i 0 0\n")
+    code, out, err = run_cli(capsys, "ccs", str(path))
+    assert code == 2
+    assert out == ""
+    assert "line 2: simplex 2:" in err and "not a finite point" in err
+
+
 def test_ccs_parse_error_has_line_number(capsys, tmp_path):
     path = tmp_path / "bad.tri"
     path.write_text("+1 0.5 0.5 i 0 0\n+1 1 0 i 0 0\n")

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from extbloch.dilog import (
@@ -16,7 +16,7 @@ from extbloch.dilog import (
     precision,
     principal_log,
 )
-from oracles import li2_reference, li2_series
+from oracles import li2_mpmath, li2_reference, li2_series
 
 PI = math.pi
 
@@ -50,6 +50,20 @@ def test_as_cut_point_reads_cut_reals_as_upper_limit():
     assert as_cut_point(0.3 + 0.4j).side is Side.INTERIOR
 
 
+@pytest.mark.parametrize("z", [
+    complex(math.nan, 0.5), complex(0.5, math.nan),
+    complex(math.inf, 0.5), complex(0.5, math.inf),
+    complex(-math.inf, 0.0), complex(0.5, -math.inf),
+])
+@pytest.mark.parametrize("side", [Side.INTERIOR, Side.ABOVE])
+def test_cut_point_rejects_non_finite(z, side):
+    with pytest.raises(ValueError, match="not a finite point") as err:
+        CutPoint(z, side)
+    assert str(z) in str(err.value)
+    with pytest.raises(ValueError, match="not a finite point"):
+        li2(z)
+
+
 def test_negative_zero_imag_normalized():
     p = CutPoint(complex(0.5, -0.0))
     assert math.copysign(1.0, p.z.imag) == 1.0
@@ -74,6 +88,7 @@ def test_principal_log_examples():
 
 @given(st.complex_numbers(min_magnitude=1e-6, max_magnitude=1e6,
                           allow_nan=False, allow_infinity=False))
+@example(complex(2.0, 5e-324))  # subnormal imaginary part
 def test_principal_log_branch_window(z):
     p = as_cut_point(z)
     if p.z in (0, 1):
@@ -175,6 +190,11 @@ def test_arg_cut_extended_values():
     assert arg_cut(CutPoint(-3 + 0j, Side.BELOW)) == -PI
     assert arg_cut(CutPoint(5 + 0j, Side.ABOVE)) == 0.0
     assert arg_cut(CutPoint(1j)) == pytest.approx(PI / 2)
+    # bare numbers: the negative axis reads as its upper limit, even at -0.0
+    assert arg_cut(-3 + 0j) == PI
+    assert arg_cut(complex(-3, -0.0)) == PI
+    assert arg_cut(1 + 0j) == 0.0
+    assert arg_cut(complex(2.0, 5e-324)) == pytest.approx(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -204,3 +224,43 @@ def test_precision_mode_validation():
         precision("high", dps=10).__enter__()
     with pytest.raises(ValueError):
         precision("fast").__enter__()
+
+
+# ---------------------------------------------------------------------------
+# accuracy against mpmath over the whole double range
+# ---------------------------------------------------------------------------
+
+def _accuracy_points():
+    points = []
+    for e in range(-300, 301, 10):
+        r = 10.0**e
+        for theta in (1e-9, 0.3, PI / 3, 1.2, 2.5, PI - 1e-9, -0.4, -2.0):
+            points.append(CutPoint(cmath.rect(r, theta)))
+        for side in (Side.ABOVE, Side.BELOW):
+            points.append(CutPoint(complex(-r, 0.0), side))
+            if 1.0 + r > 1.0:
+                points.append(CutPoint(complex(1.0 + r, 0.0), side))
+    for e in range(-15, 0):
+        for theta in (0.1, 1.0, 2.0, 3.0, -1.5):
+            points.append(CutPoint(1.0 + cmath.rect(10.0**e, theta)))
+    # where x^2 + y^2, 2x or |z| overflow a double
+    big = 1.7e308
+    points += [CutPoint(complex(big, big)), CutPoint(complex(-big, -1e308))]
+    for side in (Side.ABOVE, Side.BELOW):
+        points += [CutPoint(complex(big, 0.0), side), CutPoint(complex(-big, 0.0), side)]
+    return points
+
+
+@pytest.fixture(scope="module")
+def accuracy_cases():
+    return [(p, li2_mpmath(p.z, p.side.value)) for p in _accuracy_points()]
+
+
+@pytest.mark.parametrize("mode,bound", [("double", 2e-15), ("high", 1e-15)])
+def test_li2_relative_accuracy_against_mpmath(accuracy_cases, mode, bound):
+    # |z| from 1e-300 to 1e300 at eight arguments, both sides of both cuts,
+    # a ring of radii 1e-15 .. 0.1 around z = 1, and |z| near the largest
+    # double
+    with precision(mode):
+        errors = [(abs(li2(p) - ref) / abs(ref), p) for p, ref in accuracy_cases]
+    assert [(err, p) for err, p in errors if not err <= bound] == []

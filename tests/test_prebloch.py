@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from extbloch.cover import canonicalize, flattened, make_flattened_ft
@@ -435,6 +435,7 @@ def test_root4_examples():
 
 @given(st.complex_numbers(min_magnitude=1e-8, max_magnitude=1e8,
                           allow_nan=False, allow_infinity=False))
+@example(complex(2.0, 5e-324))  # subnormal imaginary part
 def test_root4_branch_window(z):
     w = root4(z)
     assert w**4 == pytest.approx(z, rel=1e-9)
