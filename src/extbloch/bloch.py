@@ -10,6 +10,7 @@ flagged as such in the result.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -116,25 +117,50 @@ def _merge_by_lattice(terms, tol: float):
     # Detection stays tight even when the caller's tolerance is loose:
     # a sloppy residual budget is no license to misread lattice shifts.
     detect = min(tol, 1e-8)
+    # Representatives are hashed by grid cell of (Re a, Im a mod 2 pi).
+    # Cells are 2^-shift wide: a power of two, so each index is an exact
+    # floor, at least 4 (2 pi detect) and at least 2^-32, far above the
+    # 1e-12 rounding of the predicate.  Any representative the predicate
+    # accepts is then within one cell of a in Re and, cyclically, in Im
+    # (the last Im row takes the remainder of the period), so only the
+    # 3 x 3 cells around a's own are searched; the lowest-index match wins,
+    # as in a scan over all representatives.
+    span = 4.0 * _TAU.imag * detect
+    shift = min(32, math.floor(-math.log2(span))) if span > 0 else 32
+    scale = 2.0**shift
+    rows = math.floor(_TAU.imag * scale)  # detect <= 1e-8: over 2^21 Im rows
+    cells: dict[int, list[int]] = {}
     reps: list[complex] = []
-    bucket: dict[int, complex] = {}
+    bucket: list[complex] = []
     tau_bucket = 0.0 + 0.0j
     for c, a, b in terms:
-        match = None
-        for idx, r in enumerate(reps):
-            d = (a - r) / _TAU
-            k = round(d.real)
-            if abs(k) <= 64 and abs(d - k) <= detect:
-                match = (idx, k)
-                break
-        if match is None:
+        if not (cmath.isfinite(a) and cmath.isfinite(b)):
+            raise ValueError(f"wedge pair ({a!r}, {b!r}) is not finite")
+        # beyond 2^53 every double is an integer (and x * scale may overflow)
+        x = a.real
+        col = int(x) << shift if abs(x) >= 2.0**53 else math.floor(x * scale)
+        row = min(math.floor(a.imag % _TAU.imag * scale), rows - 1)
+        best, k_best = len(reps), 0
+        key = col * rows + row  # lo and hi: the Im neighbours, wrapped
+        lo = key - 1 if row else key + rows - 1
+        hi = key + 1 if row + 1 < rows else key + 1 - rows
+        for cell in (lo - rows, key - rows, hi - rows, lo, key, hi, lo + rows, key + rows, hi + rows):
+            for idx in cells.get(cell, ()):  # ascending indices
+                if idx >= best:
+                    break
+                d = (a - reps[idx]) / _TAU
+                k = round(d.real)
+                if abs(k) <= 64 and abs(d - k) <= detect:
+                    best, k_best = idx, k
+                    break
+        if best == len(reps):
+            cells.setdefault(key, []).append(best)
             reps.append(a)
-            bucket[len(reps) - 1] = c * b
+            bucket.append(c * b)
         else:
-            idx, k = match
-            bucket[idx] = bucket.get(idx, 0j) + c * b
-            tau_bucket += c * k * b
-    merged = [(r, bucket[i]) for i, r in enumerate(reps) if i in bucket]
+            bucket[best] += c * b
+            tau_bucket += c * k_best * b
+    merged = list(zip(reps, bucket))
     if tau_bucket != 0:
         merged.append((_TAU, tau_bucket))
     return merged

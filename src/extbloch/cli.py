@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 from typing import Sequence
 
 from . import ccs as ccs_mod
@@ -97,12 +98,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         if args.operand:
             raise SystemExit("error: give either --sum FILE or an inline operand, not both")
         try:
-            text = open(args.sum_file).read()
-            s = FormalSum.parse(text)
+            s = FormalSum.parse(Path(args.sum_file).read_text())
         except OSError as exc:
-            raise SystemExit(f"error: {exc}")
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         except ValueError as exc:
-            raise SystemExit(f"error: bad formal sum: {exc}")
+            print(f"error: {args.sum_file}: bad formal sum: {exc}", file=sys.stderr)
+            return 2
     elif len(args.operand) == 1 and args.operand[0] == "kappa":
         s = kappa_hat()
     elif len(args.operand) == 5:

@@ -10,7 +10,6 @@ for the quotient group itself is attempted.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,7 +20,7 @@ from .cover import (
     flattened,
     is_flattened_ft,
 )
-from .dilog import PI, CutPoint, Side, arg_cut, as_cut_point
+from .dilog import PI, CutPoint, Side, arg_cut, as_cut_point, principal_log
 from .rogers import CmodZ2, rogers_l_bar
 
 
@@ -93,12 +92,17 @@ class FormalSum:
         from .cover import parse_flattened
 
         pairs = []
-        for line in text.splitlines():
+        for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            coeff_s, rest = line.split(None, 1)
-            pairs.append((int(coeff_s), parse_flattened(rest)))
+            try:
+                fields = line.split(None, 1)
+                if len(fields) != 2:
+                    raise ValueError("expected 'coeff z_re z_im side p q'")
+                pairs.append((int(fields[0]), parse_flattened(fields[1])))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
         return cls(tuple(pairs))
 
 
@@ -311,6 +315,8 @@ def chi_hat(z: complex) -> FormalSum:
     square = z * z
     if square == 0:
         raise ValueError("z^2 underflowed to zero")
+    if not cmath.isfinite(square):
+        raise ValueError(f"z^2 is not finite for z = {z!r}")
     ph = arg_cut(z)
     p = 0 if (-PI / 2 < ph <= PI / 2) else 1
     return curly(as_cut_point(square), p)
@@ -334,7 +340,9 @@ def root4(z: complex) -> complex:
     z = complex(z)
     if z == 0:
         raise ValueError("fourth root of zero is excluded")
-    return cmath.exp(complex(math.log(abs(z)), arg_cut(z)) / 4.0)
+    if z == 1:
+        return 1.0 + 0.0j
+    return cmath.exp(principal_log(z) / 4.0)
 
 
 _I_POWER = (1 + 0j, 1j, -1 + 0j, -1j)

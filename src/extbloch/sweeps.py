@@ -224,7 +224,10 @@ def _indices(rng: random.Random, bound: int, n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# per-relation runners: return (residual, case label, echo text)
+# per-relation runners: return (residual, case label, echo)
+#
+# The echo is a zero-argument callable that builds the replayable text;
+# only failing samples call it.
 # ---------------------------------------------------------------------------
 
 def _echo_sum(tag: str, s: FormalSum) -> str:
@@ -236,7 +239,7 @@ def _run_five_term(rng, k, cfg):
     x, y = sample_ft_plus(rng)
     p0, p1, q0, q1, q2 = _indices(rng, cfg.index_bound, 5)
     elem = five_term_element(make_flattened_ft(x, y, p0, p1, q0, q1, q2))
-    return eval_lhat(elem).magnitude(), "all", _echo_sum("five-term", elem)
+    return eval_lhat(elem).magnitude(), "all", lambda: _echo_sum("five-term", elem)
 
 
 def _run_cycle(rng, k, cfg):
@@ -247,7 +250,7 @@ def _run_cycle(rng, k, cfg):
             break
     p0, p1, q0, q1, q2 = _indices(rng, cfg.index_bound, 5)
     elem = cycle_relation(x, y, p0, p1, q0, q1, q2)
-    return eval_lhat(elem).magnitude(), f"shift{case:+d}", _echo_sum("cycle", elem)
+    return eval_lhat(elem).magnitude(), f"shift{case:+d}", lambda: _echo_sum("cycle", elem)
 
 
 def _run_homo(rng, k, cfg):
@@ -258,14 +261,14 @@ def _run_homo(rng, k, cfg):
             break
     p, r = _indices(rng, cfg.index_bound, 2)
     elem = curly_product_relation(z, p, w, r)
-    return eval_lhat(elem).magnitude(), f"shift{case:+d}", _echo_sum("homo", elem)
+    return eval_lhat(elem).magnitude(), f"shift{case:+d}", lambda: _echo_sum("homo", elem)
 
 
 def _run_mirror(rng, k, cfg):
     z = sample_cut_point(rng)
     p, q = _indices(rng, cfg.index_bound, 2)
     elem = mirror_relation(z, p, q)
-    return eval_lhat(elem).magnitude(), "all", _echo_sum("mirror", elem)
+    return eval_lhat(elem).magnitude(), "all", lambda: _echo_sum("mirror", elem)
 
 
 def _run_index(kind: str):
@@ -277,7 +280,7 @@ def _run_index(kind: str):
         else:
             q2 = rng.randint(-cfg.index_bound, cfg.index_bound)
         elem = index_relations(z, p, q, p2, q2, kind)
-        return eval_lhat(elem).magnitude(), "all", _echo_sum(f"index-{kind.lower()}", elem)
+        return eval_lhat(elem).magnitude(), "all", lambda: _echo_sum(f"index-{kind.lower()}", elem)
 
     return run
 
@@ -303,8 +306,7 @@ def _run_chi_hom(rng, k, cfg):
         z, w = _rand_nonzero(rng), _rand_nonzero(rng)
         case = "generic"
     residual = eval_lhat(chi_hat(z) + chi_hat(w) - chi_hat(z * w)).magnitude()
-    echo = f"chi-hom inputs: z={z!r} w={w!r}"
-    return residual, case, echo
+    return residual, case, lambda: f"chi-hom inputs: z={z!r} w={w!r}"
 
 
 def _run_symmetry(which: int):
@@ -312,7 +314,7 @@ def _run_symmetry(which: int):
         z = complex(rng.uniform(-3.0, 4.0), rng.uniform(0.05, 3.0))
         p, q = _indices(rng, cfg.index_bound, 2)
         elem = symmetry_relation(z, p, q, which)
-        return eval_lhat(elem).magnitude(), "all", _echo_sum(f"symmetry-{which}", elem)
+        return eval_lhat(elem).magnitude(), "all", lambda: _echo_sum(f"symmetry-{which}", elem)
 
     return run
 
@@ -323,8 +325,7 @@ def _run_kappa(rng, k, cfg):
     elem = kappa_hat(z, p)
     r1 = eval_lhat(elem).distance_to(complex(-TWO_PI_SQ, 0.0))
     r2 = eval_lhat(2 * elem).magnitude()
-    echo = f"kappa inputs: z={z.z!r} p={p}"
-    return max(r1, r2), "all", echo
+    return max(r1, r2), "all", lambda: f"kappa inputs: z={z.z!r} p={p}"
 
 
 def _run_splitting(rng, k, cfg):
@@ -334,8 +335,7 @@ def _run_splitting(rng, k, cfg):
     target = TWO_PI_I * principal_log(z)
     r1 = value.distance_to(target)
     r2 = abs(splitting(chi) - z) / abs(z)
-    echo = f"splitting input: z={z!r}"
-    return max(r1, r2), "all", echo
+    return max(r1, r2), "all", lambda: f"splitting input: z={z!r}"
 
 
 _RUNNERS: dict[str, Callable] = {
@@ -367,6 +367,6 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         result.max_residual = max(result.max_residual, residual)
         if residual > config.tol:
             result.failures.append(
-                f"FAIL sample={k} residual={residual!r} {echo}"
+                f"FAIL sample={k} residual={residual!r} {echo()}"
             )
     return result

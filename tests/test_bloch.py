@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from extbloch import bloch
 from extbloch.bloch import WedgeExpr, nu_hat, wedge_necessary_zero
 from extbloch.cover import flattened, make_flattened_ft
 from extbloch.prebloch import FormalSum, five_term_element
@@ -138,3 +139,180 @@ def test_lattice_merge_preserves_pairing():
     assert w.pairing() == pytest.approx(merged_target.pairing(), abs=1e-12)
     check = wedge_necessary_zero(w, tol=1e9)  # huge tol: exercise merge path only
     assert check.merged_pairing == pytest.approx(w.pairing(), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the hashed lattice merge against a scan over all representatives
+# ---------------------------------------------------------------------------
+
+TAU = complex(0.0, 2.0 * PI)
+
+
+def reference_merge(terms, tol):
+    """The merge as a plain scan: each a-value against every representative."""
+    detect = min(tol, 1e-8)
+    reps = []
+    bucket = {}
+    tau_bucket = 0.0 + 0.0j
+    for c, a, b in terms:
+        match = None
+        for idx, r in enumerate(reps):
+            d = (a - r) / TAU
+            k = round(d.real)
+            if abs(k) <= 64 and abs(d - k) <= detect:
+                match = (idx, k)
+                break
+        if match is None:
+            reps.append(a)
+            bucket[len(reps) - 1] = c * b
+        else:
+            idx, k = match
+            bucket[idx] = bucket.get(idx, 0j) + c * b
+            tau_bucket += c * k * b
+    merged = [(r, bucket[i]) for i, r in enumerate(reps) if i in bucket]
+    if tau_bucket != 0:
+        merged.append((TAU, tau_bucket))
+    return merged
+
+
+MERGE_TOLS = (1e-9, 1e9, 0.0)  # detect = 1e-9, 1e-8 and 0
+
+
+def assert_merge_matches_reference(terms, tol, monkeypatch):
+    merged = bloch._merge_by_lattice(terms, tol)
+    assert merged == reference_merge(terms, tol)
+    w = WedgeExpr(terms)
+    hashed = wedge_necessary_zero(w, tol)
+    with monkeypatch.context() as m:
+        m.setattr(bloch, "_merge_by_lattice", reference_merge)
+        assert hashed == wedge_necessary_zero(w, tol)
+    return merged
+
+
+def clustered_terms(rng, n, detect):
+    # a-values in tight clusters (several representatives within reach of
+    # one another), lattice copies with |k| up to 66, and random b-values
+    step = 2 * PI * max(detect, 1e-12)
+    centers = [complex(rng.uniform(-3, 3), rng.uniform(-40, 40)) for _ in range(max(1, n // 8))]
+    terms = []
+    for _ in range(n):
+        a = rng.choice(centers) + complex(rng.uniform(-2, 2) * step, rng.uniform(-2, 2) * step)
+        if rng.random() < 0.5:
+            a += rng.randint(-66, 66) * TAU
+        b = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        terms.append((rng.choice((-2, -1, 1, 3)), a, b))
+    return tuple(terms)
+
+
+@pytest.mark.parametrize("tol", MERGE_TOLS)
+@pytest.mark.parametrize("seed", range(4))
+def test_hashed_merge_matches_reference_on_random_sums(seed, tol, monkeypatch):
+    rng = random.Random(1000 + seed)
+    detect = min(tol, 1e-8)
+    spread = tuple(
+        (rng.randint(-3, 3) or 1, complex(rng.uniform(-5, 5), rng.uniform(-50, 50)),
+         complex(rng.uniform(-5, 5), rng.uniform(-5, 5)))
+        for _ in range(150)
+    )
+    assert_merge_matches_reference(spread, tol, monkeypatch)
+    clustered = clustered_terms(rng, 300, detect)
+    merged = assert_merge_matches_reference(clustered, tol, monkeypatch)
+    if tol > 0:
+        assert len(merged) < 300  # the clusters did merge
+    assert_merge_matches_reference(tuple(reversed(clustered)), tol, monkeypatch)
+
+
+@pytest.mark.parametrize("tol", MERGE_TOLS)
+def test_hashed_merge_matches_reference_at_the_wrap(tol, monkeypatch):
+    # Im a within 1e-9 of 0 and of +-pi mod 2 pi, on both sides, shifted by
+    # lattice steps: the Im cell index wraps at 2 pi.  Re a straddles 1/4,
+    # a cell edge for every cell width.
+    offsets = (-1e-9, -3e-10, -5e-324, 0.0, 5e-324, 3e-10, 1e-9)
+    terms = []
+    for i, base in enumerate((0.0, PI, -PI)):
+        for j, off in enumerate(offsets):
+            for k in (-64, -1, 0, 1, 2, 65):
+                a = complex(0.25 + 1e-10 * (j % 3 - 1), base + off + k * 2 * PI)
+                terms.append((1 + (i + j + k) % 3, a, complex(i - j, k + 0.5)))
+    terms = tuple(terms)
+    assert_merge_matches_reference(terms, tol, monkeypatch)
+    rng = random.Random(7)
+    for _ in range(5):
+        shuffled = list(terms)
+        rng.shuffle(shuffled)
+        assert_merge_matches_reference(tuple(shuffled), tol, monkeypatch)
+
+
+def detect_edge(base, axis, sign, detect):
+    # The last a-value (as a float step along one axis, away from base)
+    # that the scan merges into base, and the next one, which it does not.
+    def moved(v):
+        return complex(v, base.imag) if axis == "re" else complex(base.real, v)
+
+    def merges(v):
+        return len(reference_merge(((1, base, 1j), (1, moved(v), 1j)), detect)) == 1
+
+    origin = base.real if axis == "re" else base.imag
+    away = math.copysign(math.inf, sign)
+    v = origin + sign * 2 * PI * max(detect, 0.0)
+    while not merges(v):
+        v = math.nextafter(v, origin)
+    while merges(math.nextafter(v, away)):
+        v = math.nextafter(v, away)
+    return moved(v), moved(math.nextafter(v, away))
+
+
+@pytest.mark.parametrize("tol", MERGE_TOLS)
+def test_hashed_merge_matches_reference_at_detect(tol, monkeypatch):
+    # near-duplicates exactly at and just past the detection radius, in
+    # both directions of both axes and across lattice shifts
+    detect = min(tol, 1e-8)
+    cases = 0
+    for base in (0.3 + 0.7j, -1.25 - 2.5j, complex(2.0**-21, 0.0), complex(-(2.0**-25), 2 * PI)):
+        for axis in ("re", "im"):
+            for sign in (1, -1):
+                at, past = detect_edge(base, axis, sign, detect)
+                for k in (0, 3, -64):
+                    near, far = at + k * TAU, past + k * TAU
+                    terms = ((1, base, 1 + 1j), (2, near, 2 - 1j))
+                    merged = assert_merge_matches_reference(terms, tol, monkeypatch)
+                    terms = ((1, base, 1 + 1j), (2, far, 2 - 1j))
+                    merged_far = assert_merge_matches_reference(terms, tol, monkeypatch)
+                    if k == 0:
+                        assert merged == [(base, 1 + 1j + 2 * (2 - 1j))]
+                        assert merged_far == [(base, 1 + 1j), (far, 4 - 2j)]
+                    cases += 1
+    assert cases == 48
+
+
+@pytest.mark.parametrize("tol", MERGE_TOLS)
+def test_hashed_merge_lattice_shift_limit(tol, monkeypatch):
+    a = 0.3 + 0.7j
+    for k, merges in ((64, True), (-64, True), (65, False), (-65, False)):
+        shifted = complex(a.real, a.imag + k * 2 * PI)
+        merged = assert_merge_matches_reference(((1, a, 2 + 1j), (1, shifted, 1 - 1j)), tol, monkeypatch)
+        if merges and tol > 0:
+            assert [r for r, _ in merged] == [a, TAU]
+        elif not merges:
+            assert [r for r, _ in merged] == [a, shifted]
+
+
+@pytest.mark.parametrize("tol", MERGE_TOLS)
+def test_hashed_merge_matches_reference_at_large_magnitudes(tol, monkeypatch):
+    # beyond 2^53 every double is an integer; the cell index stays exact
+    terms = []
+    for x in (2.0**53 - 1, 2.0**53, 1e17, -1e17, 1e300, -1.7e308):
+        for k in (0, 1, 64):
+            # small b-values keep the pairings finite
+            terms.append((1, complex(x, 0.5 + k * 2 * PI), complex(1e-300, k * 1e-300)))
+            terms.append((1, complex(math.nextafter(x, math.inf), 0.5), 1e-300j))
+    terms.append((1, complex(0.5, 1e17), 1 + 0j))
+    terms.append((1, complex(0.5, 1e17 + 16), 1 + 0j))
+    assert_merge_matches_reference(tuple(terms), tol, monkeypatch)
+
+
+def test_wedge_check_rejects_non_finite_entries():
+    for bad in (complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, 1.0)):
+        w = WedgeExpr(((1, 0.5 + 0.5j, 1 + 0j), (1, bad, 2 + 0j)))
+        with pytest.raises(ValueError, match="not finite"):
+            wedge_necessary_zero(w)

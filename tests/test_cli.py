@@ -65,6 +65,25 @@ def test_eval_sum_file(capsys, tmp_path):
     assert value[0] == pytest.approx(-PI**2 / 6)
 
 
+@pytest.mark.parametrize("text,lineno", [
+    ("1 0.5 0.5 i 0 0\n1 nan 0.5 i 0 0\n", 2),
+    ("1 0.5 0.5 i 0 0\nx\n", 2),
+])
+def test_eval_bad_sum_file_names_the_line(capsys, tmp_path, text, lineno):
+    path = tmp_path / "sum.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "eval", "--sum", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"bad formal sum: line {lineno}: " in err
+
+
+def test_eval_missing_sum_file(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "eval", "--sum", str(tmp_path / "none.txt"))
+    assert code == 2
+    assert out == "" and "error" in err
+
+
 def test_eval_no_args_usage_error(capsys):
     with pytest.raises(SystemExit):
         main(["eval"])

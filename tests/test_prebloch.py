@@ -65,6 +65,18 @@ def test_formal_sum_serialize_round_trip():
     assert FormalSum.parse(s.serialize()) == s
 
 
+@pytest.mark.parametrize("text,lineno,message", [
+    ("1 0.5 0.5 i 0 0\n1 nan 0.5 i 0 0\n", 2, "not a finite point"),
+    ("# header\n\nx\n", 3, "expected 'coeff z_re z_im side p q'"),
+    ("1 0.5 0.5 i 0 0\n1 0.5 0.5 i 0 0\n  \nz 0.5 0.5 i 0 0\n", 4, "invalid literal"),
+])
+def test_formal_sum_parse_error_names_the_line(text, lineno, message):
+    with pytest.raises(ValueError) as info:
+        FormalSum.parse(text)
+    assert str(info.value).startswith(f"line {lineno}: ")
+    assert message in str(info.value)
+
+
 def test_curly_minus_itself_empty():
     z = CutPoint(0.5 + 0.5j)
     assert (curly(z, 1) - curly(z, 1)).is_empty()
@@ -351,6 +363,13 @@ def test_chi_rejects_zero():
         chi_hat(0j)
 
 
+@pytest.mark.parametrize("z", [1e200 + 1e200j, 1e200 + 0j, -3e160j])
+def test_chi_rejects_overflowing_square_naming_z(z):
+    with pytest.raises(ValueError) as info:
+        chi_hat(z)
+    assert repr(z) in str(info.value)
+
+
 def test_chi_lhat_is_twice_pi_i_log():
     rng = random.Random(41)
     for _ in range(100):
@@ -433,9 +452,21 @@ def test_root4_examples():
         root4(0j)
 
 
+@pytest.mark.parametrize("z", [
+    1.7e308 + 1.7e308j, -1.7e308 + 0j, 1.7e308 - 1e300j, complex(-1e308, -1.7e308),
+])
+def test_root4_beyond_the_largest_modulus(z):
+    # near the largest double, where |z| itself may overflow; exp of a
+    # logarithm near 177 keeps about 1e-14 relative accuracy
+    w = root4(z)
+    assert w == pytest.approx(cmath.exp(cmath.log(z / 16) / 4) * 2, rel=1e-13)
+    assert -PI / 4 < cmath.phase(w) <= PI / 4
+
+
 @given(st.complex_numbers(min_magnitude=1e-8, max_magnitude=1e8,
                           allow_nan=False, allow_infinity=False))
 @example(complex(2.0, 5e-324))  # subnormal imaginary part
+@example(1 + 0j)
 def test_root4_branch_window(z):
     w = root4(z)
     assert w**4 == pytest.approx(z, rel=1e-9)
