@@ -75,6 +75,8 @@ class WedgeExpr:
         for c, a, b in self.terms:
             term = c * (a.real * b.imag - a.imag * b.real) - comp
             new_total = total + term
+            if not math.isfinite(new_total):  # |a| |b| beyond the largest double
+                raise ValueError(f"the pairing is not finite at wedge pair ({a!r}, {b!r})")
             comp = (new_total - total) - term
             total = new_total
         return total
@@ -181,6 +183,8 @@ def wedge_necessary_zero(w: WedgeExpr, tol: float = 1e-9) -> NecessaryZeroCheck:
     merged_pairing = 0.0
     for a, b in merged:
         merged_pairing += a.real * b.imag - a.imag * b.real
+        if not math.isfinite(merged_pairing):
+            raise ValueError(f"the merged pairing is not finite at a-value {a!r} (b {b!r})")
     passed = abs(pairing) <= tol and abs(merged_pairing) <= tol
     certainty = "necessary-only" if passed else "nonzero"
     return NecessaryZeroCheck(passed, certainty, pairing, merged_pairing)

@@ -111,7 +111,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         try:
             s = FormalSum.single(parse_flattened(" ".join(args.operand)))
         except ValueError as exc:
-            raise SystemExit(f"error: {exc}")
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         raise SystemExit(
             "usage: extbloch eval (kappa | z_re z_im side p q | --sum FILE)"

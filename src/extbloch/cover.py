@@ -222,4 +222,8 @@ def parse_flattened(text: str) -> FlattenedNumber:
     if side_s not in ("i", "a"):
         raise ValueError(f"side must be 'i' or 'a', got {side_s!r}")
     z = complex(float(re_s), float(im_s))
-    return FlattenedNumber(CutPoint(z, Side.coerce(side_s)), int(p_s), int(q_s))
+    p, q = int(p_s), int(q_s)
+    for name, value in (("p", p), ("q", q)):
+        if abs(value) > 2**53:  # beyond 2**53 the lattice part 2 pi i p is not exact
+            raise ValueError(f"branch index {name} is beyond 2**53 in magnitude")
+    return FlattenedNumber(CutPoint(z, Side.coerce(side_s)), p, q)

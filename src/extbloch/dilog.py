@@ -19,12 +19,14 @@ One kernel serves both precisions, built from two pieces:
   w = -Log(1-u) has |w| <= pi/3 and the Bernoulli series
   Li2(u) = sum B_n w^(n+1) / (n+1)! converges like 36^-k.
 
-The precision mode picks only the arithmetic (``math`` on Python complex,
-or mpmath at ``dps`` digits), the series coefficients (a literal table, or
-mpmath Bernoulli numbers cached per ``dps``) and the working-precision
-context; results are machine complex either way.  Against mpmath, Li2 is
-within 2e-15 relative error in double and 1e-15 in high precision for
-|z| from 1e-300 to 1e300, on both sides of both cuts.
+The precision mode, a context variable (so per thread or asyncio task),
+picks only the arithmetic (``math`` on Python complex, or mpmath at ``dps``
+digits), the series coefficients (a literal table, or mpmath Bernoulli
+numbers cached per ``dps``) and the working-precision context; results are
+machine complex either way.  One kernel pass gives Li2 z with Log z and
+Log(1-z), which the reflection and series branches reuse.  Against mpmath,
+Li2 is within 2e-15 relative error in double and 1e-15 in high precision
+for |z| from 1e-300 to 1e300, on both sides of both cuts.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import enum
 import math
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, NamedTuple
 
@@ -167,7 +170,7 @@ _DOUBLE = _Arith(
     ),
 )
 _HIGH: dict[int, _Arith] = {}
-_PRECISION_DPS: int | None = None
+_DPS: ContextVar[int | None] = ContextVar("extbloch_dps", default=None)  # None: double
 
 
 def _high_arith(dps: int) -> _Arith:
@@ -188,16 +191,18 @@ def _high_arith(dps: int) -> _Arith:
     return arith
 
 
-def _evaluate(kernel, p: CutPoint) -> complex:
-    # Run kernel(arith, z, side) in the current precision mode.
-    dps = _PRECISION_DPS
+def _evaluate(kernel, p: CutPoint):
+    # Run kernel(arith, z, side) in the current precision mode; a high
+    # precision result, one value or a tuple, comes back as machine complex.
+    dps = _DPS.get()
     if dps is None:
         return kernel(_DOUBLE, p.z, p.side)
     import mpmath as mp
 
     arith = _high_arith(dps)
     with mp.workdps(dps):
-        return complex(kernel(arith, mp.mpc(p.z), p.side))
+        out = kernel(arith, mp.mpc(p.z), p.side)
+        return tuple(map(complex, out)) if isinstance(out, tuple) else complex(out)
 
 
 def set_precision(mode: str = "double", dps: int = 50) -> None:
@@ -205,31 +210,28 @@ def set_precision(mode: str = "double", dps: int = 50) -> None:
 
     In high mode the primitives run through mpmath with at least ``dps``
     significant digits internally; returned values are machine complex.
+    The mode holds for the calling thread (or asyncio task) only.
     """
-    global _PRECISION_DPS
-    if mode == "double":
-        _PRECISION_DPS = None
-    elif mode == "high":
-        if dps < 50:
-            raise ValueError("high-precision mode requires dps >= 50")
-        _PRECISION_DPS = dps
-    else:
+    if mode not in ("double", "high"):
         raise ValueError(f"unknown precision mode {mode!r}")
+    if mode == "high" and dps < 50:
+        raise ValueError("high-precision mode requires dps >= 50")
+    _DPS.set(dps if mode == "high" else None)
 
 
 def get_precision() -> tuple[str, int | None]:
-    return ("double", None) if _PRECISION_DPS is None else ("high", _PRECISION_DPS)
+    dps = _DPS.get()
+    return ("double", None) if dps is None else ("high", dps)
 
 
 @contextmanager
 def precision(mode: str, dps: int = 50) -> Iterator[None]:
-    global _PRECISION_DPS
-    saved = _PRECISION_DPS
-    set_precision(mode, dps)
+    token = _DPS.set(_DPS.get())
     try:
+        set_precision(mode, dps)
         yield
     finally:
-        _PRECISION_DPS = saved
+        _DPS.reset(token)
 
 
 # ---------------------------------------------------------------------------
@@ -304,23 +306,30 @@ def _series(k: _Arith, w):
     return w - 0.25 * w2 + w * w2 * acc
 
 
-def _li2(k: _Arith, z, side: Side):
+def _inverted(k: _Arith, z, side: Side):
+    # Li2(1/z), Log(-z) and Log(1-1/z) for |z| > 1, |1-z| > 1, where
+    # |1/z| < 1 and Re(1/z) < 1/2; -z and 1/z lie on the other side of the
+    # axis from z.
+    flipped = _flip(side)
+    log_1m_inv = _log_one_minus(k, 1 / z, flipped)
+    return _series(k, -log_1m_inv), _log(k, -z, flipped), log_1m_inv
+
+
+def _li2_logs(k: _Arith, z, side: Side):
+    # Li2 z, Log z and Log(1-z) in one kernel pass.
+    log_z, log_1mz = _log(k, z, side), _log_one_minus(k, z, side)
     x = z.real
     nz = x * x + z.imag * z.imag
     if x > 0.5 and 0.5 * nz <= x:
         # |1-z| <= 1: Li2(z) = pi^2/6 - Log z Log(1-z) - Li2(1-z), where
         # the series for 1-z runs in w = -Log z.
-        log_z = _log(k, z, side)
-        return k.zeta2 - log_z * _log_one_minus(k, z, side) - _series(k, -log_z)
-    if nz <= 1:  # then also Re z <= 1/2: no map needed
-        return _series(k, -_log_one_minus(k, z, side))
-    # |z| > 1 and |1-z| > 1, so |1/z| < 1 and Re(1/z) < 1/2:
-    # Li2(z) = -Li2(1/z) - pi^2/6 - Log(-z)^2 / 2; -z and 1/z both lie on
-    # the other side of the axis from z.
-    flipped = _flip(side)
-    log_neg = _log(k, -z, flipped)
-    inverse = _series(k, -_log_one_minus(k, 1 / z, flipped))
-    return -inverse - k.zeta2 - 0.5 * log_neg * log_neg
+        li = k.zeta2 - log_z * log_1mz - _series(k, -log_z)
+    elif nz <= 1:  # then also Re z <= 1/2: no map needed
+        li = _series(k, -log_1mz)
+    else:  # Li2(z) = -Li2(1/z) - pi^2/6 - Log(-z)^2 / 2
+        inverse, log_neg, _ = _inverted(k, z, side)
+        li = -inverse - k.zeta2 - 0.5 * log_neg * log_neg
+    return li, log_z, log_1mz
 
 
 def li2(p: CutPoint | complex) -> complex:
@@ -337,4 +346,4 @@ def li2(p: CutPoint | complex) -> complex:
         if z == 1:
             return complex(PI_SQ / 6.0, 0.0)
         p = as_cut_point(z)
-    return _evaluate(_li2, p)
+    return _evaluate(_li2_logs, p)[0]

@@ -24,54 +24,64 @@ from .dilog import PI, CutPoint, Side, arg_cut, as_cut_point, principal_log
 from .rogers import CmodZ2, rogers_l_bar
 
 
-def _sort_key(f: FlattenedNumber):
-    return (f.z.real, f.z.imag, f.base.side.value, f.p, f.q)
-
-
 @dataclass(frozen=True)
 class FormalSum:
     """An integer linear combination of canonical cover points.
 
     Terms are merged, zero coefficients pruned, and the term order is
-    canonical, so equal sums compare equal structurally.
+    canonical, so equal sums compare equal structurally.  Each built sum
+    is normalized once: negation, integer multiples and single terms keep
+    the canonical order and skip it.
     """
 
     terms: tuple[tuple[int, FlattenedNumber], ...] = ()
 
     def __post_init__(self) -> None:
-        merged: dict[FlattenedNumber, int] = {}
+        # Merge on the plain sort key, not on FlattenedNumber, whose hash goes
+        # through CutPoint and Side (and read Side._value_: .value is a
+        # descriptor call); the first-seen point is kept.
+        merged: dict[tuple, tuple[int, FlattenedNumber]] = {}
         for coeff, gen in self.terms:
             if not isinstance(gen, FlattenedNumber):
                 raise TypeError("generators must be FlattenedNumber values")
-            merged[gen] = merged.get(gen, 0) + int(coeff)
-        cleaned = tuple(
-            (c, g)
-            for g, c in sorted(merged.items(), key=lambda kv: _sort_key(kv[0]))
-            if c != 0
-        )
+            base = gen.base
+            z = base.z
+            key = (z.real, z.imag, base.side._value_, gen.p, gen.q)
+            seen = merged.get(key)
+            merged[key] = (int(coeff), gen) if seen is None else (seen[0] + int(coeff), seen[1])
+        cleaned = tuple(term for _, term in sorted(merged.items()) if term[0])
         object.__setattr__(self, "terms", cleaned)
 
     @classmethod
+    def _canonical(cls, terms: tuple[tuple[int, FlattenedNumber], ...]) -> "FormalSum":
+        s = object.__new__(cls)  # terms already merged, pruned and in order
+        object.__setattr__(s, "terms", terms)
+        return s
+
+    @classmethod
     def of(cls, *pairs: tuple[int, FlattenedNumber]) -> "FormalSum":
-        return cls(tuple(pairs))
+        return cls(pairs)
 
     @classmethod
     def single(cls, gen: FlattenedNumber, coeff: int = 1) -> "FormalSum":
-        return cls(((coeff, gen),))
+        if not isinstance(gen, FlattenedNumber):
+            raise TypeError("generators must be FlattenedNumber values")
+        coeff = int(coeff)
+        return cls._canonical(((coeff, gen),) if coeff else ())
 
     def __add__(self, other: "FormalSum") -> "FormalSum":
         return FormalSum(self.terms + other.terms)
 
     def __sub__(self, other: "FormalSum") -> "FormalSum":
-        return self + (-other)
+        return FormalSum(self.terms + tuple((-c, g) for c, g in other.terms))
 
     def __neg__(self) -> "FormalSum":
-        return FormalSum(tuple((-c, g) for c, g in self.terms))
+        return FormalSum._canonical(tuple((-c, g) for c, g in self.terms))
 
     def __rmul__(self, k: int) -> "FormalSum":
         if not isinstance(k, int):
             return NotImplemented
-        return FormalSum(tuple((k * c, g) for c, g in self.terms))
+        return FormalSum._canonical(tuple((k * c, g) for c, g in self.terms) if k else ())
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -134,13 +144,13 @@ def five_term_element(t: FlattenedFT | Sequence[FlattenedNumber], tol: float = 1
     return FormalSum(tuple(((-1) ** k, entries[k]) for k in range(5)))
 
 
+def _curly_terms(point: CutPoint, p: int, sign: int = 1) -> tuple:
+    return ((sign, canonicalize(point, p=p, q=1)), (-sign, canonicalize(point, p=p, q=0)))
+
+
 def curly(z: complex | CutPoint, p: int) -> FormalSum:
     """The q-independent difference {z; 2p} = [z; 2p, 2] - [z; 2p, 0]."""
-    point = as_cut_point(z)
-    return FormalSum.of(
-        (1, canonicalize(point, p=p, q=1)),
-        (-1, canonicalize(point, p=p, q=0)),
-    )
+    return FormalSum(_curly_terms(as_cut_point(z), p))
 
 
 def _product_shift(arg_sum: float) -> int:
@@ -171,7 +181,8 @@ def curly_product_relation(
     if abs(product - 1.0) <= 1e-12:
         raise ValueError("zw = 1 is excluded (the product leaves the domain)")
     eps = _product_shift(arg_cut(zp) + arg_cut(wp))
-    return curly(zp, p) + curly(wp, r) - curly(as_cut_point(product), p + r + eps)
+    zw = as_cut_point(product)
+    return FormalSum(_curly_terms(zp, p) + _curly_terms(wp, r) + _curly_terms(zw, p + r + eps, -1))
 
 
 def cycle_relation(
@@ -201,18 +212,15 @@ def cycle_relation(
         raise ValueError("x = y (or y/x degenerate) is excluded")
     delta = _product_shift(arg_cut(yp) - arg_cut(xp))
     r = p1 - p0 + delta
-    lhs = FormalSum.of(
+    qp = as_cut_point(quotient)
+    return FormalSum((
         (1, canonicalize(xp, p=p0, q=q0 - 1)),
         (-1, canonicalize(xp, p=p0, q=q0)),
         (-1, canonicalize(yp, p=p1, q=q1 - 1)),
         (1, canonicalize(yp, p=p1, q=q1)),
-    )
-    qp = as_cut_point(quotient)
-    rhs = FormalSum.of(
-        (1, canonicalize(qp, p=r, q=q2)),
-        (-1, canonicalize(qp, p=r, q=q2 - 1)),
-    )
-    return lhs - rhs
+        (-1, canonicalize(qp, p=r, q=q2)),
+        (1, canonicalize(qp, p=r, q=q2 - 1)),
+    ))
 
 
 def index_relations(
@@ -233,37 +241,17 @@ def index_relations(
     point = as_cut_point(z)
     kind = kind.upper()
     if kind == "Q":
-        lhs = FormalSum.of(
-            (1, canonicalize(point, p=p, q=q - 1)),
-            (-1, canonicalize(point, p=p, q=q)),
-        )
-        rhs = FormalSum.of(
-            (1, canonicalize(point, p=p, q=q2 - 1)),
-            (-1, canonicalize(point, p=p, q=q2)),
-        )
+        charts = ((p, q - 1), (p, q), (p, q2 - 1), (p, q2))
     elif kind == "P":
-        lhs = FormalSum.of(
-            (1, canonicalize(point, p=p - 1, q=q)),
-            (-1, canonicalize(point, p=p, q=q)),
-        )
-        rhs = FormalSum.of(
-            (1, canonicalize(point, p=p2 - 1, q=q)),
-            (-1, canonicalize(point, p=p2, q=q)),
-        )
+        charts = ((p - 1, q), (p, q), (p2 - 1, q), (p2, q))
     elif kind == "PQ":
         if p + q != p2 + q2:
             raise ValueError("the diagonal relation needs p + q = p2 + q2")
-        lhs = FormalSum.of(
-            (1, canonicalize(point, p=p + 1, q=q - 1)),
-            (-1, canonicalize(point, p=p, q=q)),
-        )
-        rhs = FormalSum.of(
-            (1, canonicalize(point, p=p2 + 1, q=q2 - 1)),
-            (-1, canonicalize(point, p=p2, q=q2)),
-        )
+        charts = ((p + 1, q - 1), (p, q), (p2 + 1, q2 - 1), (p2, q2))
     else:
         raise ValueError(f"unknown index relation kind {kind!r}")
-    return lhs - rhs
+    signs = (1, -1, -1, 1)  # LHS - RHS, each a shifted chart minus a base chart
+    return FormalSum(tuple((c, canonicalize(point, p=a, q=b)) for c, (a, b) in zip(signs, charts)))
 
 
 def _one_minus(point: CutPoint) -> tuple[complex, Side]:
@@ -279,11 +267,11 @@ def mirror_relation(z: complex | CutPoint, p: int = 0, q: int = 0) -> FormalSum:
     point = as_cut_point(z)
     mz, mside = _one_minus(point)
     half = flattened(0.5 + 0.0j)
-    return (
-        FormalSum.single(canonicalize(point, p=p, q=q))
-        + FormalSum.single(canonicalize(mz, mside, p=-q, q=-p))
-        - 2 * FormalSum.single(half)
-    )
+    return FormalSum((
+        (1, canonicalize(point, p=p, q=q)),
+        (1, canonicalize(mz, mside, p=-q, q=-p)),
+        (-2, half),
+    ))
 
 
 def kappa_hat(z: complex | CutPoint = 0.5 + 0.0j, p: int = 1) -> FormalSum:
@@ -294,7 +282,7 @@ def kappa_hat(z: complex | CutPoint = 0.5 + 0.0j, p: int = 1) -> FormalSum:
     why it survives only until the transfer relation is imposed.
     """
     point = as_cut_point(z)
-    return curly(point, p) - curly(point, p - 1)
+    return FormalSum(_curly_terms(point, p) + _curly_terms(point, p - 1, -1))
 
 
 def chi_hat(z: complex) -> FormalSum:
@@ -361,21 +349,20 @@ def symmetry_relation(z: complex, p: int, q: int, which: int) -> FormalSum:
     if which == 1:
         main = flattened(1.0 / z, -p, p + q)
         corr = chi_hat(_I_POWER[p % 4] * root4(z))
-        return FormalSum.single(main) + FormalSum.single(flattened(z, p, q)) - corr
-    if which == 2:
+    elif which == 2:
         main = flattened(1.0 - 1.0 / z, -p - q, p)
         corr = chi_hat(cmath.exp(-1j * PI * (1 - 6 * p) / 12.0) * root4(z))
-        return FormalSum.single(main) - FormalSum.single(flattened(z, p, q)) + corr
-    if which == 3:
+    elif which == 3:
         main = flattened(-z / (1.0 - z), p + q, -q)
         corr = chi_hat(cmath.exp(-1j * PI * (1 + 6 * q) / 12.0) * root4(z - 1.0))
-        return FormalSum.single(main) + FormalSum.single(flattened(z, p, q)) - corr
-    if which == 4:
+    elif which == 4:
         main = flattened(1.0 / (1.0 - z), q, -p - q)
         corr = chi_hat(cmath.exp(-1j * PI * (2 + 6 * q) / 12.0) * root4(z - 1.0))
-        return FormalSum.single(main) - FormalSum.single(flattened(z, p, q)) + corr
-    if which == 5:
+    elif which == 5:
         main = flattened(1.0 - z, -q, -p)
         corr = chi_hat(cmath.exp(1j * PI / 12.0))
-        return FormalSum.single(main) + FormalSum.single(flattened(z, p, q)) - corr
-    raise ValueError("which must be 1..5")
+    else:
+        raise ValueError("which must be 1..5")
+    sign = 1 if which % 2 else -1  # odd: main + [z] - corr; even: main - [z] + corr
+    terms = ((1, main), (sign, flattened(z, p, q))) + tuple((-sign * c, g) for c, g in corr.terms)
+    return FormalSum(terms)

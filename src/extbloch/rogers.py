@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cover import FlattenedNumber
-from .dilog import PI, PI_SQ, TWO_PI_I, CutPoint, Side, li2, log_one_minus, principal_log
+from .dilog import PI, PI_SQ, TWO_PI_I, CutPoint, Side, _evaluate, _inverted, _li2_logs
 
 FOUR_PI_SQ = 4.0 * PI_SQ
 TWO_PI_SQ = 2.0 * PI_SQ
@@ -103,9 +103,22 @@ def rogers_l_bar(f: FlattenedNumber) -> complex:
 
 
 def _l_bar(point: CutPoint, p: int, q: int) -> complex:
-    a = principal_log(point) + TWO_PI_I * p
-    b = log_one_minus(point) + TWO_PI_I * q
-    return li2(point) + 0.5 * a * b - PI_SQ / 6.0
+    z = point.z
+    if max(abs(z.real), abs(z.imag)) > 2.0**32:
+        # Out here the direct sum below loses digits: the (Log -z)^2 / 2 in
+        # Li2 z and in Log z Log(1-z) / 2 cancel.  Cancel them exactly: with
+        # u = Log(-z), Log z = u + i pi s (s = +-1 on the upper or lower side)
+        # and Log(1-z) = u + v, v = Log(1-1/z), L = -Li2(1/z) - pi^2/3
+        # + u (a + b) / 2 + a b / 2, a = i pi (s + 2p), b = v + 2 pi i q.
+        inverse, u, v = _evaluate(_inverted, point)
+        s = 1 if z.imag > 0 or point.side is Side.ABOVE else -1
+        a = complex(0.0, PI * (s + 2 * p))
+        b = v + TWO_PI_I * q
+        return -inverse - PI_SQ / 3.0 + 0.5 * u * (a + b) + 0.5 * a * b
+    li, log_z, log_1mz = _evaluate(_li2_logs, point)
+    a = log_z + TWO_PI_I * p
+    b = log_1mz + TWO_PI_I * q
+    return li + 0.5 * a * b - PI_SQ / 6.0
 
 
 def rogers_l_hat(f: FlattenedNumber) -> CmodZ2:

@@ -33,25 +33,6 @@ from .prebloch import (
 )
 from .rogers import TWO_PI_SQ
 
-RELATIONS = (
-    "five-term",
-    "cycle",
-    "mirror",
-    "homo",
-    "index-q",
-    "index-p",
-    "index-pq",
-    "chi-hom",
-    "symmetry-1",
-    "symmetry-2",
-    "symmetry-3",
-    "symmetry-4",
-    "symmetry-5",
-    "kappa",
-    "splitting",
-)
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     relation: str
@@ -341,8 +322,8 @@ def _run_splitting(rng, k, cfg):
 _RUNNERS: dict[str, Callable] = {
     "five-term": _run_five_term,
     "cycle": _run_cycle,
-    "homo": _run_homo,
     "mirror": _run_mirror,
+    "homo": _run_homo,
     "index-q": _run_index("Q"),
     "index-p": _run_index("P"),
     "index-pq": _run_index("PQ"),
@@ -355,6 +336,7 @@ _RUNNERS: dict[str, Callable] = {
     "kappa": _run_kappa,
     "splitting": _run_splitting,
 }
+RELATIONS = tuple(_RUNNERS)
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:

@@ -9,6 +9,7 @@ never derived from it.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import mpmath as mp
@@ -43,11 +44,44 @@ def li2_mpmath(z: complex, side: str = "i", dps: int = 40) -> complex:
     Re Li2(x) +- i pi log x.
     """
     with mp.workdps(dps):
-        if side == "i" or z.real < 1.0:
-            return complex(mp.polylog(2, mp.mpc(z)))
-        x = mp.mpf(z.real)
+        return complex(_li2_mp(z, side))
+
+
+def _li2_mp(z: complex, side: str):
+    # Li2 at the working precision of the caller, kept as an mpc
+    if side == "i" or z.real < 1.0:
+        return mp.polylog(2, mp.mpc(z))
+    x = mp.mpf(z.real)
+    sign = 1 if side == "a" else -1
+    return mp.mpc(mp.re(mp.polylog(2, x)), sign * mp.pi * mp.log(x))
+
+
+def rogers_mpmath(z: complex, side: str, p: int, q: int, dps: int = 40) -> complex:
+    """L(z; 2p, 2q) = Li2 z + (Log z + 2 pi i p)(Log(1-z) + 2 pi i q)/2 - pi^2/6.
+
+    Every piece at ``dps`` digits in mpmath; on a cut, ``side`` ("a" or
+    "b") picks the limit from above or below, which sets the sign of the
+    imaginary part pi of Log z on (-inf, 0) and of Log(1-z) on (1, inf).
+    """
+    li, log_z, log_1mz = _rogers_pieces(z, side, dps)
+    with mp.workdps(dps):
+        two_pi_i = 2j * mp.pi
+        a, b = log_z + two_pi_i * p, log_1mz + two_pi_i * q
+        return complex(li + a * b / 2 - mp.pi**2 / 6)
+
+
+@functools.lru_cache(maxsize=4096)
+def _rogers_pieces(z: complex, side: str, dps: int):
+    with mp.workdps(dps):
+        w = mp.mpc(z)
         sign = 1 if side == "a" else -1
-        return complex(mp.re(mp.polylog(2, x)), sign * mp.pi * mp.log(x))
+        if side == "i":
+            log_z, log_1mz = mp.log(w), mp.log(1 - w)
+        elif z.real < 0:
+            log_z, log_1mz = mp.mpc(mp.log(-w.real), sign * mp.pi), mp.log(1 - w)
+        else:
+            log_z, log_1mz = mp.log(w), mp.mpc(mp.log(w.real - 1), -sign * mp.pi)
+        return _li2_mp(z, side), log_z, log_1mz
 
 
 def lobachevsky(theta: float, terms: int = 80) -> float:

@@ -316,3 +316,30 @@ def test_wedge_check_rejects_non_finite_entries():
         w = WedgeExpr(((1, 0.5 + 0.5j, 1 + 0j), (1, bad, 2 + 0j)))
         with pytest.raises(ValueError, match="not finite"):
             wedge_necessary_zero(w)
+
+
+def test_wedge_pairing_overflow_names_the_pair():
+    # |a| |b| beyond the largest double: the pairing used to come out NaN
+    # and the check reported certainty 'nonzero' on it
+    w = WedgeExpr(((1, 1e300 + 1j, 1 + 1e10j), (1, -1e300 + 2j, 3 + 1e10j)))
+    message = r"the pairing is not finite at wedge pair \(\(-1e\+300\+2j\), \(3\+10000000000j\)\)"
+    with pytest.raises(ValueError, match=message):
+        w.pairing()
+    with pytest.raises(ValueError, match=message):
+        wedge_necessary_zero(w)
+
+
+def test_wedge_merged_pairing_overflow_names_the_pair():
+    # the pairing 2 (0.5 * 0 - 0.5 * 1e308) is finite, but the merged
+    # b-value 2e308 is not
+    w = WedgeExpr(((2, 0.5 + 0.5j, 1e308 + 0j),))
+    assert w.pairing() == -1e308
+    with pytest.raises(ValueError, match=r"merged pairing is not finite at a-value \(0\.5\+0\.5j\)"):
+        wedge_necessary_zero(w)
+
+
+def test_wedge_pairing_near_the_largest_double_is_finite():
+    # large but representable pairings pass through unchanged
+    w = WedgeExpr(((1, 1e154 + 1e154j, 1e150 - 1e150j), (1, 1 + 1j, 1e307 + 0j)))
+    assert w.pairing() == -2e304 - 1e307
+    assert wedge_necessary_zero(w).certainty == "nonzero"

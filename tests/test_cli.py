@@ -90,8 +90,24 @@ def test_eval_no_args_usage_error(capsys):
 
 
 def test_eval_bad_point(capsys):
-    with pytest.raises(SystemExit):
-        main(["eval", "1", "0", "i", "0", "0"])
+    # an inline operand error is an input error: stderr and exit status 2,
+    # as for eval --sum and ccs
+    code, out, err = run_cli(capsys, "eval", "1", "0", "i", "0", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: 0 and 1 are excluded from the cut plane\n"
+
+
+@pytest.mark.parametrize("operand,message", [
+    (("0.5", "0.5", "b", "0", "0"), "side must be"),
+    (("0.5", "0.5", "i", "x", "0"), "invalid literal"),
+    (("0.5", "0.5", "i", "0", str(2**53 + 1)), "branch index q is beyond 2**53"),
+])
+def test_eval_bad_inline_operand_exits_2(capsys, operand, message):
+    code, out, err = run_cli(capsys, "eval", *operand)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +228,18 @@ def test_ccs_non_finite_input_is_an_error(capsys, tmp_path, z_re, z_im):
     assert code == 2
     assert out == ""
     assert "line 2: simplex 2:" in err and "not a finite point" in err
+
+
+@pytest.mark.parametrize("p,q,field", [
+    (10**400, 0, "p"), (0, -(10**400), "q"), (2**53 + 1, 0, "p"), (0, -(2**53) - 1, "q"),
+])
+def test_ccs_huge_branch_index_is_an_error(capsys, tmp_path, p, q, field):
+    path = tmp_path / "big.tri"
+    path.write_text(f"+1 0.5 0.5 i 0 0\n+1 0.5 0.5 i {p} {q}\n")
+    code, out, err = run_cli(capsys, "ccs", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"line 2: simplex 2: branch index {field} is beyond 2**53" in err
 
 
 def test_ccs_parse_error_has_line_number(capsys, tmp_path):

@@ -277,3 +277,20 @@ def test_parse_rejects_malformed():
         parse_flattened("0.5 0 b 0 0")
     with pytest.raises(ValueError):
         parse_flattened("1 0 i 0 0")
+
+
+@pytest.mark.parametrize("p,q,field", [
+    (2**53 + 1, 0, "p"), (-(2**53) - 1, 0, "p"), (0, 2**53 + 1, "q"),
+    (0, -(10**400), "q"), (10**400, 10**400, "p"),
+])
+def test_parse_rejects_huge_branch_indices(p, q, field):
+    # beyond 2**53 the lattice part 2 pi i p of a branch logarithm is not
+    # exact; 10**400 used to load and fail later converting to float
+    with pytest.raises(ValueError, match=rf"branch index {field} is beyond 2\*\*53"):
+        parse_flattened(f"0.5 0.5 i {p} {q}")
+
+
+def test_parse_accepts_branch_indices_up_to_2_53():
+    for p in (2**53, -(2**53)):
+        f = parse_flattened(f"0.5 0.5 i {p} {-p}")
+        assert (f.p, f.q) == (p, -p)

@@ -1,22 +1,27 @@
 import cmath
 import math
 import random
+import threading
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from extbloch import dilog, rogers
+from extbloch.cover import canonicalize, flattened
 from extbloch.dilog import (
     CutPoint,
     Side,
     arg_cut,
     as_cut_point,
+    get_precision,
     li2,
     log_one_minus,
     precision,
     principal_log,
 )
-from oracles import li2_mpmath, li2_reference, li2_series
+from extbloch.rogers import l_bar_at, rogers_l_bar
+from oracles import li2_mpmath, li2_reference, li2_series, rogers_mpmath
 
 PI = math.pi
 
@@ -264,3 +269,83 @@ def test_li2_relative_accuracy_against_mpmath(accuracy_cases, mode, bound):
     with precision(mode):
         errors = [(abs(li2(p) - ref) / abs(ref), p) for p, ref in accuracy_cases]
     assert [(err, p) for err, p in errors if not err <= bound] == []
+
+
+ROGERS_INDICES = [(p, q) for p in (-3, 0, 2) for q in (-3, 0, 2)]
+
+
+@pytest.fixture(scope="module")
+def rogers_cases():
+    # on the point set of the li2 test, plus radii between 1e2 and 1e10 and
+    # on either side of 2^32, where the Rogers value changes its formula:
+    # each (z; 2p, 2q) in canonical form, and on the below side also as
+    # given, against the mpmath value
+    radii = (1.3e2, 1.3e5, 1.3e8, 4e9, 2.0**32 * (1 - 2**-20), 2.0**32 * (1 + 2**-20))
+    angles = (1e-9, 0.3, PI / 3, 1.2, 2.5, PI - 1e-9, -0.4, -2.0)
+    extra = [CutPoint(cmath.rect(r, theta)) for r in radii for theta in angles]
+    for r in radii:
+        extra += [CutPoint(complex(x, 0.0), side) for x in (-r, r) for side in (Side.ABOVE, Side.BELOW)]
+    cases = []
+    for point in _accuracy_points() + extra:
+        for p, q in ROGERS_INDICES:
+            f = canonicalize(point, p=p, q=q)
+            cases.append((rogers_l_bar, (f,), rogers_mpmath(f.z, f.base.side.value, f.p, f.q)))
+            if point.side is Side.BELOW:
+                args = (point.z, point.side, p, q)
+                cases.append((l_bar_at, args, rogers_mpmath(point.z, "b", p, q)))
+    return cases
+
+
+@pytest.mark.parametrize("mode", ["double", "high"])
+def test_rogers_l_bar_relative_accuracy_against_mpmath(rogers_cases, mode):
+    # relative to max(1, |L|); the worst seen is 1.5e-15 in both modes, at
+    # |z| between 1e8 and 4e9
+    with precision(mode):
+        errors = [(abs(fn(*args) - ref) / max(1.0, abs(ref)), args) for fn, args, ref in rogers_cases]
+    assert [(err, args) for err, args in errors if not err <= 1e-14] == []
+
+
+@pytest.mark.parametrize("z", [0.3 + 0.4j, 0.9 + 0.1j, -5 + 2j, 40 - 17j, 1e300 + 1e300j])
+def test_one_kernel_pass_per_rogers_value(monkeypatch, z):
+    calls = []
+
+    def counting(kernel, point):
+        calls.append(kernel)
+        return dilog._evaluate(kernel, point)
+
+    monkeypatch.setattr(rogers, "_evaluate", counting)
+    for mode in ("double", "high"):
+        with precision(mode):
+            rogers_l_bar(flattened(z, 1, -2))
+    assert len(calls) == 2
+
+
+def test_precision_mode_is_scoped_to_the_thread():
+    # two threads hold different modes at once; each gets its own results
+    points = [CutPoint(0.3 + 0.4j), CutPoint(-5 + 2j), CutPoint(2 + 0j, Side.ABOVE), CutPoint(0.99 + 0.001j)]
+    values = {}
+    for mode in ("double", "high"):
+        with precision(mode):
+            values[mode] = [(li2(p), l_bar_at(p.z, p.side, 1, -1)) for p in points]
+    assert values["double"] != values["high"]  # the modes can be told apart
+    barrier = threading.Barrier(2, timeout=60)
+    seen = {}
+
+    def worker(mode):
+        with precision(mode):
+            barrier.wait()  # both modes are now held at once
+            got = []
+            for p in points:
+                got.append((li2(p), l_bar_at(p.z, p.side, 1, -1)))
+                barrier.wait()  # interleave the evaluations
+            seen[mode] = (got, get_precision())
+
+    threads = [threading.Thread(target=worker, args=(m,)) for m in ("double", "high")]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert seen["double"] == (values["double"], ("double", None))
+    assert seen["high"] == (values["high"], ("high", 50))
+    assert get_precision() == ("double", None)

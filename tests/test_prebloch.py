@@ -6,8 +6,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from extbloch.cover import canonicalize, flattened, make_flattened_ft
-from extbloch.dilog import CutPoint, Side, TWO_PI_I, principal_log
+from extbloch import prebloch
+from extbloch.cover import (
+    canonicalize,
+    flattened,
+    make_flattened_ft,
+    parse_flattened,
+    serialize_flattened,
+)
+from extbloch.dilog import CutPoint, Side, TWO_PI_I, arg_cut, as_cut_point, principal_log
 from extbloch.prebloch import (
     FormalSum,
     check_chi_homomorphism,
@@ -80,6 +87,183 @@ def test_formal_sum_parse_error_names_the_line(text, lineno, message):
 def test_curly_minus_itself_empty():
     z = CutPoint(0.5 + 0.5j)
     assert (curly(z, 1) - curly(z, 1)).is_empty()
+
+
+# ---------------------------------------------------------------------------
+# one normalization per built sum, against the dict-and-sort reference
+# ---------------------------------------------------------------------------
+
+def reference_normalize(pairs):
+    """The normalization as a FormalSum-keyed dict, sorted by the plain key."""
+    merged = {}
+    for coeff, gen in pairs:
+        merged[gen] = merged.get(gen, 0) + int(coeff)
+    key = lambda kv: (kv[0].z.real, kv[0].z.imag, kv[0].base.side.value, kv[0].p, kv[0].q)
+    return tuple((c, g) for g, c in sorted(merged.items(), key=key) if c != 0)
+
+
+def assert_same_terms(got, want):
+    # == on terms, and the same kept points down to the sign of a zero
+    # real part, which == does not see
+    assert got.terms == want
+    assert [repr(g) for _, g in got.terms] == [repr(g) for _, g in want]
+
+
+def random_pairs(rng, pool, n):
+    return tuple((rng.choice((-3, -2, -1, 1, 1, 2, 5)), rng.choice(pool)) for _ in range(n))
+
+
+def normalization_pool(rng):
+    pool = [flattened(complex(rng.uniform(-3, 3), rng.uniform(-3, 3)), rng.randint(-2, 2), rng.randint(-2, 2))
+            for _ in range(6)]
+    pool += [
+        flattened(complex(0.0, 0.7), 1, 0), flattened(complex(-0.0, 0.7), 1, 0),  # equal keys
+        flattened(complex(-0.0, -2.0)), flattened(complex(0.0, -2.0)),
+        canonicalize(-2.5 + 0j, Side.ABOVE, 0, 1), canonicalize(-2.5 + 0j, Side.BELOW, 1, 1),  # equal
+        canonicalize(3.0 + 0j, Side.ABOVE, -1, 0), canonicalize(3.0 + 0j, Side.BELOW, -1, 1),  # equal
+        canonicalize(3.0 + 0j, Side.ABOVE, -1, 1), flattened(0.5 + 0j, 0, 0),
+    ]
+    return pool
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_formal_sum_normalizes_like_the_reference(seed):
+    rng = random.Random(seed)
+    pool = normalization_pool(rng)
+    for _ in range(40):
+        pairs = random_pairs(rng, pool, rng.randint(0, 12))
+        a = FormalSum.of(*pairs)
+        assert_same_terms(a, reference_normalize(pairs))
+        assert all(g is h for (_, g), (_, h) in zip(a.terms, reference_normalize(pairs)))
+        assert_same_terms(FormalSum(pairs), reference_normalize(pairs))
+        b = FormalSum.of(*random_pairs(rng, pool, rng.randint(0, 6)))
+        assert_same_terms(a + b, reference_normalize(a.terms + b.terms))
+        neg_b = reference_normalize(tuple((-c, g) for c, g in b.terms))
+        assert_same_terms(a - b, reference_normalize(a.terms + neg_b))
+        assert_same_terms(a - a, ())
+        assert_same_terms(-a, reference_normalize(tuple((-c, g) for c, g in a.terms)))
+        for k in (0, 1, -1, 3, -3):
+            assert_same_terms(k * a, reference_normalize(tuple((k * c, g) for c, g in a.terms)))
+        c, g = rng.choice((0, 1, -4)), rng.choice(pool)
+        assert_same_terms(FormalSum.single(g, c), reference_normalize(((c, g),)))
+        text = "\n".join(f"{c} {serialize_flattened(g)}" for c, g in pairs)
+        parsed = FormalSum.parse(text)
+        want = reference_normalize(tuple((c, parse_flattened(serialize_flattened(g))) for c, g in pairs))
+        assert parsed.terms == want
+        assert [repr(g.z) for _, g in parsed.terms] == [repr(g.z) for _, g in want]
+
+
+def test_formal_sum_normalization_keeps_the_first_seen_point():
+    plus, minus = flattened(complex(0.0, 0.7)), flattened(complex(-0.0, 0.7))
+    for first, second in ((plus, minus), (minus, plus)):
+        s = FormalSum.of((1, first), (2, second))
+        assert s.terms == ((3, first),) and s.terms[0][1] is first
+        assert (FormalSum.single(first) + FormalSum.single(second)).terms[0][1] is first
+    assert FormalSum.of((1, plus), (-1, minus)).is_empty()
+    assert (0 * FormalSum.single(plus)).is_empty()
+    assert FormalSum.single(plus, 0).is_empty()
+    with pytest.raises(TypeError):
+        FormalSum.single(plus.base)
+    with pytest.raises(TypeError):
+        FormalSum.of((1, plus.base))
+
+
+POINTS = [
+    CutPoint(0.3 + 0.4j), CutPoint(-1.5 + 2j), CutPoint(2.5 - 1j), CutPoint(complex(-0.0, 1.25)),
+    CutPoint(-2 + 0j, Side.ABOVE), CutPoint(-2 + 0j, Side.BELOW), CutPoint(3 + 0j, Side.ABOVE),
+    CutPoint(3 + 0j, Side.BELOW), CutPoint(0.75 - 0.5j), CutPoint(-0.5 - 3j),
+]
+
+
+def test_relation_elements_match_their_chained_definitions():
+    # each relation element, built as one term list, equals the same
+    # element built up with +, - and k* as the identities are written
+    rng = random.Random(5)
+    for _ in range(30):
+        z, w = rng.choice(POINTS), rng.choice(POINTS)
+        p, q, r, p2 = (rng.randint(-3, 3) for _ in range(4))
+        assert_same_terms(kappa_hat(z, p), (curly(z, p) - curly(z, p - 1)).terms)
+        if abs(z.z * w.z - 1) > 1e-6:
+            e = prebloch._product_shift(arg_cut(z) + arg_cut(w))
+            chained = curly(z, p) + curly(w, r) - curly(as_cut_point(z.z * w.z), p + r + e)
+            assert_same_terms(curly_product_relation(z, p, w, r), chained.terms)
+        if abs(w.z / z.z - 1) > 1e-6:
+            d = prebloch._product_shift(arg_cut(w) - arg_cut(z))
+            lhs = FormalSum.of((1, canonicalize(z, p=p, q=q - 1)), (-1, canonicalize(z, p=p, q=q)),
+                               (-1, canonicalize(w, p=r, q=p2 - 1)), (1, canonicalize(w, p=r, q=p2)))
+            qp = as_cut_point(w.z / z.z)
+            rhs = FormalSum.of((1, canonicalize(qp, p=r - p + d, q=q)),
+                               (-1, canonicalize(qp, p=r - p + d, q=q - 1)))
+            assert_same_terms(cycle_relation(z, w, p, r, q, p2, q), (lhs - rhs).terms)
+        for kind, (a, b, c, d) in (("Q", (p, q, p, p2)), ("P", (p, q, p2, q)), ("PQ", (p, q, p2, p + q - p2))):
+            shift = {"Q": (0, -1), "P": (-1, 0), "PQ": (1, -1)}[kind]
+            pair = lambda x, y: (FormalSum.single(canonicalize(z, p=x + shift[0], q=y + shift[1]))
+                                 - FormalSum.single(canonicalize(z, p=x, q=y)))
+            assert_same_terms(index_relations(z, a, b, c, d, kind), (pair(a, b) - pair(c, d)).terms)
+        mz, mside = prebloch._one_minus(z)
+        mirror = (FormalSum.single(canonicalize(z, p=p, q=q)) + FormalSum.single(canonicalize(mz, mside, p=-q, q=-p))
+                  - 2 * FormalSum.single(flattened(0.5 + 0j)))
+        assert_same_terms(mirror_relation(z, p, q), mirror.terms)
+    for which in range(1, 6):
+        for _ in range(10):
+            z = complex(rng.uniform(-3, 4), rng.uniform(0.05, 3))
+            p, q = rng.randint(-3, 3), rng.randint(-3, 3)
+            assert_same_terms(symmetry_relation(z, p, q, which), chained_symmetry(z, p, q, which).terms)
+
+
+def chained_symmetry(z, p, q, which):
+    def one(w, a, b):
+        return FormalSum.single(flattened(w, a, b))
+
+    if which == 1:
+        return one(1 / z, -p, p + q) + one(z, p, q) - chi_hat(prebloch._I_POWER[p % 4] * root4(z))
+    if which == 2:
+        corr = chi_hat(cmath.exp(-1j * PI * (1 - 6 * p) / 12.0) * root4(z))
+        return one(1 - 1 / z, -p - q, p) - one(z, p, q) + corr
+    if which == 3:
+        corr = chi_hat(cmath.exp(-1j * PI * (1 + 6 * q) / 12.0) * root4(z - 1))
+        return one(-z / (1 - z), p + q, -q) + one(z, p, q) - corr
+    if which == 4:
+        corr = chi_hat(cmath.exp(-1j * PI * (2 + 6 * q) / 12.0) * root4(z - 1))
+        return one(1 / (1 - z), q, -p - q) - one(z, p, q) + corr
+    return one(1 - z, -q, -p) + one(z, p, q) - chi_hat(cmath.exp(1j * PI / 12.0))
+
+
+def test_each_relation_element_is_normalized_once(monkeypatch):
+    x, y = sample_ftplus_pair(random.Random(3))
+    ft = make_flattened_ft(x, y, 1, -2, 0, 3, -1)
+    z, w = CutPoint(-1.5 + 2j), CutPoint(2 + 0j, Side.BELOW)
+    builds = [
+        lambda: five_term_element(ft),
+        lambda: curly(z, 2),
+        lambda: curly_product_relation(z, 1, w, -2),
+        lambda: cycle_relation(z, w, 1, 0, -1, 2, 3),
+        lambda: index_relations(w, 1, 2, -1, 4, "PQ"),
+        lambda: mirror_relation(w, 2, -1),
+        lambda: kappa_hat(z, 3),
+        lambda: chi_hat(0.3 - 2j),
+    ]
+    calls = []
+    original = FormalSum.__post_init__
+
+    def counting(self):
+        calls.append(len(self.terms))
+        original(self)
+
+    monkeypatch.setattr(FormalSum, "__post_init__", counting)
+    for build in builds:
+        calls.clear()
+        build()
+        assert len(calls) == 1
+    for which in range(1, 6):
+        calls.clear()
+        symmetry_relation(0.3 + 0.8j, 2, -1, which)
+        assert len(calls) == 2  # the element and its embedded chi_hat term
+    calls.clear()
+    s = curly(z, 1)
+    derived = (-s, 3 * s, 0 * s, FormalSum.single(flattened(z)))
+    assert calls == [2]  # the curly alone: the others keep the canonical order
+    assert [len(d) for d in derived] == [2, 2, 0, 1]
 
 
 # ---------------------------------------------------------------------------
