@@ -14,7 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .cover import log_param_l, log_param_m
+from .cover import _log_params
 from .dilog import PI
 from .prebloch import FormalSum
 
@@ -90,7 +90,7 @@ class WedgeExpr:
 def nu_hat(s: FormalSum) -> WedgeExpr:
     """Wedge of the branch logarithms, summed over a formal sum."""
     return WedgeExpr(
-        tuple((coeff, log_param_l(gen), log_param_m(gen)) for coeff, gen in s.terms)
+        tuple((coeff, *_log_params(gen)) for coeff, gen in s.terms)
     )
 
 

@@ -18,14 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .dilog import (
-    TWO_PI_I,
-    CutPoint,
-    Side,
-    as_cut_point,
-    log_one_minus,
-    principal_log,
-)
+from .dilog import TWO_PI_I, CutPoint, Side, _evaluate, _logs, as_cut_point, log_one_minus, principal_log
 
 
 @dataclass(frozen=True)
@@ -45,6 +38,9 @@ class FlattenedNumber:
             )
         if not isinstance(self.p, int) or not isinstance(self.q, int):
             raise TypeError("branch indices p, q must be integers")
+        if abs(self.p) > 2**53 or abs(self.q) > 2**53:  # beyond 2**53, 2 pi i p is not exact
+            name = "p" if abs(self.p) > 2**53 else "q"
+            raise ValueError(f"branch index {name} is beyond 2**53 in magnitude")
 
     @property
     def z(self) -> complex:
@@ -94,6 +90,12 @@ def log_param_l(f: FlattenedNumber) -> complex:
 def log_param_m(f: FlattenedNumber) -> complex:
     """The branch logarithm -Log(1-z) + 2 pi i q."""
     return -log_one_minus(f.base) + TWO_PI_I * f.q
+
+
+def _log_params(f: FlattenedNumber) -> tuple[complex, complex]:
+    # (l, m) from one kernel pass
+    log_z, log_1mz = _evaluate(_logs, f.base)
+    return log_z + TWO_PI_I * f.p, -log_1mz + TWO_PI_I * f.q
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +194,7 @@ def is_flattened_ft(
         return False
     if any(abs(z[k] - expected[k]) > tol for k in (2, 3, 4)):
         return False
-    l = [log_param_l(e) for e in entries]
-    m = [log_param_m(e) for e in entries]
+    l, m = zip(*map(_log_params, entries))
     residuals = (
         l[2] - (l[1] - l[0]),
         l[3] - (l[1] - l[0] + m[1] - m[0]),
@@ -222,8 +223,4 @@ def parse_flattened(text: str) -> FlattenedNumber:
     if side_s not in ("i", "a"):
         raise ValueError(f"side must be 'i' or 'a', got {side_s!r}")
     z = complex(float(re_s), float(im_s))
-    p, q = int(p_s), int(q_s)
-    for name, value in (("p", p), ("q", q)):
-        if abs(value) > 2**53:  # beyond 2**53 the lattice part 2 pi i p is not exact
-            raise ValueError(f"branch index {name} is beyond 2**53 in magnitude")
-    return FlattenedNumber(CutPoint(z, Side.coerce(side_s)), p, q)
+    return FlattenedNumber(CutPoint(z, Side.coerce(side_s)), int(p_s), int(q_s))

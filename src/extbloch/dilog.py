@@ -21,12 +21,13 @@ One kernel serves both precisions, built from two pieces:
 
 The precision mode, a context variable (so per thread or asyncio task),
 picks only the arithmetic (``math`` on Python complex, or mpmath at ``dps``
-digits), the series coefficients (a literal table, or mpmath Bernoulli
-numbers cached per ``dps``) and the working-precision context; results are
-machine complex either way.  One kernel pass gives Li2 z with Log z and
-Log(1-z), which the reflection and series branches reuse.  Against mpmath,
-Li2 is within 2e-15 relative error in double and 1e-15 in high precision
-for |z| from 1e-300 to 1e300, on both sides of both cuts.
+digits), the Horner loop of the series (floats over a literal table, or
+fixed-point integers over exact Bernoulli numbers, built per ``dps``) and
+the working-precision context; results are machine complex either way.
+One kernel pass gives Li2 z with Log z and Log(1-z), which the reflection
+and series branches reuse.  Against mpmath, Li2 is within 2e-15 relative
+error in double and 1e-15 in high precision for |z| from 1e-300 to 1e300,
+on both sides of both cuts.
 """
 
 from __future__ import annotations
@@ -155,39 +156,53 @@ class _Arith(NamedTuple):
     hypot: Callable[[Any, Any], Any]
     pi: Any
     zeta2: Any                     # pi^2 / 6
-    coeffs: tuple                  # B_2k / (2k+1)!, highest k first
+    horner: Callable[[Any], Any]   # w^2 -> sum_k B_2k w^(2k-2) / (2k+1)!
 
 
-# B_2k / (2k+1)! for k = 10 .. 1: at |w| <= pi/3 the first omitted term is
-# below 1e-18 of the sum.
-_DOUBLE = _Arith(
-    complex, math.log, math.log1p, math.atan2, math.hypot, PI, PI_SQ / 6.0,
-    (
-        -1.0356517612181247e-17, 4.518980029619918e-16, -1.9939295860721074e-14,
-        8.921691020456452e-13, -4.0647616451442256e-11, 1.8978869988971e-09,
-        -9.185773074661964e-08, 4.72411186696901e-06, -0.0002777777777777778,
-        0.027777777777777776,
-    ),
-)
+def _double_horner(w2: complex) -> complex:
+    # B_2k / (2k+1)! for k = 10 .. 1: at |w| <= pi/3 the first omitted term
+    # is below 1e-18 of the sum.
+    acc = 0.0
+    for c in (
+        -1.0356517612181247e-17, 4.518980029619918e-16, -1.9939295860721074e-14, 8.921691020456452e-13,
+        -4.0647616451442256e-11, 1.8978869988971e-09, -9.185773074661964e-08, 4.72411186696901e-06,
+        -0.0002777777777777778, 0.027777777777777776,
+    ):
+        acc = acc * w2 + c
+    return acc
+
+
+_DOUBLE = _Arith(complex, math.log, math.log1p, math.atan2, math.hypot, PI, PI_SQ / 6.0, _double_horner)
 _HIGH: dict[int, _Arith] = {}
 _DPS: ContextVar[int | None] = ContextVar("extbloch_dps", default=None)  # None: double
 
 
 def _high_arith(dps: int) -> _Arith:
     import mpmath as mp
+    from mpmath.libmp import bernfrac, dps_to_prec, from_man_exp, to_fixed
 
     arith = _HIGH.get(dps)
     if arith is None:
-        # the k-th term is about 36^-k of the sum, so 2 dps / 3 terms suffice
+        # Horner runs on integers scaled by 2^bits, 20 guard bits over the
+        # working precision.  Only the accumulator is fixed point: it stays
+        # near 1/36 on |w| <= pi/3, so its absolute error is also relative;
+        # w and w^2 would lose digits as |w| -> 0.  The k-th term is about
+        # 36^-k of the sum, so 2 dps / 3 terms suffice.
+        prec = dps_to_prec(dps)
+        bits = prec + 20
+        fracs = [(bernfrac(2 * k), math.factorial(2 * k + 1)) for k in range(2 * dps // 3 + 1, 0, -1)]
+        coeffs = [(num << bits) // (den * fact) for (num, den), fact in fracs]
+
+        def horner(w2):
+            xr, xi = to_fixed(w2._mpc_[0], bits), to_fixed(w2._mpc_[1], bits)
+            ar = ai = 0
+            for c in coeffs:
+                ar, ai = ((ar * xr - ai * xi) >> bits) + c, (ar * xi + ai * xr) >> bits
+            return mp.make_mpc((from_man_exp(ar, -bits, prec, "n"), from_man_exp(ai, -bits, prec, "n")))
+
         with mp.workdps(dps + 10):
-            coeffs = tuple(
-                mp.bernoulli(2 * k) / mp.factorial(2 * k + 1)
-                for k in range(2 * dps // 3 + 1, 0, -1)
-            )
             zeta2 = mp.pi**2 / 6
-        arith = _HIGH[dps] = _Arith(
-            mp.mpc, mp.log, mp.log1p, mp.atan2, mp.hypot, mp.pi, zeta2, coeffs
-        )
+        arith = _HIGH[dps] = _Arith(mp.mpc, mp.log, mp.log1p, mp.atan2, mp.hypot, mp.pi, zeta2, horner)
     return arith
 
 
@@ -300,10 +315,7 @@ def _series(k: _Arith, w):
     # Li2(u) from w = -Log(1-u): w - w^2/4 + sum_k B_2k w^(2k+1) / (2k+1)!,
     # Horner in w^2.
     w2 = w * w
-    acc = 0.0
-    for c in k.coeffs:
-        acc = acc * w2 + c
-    return w - 0.25 * w2 + w * w2 * acc
+    return w - 0.25 * w2 + w * w2 * k.horner(w2)
 
 
 def _inverted(k: _Arith, z, side: Side):
@@ -315,9 +327,14 @@ def _inverted(k: _Arith, z, side: Side):
     return _series(k, -log_1m_inv), _log(k, -z, flipped), log_1m_inv
 
 
+def _logs(k: _Arith, z, side: Side):
+    # Log z and Log(1-z) in one kernel pass.
+    return _log(k, z, side), _log_one_minus(k, z, side)
+
+
 def _li2_logs(k: _Arith, z, side: Side):
     # Li2 z, Log z and Log(1-z) in one kernel pass.
-    log_z, log_1mz = _log(k, z, side), _log_one_minus(k, z, side)
+    log_z, log_1mz = _logs(k, z, side)
     x = z.real
     nz = x * x + z.imag * z.imag
     if x > 0.5 and 0.5 * nz <= x:

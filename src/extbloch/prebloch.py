@@ -20,7 +20,7 @@ from .cover import (
     flattened,
     is_flattened_ft,
 )
-from .dilog import PI, CutPoint, Side, arg_cut, as_cut_point, principal_log
+from .dilog import PI, CutPoint, Side, _flip, arg_cut, as_cut_point, principal_log
 from .rogers import CmodZ2, rogers_l_bar
 
 
@@ -256,10 +256,7 @@ def index_relations(
 
 def _one_minus(point: CutPoint) -> tuple[complex, Side]:
     # 1 - (x +- 0i) = (1 - x) -+ 0i: the side flips on the boundary.
-    if point.side is Side.INTERIOR:
-        return 1.0 - point.z, Side.INTERIOR
-    flipped = Side.BELOW if point.side is Side.ABOVE else Side.ABOVE
-    return complex(1.0 - point.z.real, 0.0), flipped
+    return 1.0 - point.z, _flip(point.side)
 
 
 def mirror_relation(z: complex | CutPoint, p: int = 0, q: int = 0) -> FormalSum:

@@ -65,19 +65,18 @@ class SweepResult:
 
     def render_text(self) -> str:
         c = self.config
+        cases = " ".join(f"{k}={v}" for k, v in sorted(self.case_counts.items()))
         lines = [
             f"relation: {c.relation}",
             f"samples: {c.samples}",
             f"seed: {c.seed}",
             f"tol: {c.tol!r}",
             f"index-bound: {c.index_bound}",
+            f"cases: {cases}",
+            f"max-residual: {self.max_residual!r}",
+            f"status: {'PASS' if self.passed else 'FAIL'}",
+            *self.failures,
         ]
-        cases = " ".join(f"{k}={v}" for k, v in sorted(self.case_counts.items()))
-        lines.append(f"cases: {cases}")
-        lines.append(f"max-residual: {self.max_residual!r}")
-        lines.append(f"status: {'PASS' if self.passed else 'FAIL'}")
-        for f in self.failures:
-            lines.append(f)
         return "\n".join(lines)
 
     def to_dict(self) -> dict:

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from extbloch import bloch
+from extbloch import bloch, cover, dilog
 from extbloch.bloch import WedgeExpr, nu_hat, wedge_necessary_zero
-from extbloch.cover import flattened, make_flattened_ft
+from extbloch.cover import canonicalize, flattened, log_param_l, log_param_m, make_flattened_ft
+from extbloch.dilog import Side, precision
 from extbloch.prebloch import FormalSum, five_term_element
 
 PI = math.pi
@@ -139,6 +140,27 @@ def test_lattice_merge_preserves_pairing():
     assert w.pairing() == pytest.approx(merged_target.pairing(), abs=1e-12)
     check = wedge_necessary_zero(w, tol=1e9)  # huge tol: exercise merge path only
     assert check.merged_pairing == pytest.approx(w.pairing(), abs=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["double", "high"])
+def test_nu_hat_one_kernel_pass_per_term(monkeypatch, mode):
+    s = FormalSum.of(
+        (2, flattened(0.3 + 0.4j, 1, -2)), (-1, canonicalize(-2 + 0j, Side.BELOW, 2, 1)),
+        (3, canonicalize(3 + 0j, Side.BELOW, -1, 0)), (1, flattened(-5 + 2j)),
+    )
+    calls = []
+    evaluate = dilog._evaluate
+
+    def counting(kernel, point):
+        calls.append(kernel)
+        return evaluate(kernel, point)
+
+    with precision(mode):
+        want = WedgeExpr(tuple((c, log_param_l(g), log_param_m(g)) for c, g in s.terms))
+        monkeypatch.setattr(dilog, "_evaluate", counting)
+        monkeypatch.setattr(cover, "_evaluate", counting)
+        assert nu_hat(s) == want
+    assert len(calls) == len(s.terms)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from extbloch import cover, dilog
 from extbloch.cover import (
     FlattenedFT,
     FlattenedNumber,
@@ -19,7 +20,7 @@ from extbloch.cover import (
     parse_flattened,
     serialize_flattened,
 )
-from extbloch.dilog import TWO_PI_I, CutPoint, Side, principal_log, log_one_minus
+from extbloch.dilog import TWO_PI_I, CutPoint, Side, log_one_minus, precision, principal_log
 
 PI = math.pi
 
@@ -294,3 +295,68 @@ def test_parse_accepts_branch_indices_up_to_2_53():
     for p in (2**53, -(2**53)):
         f = parse_flattened(f"0.5 0.5 i {p} {-p}")
         assert (f.p, f.q) == (p, -p)
+
+
+@pytest.mark.parametrize("build,field", [
+    (lambda: flattened(0.5 + 0.5j, p=10**17), "p"),
+    (lambda: flattened(0.5 + 0.5j, p=10**400), "p"),
+    (lambda: flattened(0.5 + 0.5j, q=-(2**53) - 1), "q"),
+    (lambda: canonicalize(0.5 + 0.5j, p=2**53 + 1), "p"),
+    (lambda: canonicalize(-2 + 0j, Side.BELOW, p=-(2**53)), "p"),  # p - 1 crosses the limit
+    (lambda: canonicalize(3 + 0j, Side.BELOW, q=-(2**53)), "q"),  # q - 1 crosses the limit
+    (lambda: FlattenedNumber(CutPoint(0.5 + 0.5j), 0, 10**400), "q"),
+], ids=["flattened-1e17", "flattened-1e400", "flattened-q", "canonicalize", "below-left", "below-right", "direct"])
+def test_constructors_reject_huge_branch_indices(build, field):
+    # flattened(z, p=10**17) used to build a point whose Rogers value has no
+    # digits mod 4 pi^2, and p=10**400 failed later with an OverflowError
+    with pytest.raises(ValueError, match=rf"branch index {field} is beyond 2\*\*53 in magnitude"):
+        build()
+
+
+def test_constructors_accept_branch_indices_up_to_2_53():
+    assert canonicalize(-2 + 0j, Side.BELOW, p=-(2**53) + 1).p == -(2**53)
+    assert canonicalize(3 + 0j, Side.BELOW, q=-(2**53) + 1).q == -(2**53)
+    f = flattened(0.5 + 0.5j, 2**53, -(2**53))
+    assert (f.p, f.q) == (2**53, -(2**53))
+
+
+# ---------------------------------------------------------------------------
+# both branch logarithms from one kernel pass
+# ---------------------------------------------------------------------------
+
+def count_kernel_passes(monkeypatch):
+    calls = []
+    evaluate = dilog._evaluate
+
+    def counting(kernel, point):
+        calls.append(kernel)
+        return evaluate(kernel, point)
+
+    monkeypatch.setattr(dilog, "_evaluate", counting)
+    monkeypatch.setattr(cover, "_evaluate", counting)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["double", "high"])
+def test_log_params_one_kernel_pass_same_values(monkeypatch, mode):
+    points = [
+        flattened(0.3 + 0.4j, 1, -2), canonicalize(-2 + 0j, Side.BELOW, 2, 1),
+        canonicalize(3 + 0j, Side.BELOW, -1, 0), flattened(1e300 - 1e299j, 0, 3), flattened(1e-300, -4, 4),
+    ]
+    with precision(mode):
+        want = [(log_param_l(f), log_param_m(f)) for f in points]
+        calls = count_kernel_passes(monkeypatch)
+        got = [cover._log_params(f) for f in points]
+    assert got == want
+    assert len(calls) == len(points)
+
+
+@pytest.mark.parametrize("mode", ["double", "high"])
+def test_is_flattened_ft_one_kernel_pass_per_entry(monkeypatch, mode):
+    rng = random.Random(8)
+    x, y = sample_ftplus_pair(rng)
+    t = make_flattened_ft(x, y, 1, -2, 0, 3, -1)
+    with precision(mode):
+        calls = count_kernel_passes(monkeypatch)
+        assert is_flattened_ft(t)
+    assert len(calls) == 5

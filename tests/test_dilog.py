@@ -1,8 +1,10 @@
 import cmath
+import functools
 import math
 import random
 import threading
 
+import mpmath as mp
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -21,7 +23,7 @@ from extbloch.dilog import (
     principal_log,
 )
 from extbloch.rogers import l_bar_at, rogers_l_bar
-from oracles import li2_mpmath, li2_reference, li2_series, rogers_mpmath
+from oracles import _li2_mp, li2_mpmath, li2_reference, li2_series, rogers_mpmath
 
 PI = math.pi
 
@@ -229,6 +231,75 @@ def test_precision_mode_validation():
         precision("high", dps=10).__enter__()
     with pytest.raises(ValueError):
         precision("fast").__enter__()
+
+
+# ---------------------------------------------------------------------------
+# the high-precision series: Horner on fixed-point integers
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _reference_coeffs(dps):
+    with mp.workdps(dps + 10):
+        return tuple(mp.bernoulli(2 * k) / mp.factorial(2 * k + 1) for k in range(2 * dps // 3 + 1, 0, -1))
+
+
+def reference_series(dps, w):
+    """The series with Horner on mpc: mpmath Bernoulli numbers, each step rounded."""
+    w2 = w * w
+    acc = 0.0
+    for c in _reference_coeffs(dps):
+        acc = acc * w2 + c
+    return w - 0.25 * w2 + w * w2 * acc
+
+
+def _series_points():
+    # |w| <= pi/3 in all four quadrants: tiny radii, seeded radii, and the
+    # edge of the region
+    rng = random.Random(20)
+    radii = [1e-300, 1e-60, 1e-20, PI / 3, PI / 3 * (1 - 1e-12)]
+    radii += [rng.uniform(0.0, PI / 3) for _ in range(40)] + [10.0 ** rng.uniform(-40, 0) for _ in range(20)]
+    points = []
+    for r in radii:
+        for quadrant in range(4):
+            points.append(cmath.rect(r, quadrant * PI / 2 + rng.uniform(0.0, PI / 2)))
+    return points + [0.5, -0.75, 0.5j, -1e-20j]
+
+
+def test_series_matches_mpc_horner():
+    dps = 50
+    arith = dilog._high_arith(dps)
+    with mp.workdps(dps):
+        bound = mp.ldexp(1, -(mp.mp.prec - 4))
+        for z in _series_points():
+            w = mp.mpc(z)
+            got, want = dilog._series(arith, w), reference_series(dps, w)
+            assert complex(got) == complex(want), z
+            assert abs(got - want) <= bound * abs(want), z
+
+
+def _kernel_points():
+    # the series, reflection and inversion branches, tiny z, e^(i pi/3),
+    # and both sides of both cuts
+    points = [CutPoint(z) for z in (
+        1e-300, 1e-52, -8.085e-52 + 3.451e-52j, 1e-133 - 1e-133j, cmath.exp(1j * PI / 3),
+        0.3 + 0.4j, -0.6 - 0.2j, 0.9 + 0.3j, 0.99 - 0.001j, -5 + 2j, 40 - 17j, 1e30 + 1e29j,
+    )]
+    for x in (-3.0, -0.5, 1.5, 3.0):
+        points += [CutPoint(complex(x, 0.0), side) for side in (Side.ABOVE, Side.BELOW)]
+    return points
+
+
+@pytest.mark.parametrize("dps", [50, 80, 150])
+def test_kernel_accuracy_at_working_precision(dps):
+    # the high-precision kernel keeps its digits at the working precision,
+    # not only after rounding to a double
+    arith = dilog._high_arith(dps)
+    for p in _kernel_points():
+        with mp.workdps(dps):
+            li, _, _ = dilog._li2_logs(arith, mp.mpc(p.z), p.side)
+        with mp.workdps(dps + 20):
+            want = _li2_mp(p.z, p.side.value)
+            assert abs(li - want) <= mp.mpf(10) ** -(dps - 5) * abs(want), (p, li, want)
 
 
 # ---------------------------------------------------------------------------
