@@ -89,9 +89,7 @@ class WedgeExpr:
 
 def nu_hat(s: FormalSum) -> WedgeExpr:
     """Wedge of the branch logarithms, summed over a formal sum."""
-    return WedgeExpr(
-        tuple((coeff, *_log_params(gen)) for coeff, gen in s.terms)
-    )
+    return WedgeExpr(_log_params(s.terms))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TextIO
 
-from .cover import FlattenedNumber, parse_flattened, serialize_flattened
+from .cover import FlattenedNumber, _from_fields, serialize_flattened
 from .prebloch import FormalSum, eval_lhat
 from .rogers import CmodZ2, reduce_mod_transfer
 
@@ -90,7 +90,7 @@ def load(source: str | Path | TextIO) -> FlattenedTriangulation:
         if sign not in (1, -1):
             raise TriangulationFormatError(f"sign must be +1 or -1, got {sign}", lineno)
         try:
-            shape = parse_flattened(" ".join(parts[1:]))
+            shape = _from_fields(*parts[1:])
         except ValueError as exc:
             raise TriangulationFormatError(
                 f"simplex {len(simplices) + 1}: {exc}", lineno

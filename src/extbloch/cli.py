@@ -121,12 +121,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_check(args: argparse.Namespace, tol: float) -> int:
+def _cmd_check(args: argparse.Namespace) -> int:
     config = SweepConfig(
         relation=args.relation,
         samples=args.samples,
         seed=args.seed,
-        tol=tol,
+        tol=args.tol,
         index_bound=args.index_bound,
     )
     result = run_sweep(config)
@@ -158,14 +158,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     set_precision(args.precision)
     try:
-        tol = args.tol if args.tol is not None else _default_tol()
-        if not tol > 0:
+        if args.tol is None:
+            args.tol = _default_tol()
+        if not args.tol > 0:
             raise SystemExit("error: --tol must be positive")
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "check":
-            return _cmd_check(args, tol)
-        return _cmd_ccs(args)
+        status = {"eval": _cmd_eval, "check": _cmd_check, "ccs": _cmd_ccs}[args.command](args)
+        sys.stdout.flush()  # a reader that went away shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # Nothing more can be written; send the rest of stdout to devnull so
+        # the flush at exit does not raise again, and end quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     finally:
         set_precision("double")
 

@@ -92,10 +92,18 @@ def log_param_m(f: FlattenedNumber) -> complex:
     return -log_one_minus(f.base) + TWO_PI_I * f.q
 
 
-def _log_params(f: FlattenedNumber) -> tuple[complex, complex]:
-    # (l, m) from one kernel pass
-    log_z, log_1mz = _evaluate(_logs, f.base)
-    return log_z + TWO_PI_I * f.p, -log_1mz + TWO_PI_I * f.q
+def _log_params(terms: Iterable[tuple[int, FlattenedNumber]]) -> tuple:
+    # (c, l, m) for each term (c, f); a run of terms over one base point
+    # shares one kernel pass.
+    out = []
+    z = side = None
+    for coeff, f in terms:
+        base = f.base
+        if base.z != z or base.side is not side:
+            z, side = base.z, base.side
+            log_z, log_1mz = _evaluate(_logs, base)
+        out.append((coeff, log_z + TWO_PI_I * f.p, -log_1mz + TWO_PI_I * f.q))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +202,7 @@ def is_flattened_ft(
         return False
     if any(abs(z[k] - expected[k]) > tol for k in (2, 3, 4)):
         return False
-    l, m = zip(*map(_log_params, entries))
+    _, l, m = zip(*_log_params((1, e) for e in entries))
     residuals = (
         l[2] - (l[1] - l[0]),
         l[3] - (l[1] - l[0] + m[1] - m[0]),
@@ -219,7 +227,11 @@ def parse_flattened(text: str) -> FlattenedNumber:
         raise ValueError(
             f"expected 'z_re z_im side p q', got {len(parts)} fields: {text!r}"
         )
-    re_s, im_s, side_s, p_s, q_s = parts
+    return _from_fields(*parts)
+
+
+def _from_fields(re_s: str, im_s: str, side_s: str, p_s: str, q_s: str) -> FlattenedNumber:
+    # the five fields of a serialized cover point, already split
     if side_s not in ("i", "a"):
         raise ValueError(f"side must be 'i' or 'a', got {side_s!r}")
     z = complex(float(re_s), float(im_s))

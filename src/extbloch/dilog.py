@@ -55,16 +55,13 @@ class Side(enum.Enum):
     def coerce(cls, value: "Side | str") -> "Side":
         if isinstance(value, Side):
             return value
-        token = str(value).strip().lower()
-        aliases = {
-            "i": cls.INTERIOR, "interior": cls.INTERIOR,
-            "a": cls.ABOVE, "above": cls.ABOVE,
-            "b": cls.BELOW, "below": cls.BELOW,
-        }
         try:
-            return aliases[token]
+            return _SIDE_ALIASES[str(value).strip().lower()]
         except KeyError:
             raise ValueError(f"unknown side tag {value!r}") from None
+
+
+_SIDE_ALIASES = {tag: side for side in Side for tag in (side.value, side.name.lower())}  # "a", "above", ...
 
 
 def on_cut(z: complex) -> bool:

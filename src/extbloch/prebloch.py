@@ -19,9 +19,11 @@ from .cover import (
     canonicalize,
     flattened,
     is_flattened_ft,
+    parse_flattened,
+    serialize_flattened,
 )
 from .dilog import PI, CutPoint, Side, _flip, arg_cut, as_cut_point, principal_log
-from .rogers import CmodZ2, rogers_l_bar
+from .rogers import CmodZ2, _chart, _point_pass
 
 
 @dataclass(frozen=True)
@@ -93,14 +95,10 @@ class FormalSum:
         return not self.terms
 
     def serialize(self) -> str:
-        from .cover import serialize_flattened
-
         return "\n".join(f"{c} {serialize_flattened(g)}" for c, g in self.terms)
 
     @classmethod
     def parse(cls, text: str) -> "FormalSum":
-        from .cover import parse_flattened
-
         pairs = []
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
@@ -120,12 +118,19 @@ def eval_lhat(s: FormalSum) -> CmodZ2:
     """Sum of coefficient times lifted-Rogers value, reduced mod 4 pi^2.
 
     The unreduced contributions are accumulated with compensated
-    summation in canonical term order, then reduced once.
+    summation in canonical term order, then reduced once.  That order puts
+    the charts over one base point next to each other, and they share one
+    kernel pass.
     """
     total = 0.0 + 0.0j
     comp = 0.0 + 0.0j
+    z = side = None
     for coeff, gen in s.terms:
-        term = coeff * rogers_l_bar(gen) - comp
+        base = gen.base
+        if base.z != z or base.side is not side:
+            z, side = base.z, base.side
+            point = _point_pass(base)
+        term = coeff * _chart(*point, gen.p, gen.q) - comp
         new_total = total + term
         comp = (new_total - total) - term
         total = new_total

@@ -94,31 +94,36 @@ def l_bar_at(z: complex, side: Side | str, p: int, q: int) -> complex:
     4 pi^2 p across the right cut.  Prefer :func:`rogers_l_bar` for
     canonical cover points.
     """
-    return _l_bar(CutPoint(complex(z), Side.coerce(side)), p, q)
+    return _chart(*_point_pass(CutPoint(complex(z), Side.coerce(side))), p, q)
 
 
 def rogers_l_bar(f: FlattenedNumber) -> complex:
     """Unreduced branch-corrected Rogers value of a canonical cover point."""
-    return _l_bar(f.base, f.p, f.q)
+    return _chart(*_point_pass(f.base), f.p, f.q)
 
 
-def _l_bar(point: CutPoint, p: int, q: int) -> complex:
+def _point_pass(point: CutPoint) -> tuple:
+    # What L needs of the point itself, from one kernel pass; every chart
+    # (p, q) over the point reuses it through _chart.
     z = point.z
     if max(abs(z.real), abs(z.imag)) > 2.0**32:
-        # Out here the direct sum below loses digits: the (Log -z)^2 / 2 in
-        # Li2 z and in Log z Log(1-z) / 2 cancel.  Cancel them exactly: with
+        # Out here the direct sum loses digits: the (Log -z)^2 / 2 in Li2 z
+        # and in Log z Log(1-z) / 2 cancel.  Cancel them exactly: with
         # u = Log(-z), Log z = u + i pi s (s = +-1 on the upper or lower side)
         # and Log(1-z) = u + v, v = Log(1-1/z), L = -Li2(1/z) - pi^2/3
         # + u (a + b) / 2 + a b / 2, a = i pi (s + 2p), b = v + 2 pi i q.
         inverse, u, v = _evaluate(_inverted, point)
-        s = 1 if z.imag > 0 or point.side is Side.ABOVE else -1
+        return -inverse - PI_SQ / 3.0, u, v, 1 if z.imag > 0 or point.side is Side.ABOVE else -1
+    return (*_evaluate(_li2_logs, point), 0)  # Li2 z, Log z, Log(1-z), direct
+
+
+def _chart(c: complex, x: complex, v: complex, s: int, p: int, q: int) -> complex:
+    b = v + TWO_PI_I * q
+    if s:
         a = complex(0.0, PI * (s + 2 * p))
-        b = v + TWO_PI_I * q
-        return -inverse - PI_SQ / 3.0 + 0.5 * u * (a + b) + 0.5 * a * b
-    li, log_z, log_1mz = _evaluate(_li2_logs, point)
-    a = log_z + TWO_PI_I * p
-    b = log_1mz + TWO_PI_I * q
-    return li + 0.5 * a * b - PI_SQ / 6.0
+        return c + 0.5 * x * (a + b) + 0.5 * a * b
+    a = x + TWO_PI_I * p
+    return c + 0.5 * a * b - PI_SQ / 6.0
 
 
 def rogers_l_hat(f: FlattenedNumber) -> CmodZ2:

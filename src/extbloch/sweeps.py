@@ -28,7 +28,6 @@ from .prebloch import (
     index_relations,
     kappa_hat,
     mirror_relation,
-    splitting,
     symmetry_relation,
 )
 from .rogers import TWO_PI_SQ
@@ -314,7 +313,7 @@ def _run_splitting(rng, k, cfg):
     value = eval_lhat(chi)
     target = TWO_PI_I * principal_log(z)
     r1 = value.distance_to(target)
-    r2 = abs(splitting(chi) - z) / abs(z)
+    r2 = abs(value.split() - z) / abs(z)
     return max(r1, r2), "all", lambda: f"splitting input: z={z!r}"
 
 

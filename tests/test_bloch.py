@@ -144,9 +144,14 @@ def test_lattice_merge_preserves_pairing():
 
 @pytest.mark.parametrize("mode", ["double", "high"])
 def test_nu_hat_one_kernel_pass_per_term(monkeypatch, mode):
+    # one pass per distinct base point: the charts over one point share it
     s = FormalSum.of(
         (2, flattened(0.3 + 0.4j, 1, -2)), (-1, canonicalize(-2 + 0j, Side.BELOW, 2, 1)),
         (3, canonicalize(3 + 0j, Side.BELOW, -1, 0)), (1, flattened(-5 + 2j)),
+        (1, flattened(0.3 + 0.4j, 0, 3)), (-4, canonicalize(-2 + 0j, Side.ABOVE, 2, 1)),
+        (2, canonicalize(3 + 0j, Side.ABOVE, -1, 0)), (5, flattened(1e12 - 3e11j, 4, -1)),
+        (-1, flattened(1e12 - 3e11j, 0, 0)), (1, flattened(complex(-0.0, 2.0), 1, 0)),
+        (2, flattened(complex(0.0, 2.0), 0, 1)), (3, flattened(-5 + 2j, 0, 1)),
     )
     calls = []
     evaluate = dilog._evaluate
@@ -160,7 +165,7 @@ def test_nu_hat_one_kernel_pass_per_term(monkeypatch, mode):
         monkeypatch.setattr(dilog, "_evaluate", counting)
         monkeypatch.setattr(cover, "_evaluate", counting)
         assert nu_hat(s) == want
-    assert len(calls) == len(s.terms)
+    assert (len(s.terms), len(calls)) == (12, 6)
 
 
 # ---------------------------------------------------------------------------

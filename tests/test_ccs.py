@@ -13,8 +13,8 @@ from extbloch.ccs import (
     load,
     volume_report,
 )
-from extbloch.cover import canonicalize, flattened
-from extbloch.dilog import Side
+from extbloch.cover import canonicalize, flattened, parse_flattened
+from extbloch.dilog import Side, precision
 from extbloch.rogers import TWO_PI_SQ, reduce_into, reduce_mod_transfer
 from oracles import figure_eight_volume
 
@@ -62,6 +62,18 @@ def test_load_malformed_record_reports_line():
     with pytest.raises(TriangulationFormatError) as err:
         load(io.StringIO("+1 0.5 0.86 i 0 0\nnot a record\n"))
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize("fields", [
+    "0.5 0.86 b 0 0", "0.5 0.86 above 0 0", "0.5x 0.86 i 0 0", "0.5 0.86 i 1.5 0",
+    "0.5 0.86 i 0 x", "1 0 i 0 0", "2.0 0.0 i 0 0", "0.5 nan i 0 0", f"0.5 0.86 i {2**53 + 1} 0",
+])
+def test_load_names_a_bad_record_as_parse_flattened_does(fields):
+    with pytest.raises(ValueError) as want:
+        parse_flattened(fields)
+    with pytest.raises(TriangulationFormatError) as err:
+        load(io.StringIO(f"+1 0.5 0.86 i 0 0\n-1 {fields}\n"))
+    assert str(err.value) == f"line 2: simplex 2: {want.value}"
 
 
 def test_load_bad_sign():
@@ -184,3 +196,27 @@ def test_volume_report_evaluates_the_sum_once(monkeypatch):
     # the split value is exp(value / 2 pi i) of that one value, bit for bit
     split = prebloch_mod.splitting(t.as_formal_sum())
     assert (report.split_re, report.split_im) == (split.real, split.imag)
+
+
+@pytest.mark.parametrize("mode", ["double", "high"])
+def test_volume_report_one_kernel_pass_per_distinct_base(monkeypatch, mode):
+    from extbloch import cover, dilog, rogers
+
+    calls = []
+    evaluate = dilog._evaluate
+
+    def counting(kernel, point):
+        calls.append(point)
+        return evaluate(kernel, point)
+
+    for module in (dilog, cover, rogers):
+        monkeypatch.setattr(module, "_evaluate", counting)
+    z = 0.5 + 0.8660254037844386j
+    t = FlattenedTriangulation((
+        (flattened(z), 1), (flattened(z, 1, 0), 1), (flattened(z, 0, -2), -1),
+        (canonicalize(-3 + 0j, Side.BELOW, 1, 1), 1), (canonicalize(-3 + 0j, Side.ABOVE, 0, 2), -1),
+        (flattened(2e10 + 1e10j, 3, 1), 1), (flattened(2e10 + 1e10j), 1), (flattened(z), 1),
+    ))
+    with precision(mode):
+        volume_report(t)
+    assert len(calls) == 3

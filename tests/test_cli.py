@@ -248,3 +248,36 @@ def test_ccs_parse_error_has_line_number(capsys, tmp_path):
     code, out, err = run_cli(capsys, "ccs", str(path))
     assert code == 2
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "five-term", "--seed", "5", "--samples", "20"),
+    ("ccs", "{fig8}"),
+    ("eval", "kappa"),
+    ("eval", "0.3", "0.4", "i", "1", "-2", "--format", "structured"),
+])
+def test_closed_stdout_ends_quietly(tmp_path, argv):
+    # the pipe's read end is closed before the child starts, so its first
+    # write to stdout fails, as under `extbloch check ... | head -1` when
+    # head has already exited
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import extbloch
+
+    fig8 = tmp_path / "fig8.tri"
+    fig8.write_text(FIG8)
+    src = str(Path(extbloch.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "extbloch", *(a.format(fig8=fig8) for a in argv)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")

@@ -346,7 +346,7 @@ def test_log_params_one_kernel_pass_same_values(monkeypatch, mode):
     with precision(mode):
         want = [(log_param_l(f), log_param_m(f)) for f in points]
         calls = count_kernel_passes(monkeypatch)
-        got = [cover._log_params(f) for f in points]
+        got = [(l, m) for _, l, m in cover._log_params((1, f) for f in points)]
     assert got == want
     assert len(calls) == len(points)
 

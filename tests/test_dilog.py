@@ -51,6 +51,15 @@ def test_cut_point_side_consistency():
     CutPoint(3 + 0j, "b")
 
 
+def test_side_coerce_reads_tags_and_names():
+    for side in Side:
+        for token in (side, side.value, side.name, f" {side.name.lower()} ", side.value.upper()):
+            assert Side.coerce(token) is side
+    for bad in ("x", "", "up", None, 1):
+        with pytest.raises(ValueError, match="unknown side tag"):
+            Side.coerce(bad)
+
+
 def test_as_cut_point_reads_cut_reals_as_upper_limit():
     p = as_cut_point(-2.0 + 0j)
     assert p.side is Side.ABOVE

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from extbloch import prebloch
+from extbloch import cover, dilog, prebloch, rogers
 from extbloch.cover import (
     canonicalize,
     flattened,
@@ -14,7 +14,7 @@ from extbloch.cover import (
     parse_flattened,
     serialize_flattened,
 )
-from extbloch.dilog import CutPoint, Side, TWO_PI_I, arg_cut, as_cut_point, principal_log
+from extbloch.dilog import CutPoint, Side, TWO_PI_I, arg_cut, as_cut_point, precision, principal_log
 from extbloch.prebloch import (
     FormalSum,
     check_chi_homomorphism,
@@ -31,7 +31,7 @@ from extbloch.prebloch import (
     splitting,
     symmetry_relation,
 )
-from extbloch.rogers import TWO_PI_SQ, CmodZ2
+from extbloch.rogers import TWO_PI_SQ, CmodZ2, rogers_l_bar
 
 PI = math.pi
 
@@ -272,6 +272,97 @@ def test_each_relation_element_is_normalized_once(monkeypatch):
 
 def test_eval_empty_is_zero():
     assert eval_lhat(FormalSum()).value == 0
+
+
+def reference_eval_lhat(s):
+    """The evaluation as a per-term loop: one Rogers value, so one kernel pass, per term."""
+    total = 0.0 + 0.0j
+    comp = 0.0 + 0.0j
+    for coeff, gen in s.terms:
+        term = coeff * rogers_l_bar(gen) - comp
+        new_total = total + term
+        comp = (new_total - total) - term
+        total = new_total
+    return CmodZ2(total)
+
+
+def shared_base_pairs(rng, bases=6):
+    """Terms with several charts over each base point, in shuffled order.
+
+    The bases are interior points, points on both sides of both cuts (a
+    below-side chart lands on the above side), points beyond 2^32 (on and
+    off the cuts) and points of the imaginary axis, whose charts alternate
+    between a +0.0 and a -0.0 real part.  Some charts cancel.
+    """
+    pairs = []
+    for _ in range(bases):
+        kind = rng.randrange(5)
+        if kind == 0:
+            points = [CutPoint(complex(rng.uniform(-3, 4), rng.uniform(-3, 3)))]
+        elif kind in (1, 2):
+            x = rng.uniform(-5, -0.1) if kind == 1 else rng.uniform(1.1, 6)
+            points = [CutPoint(complex(x, 0.0), Side.ABOVE), CutPoint(complex(x, 0.0), Side.BELOW)]
+        elif kind == 3:
+            w = cmath.rect(10 ** rng.uniform(9.7, 300), rng.uniform(-PI, PI))
+            if rng.random() < 0.4:
+                w = complex(rng.choice((-1, 1)) * abs(w), 0.0)
+            points = [as_cut_point(w)]
+            if w.imag == 0.0:
+                points.append(CutPoint(w, Side.BELOW))
+        else:
+            y = rng.choice((-1, 1)) * 10 ** rng.uniform(-3, 12)
+            points = [CutPoint(complex(0.0, y)), CutPoint(complex(-0.0, y))]
+        for k in range(rng.randint(1, 6)):
+            gen = canonicalize(points[k % len(points)], p=rng.randint(-3, 3), q=rng.randint(-3, 3))
+            c = rng.choice((-3, -2, -1, 1, 2, 3))
+            pairs.append((c, gen))
+            if rng.random() < 0.25:
+                pairs.append((-c, gen))  # cancels the chart
+    rng.shuffle(pairs)
+    return pairs
+
+
+def distinct_bases(s):
+    # -0.0 == 0.0, so the two signs of a zero real part count as one base
+    return len({(g.base.z, g.base.side) for _, g in s.terms})
+
+
+@pytest.mark.parametrize("mode", ["double", "high"])
+def test_eval_lhat_matches_the_per_term_loop(mode):
+    rng = random.Random(23)
+    with precision(mode):
+        for _ in range(40 if mode == "double" else 10):
+            s = FormalSum(shared_base_pairs(rng))
+            assert repr(eval_lhat(s).value) == repr(reference_eval_lhat(s).value)
+        for s in (kappa_hat(CutPoint(complex(-0.0, 2.0)), 3), index_relations(3 + 0j, 1, 2, -1, 4, "PQ"),
+                  mirror_relation(CutPoint(-2 + 0j, Side.BELOW), 2, -1), chi_hat(1e6 - 3e5j)):
+            assert repr(eval_lhat(s).value) == repr(reference_eval_lhat(s).value)
+
+
+@pytest.mark.parametrize("mode", ["double", "high"])
+def test_eval_lhat_one_kernel_pass_per_distinct_base(monkeypatch, mode):
+    calls = []
+    evaluate = dilog._evaluate
+
+    def counting(kernel, point):
+        calls.append(point)
+        return evaluate(kernel, point)
+
+    for module in (dilog, cover, rogers):
+        monkeypatch.setattr(module, "_evaluate", counting)
+    rng = random.Random(29)
+    terms = bases = 0
+    with precision(mode):
+        for _ in range(20):
+            s = FormalSum(shared_base_pairs(rng))
+            calls.clear()
+            eval_lhat(s)
+            assert len(calls) == distinct_bases(s)
+            terms, bases = terms + len(s), bases + len(calls)
+        calls.clear()
+        eval_lhat(index_relations(CutPoint(-2 + 0j, Side.BELOW), 1, 2, -1, 3, "Q"))
+        assert len(calls) == 1  # four charts over one point
+    assert terms > 2 * bases
 
 
 def test_eval_single_half():
