@@ -158,16 +158,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     set_precision(args.precision)
     try:
-        if args.tol is None:
-            args.tol = _default_tol()
+        args.tol = _default_tol() if args.tol is None else args.tol
         if not args.tol > 0:
             raise SystemExit("error: --tol must be positive")
         status = {"eval": _cmd_eval, "check": _cmd_check, "ccs": _cmd_ccs}[args.command](args)
         sys.stdout.flush()  # a reader that went away shows here, not at exit
         return status
     except BrokenPipeError:
-        # Nothing more can be written; send the rest of stdout to devnull so
-        # the flush at exit does not raise again, and end quietly.
+        # the rest of stdout goes to devnull, so the flush at exit cannot raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     finally:

@@ -10,6 +10,7 @@ for the quotient group itself is attempted.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,7 +23,7 @@ from .cover import (
     parse_flattened,
     serialize_flattened,
 )
-from .dilog import PI, CutPoint, Side, _flip, arg_cut, as_cut_point, principal_log
+from .dilog import PI, CutPoint, Side, _flip, arg_cut, as_cut_point
 from .rogers import CmodZ2, _chart, _point_pass
 
 
@@ -118,9 +119,8 @@ def eval_lhat(s: FormalSum) -> CmodZ2:
     """Sum of coefficient times lifted-Rogers value, reduced mod 4 pi^2.
 
     The unreduced contributions are accumulated with compensated
-    summation in canonical term order, then reduced once.  That order puts
-    the charts over one base point next to each other, and they share one
-    kernel pass.
+    summation in canonical term order, then reduced once; the charts over
+    one base point are adjacent in that order and share one kernel pass.
     """
     total = 0.0 + 0.0j
     comp = 0.0 + 0.0j
@@ -330,9 +330,11 @@ def root4(z: complex) -> complex:
     z = complex(z)
     if z == 0:
         raise ValueError("fourth root of zero is excluded")
-    if z == 1:
-        return 1.0 + 0.0j
-    return cmath.exp(principal_log(z) / 4.0)
+    # two principal square roots, full accuracy at every magnitude; -0.0j counts as +0j
+    w = cmath.sqrt(cmath.sqrt(complex(z.real, z.imag or 0.0)))
+    if abs(w.imag) > w.real:  # rounded past |Arg| = pi/4: the mirror image is as close
+        w = complex(abs(w.imag), math.copysign(w.real, w.imag))
+    return w
 
 
 _I_POWER = (1 + 0j, 1j, -1 + 0j, -1j)

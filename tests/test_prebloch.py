@@ -731,8 +731,8 @@ def test_root4_examples():
     1.7e308 + 1.7e308j, -1.7e308 + 0j, 1.7e308 - 1e300j, complex(-1e308, -1.7e308),
 ])
 def test_root4_beyond_the_largest_modulus(z):
-    # near the largest double, where |z| itself may overflow; exp of a
-    # logarithm near 177 keeps about 1e-14 relative accuracy
+    # near the largest double, where |z| itself may overflow; the reference,
+    # exp of a logarithm near 177, keeps about 1e-14 relative accuracy
     w = root4(z)
     assert w == pytest.approx(cmath.exp(cmath.log(z / 16) / 4) * 2, rel=1e-13)
     assert -PI / 4 < cmath.phase(w) <= PI / 4
@@ -750,6 +750,36 @@ def test_root4_branch_window(z):
     if ph == -PI / 4:
         # only by rounding from just below the negative axis
         assert z.imag < 0
+
+
+def root4_points():
+    rng = random.Random(41)
+    points = [cmath.rect(10.0 ** (e + rng.random()), rng.uniform(-PI, PI)) for e in range(-300, 308) for _ in range(3)]
+    points += [cmath.rect(rng.uniform(1e308, 1.7e308), rng.uniform(-PI, PI)) for _ in range(20)]
+    for x in (5e-324, 1e-300, 0.5, 1.0, 1.25, 7.5, 1e300, 1.7e308):
+        points += [complex(-x, 0.0), complex(-x, -0.0), complex(x, 0.0), complex(0.0, x), complex(0.0, -x)]
+        points += [complex(-x, x * 1e-98), complex(-x, -x * 1e-98)]  # just off the negative axis
+    points += [complex(2.0, 5e-324), complex(-2.0, 5e-324), complex(-2.0, -5e-324), complex(5e-324, 5e-324),
+               complex(-5e-324, 5e-324), 1.7e308 + 1.7e308j, 1e300 - 3e299j, complex(-1e308, -1.7e308),
+               -1.25 - 5.887753099796879e-99j]
+    return points
+
+
+def test_root4_relative_accuracy_against_mpmath():
+    # worst seen 2.0e-16, over |z| from 5e-324 to 1.7e308
+    import mpmath as mp
+
+    worst = []
+    with mp.workdps(40):
+        for z in root4_points():
+            want = mp.root(mp.mpc(z.real, z.imag or 0.0), 4)  # -0.0j read as +0j
+            w = root4(z)
+            err = float(abs(mp.mpc(w) - want) / abs(want))
+            ph = cmath.phase(w)
+            in_window = -PI / 4 < ph <= PI / 4 or (ph == -PI / 4 and z.imag < 0)
+            if not (err <= 4e-16 and in_window):
+                worst.append((z, w, err))
+    assert worst == []
 
 
 # ---------------------------------------------------------------------------
