@@ -166,7 +166,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return status
     except BrokenPipeError:
         # the rest of stdout goes to devnull, so the flush at exit cannot raise
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 1
     finally:
         set_precision("double")

@@ -93,14 +93,12 @@ def log_param_m(f: FlattenedNumber) -> complex:
 
 
 def _log_params(terms: Iterable[tuple[int, FlattenedNumber]]) -> tuple:
-    # (c, l, m) for each term (c, f); a run of terms over one base point
-    # shares one kernel pass.
+    # (c, l, m) for each term (c, f); one kernel pass per run of equal base points
     out = []
-    z = side = None
+    base = None
     for coeff, f in terms:
-        base = f.base
-        if base.z != z or base.side is not side:
-            z, side = base.z, base.side
+        if f.base != base:
+            base = f.base
             log_z, log_1mz = _evaluate(_logs, base)
         out.append((coeff, log_z + TWO_PI_I * f.p, -log_1mz + TWO_PI_I * f.q))
     return tuple(out)
@@ -231,7 +229,6 @@ def parse_flattened(text: str) -> FlattenedNumber:
 
 
 def _from_fields(re_s: str, im_s: str, side_s: str, p_s: str, q_s: str) -> FlattenedNumber:
-    # the five fields of a serialized cover point, already split
     if side_s not in ("i", "a"):
         raise ValueError(f"side must be 'i' or 'a', got {side_s!r}")
     z = complex(float(re_s), float(im_s))

@@ -124,11 +124,10 @@ def eval_lhat(s: FormalSum) -> CmodZ2:
     """
     total = 0.0 + 0.0j
     comp = 0.0 + 0.0j
-    z = side = None
+    base = None
     for coeff, gen in s.terms:
-        base = gen.base
-        if base.z != z or base.side is not side:
-            z, side = base.z, base.side
+        if gen.base != base:  # a new (z, side); -0.0 == 0.0 gives equal values
+            base = gen.base
             point = _point_pass(base)
         term = coeff * _chart(*point, gen.p, gen.q) - comp
         new_total = total + term

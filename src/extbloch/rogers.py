@@ -103,8 +103,8 @@ def rogers_l_bar(f: FlattenedNumber) -> complex:
 
 
 def _point_pass(point: CutPoint) -> tuple:
-    # What L needs of the point itself, from one kernel pass; every chart
-    # (p, q) over the point reuses it through _chart.
+    # (c, x, v, s): what L needs of the point, from one kernel pass; s = 0
+    # marks the direct form, with c, x, v = Li2 z, Log z, Log(1-z).
     z = point.z
     if max(abs(z.real), abs(z.imag)) > 2.0**32:
         # Out here the direct sum loses digits: the (Log -z)^2 / 2 in Li2 z
@@ -113,11 +113,13 @@ def _point_pass(point: CutPoint) -> tuple:
         # and Log(1-z) = u + v, v = Log(1-1/z), L = -Li2(1/z) - pi^2/3
         # + u (a + b) / 2 + a b / 2, a = i pi (s + 2p), b = v + 2 pi i q.
         inverse, u, v = _evaluate(_inverted, point)
-        return -inverse - PI_SQ / 3.0, u, v, 1 if z.imag > 0 or point.side is Side.ABOVE else -1
-    return (*_evaluate(_li2_logs, point), 0)  # Li2 z, Log z, Log(1-z), direct
+        s = 1 if z.imag > 0 or point.side is Side.ABOVE else -1
+        return -inverse - PI_SQ / 3.0, u, v, s
+    return (*_evaluate(_li2_logs, point), 0)
 
 
 def _chart(c: complex, x: complex, v: complex, s: int, p: int, q: int) -> complex:
+    # L on the chart (p, q) over a point, from that point's _point_pass
     b = v + TWO_PI_I * q
     if s:
         a = complex(0.0, PI * (s + 2 * p))

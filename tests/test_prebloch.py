@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given
@@ -31,7 +32,7 @@ from extbloch.prebloch import (
     splitting,
     symmetry_relation,
 )
-from extbloch.rogers import TWO_PI_SQ, CmodZ2, rogers_l_bar
+from extbloch.rogers import TWO_PI_SQ, CmodZ2, l_bar_at, rogers_l_bar
 
 PI = math.pi
 
@@ -274,12 +275,28 @@ def test_eval_empty_is_zero():
     assert eval_lhat(FormalSum()).value == 0
 
 
+def reference_l_bar(gen):
+    """The Rogers value as one kernel pass and one formula per cover point."""
+    point, p, q = gen.base, gen.p, gen.q
+    z = point.z
+    if max(abs(z.real), abs(z.imag)) > 2.0**32:
+        inverse, u, v = dilog._evaluate(dilog._inverted, point)
+        s = 1 if z.imag > 0 or point.side is Side.ABOVE else -1
+        a = complex(0.0, PI * (s + 2 * p))
+        b = v + TWO_PI_I * q
+        return -inverse - PI**2 / 3.0 + 0.5 * u * (a + b) + 0.5 * a * b
+    li, log_z, log_1mz = dilog._evaluate(dilog._li2_logs, point)
+    a = log_z + TWO_PI_I * p
+    b = log_1mz + TWO_PI_I * q
+    return li + 0.5 * a * b - PI**2 / 6.0
+
+
 def reference_eval_lhat(s):
-    """The evaluation as a per-term loop: one Rogers value, so one kernel pass, per term."""
+    """The evaluation as a per-term loop: one kernel pass per term."""
     total = 0.0 + 0.0j
     comp = 0.0 + 0.0j
     for coeff, gen in s.terms:
-        term = coeff * rogers_l_bar(gen) - comp
+        term = coeff * reference_l_bar(gen) - comp
         new_total = total + term
         comp = (new_total - total) - term
         total = new_total
@@ -334,9 +351,13 @@ def test_eval_lhat_matches_the_per_term_loop(mode):
         for _ in range(40 if mode == "double" else 10):
             s = FormalSum(shared_base_pairs(rng))
             assert repr(eval_lhat(s).value) == repr(reference_eval_lhat(s).value)
+            assert [repr(rogers_l_bar(g)) for _, g in s.terms] == [repr(reference_l_bar(g)) for _, g in s.terms]
         for s in (kappa_hat(CutPoint(complex(-0.0, 2.0)), 3), index_relations(3 + 0j, 1, 2, -1, 4, "PQ"),
                   mirror_relation(CutPoint(-2 + 0j, Side.BELOW), 2, -1), chi_hat(1e6 - 3e5j)):
             assert repr(eval_lhat(s).value) == repr(reference_eval_lhat(s).value)
+        for z, side in ((-2 + 0j, Side.BELOW), (3e10 + 0j, Side.BELOW), (-7e12 + 0j, Side.BELOW), (0.3 - 4e9j, "i")):
+            chart = SimpleNamespace(base=CutPoint(z, side), p=2, q=-3)
+            assert repr(l_bar_at(z, side, 2, -3)) == repr(reference_l_bar(chart))
 
 
 @pytest.mark.parametrize("mode", ["double", "high"])
