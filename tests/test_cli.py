@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import extbloch
 from extbloch.cli import main
 from extbloch.rogers import TWO_PI_SQ
 
@@ -260,13 +265,6 @@ def test_closed_stdout_ends_quietly(tmp_path, argv):
     # the pipe's read end is closed before the child starts, so its first
     # write to stdout fails, as under `extbloch check ... | head -1` when
     # head has already exited
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import extbloch
-
     fig8 = tmp_path / "fig8.tri"
     fig8.write_text(FIG8)
     src = str(Path(extbloch.__file__).resolve().parents[1])

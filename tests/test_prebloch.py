@@ -790,7 +790,7 @@ def test_root4_relative_accuracy_against_mpmath():
     # worst seen 2.0e-16, over |z| from 5e-324 to 1.7e308
     import mpmath as mp
 
-    worst = []
+    outside = []
     with mp.workdps(40):
         for z in root4_points():
             want = mp.root(mp.mpc(z.real, z.imag or 0.0), 4)  # -0.0j read as +0j
@@ -799,8 +799,8 @@ def test_root4_relative_accuracy_against_mpmath():
             ph = cmath.phase(w)
             in_window = -PI / 4 < ph <= PI / 4 or (ph == -PI / 4 and z.imag < 0)
             if not (err <= 4e-16 and in_window):
-                worst.append((z, w, err))
-    assert worst == []
+                outside.append((z, w, err))
+    assert outside == []
 
 
 # ---------------------------------------------------------------------------
