@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import TextIO
 
 from .cover import FlattenedNumber, _from_fields, serialize_flattened
+from .dilog import _trusted
 from .prebloch import FormalSum, eval_lhat
 from .rogers import CmodZ2, reduce_mod_transfer
 
@@ -59,13 +60,11 @@ def load(source: str | Path | TextIO) -> FlattenedTriangulation:
     """
     if hasattr(source, "read"):
         stream: TextIO = source  # type: ignore[assignment]
-        name_hint = ""
+        name = ""
     else:
         path = Path(source)
         stream = io.StringIO(path.read_text())
-        name_hint = path.stem
-
-    name = name_hint
+        name = path.stem
     simplices: list[tuple[FlattenedNumber, int]] = []
     for lineno, raw in enumerate(stream, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -98,7 +97,7 @@ def load(source: str | Path | TextIO) -> FlattenedTriangulation:
         simplices.append((shape, sign))
     if not simplices:
         raise TriangulationFormatError("no simplex records found")
-    return FlattenedTriangulation(tuple(simplices), name)
+    return _trusted(FlattenedTriangulation, simplices=tuple(simplices), name=name)
 
 
 def complex_volume(t: FlattenedTriangulation) -> CmodZ2:

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .dilog import TWO_PI_I, CutPoint, Side, _evaluate, _logs, as_cut_point, log_one_minus, principal_log
+from .dilog import (TWO_PI_I, CutPoint, Side, _evaluate, _logs, _trusted, as_cut_point, log_one_minus,
+                    principal_log)
 
 
 @dataclass(frozen=True)
@@ -36,11 +37,7 @@ class FlattenedNumber:
             raise ValueError(
                 "below-side points are not stored; build via canonicalize()"
             )
-        if not isinstance(self.p, int) or not isinstance(self.q, int):
-            raise TypeError("branch indices p, q must be integers")
-        if abs(self.p) > 2**53 or abs(self.q) > 2**53:  # beyond 2**53, 2 pi i p is not exact
-            name = "p" if abs(self.p) > 2**53 else "q"
-            raise ValueError(f"branch index {name} is beyond 2**53 in magnitude")
+        _check_indices(self.p, self.q)
 
     @property
     def z(self) -> complex:
@@ -56,6 +53,14 @@ class FlattenedNumber:
         return f"[{self.z}{side}; {2 * self.p}, {2 * self.q}]"
 
 
+def _check_indices(p: int, q: int) -> None:
+    if not isinstance(p, int) or not isinstance(q, int):
+        raise TypeError("branch indices p, q must be integers")
+    if abs(p) > 2**53 or abs(q) > 2**53:  # beyond 2**53, 2 pi i p is not exact
+        name = "p" if abs(p) > 2**53 else "q"
+        raise ValueError(f"branch index {name} is beyond 2**53 in magnitude")
+
+
 def canonicalize(
     z: complex | CutPoint,
     side: Side | str = Side.INTERIOR,
@@ -67,14 +72,15 @@ def canonicalize(
     Below-side input is rewritten to the identified above-side point:
     p decreases by one on the left cut, q decreases by one on the right.
     """
-    point = z if isinstance(z, CutPoint) else CutPoint(complex(z), Side.coerce(side))
+    point = z if isinstance(z, CutPoint) else CutPoint(z, side)
     if point.side is Side.BELOW:
         if point.z.real < 0.0:
             p -= 1
         else:
             q -= 1
-        point = CutPoint(point.z, Side.ABOVE)
-    return FlattenedNumber(point, p, q)
+        point = _trusted(CutPoint, z=point.z, side=Side.ABOVE)
+    _check_indices(p, q)
+    return _trusted(FlattenedNumber, base=point, p=p, q=q)
 
 
 def flattened(z: complex | CutPoint, p: int = 0, q: int = 0) -> FlattenedNumber:
@@ -165,10 +171,7 @@ def make_flattened_ft(
         (p1 - p0 + q1 - q0, q2 - q1),
         (q1 - q0, q2 - q1 - p0),
     )
-    entries = tuple(
-        FlattenedNumber(CutPoint(c), pk, qk) for c, (pk, qk) in zip(coords, indices)
-    )
-    return FlattenedFT(entries)
+    return FlattenedFT(tuple(canonicalize(c, p=pk, q=qk) for c, (pk, qk) in zip(coords, indices)))
 
 
 def is_flattened_ft(
@@ -187,8 +190,7 @@ def is_flattened_ft(
     which hold on the all-upper-half chart and extend to the whole
     connected family by analytic continuation of both sides.
     """
-    entries: Iterable[FlattenedNumber] = t.entries if isinstance(t, FlattenedFT) else t
-    entries = tuple(entries)
+    entries = tuple(t)
     if len(entries) != 5 or not all(isinstance(e, FlattenedNumber) for e in entries):
         return False
     z = [e.z for e in entries]
@@ -228,8 +230,11 @@ def parse_flattened(text: str) -> FlattenedNumber:
     return _from_fields(*parts)
 
 
+_FIELD_SIDES = {"i": Side.INTERIOR, "a": Side.ABOVE}  # the serialized form stores no below side
+
+
 def _from_fields(re_s: str, im_s: str, side_s: str, p_s: str, q_s: str) -> FlattenedNumber:
-    if side_s not in ("i", "a"):
+    side = _FIELD_SIDES.get(side_s)
+    if side is None:
         raise ValueError(f"side must be 'i' or 'a', got {side_s!r}")
-    z = complex(float(re_s), float(im_s))
-    return FlattenedNumber(CutPoint(z, Side.coerce(side_s)), int(p_s), int(q_s))
+    return FlattenedNumber(CutPoint(complex(float(re_s), float(im_s)), side), int(p_s), int(q_s))

@@ -63,17 +63,22 @@ class Side(enum.Enum):
 
 _SIDE_ALIASES = {tag: side for side in Side for tag in (side.value, side.name.lower())}  # "a", "above", ...
 
+# Enum attribute lookups are slow on the hot path; bind the members once.
+_ABOVE, _BELOW, _INTERIOR = Side.ABOVE, Side.BELOW, Side.INTERIOR
+
 
 def on_cut(z: complex) -> bool:
     """True when z lies on one of the two open cuts (-inf,0) or (1,inf)."""
     return z.imag == 0.0 and (z.real < 0.0 or z.real > 1.0)
 
 
-def _normalize(z: complex) -> complex:
-    # Drop negative-zero imaginary parts so that Arg stays in (-pi, pi].
-    if z.imag == 0.0:
-        return complex(z.real, 0.0)
-    return z
+def _trusted(cls, **fields):
+    # The one path that skips a value type's checks: for values the package
+    # derives from checked ones.  The fields are stored as given, so they
+    # must already be what __post_init__ would store.
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -88,7 +93,9 @@ class CutPoint:
     side: Side = Side.INTERIOR
 
     def __post_init__(self) -> None:
-        z = _normalize(complex(self.z))
+        z = complex(self.z)
+        if z.imag == 0.0:  # drop a -0.0 imaginary part, so Arg stays in (-pi, pi]
+            z = complex(z.real, 0.0)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "side", Side.coerce(self.side))
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -106,10 +113,6 @@ class CutPoint:
                     f"side tag {self.side.value!r} given but {z} is not on a cut"
                 )
 
-    @property
-    def is_boundary(self) -> bool:
-        return self.side is not Side.INTERIOR
-
 
 def as_cut_point(value: complex | CutPoint) -> CutPoint:
     """Coerce a bare complex number to a CutPoint.
@@ -120,14 +123,8 @@ def as_cut_point(value: complex | CutPoint) -> CutPoint:
     """
     if isinstance(value, CutPoint):
         return value
-    z = _normalize(complex(value))
-    if on_cut(z):
-        return CutPoint(z, Side.ABOVE)
-    return CutPoint(z)
-
-
-# Enum attribute lookups are slow on the hot path; bind the members once.
-_ABOVE, _BELOW, _INTERIOR = Side.ABOVE, Side.BELOW, Side.INTERIOR
+    z = complex(value)
+    return CutPoint(z, _ABOVE if on_cut(z) else _INTERIOR)
 
 
 def _flip(side: Side) -> Side:
@@ -354,7 +351,7 @@ def li2(p: CutPoint | complex) -> complex:
     evaluate to their classical limits 0 and pi^2/6.
     """
     if not isinstance(p, CutPoint):
-        z = _normalize(complex(p))
+        z = complex(p)
         if z == 0:
             return 0.0 + 0.0j
         if z == 1:

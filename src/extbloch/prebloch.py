@@ -23,7 +23,7 @@ from .cover import (
     parse_flattened,
     serialize_flattened,
 )
-from .dilog import PI, CutPoint, Side, _flip, arg_cut, as_cut_point
+from .dilog import PI, CutPoint, Side, _flip, _trusted, arg_cut, as_cut_point
 from .rogers import CmodZ2, _chart, _point_pass
 
 
@@ -56,12 +56,6 @@ class FormalSum:
         object.__setattr__(self, "terms", cleaned)
 
     @classmethod
-    def _canonical(cls, terms: tuple[tuple[int, FlattenedNumber], ...]) -> "FormalSum":
-        s = object.__new__(cls)  # terms already merged, pruned and in order
-        object.__setattr__(s, "terms", terms)
-        return s
-
-    @classmethod
     def of(cls, *pairs: tuple[int, FlattenedNumber]) -> "FormalSum":
         return cls(pairs)
 
@@ -70,7 +64,7 @@ class FormalSum:
         if not isinstance(gen, FlattenedNumber):
             raise TypeError("generators must be FlattenedNumber values")
         coeff = int(coeff)
-        return cls._canonical(((coeff, gen),) if coeff else ())
+        return _trusted(cls, terms=((coeff, gen),) if coeff else ())
 
     def __add__(self, other: "FormalSum") -> "FormalSum":
         return FormalSum(self.terms + other.terms)
@@ -79,12 +73,12 @@ class FormalSum:
         return FormalSum(self.terms + tuple((-c, g) for c, g in other.terms))
 
     def __neg__(self) -> "FormalSum":
-        return FormalSum._canonical(tuple((-c, g) for c, g in self.terms))
+        return _trusted(FormalSum, terms=tuple((-c, g) for c, g in self.terms))
 
     def __rmul__(self, k: int) -> "FormalSum":
         if not isinstance(k, int):
             return NotImplemented
-        return FormalSum._canonical(tuple((k * c, g) for c, g in self.terms) if k else ())
+        return _trusted(FormalSum, terms=tuple((k * c, g) for c, g in self.terms) if k else ())
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -142,7 +136,7 @@ def eval_lhat(s: FormalSum) -> CmodZ2:
 
 def five_term_element(t: FlattenedFT | Sequence[FlattenedNumber], tol: float = 1e-9) -> FormalSum:
     """The alternating five-term sum [z0] - [z1] + [z2] - [z3] + [z4]."""
-    entries = tuple(t.entries if isinstance(t, FlattenedFT) else t)
+    entries = tuple(t)
     if not is_flattened_ft(entries, tol):
         raise ValueError("tuple is not a flattened five-term instance")
     return FormalSum(tuple(((-1) ** k, entries[k]) for k in range(5)))
@@ -258,6 +252,9 @@ def index_relations(
     return FormalSum(tuple((c, canonicalize(point, p=a, q=b)) for c, (a, b) in zip(signs, charts)))
 
 
+_HALF = flattened(0.5 + 0.0j)
+
+
 def _one_minus(point: CutPoint) -> tuple[complex, Side]:
     # 1 - (x +- 0i) = (1 - x) -+ 0i: the side flips on the boundary.
     return 1.0 - point.z, _flip(point.side)
@@ -267,11 +264,10 @@ def mirror_relation(z: complex | CutPoint, p: int = 0, q: int = 0) -> FormalSum:
     """[z;2p,2q] + [1-z;-2q,-2p] - 2 [1/2;0,0]."""
     point = as_cut_point(z)
     mz, mside = _one_minus(point)
-    half = flattened(0.5 + 0.0j)
     return FormalSum((
         (1, canonicalize(point, p=p, q=q)),
         (1, canonicalize(mz, mside, p=-q, q=-p)),
-        (-2, half),
+        (-2, _HALF),
     ))
 
 

@@ -94,7 +94,7 @@ def l_bar_at(z: complex, side: Side | str, p: int, q: int) -> complex:
     4 pi^2 p across the right cut.  Prefer :func:`rogers_l_bar` for
     canonical cover points.
     """
-    return _chart(*_point_pass(CutPoint(complex(z), Side.coerce(side))), p, q)
+    return _chart(*_point_pass(CutPoint(z, side)), p, q)
 
 
 def rogers_l_bar(f: FlattenedNumber) -> complex:
