@@ -5,41 +5,33 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Sequence
 
 from . import ccs as ccs_mod
 from .cover import parse_flattened
-from .dilog import set_precision
+from .dilog import precision
 from .prebloch import FormalSum, eval_lhat, kappa_hat
 from .rogers import reduce_mod_transfer
 from .sweeps import RELATIONS, SweepConfig, run_sweep
 
 TOL_ENV_VAR = "EXTBLOCH_TOL"
+# Negative numbers in any float notation; argparse itself takes only -12
+# and -1.5, and would read an operand such as -3e9 as an unknown option.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|nan)$", re.IGNORECASE)
 
 
 def _default_tol() -> float:
-    raw = os.environ.get(TOL_ENV_VAR)
-    if raw is None:
-        return 1e-9
+    raw = os.environ.get(TOL_ENV_VAR, "1e-9")
     try:
-        value = float(raw)
+        return float(raw)  # SweepConfig checks that it is positive
     except ValueError:
         raise SystemExit(f"error: {TOL_ENV_VAR}={raw!r} is not a number")
-    if not value > 0:
-        raise SystemExit(f"error: {TOL_ENV_VAR} must be positive")
-    return value
 
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol", type=float, default=None,
-                     help=f"tolerance (default 1e-9, override via ${TOL_ENV_VAR})")
-    sub.add_argument("--seed", type=int, default=0, help="sweep seed (default 0)")
-    sub.add_argument("--samples", type=int, default=500,
-                     help="sweep sample count (default 500)")
-    sub.add_argument("--index-bound", type=int, default=5,
-                     help="branch indices drawn from [-bound, bound] (default 5)")
     sub.add_argument("--precision", choices=("double", "high"), default="double",
                      help="numeric backend (high = >=50 digits internally)")
     sub.add_argument("--format", choices=("text", "structured"), default="text",
@@ -62,10 +54,18 @@ def build_parser() -> argparse.ArgumentParser:
                         help="'kappa' or five tokens: z_re z_im side p q")
     p_eval.add_argument("--sum", dest="sum_file", default=None,
                         help="file holding 'coeff z_re z_im side p q' lines")
+    p_eval._negative_number_matcher = _NEGATIVE_NUMBER  # the parser's own test for operands
     _common_flags(p_eval)
 
     p_check = sub.add_parser("check", help="run a seeded randomized relation sweep")
     p_check.add_argument("relation", choices=RELATIONS)
+    p_check.add_argument("--tol", type=float, default=None,
+                         help=f"tolerance (default 1e-9, override via ${TOL_ENV_VAR})")
+    p_check.add_argument("--seed", type=int, default=0, help="sweep seed (default 0)")
+    p_check.add_argument("--samples", type=int, default=500,
+                         help="sweep sample count (default 500)")
+    p_check.add_argument("--index-bound", type=int, default=5,
+                         help="branch indices drawn from [-bound, bound] (default 5)")
     _common_flags(p_check)
 
     p_ccs = sub.add_parser("ccs", help="complex volume of a flattened triangulation file")
@@ -117,18 +117,26 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         raise SystemExit(
             "usage: extbloch eval (kappa | z_re z_im side p q | --sum FILE)"
         )
-    _emit_value(s, args.format)
+    try:
+        _emit_value(s, args.format)
+    except ValueError as exc:  # a value whose split overflows
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    config = SweepConfig(
-        relation=args.relation,
-        samples=args.samples,
-        seed=args.seed,
-        tol=args.tol,
-        index_bound=args.index_bound,
-    )
+    try:
+        config = SweepConfig(
+            relation=args.relation,
+            samples=args.samples,
+            seed=args.seed,
+            tol=_default_tol() if args.tol is None else args.tol,
+            index_bound=args.index_bound,
+        )
+    except ValueError as exc:
+        print(f"extbloch check: error: {exc}", file=sys.stderr)
+        return 2
     result = run_sweep(config)
     if args.format == "structured":
         print(json.dumps(result.to_dict()))
@@ -139,14 +147,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_ccs(args: argparse.Namespace) -> int:
     try:
-        tri = ccs_mod.load(args.input)
+        report = ccs_mod.volume_report(ccs_mod.load(args.input))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ccs_mod.TriangulationFormatError as exc:
+    except ValueError as exc:  # a malformed file, or a value whose split overflows
         print(f"error: {args.input}: {exc}", file=sys.stderr)
         return 2
-    report = ccs_mod.volume_report(tri)
     if args.format == "structured":
         print(json.dumps(report.to_dict()))
     else:
@@ -156,12 +163,9 @@ def _cmd_ccs(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    set_precision(args.precision)
     try:
-        args.tol = _default_tol() if args.tol is None else args.tol
-        if not args.tol > 0:
-            raise SystemExit("error: --tol must be positive")
-        status = {"eval": _cmd_eval, "check": _cmd_check, "ccs": _cmd_ccs}[args.command](args)
+        with precision(args.precision):
+            status = {"eval": _cmd_eval, "check": _cmd_check, "ccs": _cmd_ccs}[args.command](args)
         sys.stdout.flush()  # a reader that went away shows here, not at exit
         return status
     except BrokenPipeError:
@@ -169,8 +173,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         with open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 1
-    finally:
-        set_precision("double")
 
 
 if __name__ == "__main__":

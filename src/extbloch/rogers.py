@@ -75,7 +75,10 @@ class CmodZ2:
 
     def split(self) -> complex:
         """exp(value / 2 pi i), well defined since exp(4 pi^2 / 2 pi i) = 1."""
-        return cmath.exp(self.value / TWO_PI_I)
+        try:
+            return cmath.exp(self.value / TWO_PI_I)
+        except OverflowError:  # |split| = exp(Im value / 2 pi) is beyond the largest double
+            raise ValueError(f"the split exp(value / 2 pi i) overflows at value {self.value!r}") from None
 
 
 def reduce_mod_transfer(v: CmodZ2) -> complex:

@@ -49,6 +49,10 @@ class SweepConfig:
             raise ValueError("tol must be positive")
         if self.index_bound < 0:
             raise ValueError("index-bound must be >= 0")
+        # a FlattenedNumber holds indices up to 2**53; the sweeps derive up to
+        # 4 bound (five-term) and 3 bound + 2 (index-pq on the below side)
+        if 4 * self.index_bound + 2 > 2**53:
+            raise ValueError(f"index-bound must be at most {(2**53 - 2) // 4}")
 
 
 @dataclass

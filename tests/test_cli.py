@@ -9,6 +9,7 @@ import pytest
 
 import extbloch
 from extbloch.cli import main
+from extbloch.dilog import get_precision, precision
 from extbloch.rogers import TWO_PI_SQ
 
 PI = math.pi
@@ -115,6 +116,54 @@ def test_eval_bad_inline_operand_exits_2(capsys, operand, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("operand", [
+    ("1e10", "-3e9", "i", "4", "-1"),
+    ("-2.5e0", "0", "a", "3", "1"),
+    ("-.5", "-1E-3", "i", "-2", "0"),
+])
+def test_eval_negative_operands_in_any_notation(capsys, operand):
+    # argparse alone reads "-3e9" as an unknown option
+    code, out, err = run_cli(capsys, "eval", *operand, "--format", "structured")
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run_cli(capsys, "eval", "--format", "structured", "--", *operand)
+
+
+def test_eval_split_overflow_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "big.sum"
+    path.write_text("1 1e300 1e300 i 2 3\n")
+    code, out, err = run_cli(capsys, "eval", "--sum", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the split exp(value / 2 pi i) overflows at value (")
+    assert err.count("\n") == 1
+
+
+def test_caller_precision_survives_main(capsys):
+    with precision("high", 60):
+        code, out, _ = run_cli(capsys, "eval", "kappa")
+        assert get_precision() == ("high", 60)
+    assert code == 0
+    assert get_precision() == ("double", None)
+    with precision("high"):
+        assert run_cli(capsys, "eval", "kappa", "--precision", "double")[0] == 0
+        assert get_precision() == ("high", 50)
+
+
+@pytest.mark.parametrize("flag", [("--tol", "1e-3"), ("--seed", "3"), ("--samples", "7"), ("--index-bound", "2")])
+def test_sweep_flags_belong_to_check_only(capsys, tmp_path, flag):
+    fig8 = tmp_path / "fig8.tri"
+    fig8.write_text(FIG8)
+    for argv in (("eval", "kappa"), ("ccs", str(fig8))):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_eval_and_ccs_do_not_read_the_tolerance_variable(capsys, monkeypatch):
+    monkeypatch.setenv("EXTBLOCH_TOL", "not-a-number")
+    assert run_cli(capsys, "eval", "kappa")[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
@@ -192,6 +241,28 @@ def test_tol_env_var_override(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("flags,message", [
+    (("--samples", "0"), "samples must be >= 1"),
+    (("--samples", "-3"), "samples must be >= 1"),
+    (("--index-bound", "-1"), "index-bound must be >= 0"),
+    (("--index-bound", "100000000000000000000"), "index-bound must be at most 2251799813685247"),
+    (("--index-bound", str(2**51)), "index-bound must be at most 2251799813685247"),
+    (("--tol", "0"), "tol must be positive"),
+    (("--tol", "nan"), "tol must be positive"),
+])
+def test_check_bad_sizes_exit_2(capsys, flags, message):
+    code, out, err = run_cli(capsys, "check", "five-term", *flags)
+    assert (code, out) == (2, "")
+    assert err == f"extbloch check: error: {message}\n"
+
+
+def test_check_largest_index_bound_runs(capsys):
+    bound = str(2**51 - 1)
+    code, out, err = run_cli(capsys, "check", "index-pq", "--index-bound", bound, "--samples", "20")
+    assert code in (0, 1) and err == ""
+    assert f"index-bound: {bound}" in out
+
+
 # ---------------------------------------------------------------------------
 # ccs
 # ---------------------------------------------------------------------------
@@ -245,6 +316,15 @@ def test_ccs_huge_branch_index_is_an_error(capsys, tmp_path, p, q, field):
     assert code == 2
     assert out == ""
     assert f"line 2: simplex 2: branch index {field} is beyond 2**53" in err
+
+
+def test_ccs_split_overflow_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "big.tri"
+    path.write_text("+1 1e300 1e300 i 2 3\n")
+    code, out, err = run_cli(capsys, "ccs", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: the split exp(value / 2 pi i) overflows at value (")
+    assert err.count("\n") == 1
 
 
 def test_ccs_parse_error_has_line_number(capsys, tmp_path):

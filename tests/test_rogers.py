@@ -72,6 +72,14 @@ def test_serialize():
     assert CmodZ2(1.5 + 0.25j).serialize() == "1.5 0.25"
 
 
+def test_split_overflow_names_the_value():
+    # |split| = exp(Im value / 2 pi): past Im value = 709.78 * 2 pi it overflows
+    assert abs(CmodZ2(complex(1.0, 4459.0)).split()) == pytest.approx(math.exp(4459.0 / (2 * PI)))
+    with pytest.raises(ValueError, match=r"overflows at value \(1\+4461j\)"):
+        CmodZ2(complex(1.0, 4461.0)).split()
+    assert CmodZ2(complex(1.0, -1e300)).split() == 0  # underflow is not an error
+
+
 def test_reduce_into_half_open():
     assert reduce_into(5.0, 4.0) == pytest.approx(1.0)
     assert reduce_into(-2.0, 4.0) == pytest.approx(2.0)  # open at -period/2

@@ -1,7 +1,12 @@
 import pytest
 
 from extbloch import sweeps
+from extbloch.cover import make_flattened_ft
+from extbloch.dilog import CutPoint, Side
+from extbloch.prebloch import index_relations
 from extbloch.sweeps import RELATIONS, SweepConfig, run_sweep
+
+LARGEST_BOUND = 2**51 - 1  # 4 * bound + 2 <= 2**53
 
 
 @pytest.fixture
@@ -36,3 +41,21 @@ def test_failing_samples_echo_their_element(relation, echo_calls):
     # runners echo their inputs instead
     plain = relation in ("chi-hom", "kappa", "splitting")
     assert len(echo_calls) == (0 if plain else len(failed))
+
+
+def test_config_rejects_bounds_whose_indices_pass_2_53():
+    assert SweepConfig("five-term", index_bound=LARGEST_BOUND).index_bound == LARGEST_BOUND
+    with pytest.raises(ValueError, match=f"index-bound must be at most {LARGEST_BOUND}$"):
+        SweepConfig("five-term", index_bound=LARGEST_BOUND + 1)
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        SweepConfig("five-term", samples=0)
+
+
+def test_largest_bound_derives_indices_within_2_53():
+    b = LARGEST_BOUND
+    # five-term: p1 - p0 + q1 - q0 reaches 4 b
+    ft = make_flattened_ft(0.3 + 0.4j, 0.2 + 1.1j, -b, b, -b, b, 0)
+    assert max(abs(f.p) for f in ft) == 4 * b
+    # index-pq on the below side of the right cut: q2 - 1, shifted once more
+    elem = index_relations(CutPoint(3 + 0j, Side.BELOW), -b, -b, b, -3 * b, "PQ")
+    assert max(abs(f.q) for _, f in elem) == 3 * b + 2 <= 2**53
