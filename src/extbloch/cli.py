@@ -8,7 +8,7 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from . import ccs as ccs_mod
 from .cover import parse_flattened
@@ -28,7 +28,7 @@ def _default_tol() -> float:
     try:
         return float(raw)  # SweepConfig checks that it is positive
     except ValueError:
-        raise SystemExit(f"error: {TOL_ENV_VAR}={raw!r} is not a number")
+        raise ValueError(f"{TOL_ENV_VAR}={raw!r} is not a number") from None
 
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
@@ -93,10 +93,17 @@ def _emit_value(s: FormalSum, fmt: str) -> None:
         print(f"split: {split.real!r} {split.imag!r}")
 
 
+def _eval_usage_error(message: str) -> NoReturn:
+    # a command line argparse accepts but eval cannot use: reported and
+    # ended as argparse ends its own usage errors, in one line
+    print(f"extbloch eval: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     if args.sum_file is not None:
         if args.operand:
-            raise SystemExit("error: give either --sum FILE or an inline operand, not both")
+            _eval_usage_error("give either --sum FILE or an inline operand, not both")
         try:
             s = FormalSum.parse(Path(args.sum_file).read_text())
         except OSError as exc:
@@ -114,9 +121,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     else:
-        raise SystemExit(
-            "usage: extbloch eval (kappa | z_re z_im side p q | --sum FILE)"
-        )
+        _eval_usage_error("expected kappa, z_re z_im side p q, or --sum FILE")
     try:
         _emit_value(s, args.format)
     except ValueError as exc:  # a value whose split overflows
@@ -134,10 +139,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
             tol=_default_tol() if args.tol is None else args.tol,
             index_bound=args.index_bound,
         )
-    except ValueError as exc:
+        result = run_sweep(config)
+    except ValueError as exc:  # a bad size or tolerance, or a sample the sweep cannot build
         print(f"extbloch check: error: {exc}", file=sys.stderr)
         return 2
-    result = run_sweep(config)
     if args.format == "structured":
         print(json.dumps(result.to_dict()))
     else:

@@ -6,28 +6,36 @@ x - 0i, tagged by a :class:`Side`.  All branch conventions follow the
 principal argument in (-pi, pi]: approaching the negative real axis from
 above gives Arg = +pi, from below Arg = -pi.
 
-One kernel serves both precisions, built from two pieces:
+One kernel serves both precisions: one region map for Li2 ('t Hooft-Veltman)
+over two per-mode primitives.
 
-* a side-aware logarithm: Log of a value together with the cut side that
-  value sits on.  The argument is ``atan2`` of the parts (negative zero
-  read as +0, the side deciding +-pi on the negative axis); near 1 the
-  modulus comes from ``log1p``, so Log(1-z) keeps its digits for tiny z;
-* one region map for Li2 ('t Hooft-Veltman): reflection z -> 1-z where
-  |1-z| <= 1 and Re z > 1/2, inversion z -> 1/z where |z| > 1 and
-  |1-z| > 1, each carrying the side tag through the map.  Either way the
-  remaining argument u has |u| <= 1 and Re u <= 1/2, where
-  w = -Log(1-u) has |w| <= pi/3 and the Bernoulli series
-  Li2(u) = sum B_n w^(n+1) / (n+1)! converges like 36^-k.
+* The region map: reflection z -> 1-z where |1-z| <= 1 and Re z > 1/2,
+  inversion z -> 1/z where |z| > 1 and |1-z| > 1, each carrying the side
+  tag through the map.  Either way the remaining argument u has |u| <= 1
+  and Re u <= 1/2, where w = -Log(1-u) has |w| <= pi/3 and the Bernoulli
+  series Li2(u) = sum B_n w^(n+1) / (n+1)! converges like 36^-k.  In the
+  inversion region Log(1-z) = Log(-z) + Log(1-1/z), so a pass there takes
+  three logarithms, not four.
+* A side-aware logarithm: Log of a value together with the cut side that
+  value sits on, or Log(1 + d) from d itself when the caller has d more
+  exactly than 1 + d (d = -z for Log(1-z)).  The argument is ``atan2`` of
+  the parts (negative zero read as +0, the side deciding +-pi on the
+  negative axis).  In double the modulus comes from ``log1p`` near 1; in
+  high precision the logarithm works on mpmath's raw number tuples, forms
+  1 + d exactly and takes the modulus from ``mpf_log_hypot``, which redoes
+  |v|^2 exactly where it cancels against 1.  Either way Log(1-z) keeps its
+  digits for tiny z.
+* The series: a float Horner loop over a literal table in double; in high
+  precision Horner on fixed-point integers over exact Bernoulli numbers,
+  built per ``dps``, with the surrounding products on raw tuples.
 
 The precision mode, a context variable (so per thread or asyncio task),
-picks only the arithmetic (``math`` on Python complex, or mpmath at ``dps``
-digits), the Horner loop of the series (floats over a literal table, or
-fixed-point integers over exact Bernoulli numbers, built per ``dps``) and
-the working-precision context; results are machine complex either way.
-One kernel pass gives Li2 z with Log z and Log(1-z), which the reflection
-and series branches reuse.  Against mpmath, Li2 is within 2e-15 relative
-error in double and 1e-15 in high precision for |z| from 1e-300 to 1e300,
-on both sides of both cuts.
+picks the primitives and the working-precision context; results are
+machine complex either way, and mpmath is imported on the first
+high-precision pass only.  One kernel pass gives Li2 z with Log z and
+Log(1-z).  Against mpmath, Li2 is within 2e-15 relative error in double
+and 1e-15 in high precision for |z| from 1e-300 to 1e300, on both sides of
+both cuts.
 """
 
 from __future__ import annotations
@@ -137,25 +145,23 @@ def _flip(side: Side) -> Side:
 
 
 # ---------------------------------------------------------------------------
-# precision switch
+# precision switch: the primitives of each mode
 # ---------------------------------------------------------------------------
 
 class _Arith(NamedTuple):
     """What a precision mode chooses; the code path is the same for both."""
 
-    cx: Callable[[Any, Any], Any]  # complex number from its parts
-    log: Callable[[Any], Any]      # real primitives
-    log1p: Callable[[Any], Any]
-    atan2: Callable[[Any, Any], Any]
-    hypot: Callable[[Any, Any], Any]
-    pi: Any
-    zeta2: Any                     # pi^2 / 6
-    horner: Callable[[Any], Any]   # w^2 -> sum_k B_2k w^(2k-2) / (2k+1)!
+    point: Callable[[complex], Any]        # the mode's number from a machine complex
+    log: Callable[[Any, Side, bool], Any]  # log(x, side, one_plus): Log x, or Log(1 + x)
+    series: Callable[[Any], Any]           # Li2(u) from w = -Log(1-u), |w| <= pi/3
+    zeta2: Any                             # pi^2 / 6
 
 
-def _double_horner(w2: complex) -> complex:
+def _double_series(w: complex) -> complex:
+    # w - w^2/4 + sum_k B_2k w^(2k+1) / (2k+1)!, Horner in w^2 over
     # B_2k / (2k+1)! for k = 10 .. 1: at |w| <= pi/3 the first omitted term
     # is below 1e-18 of the sum.
+    w2 = w * w
     acc = 0.0
     for c in (
         -1.0356517612181247e-17, 4.518980029619918e-16, -1.9939295860721074e-14, 8.921691020456452e-13,
@@ -163,20 +169,48 @@ def _double_horner(w2: complex) -> complex:
         -0.0002777777777777778, 0.027777777777777776,
     ):
         acc = acc * w2 + c
-    return acc
+    return w - 0.25 * w2 + w * w2 * acc
 
 
-_DOUBLE = _Arith(complex, math.log, math.log1p, math.atan2, math.hypot, PI, PI_SQ / 6.0, _double_horner)
+def _arg(v: complex, side: Side) -> float:
+    # atan2 never overflows (cmath.phase does on subnormal parts); a zero
+    # imaginary part counts as +0, and the below side of (-inf, 0) is -pi.
+    if side is _BELOW and v.real < 0:
+        return -PI
+    return math.atan2(v.imag or 0.0, v.real)
+
+
+def _double_log(x: complex, side: Side, one_plus: bool = False) -> complex:
+    # Log v for v = x, or v = 1 + x when the caller has d = v - 1 more
+    # exactly than v (for v = 1 - z it is -z).  Near v = 1 the modulus is
+    # log1p(|v|^2 - 1) / 2 with |v|^2 - 1 = d.re (2 + d.re) + d.im^2.
+    if one_plus:
+        v, d = 1 + x, x
+    else:
+        v, d = x, x - 1
+    dr, di = d.real, d.imag
+    d_sq = dr * dr + di * di
+    if d_sq < 0.25:
+        modulus = 0.5 * math.log1p(dr * (2 + dr) + di * di)
+    elif d_sq < math.inf:
+        modulus = math.log(math.hypot(v.real, v.imag))
+    else:  # |v| > 1e154 and |v| itself may overflow: halve v first
+        modulus = math.log(math.hypot(0.5 * v.real, 0.5 * v.imag)) + math.log(2)
+    return complex(modulus, _arg(v, side))
+
+
+_DOUBLE = _Arith(complex, _double_log, _double_series, PI_SQ / 6.0)
 _HIGH: dict[int, _Arith] = {}
 _DPS: ContextVar[int | None] = ContextVar("extbloch_dps", default=None)  # None: double
 
 
 def _high_arith(dps: int) -> _Arith:
-    import mpmath as mp
-    from mpmath.libmp import bernfrac, dps_to_prec, from_man_exp, to_fixed
-
     arith = _HIGH.get(dps)
     if arith is None:
+        import mpmath as mp
+        from mpmath.libmp import (bernfrac, dps_to_prec, fone, from_float, from_man_exp, mpc_add, mpc_mul,
+                                  mpc_shift, mpc_sub, mpf_add, mpf_atan2, mpf_log_hypot, mpf_neg, mpf_pi, to_fixed)
+
         # Horner runs on integers scaled by 2^bits, 20 guard bits over the
         # working precision.  Only the accumulator is fixed point: it stays
         # near 1/36 on |w| <= pi/3, so its absolute error is also relative;
@@ -186,17 +220,39 @@ def _high_arith(dps: int) -> _Arith:
         bits = prec + 20
         fracs = [(bernfrac(2 * k), math.factorial(2 * k + 1)) for k in range(2 * dps // 3 + 1, 0, -1)]
         coeffs = [(num << bits) // (den * fact) for (num, den), fact in fracs]
+        make_mpc = mp.make_mpc
+        minus_pi = mpf_neg(mpf_pi(prec))
 
-        def horner(w2):
-            xr, xi = to_fixed(w2._mpc_[0], bits), to_fixed(w2._mpc_[1], bits)
+        def point(z):
+            return make_mpc((from_float(z.real), from_float(z.imag)))
+
+        def log(x, side, one_plus=False):
+            # The same Log on mpmath's raw (sign, man, exp, bc) tuples, where
+            # a negative value has sign 1 and there is no -0.  1 + d is
+            # exact (1 - z itself would round at prec bits), and
+            # mpf_log_hypot redoes |v|^2 exactly where it cancels against 1.
+            re, im = x._mpc_
+            if one_plus:
+                re = mpf_add(fone, re, 0)
+            arg = minus_pi if side is _BELOW and re[0] else mpf_atan2(im, re, prec, "n")
+            return make_mpc((mpf_log_hypot(re, im, prec, "n"), arg))
+
+        def series(w):
+            # The double formula, each step rounded to prec bits as mpc
+            # arithmetic would round it.
+            w = w._mpc_
+            w2 = mpc_mul(w, w, prec, "n")
+            xr, xi = to_fixed(w2[0], bits), to_fixed(w2[1], bits)
             ar = ai = 0
             for c in coeffs:
                 ar, ai = ((ar * xr - ai * xi) >> bits) + c, (ar * xi + ai * xr) >> bits
-            return mp.make_mpc((from_man_exp(ar, -bits, prec, "n"), from_man_exp(ai, -bits, prec, "n")))
+            acc = (from_man_exp(ar, -bits, prec, "n"), from_man_exp(ai, -bits, prec, "n"))
+            tail = mpc_mul(mpc_mul(w, w2, prec, "n"), acc, prec, "n")
+            return make_mpc(mpc_add(mpc_sub(w, mpc_shift(w2, -2), prec, "n"), tail, prec, "n"))
 
         with mp.workdps(dps + 10):
             zeta2 = mp.pi**2 / 6
-        arith = _HIGH[dps] = _Arith(mp.mpc, mp.log, mp.log1p, mp.atan2, mp.hypot, mp.pi, zeta2, horner)
+        arith = _HIGH[dps] = _Arith(point, log, series, zeta2)
     return arith
 
 
@@ -210,7 +266,7 @@ def _evaluate(kernel, p: CutPoint):
 
     arith = _high_arith(dps)
     with mp.workdps(dps):
-        out = kernel(arith, mp.mpc(p.z), p.side)
+        out = kernel(arith, arith.point(p.z), p.side)
         return tuple(map(complex, out)) if isinstance(out, tuple) else complex(out)
 
 
@@ -247,34 +303,14 @@ def precision(mode: str, dps: int = 50) -> Iterator[None]:
 # the side-aware logarithm
 # ---------------------------------------------------------------------------
 
-def _arg(k: _Arith, v, side: Side):
-    # atan2 never overflows (cmath.phase does on subnormal parts); a zero
-    # imaginary part counts as +0, and the below side of (-inf, 0) is -pi.
-    if side is _BELOW and v.real < 0:
-        return -k.pi
-    return k.atan2(v.imag or 0.0, v.real)
-
-
-def _log(k: _Arith, v, side: Side, d=None):
-    # Log v on the cut plane.  d is v - 1 when the caller has it more
-    # exactly than v (for v = 1 - z it is -z); near v = 1 the modulus is
-    # log1p(|v|^2 - 1) / 2 with |v|^2 - 1 = d.re (2 + d.re) + d.im^2.
-    if d is None:
-        d = v - 1
-    dr, di = d.real, d.imag
-    d_sq = dr * dr + di * di
-    if d_sq < 0.25:
-        modulus = 0.5 * k.log1p(dr * (2 + dr) + di * di)
-    elif d_sq < math.inf:
-        modulus = k.log(k.hypot(v.real, v.imag))
-    else:  # |v| > 1e154 and |v| itself may overflow: halve v first
-        modulus = k.log(k.hypot(0.5 * v.real, 0.5 * v.imag)) + k.log(2)
-    return k.cx(modulus, _arg(k, v, side))
+def _log(k: _Arith, z, side: Side):
+    # Log z as a kernel of its own
+    return k.log(z, side)
 
 
 def _log_one_minus(k: _Arith, z, side: Side):
     # 1 - z lies on the other side of the axis from z.
-    return _log(k, 1 - z, _flip(side), -z)
+    return k.log(-z, _flip(side), True)
 
 
 def arg_cut(p: CutPoint | complex) -> float:
@@ -283,8 +319,8 @@ def arg_cut(p: CutPoint | complex) -> float:
     A bare complex number reads the negative axis as its upper limit.
     """
     if isinstance(p, CutPoint):
-        return _arg(_DOUBLE, p.z, p.side)
-    return _arg(_DOUBLE, complex(p), _INTERIOR)
+        return _arg(p.z, p.side)
+    return _arg(complex(p), _INTERIOR)
 
 
 def principal_log(p: CutPoint | complex) -> complex:
@@ -305,42 +341,39 @@ def log_one_minus(p: CutPoint | complex) -> complex:
 # the dilogarithm
 # ---------------------------------------------------------------------------
 
-def _series(k: _Arith, w):
-    # Li2(u) from w = -Log(1-u): w - w^2/4 + sum_k B_2k w^(2k+1) / (2k+1)!,
-    # Horner in w^2.
-    w2 = w * w
-    return w - 0.25 * w2 + w * w2 * k.horner(w2)
-
-
 def _inverted(k: _Arith, z, side: Side):
     # Li2(1/z), Log(-z) and Log(1-1/z) for |z| > 1, |1-z| > 1, where
     # |1/z| < 1 and Re(1/z) < 1/2; -z and 1/z lie on the other side of the
     # axis from z.
     flipped = _flip(side)
     log_1m_inv = _log_one_minus(k, 1 / z, flipped)
-    return _series(k, -log_1m_inv), _log(k, -z, flipped), log_1m_inv
+    return k.series(-log_1m_inv), k.log(-z, flipped), log_1m_inv
 
 
 def _logs(k: _Arith, z, side: Side):
     # Log z and Log(1-z) in one kernel pass.
-    return _log(k, z, side), _log_one_minus(k, z, side)
+    return k.log(z, side), _log_one_minus(k, z, side)
 
 
 def _li2_logs(k: _Arith, z, side: Side):
     # Li2 z, Log z and Log(1-z) in one kernel pass.
-    log_z, log_1mz = _logs(k, z, side)
-    x = z.real
-    nz = x * x + z.imag * z.imag
+    log_z = k.log(z, side)
+    c = complex(z)  # the region test in machine floats: a high precision z holds a double
+    x = c.real
+    nz = x * x + c.imag * c.imag
+    if nz > 1 and 0.5 * nz > x:
+        # |z| > 1 and |1-z| > 1: Li2(z) = -Li2(1/z) - pi^2/6 - Log(-z)^2 / 2.
+        # 1 - z = (-z)(1 - 1/z), and the two arguments have opposite signs,
+        # so the sum of the logarithms stays principal; |Log(1-z)| > log 2
+        # here, so it does not cancel.
+        inverse, log_neg, log_1m_inv = _inverted(k, z, side)
+        return -inverse - k.zeta2 - 0.5 * log_neg * log_neg, log_z, log_neg + log_1m_inv
+    log_1mz = _log_one_minus(k, z, side)
     if x > 0.5 and 0.5 * nz <= x:
         # |1-z| <= 1: Li2(z) = pi^2/6 - Log z Log(1-z) - Li2(1-z), where
         # the series for 1-z runs in w = -Log z.
-        li = k.zeta2 - log_z * log_1mz - _series(k, -log_z)
-    elif nz <= 1:  # then also Re z <= 1/2: no map needed
-        li = _series(k, -log_1mz)
-    else:  # Li2(z) = -Li2(1/z) - pi^2/6 - Log(-z)^2 / 2
-        inverse, log_neg, _ = _inverted(k, z, side)
-        li = -inverse - k.zeta2 - 0.5 * log_neg * log_neg
-    return li, log_z, log_1mz
+        return k.zeta2 - log_z * log_1mz - k.series(-log_z), log_z, log_1mz
+    return k.series(-log_1mz), log_z, log_1mz  # |z| <= 1 and Re z <= 1/2: no map needed
 
 
 def li2(p: CutPoint | complex) -> complex:

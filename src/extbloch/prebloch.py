@@ -325,6 +325,8 @@ def root4(z: complex) -> complex:
     z = complex(z)
     if z == 0:
         raise ValueError("fourth root of zero is excluded")
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"fourth root of the non-finite value {z!r}")
     # two principal square roots, full accuracy at every magnitude; -0.0j counts as +0j
     w = cmath.sqrt(cmath.sqrt(complex(z.real, z.imag or 0.0)))
     if abs(w.imag) > w.real:  # rounded past |Arg| = pi/4: the mirror image is as close

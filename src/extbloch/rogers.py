@@ -41,6 +41,8 @@ class CmodZ2:
 
     def __post_init__(self) -> None:
         v = complex(self.value)
+        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+            raise ValueError(f"{v!r} is not a finite value of C mod 4 pi^2")
         object.__setattr__(self, "value", complex(reduce_into(v.real, FOUR_PI_SQ), v.imag))
 
     def __add__(self, other: "CmodZ2") -> "CmodZ2":
@@ -159,6 +161,8 @@ def continue_rogers(path: Sequence[complex], p: int = 0, q: int = 0) -> Continua
     the right cut re-charts q and books a 4 pi^2 p sheet shift so the
     tracked value stays continuous.  The per-step change is recorded so a
     missed crossing (a genuine discontinuity) is detectable numerically.
+    The total change is real; a path along which the imaginary part of the
+    value moves is a ValueError.
     """
     pts = [complex(w) for w in path]
     if len(pts) < 2:
@@ -188,9 +192,12 @@ def continue_rogers(path: Sequence[complex], p: int = 0, q: int = 0) -> Continua
         val = tracked(w1, p, q, sheet)
         max_step = max(max_step, abs(val - prev_val))
         prev_val = val
+    total = prev_val - start
+    if not abs(total.imag) < 1e-9:
+        raise ValueError(f"the continued value's imaginary part moved by {total.imag!r}; "
+                         "change is defined only for a real total change")
     return ContinuationResult(
-        change=(prev_val - start).real if abs((prev_val - start).imag) < 1e-9
-        else float("nan"),
+        change=total.real,
         p=p,
         q=q,
         sheet=sheet,

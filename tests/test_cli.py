@@ -95,6 +95,19 @@ def test_eval_no_args_usage_error(capsys):
         main(["eval"])
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["eval"], "expected kappa, z_re z_im side p q, or --sum FILE"),
+    (["eval", "--sum", "any.sum", "kappa"], "give either --sum FILE or an inline operand, not both"),
+])
+def test_eval_usage_errors_exit_2_in_one_line(capsys, argv, message):
+    # both exited 1 through SystemExit(message)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err == f"extbloch eval: error: {message}\n"
+
+
 def test_eval_bad_point(capsys):
     # an inline operand error is an input error: stderr and exit status 2,
     # as for eval --sum and ccs
@@ -239,6 +252,22 @@ def test_tol_env_var_override(capsys, monkeypatch):
     monkeypatch.setenv("EXTBLOCH_TOL", "1e-6")
     code, out, _ = run_cli(capsys, "check", "five-term", "--samples", "5", "--seed", "1")
     assert code == 0
+
+
+def test_unparsable_tolerance_variable_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("EXTBLOCH_TOL", "abc")
+    code, out, err = run_cli(capsys, "check", "five-term", "--samples", "5")
+    assert (code, out) == (2, "")
+    assert err == "extbloch check: error: EXTBLOCH_TOL='abc' is not a number\n"
+
+
+def test_five_term_membership_failure_is_named(capsys):
+    # at index bound 1e6 the membership re-check of a sampled instance fails
+    # on rounding (sample 2 at seed 0); that was a ValueError traceback
+    code, out, err = run_cli(capsys, "check", "five-term", "--index-bound", "1000000", "--samples", "20")
+    assert (code, out) == (2, "")
+    assert err.startswith("extbloch check: error: five-term: ") and err.count("\n") == 1
+    assert "index bound 1000000" in err
 
 
 @pytest.mark.parametrize("flags,message", [

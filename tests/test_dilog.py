@@ -1,7 +1,10 @@
 import cmath
 import functools
 import math
+import os
 import random
+import subprocess
+import sys
 import threading
 
 import mpmath as mp
@@ -281,7 +284,7 @@ def test_series_matches_mpc_horner():
         bound = mp.ldexp(1, -(mp.mp.prec - 4))
         for z in _series_points():
             w = mp.mpc(z)
-            got, want = dilog._series(arith, w), reference_series(dps, w)
+            got, want = arith.series(w), reference_series(dps, w)
             assert complex(got) == complex(want), z
             assert abs(got - want) <= bound * abs(want), z
 
@@ -309,6 +312,93 @@ def test_kernel_accuracy_at_working_precision(dps):
         with mp.workdps(dps + 20):
             want = _li2_mp(p.z, p.side.value)
             assert abs(li - want) <= mp.mpf(10) ** -(dps - 5) * abs(want), (p, li, want)
+
+
+def _log_reference(z: complex, side: Side):
+    # Log z and Log(1-z) at the caller's precision, 1 - z formed exactly;
+    # on a cut the side picks +-pi
+    w = mp.mpc(z)
+    v = mp.fsub(1, w, exact=True)
+    log_z, log_1mz = mp.log(w), mp.log(v)
+    if side is not Side.INTERIOR:
+        sign = 1 if side is Side.ABOVE else -1
+        if z.real < 0:
+            log_z = mp.mpc(log_z.real, sign * mp.pi)
+        else:
+            log_1mz = mp.mpc(log_1mz.real, -sign * mp.pi)
+    return log_z, log_1mz
+
+
+def _edge_points():
+    # the inversion region next to its edges: |1-z| or |z| just above 1
+    points = []
+    for delta in (2.0**-52, 1e-12, 1e-6, 1e-2):
+        for theta in (PI / 3 + 1e-6, 1.2, 2.0, 3.0, PI - 1e-9):
+            for sign in (1, -1):
+                points += [1 - cmath.rect(1 + delta, sign * theta), cmath.rect(1 + delta, sign * theta)]
+    return [CutPoint(z) for z in points if abs(z) > 1 and abs(1 - z) > 1]
+
+
+def _log_points():
+    # tiny |z|, where 1 - z rounds to 1 at the working precision; z and 1 - z
+    # near the unit circle, where |v|^2 - 1 cancels; both sides of both cuts
+    points = [CutPoint(cmath.rect(r, theta)) for r in (2.0**-200, 1e-300) for theta in (0.0, 0.7, 2.5, -0.3, -2.0)]
+    for delta in (0.0, 2.0**-52, -(2.0**-52), 1e-13):
+        for theta in (1e-9, 0.4, 1.7, -2.9):
+            points += [CutPoint(cmath.rect(1 + delta, theta)), CutPoint(1 - cmath.rect(1 + delta, theta))]
+    for x in (-(2.0**-200), -1e-300, -0.5, -1.0, -3.0, 1.0 + 2.0**-52, 1.5, 2.0, 3e5):
+        points += [CutPoint(complex(x, 0.0), side) for side in (Side.ABOVE, Side.BELOW)]
+    return points + _edge_points()
+
+
+def test_high_log_and_li2_at_working_precision():
+    # Log z, Log(1-z) and Li2 z of one high-precision kernel pass against
+    # mpmath at 70 digits, relative to each value; Log(1-z) comes from the
+    # inversion identity on the edge points
+    dps = 50
+    arith = dilog._high_arith(dps)
+    for p in _log_points():
+        with mp.workdps(dps):
+            got = dilog._li2_logs(arith, mp.mpc(p.z), p.side)
+        with mp.workdps(70):
+            want = (_li2_mp(p.z, p.side.value), *_log_reference(p.z, p.side))
+            for name, g, w in zip(("li2", "log z", "log 1-z"), got, want):
+                assert abs(g - w) <= mp.mpf(10) ** -(dps - 5) * abs(w), (name, p, g, w)
+
+
+@pytest.mark.parametrize("mode,bound", [("double", 4e-16), ("high", 2e-16)])
+def test_inversion_identity_log_one_minus_accuracy(mode, bound):
+    # Log(1-z) = Log(-z) + Log(1-1/z) in the inversion region, where
+    # |Log(1-z)| > log 2; worst seen 2.9e-16 in double, 1.0e-16 in high
+    points = _edge_points()
+    assert len(points) >= 60
+    with precision(mode):
+        got = [dilog._evaluate(dilog._li2_logs, p)[2] for p in points]
+    errors = []
+    with mp.workdps(40):
+        for g, p in zip(got, points):
+            want = _log_reference(p.z, p.side)[1]
+            errors.append((float(abs(g - want) / abs(want)), p))
+    assert [(err, p) for err, p in errors if not err <= bound] == []
+
+
+def test_double_precision_does_not_import_mpmath():
+    # mpmath is imported on the first high-precision pass, not before:
+    # its import would add to the start-up of every double-precision run
+    code = """
+import cmath, sys
+import extbloch
+from extbloch import ccs, cover, li2
+from extbloch.prebloch import eval_lhat, kappa_hat
+li2(0.3 + 0.4j)
+eval_lhat(kappa_hat())
+shape = cover.flattened(cmath.exp(1j * cmath.pi / 3))
+ccs.volume_report(ccs.FlattenedTriangulation(((shape, 1), (shape, 1)), "fig8"))
+print("mpmath" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}).stdout
+    assert out == "False\n"
 
 
 # ---------------------------------------------------------------------------

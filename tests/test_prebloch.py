@@ -749,6 +749,16 @@ def test_root4_examples():
 
 
 @pytest.mark.parametrize("z", [
+    complex(math.inf, 0.0), complex(math.nan, 0.0), complex(1.0, -math.inf), complex(math.nan, math.nan),
+])
+def test_root4_of_a_non_finite_value_is_named(z):
+    # inf gave (inf+0j) and nan gave (nan+nanj)
+    with pytest.raises(ValueError, match="non-finite") as exc:
+        root4(z)
+    assert repr(z) in str(exc.value)
+
+
+@pytest.mark.parametrize("z", [
     1.7e308 + 1.7e308j, -1.7e308 + 0j, 1.7e308 - 1e300j, complex(-1e308, -1.7e308),
 ])
 def test_root4_beyond_the_largest_modulus(z):

@@ -80,6 +80,16 @@ def test_split_overflow_names_the_value():
     assert CmodZ2(complex(1.0, -1e300)).split() == 0  # underflow is not an error
 
 
+@pytest.mark.parametrize("value", [
+    complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 1.0), complex(1.0, -math.inf),
+])
+def test_non_finite_value_is_named(value):
+    # nan was accepted silently, and inf ended in "math domain error"
+    with pytest.raises(ValueError, match=r"is not a finite value of C mod 4 pi\^2") as exc:
+        CmodZ2(value)
+    assert repr(value) in str(exc.value)
+
+
 def test_reduce_into_half_open():
     assert reduce_into(5.0, 4.0) == pytest.approx(1.0)
     assert reduce_into(-2.0, 4.0) == pytest.approx(2.0)  # open at -period/2
@@ -181,6 +191,13 @@ def test_commutator_monodromy_is_one_lattice_period():
 def test_continuation_rejects_vertices_on_axis():
     with pytest.raises(ValueError):
         continue_rogers([0.5 + 0.5j, 0.7 + 0j, 0.5 - 0.5j])
+
+
+def test_continuation_with_imaginary_drift_is_an_error():
+    # the open path from 0.5 + 0.5i to its mirror image moves the imaginary
+    # part of the value; change was nan
+    with pytest.raises(ValueError, match="imaginary part moved by"):
+        continue_rogers([0.5 + 0.5j, 0.5 - 0.5j])
 
 
 def test_trivial_loop_has_no_monodromy():
