@@ -16,13 +16,9 @@ from dataclasses import dataclass
 
 from .cover import _log_params
 from .dilog import PI
-from .prebloch import FormalSum
+from .prebloch import FormalSum, _coefficient_error
 
 _TAU = complex(0.0, 2.0 * PI)  # 2 pi i, the lattice step used in merging
-
-
-def _lex_leq(a: complex, b: complex) -> bool:
-    return (a.real, a.imag) <= (b.real, b.imag)
 
 
 @dataclass(frozen=True)
@@ -36,24 +32,23 @@ class WedgeExpr:
     terms: tuple[tuple[int, complex, complex], ...] = ()
 
     def __post_init__(self) -> None:
-        merged: dict[tuple[complex, complex], int] = {}
+        # Merge and sort on the plain key (Re a, Im a, Re b, Im b); the
+        # first-seen pair is kept.
+        merged: dict[tuple[float, float, float, float], tuple[int, complex, complex]] = {}
         for coeff, a, b in self.terms:
             coeff = int(coeff)
             a = complex(a)
             b = complex(b)
-            if a == b:
+            key_a, key_b = (a.real, a.imag), (b.real, b.imag)
+            if key_a == key_b:
                 continue
-            if not _lex_leq(a, b):
-                a, b = b, a
+            if not key_a <= key_b:
+                a, b, key_a, key_b = b, a, key_b, key_a
                 coeff = -coeff
-            merged[(a, b)] = merged.get((a, b), 0) + coeff
-        cleaned = tuple(
-            (c, a, b)
-            for (a, b), c in sorted(
-                merged.items(), key=lambda kv: (kv[0][0].real, kv[0][0].imag, kv[0][1].real, kv[0][1].imag)
-            )
-            if c != 0
-        )
+            key = key_a + key_b
+            seen = merged.get(key)
+            merged[key] = (coeff, a, b) if seen is None else (seen[0] + coeff, seen[1], seen[2])
+        cleaned = tuple(term for term in map(merged.__getitem__, sorted(merged)) if term[0])
         object.__setattr__(self, "terms", cleaned)
 
     def __add__(self, other: "WedgeExpr") -> "WedgeExpr":
@@ -73,7 +68,10 @@ class WedgeExpr:
         total = 0.0
         comp = 0.0
         for c, a, b in self.terms:
-            term = c * (a.real * b.imag - a.imag * b.real) - comp
+            try:
+                term = c * (a.real * b.imag - a.imag * b.real) - comp
+            except OverflowError:  # c itself is beyond the range of a double
+                raise _coefficient_error(c) from None
             new_total = total + term
             if not math.isfinite(new_total):  # |a| |b| beyond the largest double
                 raise ValueError(f"the pairing is not finite at wedge pair ({a!r}, {b!r})")
@@ -153,13 +151,16 @@ def _merge_by_lattice(terms, tol: float):
                 if abs(k) <= 64 and abs(d - k) <= detect:
                     best, k_best = idx, k
                     break
-        if best == len(reps):
-            cells.setdefault(key, []).append(best)
-            reps.append(a)
-            bucket.append(c * b)
-        else:
-            bucket[best] += c * b
-            tau_bucket += c * k_best * b
+        try:
+            if best == len(reps):
+                cells.setdefault(key, []).append(best)
+                reps.append(a)
+                bucket.append(c * b)
+            else:
+                bucket[best] += c * b
+                tau_bucket += c * k_best * b
+        except OverflowError:  # c, or c k on the 2 pi i column, is beyond the range of a double
+            raise _coefficient_error(c) from None
     merged = list(zip(reps, bucket))
     if tau_bucket != 0:
         merged.append((_TAU, tau_bucket))

@@ -10,7 +10,6 @@ part to a Chern-Simons normalization is asserted.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TextIO
@@ -51,6 +50,9 @@ class FlattenedTriangulation:
         return FormalSum(tuple((sign, shape) for shape, sign in self.simplices))
 
 
+_SIGNS = {"+1": 1, "-1": -1, "1": 1}  # the usual spellings; any other goes through int()
+
+
 def load(source: str | Path | TextIO) -> FlattenedTriangulation:
     """Parse a triangulation file or stream.
 
@@ -59,37 +61,41 @@ def load(source: str | Path | TextIO) -> FlattenedTriangulation:
     precede the records.
     """
     if hasattr(source, "read"):
-        stream: TextIO = source  # type: ignore[assignment]
+        text = source.read()
         name = ""
     else:
         path = Path(source)
-        stream = io.StringIO(path.read_text())
+        text = path.read_text()
         name = path.stem
     simplices: list[tuple[FlattenedNumber, int]] = []
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    points: dict = {}
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if "#" in line:
+            line = line[:line.index("#")]
+        parts = line.split()
+        if not parts:
             continue
-        if line.startswith("name:"):
+        if parts[0].startswith("name:"):
             if simplices:
                 raise TriangulationFormatError(
                     "name header must precede all records", lineno
                 )
-            name = line[len("name:"):].strip()
+            name = line.strip()[len("name:"):].strip()
             continue
-        parts = line.split()
         if len(parts) != 6:
             raise TriangulationFormatError(
                 f"expected 'sign z_re z_im side p q', got {len(parts)} fields", lineno
             )
+        sign = _SIGNS.get(parts[0])
+        if sign is None:
+            try:
+                sign = int(parts[0])
+            except ValueError:
+                raise TriangulationFormatError(f"bad sign {parts[0]!r}", lineno) from None
+            if sign not in (1, -1):
+                raise TriangulationFormatError(f"sign must be +1 or -1, got {sign}", lineno)
         try:
-            sign = int(parts[0])
-        except ValueError:
-            raise TriangulationFormatError(f"bad sign {parts[0]!r}", lineno) from None
-        if sign not in (1, -1):
-            raise TriangulationFormatError(f"sign must be +1 or -1, got {sign}", lineno)
-        try:
-            shape = _from_fields(*parts[1:])
+            shape = _from_fields(parts[1], parts[2], parts[3], parts[4], parts[5], points)
         except ValueError as exc:
             raise TriangulationFormatError(
                 f"simplex {len(simplices) + 1}: {exc}", lineno

@@ -124,7 +124,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         _eval_usage_error("expected kappa, z_re z_im side p q, or --sum FILE")
     try:
         _emit_value(s, args.format)
-    except ValueError as exc:  # a value whose split overflows
+    except ValueError as exc:  # a coefficient beyond a double, or a value whose split overflows
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .dilog import (TWO_PI_I, CutPoint, Side, _evaluate, _logs, _trusted, as_cut_point, log_one_minus,
-                    principal_log)
+from .dilog import TWO_PI_I, CutPoint, Side, _checked_z, _point_pass, _trusted, as_cut_point
 
 
 @dataclass(frozen=True)
@@ -90,12 +89,12 @@ def flattened(z: complex | CutPoint, p: int = 0, q: int = 0) -> FlattenedNumber:
 
 def log_param_l(f: FlattenedNumber) -> complex:
     """The branch logarithm Log z + 2 pi i p."""
-    return principal_log(f.base) + TWO_PI_I * f.p
+    return _point_pass(f.base)[4] + TWO_PI_I * f.p
 
 
 def log_param_m(f: FlattenedNumber) -> complex:
     """The branch logarithm -Log(1-z) + 2 pi i q."""
-    return -log_one_minus(f.base) + TWO_PI_I * f.q
+    return -_point_pass(f.base)[5] + TWO_PI_I * f.q
 
 
 def _log_params(terms: Iterable[tuple[int, FlattenedNumber]]) -> tuple:
@@ -103,9 +102,9 @@ def _log_params(terms: Iterable[tuple[int, FlattenedNumber]]) -> tuple:
     out = []
     base = None
     for coeff, f in terms:
-        if f.base != base:
+        if f.base is not base and f.base != base:
             base = f.base
-            log_z, log_1mz = _evaluate(_logs, base)
+            _, _, _, _, log_z, log_1mz = _point_pass(base)
         out.append((coeff, log_z + TWO_PI_I * f.p, -log_1mz + TWO_PI_I * f.q))
     return tuple(out)
 
@@ -233,8 +232,25 @@ def parse_flattened(text: str) -> FlattenedNumber:
 _FIELD_SIDES = {"i": Side.INTERIOR, "a": Side.ABOVE}  # the serialized form stores no below side
 
 
-def _from_fields(re_s: str, im_s: str, side_s: str, p_s: str, q_s: str) -> FlattenedNumber:
-    side = _FIELD_SIDES.get(side_s)
-    if side is None:
-        raise ValueError(f"side must be 'i' or 'a', got {side_s!r}")
-    return FlattenedNumber(CutPoint(complex(float(re_s), float(im_s)), side), int(p_s), int(q_s))
+def _from_fields(re_s: str, im_s: str, side_s: str, p_s: str, q_s: str,
+                 points: dict | None = None) -> FlattenedNumber:
+    # The checks and messages of CutPoint and FlattenedNumber, then the
+    # trusted constructor.  ``points`` maps the point fields, and the checked
+    # z (a z allows one side only), to the CutPoint built for them: equal
+    # records share one point, and so one kernel pass.
+    base = None if points is None else points.get((re_s, im_s, side_s))
+    if base is None:
+        side = _FIELD_SIDES.get(side_s)
+        if side is None:
+            raise ValueError(f"side must be 'i' or 'a', got {side_s!r}")
+        z = _checked_z(complex(float(re_s), float(im_s)), side)
+        base = _trusted(CutPoint, z=z, side=side)
+        if points is not None:
+            base = points[re_s, im_s, side_s] = points.setdefault(z, base)
+    p, q = int(p_s), int(q_s)
+    _check_indices(p, q)
+    # _trusted written out, without its keyword packing: this runs once per record
+    f = object.__new__(FlattenedNumber)
+    fields = f.__dict__
+    fields["base"], fields["p"], fields["q"] = base, p, q
+    return f

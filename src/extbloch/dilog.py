@@ -33,7 +33,8 @@ The precision mode, a context variable (so per thread or asyncio task),
 picks the primitives and the working-precision context; results are
 machine complex either way, and mpmath is imported on the first
 high-precision pass only.  One kernel pass gives Li2 z with Log z and
-Log(1-z).  Against mpmath, Li2 is within 2e-15 relative error in double
+Log(1-z); a point keeps its pass (``_point_pass``), one per precision mode,
+for the Rogers values and branch logarithms read from it.  Against mpmath, Li2 is within 2e-15 relative error in double
 and 1e-15 in high precision for |z| from 1e-300 to 1e300, on both sides of
 both cuts.
 """
@@ -102,24 +103,27 @@ class CutPoint:
 
     def __post_init__(self) -> None:
         z = complex(self.z)
-        if z.imag == 0.0:  # drop a -0.0 imaginary part, so Arg stays in (-pi, pi]
-            z = complex(z.real, 0.0)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "side", Side.coerce(self.side))
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise ValueError(f"{z} is not a finite point of the cut plane")
-        if z == 0 or z == 1:
-            raise ValueError("0 and 1 are excluded from the cut plane")
-        if self.side is Side.INTERIOR:
-            if on_cut(z):
-                raise ValueError(
-                    f"{z} lies on a cut; an interior point needs a side tag"
-                )
-        else:
-            if not on_cut(z):
-                raise ValueError(
-                    f"side tag {self.side.value!r} given but {z} is not on a cut"
-                )
+        side = Side.coerce(self.side)
+        object.__setattr__(self, "z", _checked_z(z, side))
+        object.__setattr__(self, "side", side)
+
+
+def _checked_z(z: complex, side: Side) -> complex:
+    # The rules of the cut plane, for CutPoint and for the parsers that build
+    # points through _trusted: z as stored, with a -0.0 imaginary part read
+    # as +0.0 (so Arg stays in (-pi, pi]), or a ValueError naming z.
+    if z.imag == 0.0:
+        z = complex(z.real, 0.0)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"{z} is not a finite point of the cut plane")
+    if z == 0 or z == 1:
+        raise ValueError("0 and 1 are excluded from the cut plane")
+    if side is _INTERIOR:
+        if on_cut(z):
+            raise ValueError(f"{z} lies on a cut; an interior point needs a side tag")
+    elif not on_cut(z):
+        raise ValueError(f"side tag {side.value!r} given but {z} is not on a cut")
+    return z
 
 
 def as_cut_point(value: complex | CutPoint) -> CutPoint:
@@ -350,11 +354,6 @@ def _inverted(k: _Arith, z, side: Side):
     return k.series(-log_1m_inv), k.log(-z, flipped), log_1m_inv
 
 
-def _logs(k: _Arith, z, side: Side):
-    # Log z and Log(1-z) in one kernel pass.
-    return k.log(z, side), _log_one_minus(k, z, side)
-
-
 def _li2_logs(k: _Arith, z, side: Side):
     # Li2 z, Log z and Log(1-z) in one kernel pass.
     log_z = k.log(z, side)
@@ -391,3 +390,41 @@ def li2(p: CutPoint | complex) -> complex:
             return complex(PI_SQ / 6.0, 0.0)
         p = as_cut_point(z)
     return _evaluate(_li2_logs, p)[0]
+
+
+# ---------------------------------------------------------------------------
+# the kernel pass of a point, cached on the point
+# ---------------------------------------------------------------------------
+
+def _far_out(k: _Arith, z, side: Side):
+    # _inverted's three values, Log z and Log(1-z) = Log(-z) + Log(1-1/z).
+    # Log z is taken directly: Log(-z) +- i pi would cancel near the right cut.
+    inverse, log_neg, log_1m_inv = _inverted(k, z, side)
+    return inverse, log_neg, log_1m_inv, k.log(z, side), log_neg + log_1m_inv
+
+
+def _point_pass(point: CutPoint) -> tuple:
+    # (c, x, v, s, Log z, Log(1-z)): what the Rogers value and the branch
+    # logarithms need of the point, from one kernel pass per precision mode.
+    # s = 0 marks the direct form, with c, x, v = Li2 z, Log z, Log(1-z).
+    # The pass lives on the point, keyed by the mode; equality, hashing and
+    # repr see the fields only.
+    dps = _DPS.get()
+    cached = point.__dict__.get("_pass")
+    if cached is not None and cached[0] == dps:
+        return cached[1]
+    z = point.z
+    if max(abs(z.real), abs(z.imag)) > 2.0**32:
+        # Out here the direct sum loses digits: the (Log -z)^2 / 2 in Li2 z
+        # and in Log z Log(1-z) / 2 cancel.  Cancel them exactly: with
+        # u = Log(-z), Log z = u + i pi s (s = +-1 on the upper or lower side)
+        # and Log(1-z) = u + v, v = Log(1-1/z), L = -Li2(1/z) - pi^2/3
+        # + u (a + b) / 2 + a b / 2, a = i pi (s + 2p), b = v + 2 pi i q.
+        inverse, u, v, log_z, log_1mz = _evaluate(_far_out, point)
+        s = 1 if z.imag > 0 or point.side is _ABOVE else -1
+        out = (-inverse - PI_SQ / 3.0, u, v, s, log_z, log_1mz)
+    else:
+        li, log_z, log_1mz = _evaluate(_li2_logs, point)
+        out = (li, log_z, log_1mz, 0, log_z, log_1mz)
+    point.__dict__["_pass"] = (dps, out)
+    return out

@@ -23,8 +23,8 @@ from .cover import (
     parse_flattened,
     serialize_flattened,
 )
-from .dilog import PI, CutPoint, Side, _flip, _trusted, arg_cut, as_cut_point
-from .rogers import CmodZ2, _chart, _point_pass
+from .dilog import PI, CutPoint, Side, _flip, _point_pass, _trusted, arg_cut, as_cut_point
+from .rogers import CmodZ2, _chart
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class FormalSum:
             key = (z.real, z.imag, base.side._value_, gen.p, gen.q)
             seen = merged.get(key)
             merged[key] = (int(coeff), gen) if seen is None else (seen[0] + int(coeff), seen[1])
-        cleaned = tuple(term for _, term in sorted(merged.items()) if term[0])
+        cleaned = tuple(term for term in map(merged.__getitem__, sorted(merged)) if term[0])
         object.__setattr__(self, "terms", cleaned)
 
     @classmethod
@@ -109,6 +109,16 @@ class FormalSum:
         return cls(tuple(pairs))
 
 
+def _coefficient_error(coeff: int) -> ValueError:
+    # for a coefficient beyond the range of a double; str() itself refuses
+    # an int of more than 4300 digits
+    try:
+        text = str(coeff)
+    except ValueError:
+        text = f"of {coeff.bit_length()} bits"
+    return ValueError(f"coefficient {text} is too large for double arithmetic")
+
+
 def eval_lhat(s: FormalSum) -> CmodZ2:
     """Sum of coefficient times lifted-Rogers value, reduced mod 4 pi^2.
 
@@ -120,10 +130,13 @@ def eval_lhat(s: FormalSum) -> CmodZ2:
     comp = 0.0 + 0.0j
     base = None
     for coeff, gen in s.terms:
-        if gen.base != base:  # a new (z, side); -0.0 == 0.0 gives equal values
+        if gen.base is not base and gen.base != base:  # a new (z, side); -0.0 == 0.0 gives equal values
             base = gen.base
             point = _point_pass(base)
-        term = coeff * _chart(*point, gen.p, gen.q) - comp
+        try:
+            term = coeff * _chart(point, gen.p, gen.q) - comp
+        except OverflowError:  # int * complex converts the coefficient to a double
+            raise _coefficient_error(coeff) from None
         new_total = total + term
         comp = (new_total - total) - term
         total = new_total
@@ -174,6 +187,8 @@ def curly_product_relation(
     zp = as_cut_point(z)
     wp = as_cut_point(w)
     product = zp.z * wp.z
+    if not cmath.isfinite(product):
+        raise ValueError(f"the product zw is not finite for z = {zp.z!r}, w = {wp.z!r}")
     if product == 0:
         raise ValueError("product underflowed to zero")
     if abs(product - 1.0) <= 1e-12:
@@ -206,6 +221,8 @@ def cycle_relation(
     xp = as_cut_point(x)
     yp = as_cut_point(y)
     quotient = yp.z / xp.z
+    if not cmath.isfinite(quotient):
+        raise ValueError(f"the quotient y/x is not finite for x = {xp.z!r}, y = {yp.z!r}")
     if abs(quotient - 1.0) <= 1e-12 or quotient == 0:
         raise ValueError("x = y (or y/x degenerate) is excluded")
     delta = _product_shift(arg_cut(yp) - arg_cut(xp))

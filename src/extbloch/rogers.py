@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cover import FlattenedNumber
-from .dilog import PI, PI_SQ, TWO_PI_I, CutPoint, Side, _evaluate, _inverted, _li2_logs
+from .dilog import PI, PI_SQ, TWO_PI_I, CutPoint, Side, _point_pass
 
 FOUR_PI_SQ = 4.0 * PI_SQ
 TWO_PI_SQ = 2.0 * PI_SQ
@@ -99,32 +99,17 @@ def l_bar_at(z: complex, side: Side | str, p: int, q: int) -> complex:
     4 pi^2 p across the right cut.  Prefer :func:`rogers_l_bar` for
     canonical cover points.
     """
-    return _chart(*_point_pass(CutPoint(z, side)), p, q)
+    return _chart(_point_pass(CutPoint(z, side)), p, q)
 
 
 def rogers_l_bar(f: FlattenedNumber) -> complex:
     """Unreduced branch-corrected Rogers value of a canonical cover point."""
-    return _chart(*_point_pass(f.base), f.p, f.q)
+    return _chart(_point_pass(f.base), f.p, f.q)
 
 
-def _point_pass(point: CutPoint) -> tuple:
-    # (c, x, v, s): what L needs of the point, from one kernel pass; s = 0
-    # marks the direct form, with c, x, v = Li2 z, Log z, Log(1-z).
-    z = point.z
-    if max(abs(z.real), abs(z.imag)) > 2.0**32:
-        # Out here the direct sum loses digits: the (Log -z)^2 / 2 in Li2 z
-        # and in Log z Log(1-z) / 2 cancel.  Cancel them exactly: with
-        # u = Log(-z), Log z = u + i pi s (s = +-1 on the upper or lower side)
-        # and Log(1-z) = u + v, v = Log(1-1/z), L = -Li2(1/z) - pi^2/3
-        # + u (a + b) / 2 + a b / 2, a = i pi (s + 2p), b = v + 2 pi i q.
-        inverse, u, v = _evaluate(_inverted, point)
-        s = 1 if z.imag > 0 or point.side is Side.ABOVE else -1
-        return -inverse - PI_SQ / 3.0, u, v, s
-    return (*_evaluate(_li2_logs, point), 0)
-
-
-def _chart(c: complex, x: complex, v: complex, s: int, p: int, q: int) -> complex:
+def _chart(point: tuple, p: int, q: int) -> complex:
     # L on the chart (p, q) over a point, from that point's _point_pass
+    c, x, v, s, _, _ = point
     b = v + TWO_PI_I * q
     if s:
         a = complex(0.0, PI * (s + 2 * p))

@@ -5,9 +5,14 @@ lines.  Tolerances are pinned here and nowhere else.
 """
 
 import cmath
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 
+import mpmath as mp
 import pytest
 
 from extbloch.bloch import nu_hat, wedge_necessary_zero
@@ -192,3 +197,77 @@ def test_criterion_11_wedge_chain_shadow():
         ok = ok and bool(check)
         worst = max(worst, abs(check.pairing))
     report(11, "wedge chain-complex shadow", ok, f"max pairing {worst:.2e}")
+
+
+def _volume_records(rng: random.Random) -> tuple[list[str], list[tuple[int, int, int]]]:
+    """A seeded triangulation file, written from the definitions alone.
+
+    Relation elements, whose lifted sum vanishes mod 4 pi^2 (five-term
+    elements over the all-upper-half chart, index relations on interior and
+    cut points, mirror relations), then simplices at e^{i pi/3}, returned
+    as (sign, p, q) for the closed form.
+    """
+    def idx():
+        return rng.randint(-5, 5)
+
+    def record(sign, z, side, p, q):
+        if side == "b":  # (x - 0i; p, q) is (x + 0i; p - 1, q) on the left cut, (x + 0i; p, q - 1) on the right
+            p, q, side = (p - 1, q, "a") if z.real < 0 else (p, q - 1, "a")
+        return f"{sign:+d} {z.real!r} {z.imag!r} {side} {p} {q}"
+
+    def point():
+        if rng.random() < 0.3:
+            x = rng.uniform(-5.0, -0.1) if rng.random() < 0.5 else rng.uniform(1.1, 6.0)
+            return complex(x, 0.0), rng.choice("ab")
+        while True:
+            z = complex(rng.uniform(-3.0, 4.0), rng.uniform(-3.0, 3.0))
+            if abs(z.imag) >= 0.02 and abs(z) >= 0.05 and abs(z - 1) >= 0.05:
+                return z, "i"
+
+    lines = []
+    for _ in range(160):  # five-term elements: y above the axis, x inside the triangle 0, 1, y
+        y = complex(rng.uniform(-2.0, 3.0), rng.uniform(0.1, 3.0))
+        s, t = sorted((rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95)))
+        x = (t - s) + (1.0 - t) * y
+        coords = (x, y, y / x, (1 - 1 / x) / (1 - 1 / y), (1 - x) / (1 - y))
+        p0, p1, q0, q1, q2 = (idx() for _ in range(5))
+        charts = ((p0, q0), (p1, q1), (p1 - p0, q2), (p1 - p0 + q1 - q0, q2 - q1), (q1 - q0, q2 - q1 - p0))
+        lines += [record((-1) ** k, c, "i", *pq) for k, (c, pq) in enumerate(zip(coords, charts))]
+    for kind in ("Q", "P", "PQ") * 45:
+        z, side = point()
+        p, q, p2, q2 = idx(), idx(), idx(), idx()
+        charts = {"Q": ((p, q - 1), (p, q), (p, q2 - 1), (p, q2)),
+                  "P": ((p - 1, q), (p, q), (p2 - 1, q), (p2, q)),
+                  "PQ": ((p + 1, q - 1), (p, q), (p2 + 1, p + q - p2 - 1), (p2, p + q - p2))}[kind]
+        lines += [record(s, z, side, *pq) for s, pq in zip((1, -1, -1, 1), charts)]
+    for _ in range(120):  # [z; p, q] + [1 - z; -q, -p] - 2 [1/2; 0, 0]
+        z, side = point()
+        p, q = idx(), idx()
+        w, wside = (1.0 - z, "i") if side == "i" else (complex(1.0 - z.real, 0.0), "b" if side == "a" else "a")
+        lines += [record(1, z, side, p, q), record(1, w, wside, -q, -p)] + [record(-1, 0.5 + 0j, "i", 0, 0)] * 2
+    simplices = [(rng.choice((1, -1)), idx(), idx()) for _ in range(180)]
+    z = complex(0.5, math.sqrt(3.0) / 2.0)
+    lines += [record(sign, z, "i", p, q) for sign, p, q in simplices]
+    return lines, simplices
+
+
+def test_criterion_12_large_volume_file_through_the_cli(tmp_path):
+    lines, simplices = _volume_records(random.Random(20240512))
+    path = tmp_path / "large.tri"
+    path.write_text("name: large\n" + "\n".join(lines) + "\n")
+    out = subprocess.run([sys.executable, "-m", "extbloch", "ccs", str(path), "--format", "structured"],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}).stdout
+    rep = json.loads(out)
+    # L(e^{i pi/3}; 2p, 2q) = Li2 z + (i pi/3 + 2 pi i p)(-i pi/3 + 2 pi i q)/2 - pi^2/6,
+    # with Li2 z = pi^2/36 + i Cl2(pi/3) on the unit circle
+    with mp.workdps(40):
+        li2_z = mp.pi**2 / 36 + 1j * mp.clsin(2, mp.pi / 3)
+        total = sum(sign * (li2_z + (1j * mp.pi / 3 + 2j * mp.pi * p) * (-1j * mp.pi / 3 + 2j * mp.pi * q) / 2
+                            - mp.pi**2 / 6) for sign, p, q in simplices)
+        want = complex(total)
+    got = complex(rep["value_re"], rep["value_im"])
+    residual = CmodZ2(got - want).magnitude()
+    ok = rep["simplices"] == len(lines) and residual <= 1e-9
+    report(12, "large volume file through the CLI", ok,
+           f"{rep['simplices']} records, residual {residual:.2e} against the Clausen closed form")

@@ -145,14 +145,16 @@ def test_lattice_merge_preserves_pairing():
 @pytest.mark.parametrize("mode", ["double", "high"])
 def test_nu_hat_one_kernel_pass_per_term(monkeypatch, mode):
     # one pass per distinct base point: the charts over one point share it
-    s = FormalSum.of(
-        (2, flattened(0.3 + 0.4j, 1, -2)), (-1, canonicalize(-2 + 0j, Side.BELOW, 2, 1)),
-        (3, canonicalize(3 + 0j, Side.BELOW, -1, 0)), (1, flattened(-5 + 2j)),
-        (1, flattened(0.3 + 0.4j, 0, 3)), (-4, canonicalize(-2 + 0j, Side.ABOVE, 2, 1)),
-        (2, canonicalize(3 + 0j, Side.ABOVE, -1, 0)), (5, flattened(1e12 - 3e11j, 4, -1)),
-        (-1, flattened(1e12 - 3e11j, 0, 0)), (1, flattened(complex(-0.0, 2.0), 1, 0)),
-        (2, flattened(complex(0.0, 2.0), 0, 1)), (3, flattened(-5 + 2j, 0, 1)),
-    )
+    def build():
+        return FormalSum.of(
+            (2, flattened(0.3 + 0.4j, 1, -2)), (-1, canonicalize(-2 + 0j, Side.BELOW, 2, 1)),
+            (3, canonicalize(3 + 0j, Side.BELOW, -1, 0)), (1, flattened(-5 + 2j)),
+            (1, flattened(0.3 + 0.4j, 0, 3)), (-4, canonicalize(-2 + 0j, Side.ABOVE, 2, 1)),
+            (2, canonicalize(3 + 0j, Side.ABOVE, -1, 0)), (5, flattened(1e12 - 3e11j, 4, -1)),
+            (-1, flattened(1e12 - 3e11j, 0, 0)), (1, flattened(complex(-0.0, 2.0), 1, 0)),
+            (2, flattened(complex(0.0, 2.0), 0, 1)), (3, flattened(-5 + 2j, 0, 1)),
+        )
+
     calls = []
     evaluate = dilog._evaluate
 
@@ -160,10 +162,11 @@ def test_nu_hat_one_kernel_pass_per_term(monkeypatch, mode):
         calls.append(kernel)
         return evaluate(kernel, point)
 
+    s = build()
     with precision(mode):
-        want = WedgeExpr(tuple((c, log_param_l(g), log_param_m(g)) for c, g in s.terms))
+        # want on equal but distinct points: a point keeps its kernel pass
+        want = WedgeExpr(tuple((c, log_param_l(g), log_param_m(g)) for c, g in build().terms))
         monkeypatch.setattr(dilog, "_evaluate", counting)
-        monkeypatch.setattr(cover, "_evaluate", counting)
         assert nu_hat(s) == want
     assert (len(s.terms), len(calls)) == (12, 6)
 
@@ -370,3 +373,23 @@ def test_wedge_pairing_near_the_largest_double_is_finite():
     w = WedgeExpr(((1, 1e154 + 1e154j, 1e150 - 1e150j), (1, 1 + 1j, 1e307 + 0j)))
     assert w.pairing() == -2e304 - 1e307
     assert wedge_necessary_zero(w).certainty == "nonzero"
+
+
+def test_wedge_names_a_coefficient_beyond_a_double():
+    big = 10**400
+    s = FormalSum(((big, flattened(0.5 + 0.5j)), (1, flattened(-2 + 1j))))
+    message = f"^coefficient {big} is too large for double arithmetic$"
+    w = nu_hat(s)  # the wedge keeps exact integer coefficients
+    assert {abs(c) for c, _, _ in w.terms} == {1, big}
+    with pytest.raises(ValueError, match=message):
+        w.pairing()
+    with pytest.raises(ValueError, match=message):
+        bloch._merge_by_lattice(w.terms, 1e-9)
+    with pytest.raises(ValueError, match=message):
+        wedge_necessary_zero(w)
+    # a coefficient that fits a double only after the merge's lattice shift
+    near = 2**1020
+    a = complex(0.3, 0.4)
+    terms = ((1, a, 1 + 2j), (near, a + complex(0.0, 2.0 * math.pi) * 20, 3 + 1j))
+    with pytest.raises(ValueError, match=f"^coefficient {near} is too large for double arithmetic$"):
+        bloch._merge_by_lattice(terms, 1e-9)

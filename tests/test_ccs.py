@@ -200,7 +200,7 @@ def test_volume_report_evaluates_the_sum_once(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["double", "high"])
 def test_volume_report_one_kernel_pass_per_distinct_base(monkeypatch, mode):
-    from extbloch import cover, dilog, rogers
+    from extbloch import dilog
 
     calls = []
     evaluate = dilog._evaluate
@@ -209,8 +209,7 @@ def test_volume_report_one_kernel_pass_per_distinct_base(monkeypatch, mode):
         calls.append(point)
         return evaluate(kernel, point)
 
-    for module in (dilog, cover, rogers):
-        monkeypatch.setattr(module, "_evaluate", counting)
+    monkeypatch.setattr(dilog, "_evaluate", counting)
     z = 0.5 + 0.8660254037844386j
     t = FlattenedTriangulation((
         (flattened(z), 1), (flattened(z, 1, 0), 1), (flattened(z, 0, -2), -1),
@@ -220,3 +219,45 @@ def test_volume_report_one_kernel_pass_per_distinct_base(monkeypatch, mode):
     with precision(mode):
         volume_report(t)
     assert len(calls) == 3
+
+
+LOADED_FILE = """\
+name: shared
++1 0.5 0.8660254037844386 i 0 0
+-1 5e-1 0.8660254037844386 i 1 -2
++1 -3 0.0 a 1 1
+-1 -3.0 -0.0 a 0 2
++1 2e10 1e10 i 3 1
++1 20000000000.0 1e10 i 0 0
+-1 0.3 0.4 i 2 -1
++1 4 0.0 a -1 0
+# the last records repeat points of the first ones
++1 0.3 0.4 i 0 0
+-1 0.5 0.8660254037844386 i -1 1
+"""
+
+
+@pytest.mark.parametrize("mode", ["double", "high"])
+def test_loaded_file_one_kernel_pass_per_distinct_base(monkeypatch, mode):
+    # load, the volume report, nu_hat and the wedge check of the whole file
+    # and of a part of it share one pass per distinct (z, side)
+    from extbloch import dilog
+    from extbloch.bloch import nu_hat, wedge_necessary_zero
+    from extbloch.prebloch import FormalSum
+
+    calls = []
+    evaluate = dilog._evaluate
+
+    def counting(kernel, point):
+        calls.append(point)
+        return evaluate(kernel, point)
+
+    monkeypatch.setattr(dilog, "_evaluate", counting)
+    with precision(mode):
+        t = load(io.StringIO(LOADED_FILE))
+        report = volume_report(t)
+        part = FormalSum(tuple((sign, shape) for shape, sign in t.simplices[3:]))
+        for s in (t.as_formal_sum(), part):
+            wedge_necessary_zero(nu_hat(s))
+    assert len(calls) == len({(f.z, f.base.side) for f, _ in t.simplices}) == 5
+    assert report.simplex_count == 10

@@ -150,6 +150,15 @@ def test_eval_split_overflow_is_an_input_error(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_eval_coefficient_beyond_a_double_is_an_input_error(capsys, tmp_path):
+    big = 10**400  # 401 digits
+    path = tmp_path / "big.sum"
+    path.write_text(f"{big} 0.5 0.5 i 0 0\n")
+    code, out, err = run_cli(capsys, "eval", "--sum", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: coefficient {big} is too large for double arithmetic\n"
+
+
 def test_caller_precision_survives_main(capsys):
     with precision("high", 60):
         code, out, _ = run_cli(capsys, "eval", "kappa")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from extbloch import dilog, rogers
+from extbloch import dilog
 from extbloch.cover import canonicalize, flattened
 from extbloch.dilog import (
     CutPoint,
@@ -478,12 +478,13 @@ def test_rogers_l_bar_relative_accuracy_against_mpmath(rogers_cases, mode):
 @pytest.mark.parametrize("z", [0.3 + 0.4j, 0.9 + 0.1j, -5 + 2j, 40 - 17j, 1e300 + 1e300j])
 def test_one_kernel_pass_per_rogers_value(monkeypatch, z):
     calls = []
+    evaluate = dilog._evaluate
 
     def counting(kernel, point):
         calls.append(kernel)
-        return dilog._evaluate(kernel, point)
+        return evaluate(kernel, point)
 
-    monkeypatch.setattr(rogers, "_evaluate", counting)
+    monkeypatch.setattr(dilog, "_evaluate", counting)
     for mode in ("double", "high"):
         with precision(mode):
             rogers_l_bar(flattened(z, 1, -2))
@@ -519,3 +520,59 @@ def test_precision_mode_is_scoped_to_the_thread():
     assert seen["double"] == (values["double"], ("double", None))
     assert seen["high"] == (values["high"], ("high", 50))
     assert get_precision() == ("double", None)
+
+
+# ---------------------------------------------------------------------------
+# the kernel pass cached on the point
+# ---------------------------------------------------------------------------
+
+CACHE_POINTS = [(0.3 + 0.4j, Side.INTERIOR), (-5 + 2j, Side.INTERIOR), (3 + 0j, Side.ABOVE),
+                (-2 + 0j, Side.BELOW), (0.99 + 0.001j, Side.INTERIOR), (1e12 - 3e11j, Side.INTERIOR),
+                (-7e15 + 0j, Side.BELOW)]
+
+
+def test_point_pass_cache_is_keyed_by_precision():
+    # a point evaluated in one mode gives, in another, exactly a fresh point's value
+    shared = [CutPoint(z, side) for z, side in CACHE_POINTS]
+    for mode in ("double", "high", "double", ("high", 60), "high"):
+        mode, dps = mode if isinstance(mode, tuple) else (mode, 50)
+        with precision(mode, dps):
+            for p, (z, side) in zip(shared, CACHE_POINTS):
+                assert dilog._point_pass(p) == dilog._point_pass(CutPoint(z, side)), (mode, dps, z)
+    with precision("high"):
+        high = [dilog._point_pass(p) for p in shared]
+    assert high != [dilog._point_pass(p) for p in shared]  # the modes can be told apart
+
+
+def test_point_pass_cache_is_invisible_to_equality_hash_and_repr():
+    p, q = CutPoint(-5 + 2j), CutPoint(-5 + 2j)
+    dilog._point_pass(p)
+    assert (p == q, hash(p) == hash(q), repr(p) == repr(q)) == (True, True, True)
+
+
+def test_point_pass_cache_shared_between_threads_of_two_modes():
+    # one point object, held at once by a double and a high precision thread
+    shared = [flattened(z, 1, -1) if side is Side.INTERIOR else canonicalize(z, side, 1, -1)
+              for z, side in CACHE_POINTS]
+    values = {}
+    for mode in ("double", "high"):
+        with precision(mode):
+            values[mode] = [rogers_l_bar(canonicalize(f.z, f.base.side, f.p, f.q)) for f in shared]
+    barrier = threading.Barrier(2, timeout=60)
+    seen = {}
+
+    def worker(mode):
+        with precision(mode):
+            got = []
+            for f in shared:
+                barrier.wait()  # each point is evaluated by both threads in turn
+                got.append(rogers_l_bar(f))
+            seen[mode] = got
+
+    threads = [threading.Thread(target=worker, args=(m,)) for m in ("double", "high")]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == values

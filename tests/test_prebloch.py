@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from extbloch import cover, dilog, prebloch, rogers
+from extbloch import dilog, prebloch
 from extbloch.cover import (
     canonicalize,
     flattened,
@@ -369,8 +369,7 @@ def test_eval_lhat_one_kernel_pass_per_distinct_base(monkeypatch, mode):
         calls.append(point)
         return evaluate(kernel, point)
 
-    for module in (dilog, cover, rogers):
-        monkeypatch.setattr(module, "_evaluate", counting)
+    monkeypatch.setattr(dilog, "_evaluate", counting)
     rng = random.Random(29)
     terms = bases = 0
     with precision(mode):
@@ -853,3 +852,29 @@ def test_symmetry_rejects_lower_half():
         symmetry_relation(0.5 - 0.5j, 0, 0, 1)
     with pytest.raises(ValueError):
         symmetry_relation(0.5 + 0.5j, 0, 0, 6)
+
+
+# ---------------------------------------------------------------------------
+# inputs beyond the range of a double
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("coeff", [10**400, -(10**400), 2**1024, 10**5000],
+                         ids=["1e400", "-1e400", "2^1024", "1e5000"])
+def test_eval_lhat_names_a_coefficient_beyond_a_double(coeff):
+    s = FormalSum(((coeff, flattened(0.5 + 0.5j)), (1, flattened(-2 + 1j))))
+    with pytest.raises(ValueError, match="^coefficient .* is too large for double arithmetic$") as err:
+        eval_lhat(s)
+    want = f"of {coeff.bit_length()} bits" if coeff == 10**5000 else str(coeff)
+    assert str(err.value) == f"coefficient {want} is too large for double arithmetic"
+
+
+def test_cycle_relation_names_its_inputs_when_the_quotient_overflows():
+    with pytest.raises(ValueError) as err:
+        cycle_relation(1e-308j, 1e308j)
+    assert str(err.value) == "the quotient y/x is not finite for x = 1e-308j, y = 1e+308j"
+
+
+def test_curly_product_relation_names_its_inputs_when_the_product_overflows():
+    with pytest.raises(ValueError) as err:
+        curly_product_relation(1e200 + 1j, 0, 1e200 + 1j, 0)
+    assert str(err.value) == "the product zw is not finite for z = (1e+200+1j), w = (1e+200+1j)"

@@ -59,3 +59,23 @@ def test_largest_bound_derives_indices_within_2_53():
     # index-pq on the below side of the right cut: q2 - 1, shifted once more
     elem = index_relations(CutPoint(3 + 0j, Side.BELOW), -b, -b, b, -3 * b, "PQ")
     assert max(abs(f.q) for _, f in elem) == 3 * b + 2 <= 2**53
+
+
+@pytest.mark.parametrize("relation,passes", [("five-term", 5), ("kappa", 1)])
+def test_sweep_sample_kernel_passes(monkeypatch, relation, passes):
+    # the membership check and the evaluation of a five-term sample share
+    # one pass per entry; kappa's two evaluations share one pass
+    from extbloch import dilog
+
+    calls = []
+    evaluate = dilog._evaluate
+
+    def counting(kernel, point):
+        calls.append(point)
+        return evaluate(kernel, point)
+
+    monkeypatch.setattr(dilog, "_evaluate", counting)
+    for seed in range(5):
+        calls.clear()
+        assert run_sweep(SweepConfig(relation, samples=1, seed=seed)).passed
+        assert len(calls) == passes

@@ -169,3 +169,60 @@ def test_checked_triangulation_keeps_its_checks():
         FlattenedTriangulation(((f, 2),))
     with pytest.raises(TypeError, match="shapes must be FlattenedNumber values"):
         FlattenedTriangulation(((0.5, 1),))
+
+
+# ---------------------------------------------------------------------------
+# the field parser behind parse_flattened and ccs.load
+# ---------------------------------------------------------------------------
+
+PARSED_FIELDS = [
+    # -0.0 imaginary parts on both cuts, and above-side cut points
+    ("-2.5 -0.0 a 1 2", (-2.5, 0.0, "a", 1, 2)),
+    ("3.5 -0.0 a -1 0", (3.5, 0.0, "a", -1, 0)),
+    ("-1e-300 0.0 a 0 0", (-1e-300, 0.0, "a", 0, 0)),
+    ("1.0000000000000002 0.0 a 4 -4", (1.0000000000000002, 0.0, "a", 4, -4)),
+    # exponent notation and signs
+    ("5E-1 +8.660254037844386e-01 i 0 0", (0.5, 0.8660254037844386, "i", 0, 0)),
+    ("-3e+2 -4.0E0 i +3 -07", (-300.0, -4.0, "i", 3, -7)),
+    ("0.5 -0.0e5 i 0 0", (0.5, 0.0, "i", 0, 0)),  # a real interior point, between the cuts
+    # branch indices at +-2**53
+    (f"0.3 0.4 i {2**53} {-(2**53)}", (0.3, 0.4, "i", 2**53, -(2**53))),
+    (f"-7 0 a {-(2**53)} {2**53}", (-7.0, 0.0, "a", -(2**53), 2**53)),
+    # magnitudes near 1e+-300
+    ("1e300 -1e299 i 0 3", (1e300, -1e299, "i", 0, 3)),
+    ("1e-300 1e-300 i -4 4", (1e-300, 1e-300, "i", -4, 4)),
+    ("-1.7976931348623157e308 0 a 2 2", (-1.7976931348623157e308, 0.0, "a", 2, 2)),
+    ("5e-324 -2.2e-308 i 1 1", (5e-324, -2.2e-308, "i", 1, 1)),
+    ("1e300 0.0 a 0 0", (1e300, 0.0, "a", 0, 0)),
+]
+
+
+@pytest.mark.parametrize("fields,want", PARSED_FIELDS)
+def test_parsed_records_match_checked_constructors(fields, want):
+    checked = number(*want)
+    assert_same(parse_flattened(fields), checked)
+    loaded = ccs.load(io.StringIO(f"-1 {fields}\n+1 {fields}\n"))
+    assert_same(loaded, FlattenedTriangulation(((checked, -1), (checked, 1))))
+    assert "-0j" not in repr(loaded)
+
+
+@pytest.mark.parametrize("fields", [
+    "0.5 nan i 0 0", "inf 0.5 i 0 0", "1 0 i 0 0", "0 -0.0 i 0 0", "2.0 0.0 i 0 0", "-3 -0.0 i 0 0",
+    "0.5 0.5 a 0 0", "0.5 0.0 a 0 0", "1e309 1 i 0 0",
+])
+def test_parsed_points_give_the_checked_constructors_message(fields):
+    re_s, im_s, side, _, _ = fields.split()
+    with pytest.raises(ValueError) as checked:
+        CutPoint(complex(float(re_s), float(im_s)), side)
+    with pytest.raises(ValueError) as parsed:
+        parse_flattened(fields)
+    assert str(parsed.value) == str(checked.value)
+
+
+def test_loaded_records_share_equal_points():
+    # one CutPoint per distinct (z, side), however the file spells it
+    text = "+1 0.5 0.5 i 0 0\n-1 5e-1 0.50 i 1 0\n+1 -2 0.0 a 0 1\n+1 -2.0 -0.0 a 1 1\n+1 0.5 0.5 i 0 0\n"
+    shapes = [f for f, _ in ccs.load(io.StringIO(text)).simplices]
+    assert [f.base for f in shapes] == [CutPoint(0.5 + 0.5j)] * 2 + [CutPoint(-2 + 0j, "a")] * 2 + [CutPoint(0.5 + 0.5j)]
+    assert len({id(f.base) for f in shapes}) == 2
+    assert shapes[0] is not shapes[4]  # each record keeps its own cover point
