@@ -34,9 +34,9 @@ picks the primitives and the working-precision context; results are
 machine complex either way, and mpmath is imported on the first
 high-precision pass only.  One kernel pass gives Li2 z with Log z and
 Log(1-z); a point keeps its pass (``_point_pass``), one per precision mode,
-for the Rogers values and branch logarithms read from it.  Against mpmath, Li2 is within 2e-15 relative error in double
-and 1e-15 in high precision for |z| from 1e-300 to 1e300, on both sides of
-both cuts.
+for the Rogers values and branch logarithms read from it.  Against mpmath,
+Li2 is within 2e-15 relative error in double and 1e-15 in high precision
+for |z| from 1e-300 to 1e300, on both sides of both cuts.
 """
 
 from __future__ import annotations

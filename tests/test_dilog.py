@@ -551,28 +551,31 @@ def test_point_pass_cache_is_invisible_to_equality_hash_and_repr():
 
 
 def test_point_pass_cache_shared_between_threads_of_two_modes():
-    # one point object, held at once by a double and a high precision thread
-    shared = [flattened(z, 1, -1) if side is Side.INTERIOR else canonicalize(z, side, 1, -1)
-              for z, side in CACHE_POINTS]
+    # the same point objects, evaluated at once by threads of both modes
+    # (more threads than cores, short switch interval): a thread never
+    # reads the other mode's pass
+    shared = [canonicalize(z, side, 1, -1) for z, side in CACHE_POINTS]
     values = {}
     for mode in ("double", "high"):
         with precision(mode):
             values[mode] = [rogers_l_bar(canonicalize(f.z, f.base.side, f.p, f.q)) for f in shared]
-    barrier = threading.Barrier(2, timeout=60)
-    seen = {}
+    seen = []
 
     def worker(mode):
         with precision(mode):
-            got = []
-            for f in shared:
-                barrier.wait()  # each point is evaluated by both threads in turn
-                got.append(rogers_l_bar(f))
-            seen[mode] = got
+            for _ in range(20):
+                seen.append((mode, [rogers_l_bar(f) for f in shared]))
 
-    threads = [threading.Thread(target=worker, args=(m,)) for m in ("double", "high")]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=120)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(m,)) for m in ("double", "high") * 3]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert seen == values
+    assert len(seen) == 120
+    assert all(got == values[mode] for mode, got in seen)

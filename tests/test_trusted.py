@@ -223,6 +223,7 @@ def test_loaded_records_share_equal_points():
     # one CutPoint per distinct (z, side), however the file spells it
     text = "+1 0.5 0.5 i 0 0\n-1 5e-1 0.50 i 1 0\n+1 -2 0.0 a 0 1\n+1 -2.0 -0.0 a 1 1\n+1 0.5 0.5 i 0 0\n"
     shapes = [f for f, _ in ccs.load(io.StringIO(text)).simplices]
-    assert [f.base for f in shapes] == [CutPoint(0.5 + 0.5j)] * 2 + [CutPoint(-2 + 0j, "a")] * 2 + [CutPoint(0.5 + 0.5j)]
+    half, two = CutPoint(0.5 + 0.5j), CutPoint(-2 + 0j, "a")
+    assert [f.base for f in shapes] == [half, half, two, two, half]
     assert len({id(f.base) for f in shapes}) == 2
     assert shapes[0] is not shapes[4]  # each record keeps its own cover point
