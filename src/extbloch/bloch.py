@@ -116,17 +116,24 @@ def _merge_by_lattice(terms, tol: float):
     # a sloppy residual budget is no license to misread lattice shifts.
     detect = min(tol, 1e-8)
     # Representatives are hashed by grid cell of (Re a, Im a mod 2 pi).
-    # Cells are 2^-shift wide: a power of two, so each index is an exact
-    # floor, at least 4 (2 pi detect) and at least 2^-32, far above the
-    # 1e-12 rounding of the predicate.  Any representative the predicate
-    # accepts is then within one cell of a in Re and, cyclically, in Im
-    # (the last Im row takes the remainder of the period), so only the
-    # 3 x 3 cells around a's own are searched; the lowest-index match wins,
-    # as in a scan over all representatives.
-    span = 4.0 * _TAU.imag * detect
-    shift = min(32, math.floor(-math.log2(span))) if span > 0 else 32
+    # The predicate accepts a representative only within 2 pi detect of a
+    # (cyclically in Im), give or take its rounding, below 1e-13 for
+    # |k| <= 64.  So where a lies farther than reach = 4 pi detect + 2^-40
+    # from its cell's edges, only its own cell can hold a match; elsewhere
+    # the 3 x 3 cells around it are searched, and always beyond 2^53 and in
+    # the last Im row, which takes the remainder of the period.  Cells are
+    # 2^-shift wide, a power of two (so each index is an exact floor), at
+    # least 64 pi detect and 2^-29, so the 3 x 3 search is the rare case.
+    # The lowest-index match wins, as in a scan over all representatives.
+    period = _TAU.imag
+    span = 32.0 * period * detect
+    shift = min(29, math.floor(-math.log2(span))) if span > 0 else 29
     scale = 2.0**shift
-    rows = math.floor(_TAU.imag * scale)  # detect <= 1e-8: over 2^21 Im rows
+    reach = (2.0 * period * detect + 2.0**-40) * scale  # in cell widths
+    far = 1.0 - reach
+    rows = math.floor(period * scale)  # detect <= 1e-8: over 2^20 Im rows
+    last = rows - 1
+    floor = math.floor
     cells: dict[int, list[int]] = {}
     reps: list[complex] = []
     bucket: list[complex] = []
@@ -134,15 +141,26 @@ def _merge_by_lattice(terms, tol: float):
     for c, a, b in terms:
         if not (cmath.isfinite(a) and cmath.isfinite(b)):
             raise ValueError(f"wedge pair ({a!r}, {b!r}) is not finite")
-        # beyond 2^53 every double is an integer (and x * scale may overflow)
+        y = a.imag % period * scale
+        row = floor(y)
         x = a.real
-        col = int(x) << shift if abs(x) >= 2.0**53 else math.floor(x * scale)
-        row = min(math.floor(a.imag % _TAU.imag * scale), rows - 1)
+        if abs(x) < 2.0**53:
+            x *= scale
+            col = floor(x)
+            inside = reach < x - col < far and reach < y - row < far and row < last
+        else:  # every double is an integer (and x * scale may overflow)
+            col, inside = int(x) << shift, False
+        if inside:
+            key = col * rows + row
+            probe = (key,)
+        else:  # lo and hi: the Im neighbours, wrapped
+            row = min(row, last)
+            key = col * rows + row
+            lo = key - 1 if row else key + rows - 1
+            hi = key + 1 if row + 1 < rows else key + 1 - rows
+            probe = (lo - rows, key - rows, hi - rows, lo, key, hi, lo + rows, key + rows, hi + rows)
         best, k_best = len(reps), 0
-        key = col * rows + row  # lo and hi: the Im neighbours, wrapped
-        lo = key - 1 if row else key + rows - 1
-        hi = key + 1 if row + 1 < rows else key + 1 - rows
-        for cell in (lo - rows, key - rows, hi - rows, lo, key, hi, lo + rows, key + rows, hi + rows):
+        for cell in probe:
             for idx in cells.get(cell, ()):  # ascending indices
                 if idx >= best:
                     break

@@ -21,22 +21,25 @@ over two per-mode primitives.
   exactly than 1 + d (d = -z for Log(1-z)).  The argument is ``atan2`` of
   the parts (negative zero read as +0, the side deciding +-pi on the
   negative axis).  In double the modulus comes from ``log1p`` near 1; in
-  high precision the logarithm works on mpmath's raw number tuples, forms
-  1 + d exactly and takes the modulus from ``mpf_log_hypot``, which redoes
-  |v|^2 exactly where it cancels against 1.  Either way Log(1-z) keeps its
-  digits for tiny z.
+  high precision the logarithm forms 1 + d exactly and takes the modulus
+  from ``mpf_log_hypot``, which redoes |v|^2 exactly where it cancels
+  against 1.  Either way Log(1-z) keeps its digits for tiny z.
 * The series: a float Horner loop over a literal table in double; in high
-  precision Horner on fixed-point integers over exact Bernoulli numbers,
-  built per ``dps``, with the surrounding products on raw tuples.
+  precision Li2 = w (1 - w/4 + w^2 P(w^2)) with the bracket, which is near
+  1, in fixed point over exact Bernoulli numbers, built per ``dps``, its
+  length following |w|, and one rounded product by w.
 
+In high precision the whole pass runs on a number type of the mode's own:
+one raw mpc tuple of ``mpmath.libmp``, each operation rounded to nearest at
+the mode's precision, so no pass reads or sets mpmath's global context.
 The precision mode, a context variable (so per thread or asyncio task),
-picks the primitives and the working-precision context; results are
-machine complex either way, and mpmath is imported on the first
-high-precision pass only.  One kernel pass gives Li2 z with Log z and
-Log(1-z); a point keeps its pass (``_point_pass``), one per precision mode,
-for the Rogers values and branch logarithms read from it.  Against mpmath,
-Li2 is within 2e-15 relative error in double and 1e-15 in high precision
-for |z| from 1e-300 to 1e300, on both sides of both cuts.
+picks the primitives; results are machine complex either way, and mpmath
+is imported on the first high-precision pass only.  One kernel pass gives
+Li2 z with Log z and Log(1-z); a point keeps its pass (``_point_pass``),
+one per precision mode, for the Rogers values and branch logarithms read
+from it.  Against mpmath, Li2 is within 2e-15 relative error in double and
+1e-15 in high precision for |z| from 1e-300 to 1e300, on both sides of
+both cuts.
 """
 
 from __future__ import annotations
@@ -211,51 +214,93 @@ _DPS: ContextVar[int | None] = ContextVar("extbloch_dps", default=None)  # None:
 def _high_arith(dps: int) -> _Arith:
     arith = _HIGH.get(dps)
     if arith is None:
-        import mpmath as mp
-        from mpmath.libmp import (bernfrac, dps_to_prec, fone, from_float, from_man_exp, mpc_add, mpc_mul,
-                                  mpc_shift, mpc_sub, mpf_add, mpf_atan2, mpf_log_hypot, mpf_neg, mpf_pi, to_fixed)
+        from mpmath.libmp import (bernfrac, dps_to_prec, fone, from_float, from_int, from_man_exp, fzero,
+                                  mpc_add, mpc_div, mpc_mul, mpc_mul_mpf, mpc_neg, mpc_sub, mpc_to_complex, mpf_add,
+                                  mpf_atan2, mpf_div, mpf_log_hypot, mpf_mul, mpf_neg, mpf_pi, to_fixed)
 
-        # Horner runs on integers scaled by 2^bits, 20 guard bits over the
-        # working precision.  Only the accumulator is fixed point: it stays
-        # near 1/36 on |w| <= pi/3, so its absolute error is also relative;
-        # w and w^2 would lose digits as |w| -> 0.  The k-th term is about
-        # 36^-k of the sum, so 2 dps / 3 terms suffice.
         prec = dps_to_prec(dps)
+
+        class Num:
+            # The mode's number: one raw mpc tuple, each operation rounded
+            # to prec bits, to nearest, as mpmath's mpc would round it.
+            __slots__ = ("v",)
+
+            def __init__(self, v):
+                self.v = v
+
+            def __add__(self, other):
+                return Num(mpc_add(self.v, other.v, prec, "n"))
+
+            def __sub__(self, other):
+                return Num(mpc_sub(self.v, other.v, prec, "n"))
+
+            def __mul__(self, other):
+                return Num(mpc_mul(self.v, other.v, prec, "n"))
+
+            def __rmul__(self, x: float):
+                return Num(mpc_mul_mpf(self.v, from_float(x), prec, "n"))
+
+            def __rtruediv__(self, x: float):
+                return Num(mpc_div((from_float(x), fzero), self.v, prec, "n"))
+
+            def __neg__(self):
+                return Num(mpc_neg(self.v, prec, "n"))
+
+            def __complex__(self):
+                return mpc_to_complex(self.v, False, "n")
+
+        # The series bracket 1 - w/4 + sum_k c_k w^2k runs on integers
+        # scaled by 2^bits, 20 guard bits over the working precision.
+        # c_k = B_2k / (2k+1)! is about 2 (2 pi)^-2k / (2k+1), so at |w|
+        # the terms past k = bits ln 2 / (2 ln(2 pi / |w|)) are below
+        # 2^-bits; the table holds the 2 dps / 3 + 1 that |w| = pi/3 needs.
         bits = prec + 20
+        one = 1 << bits
         fracs = [(bernfrac(2 * k), math.factorial(2 * k + 1)) for k in range(2 * dps // 3 + 1, 0, -1)]
         coeffs = [(num << bits) // (den * fact) for (num, den), fact in fracs]
-        make_mpc = mp.make_mpc
+        cap = len(coeffs)
+        bits_ln2 = bits * math.log(2)
+        ln_scaled_4pi2 = math.log(4 * PI_SQ) + 2 * bits_ln2  # ln 4 pi^2 + ln 2^(2 bits)
         minus_pi = mpf_neg(mpf_pi(prec))
 
         def point(z):
-            return make_mpc((from_float(z.real), from_float(z.imag)))
+            return Num((from_float(z.real), from_float(z.imag)))
 
         def log(x, side, one_plus=False):
             # The same Log on mpmath's raw (sign, man, exp, bc) tuples, where
             # a negative value has sign 1 and there is no -0.  1 + d is
             # exact (1 - z itself would round at prec bits), and
             # mpf_log_hypot redoes |v|^2 exactly where it cancels against 1.
-            re, im = x._mpc_
+            re, im = x.v
             if one_plus:
                 re = mpf_add(fone, re, 0)
             arg = minus_pi if side is _BELOW and re[0] else mpf_atan2(im, re, prec, "n")
-            return make_mpc((mpf_log_hypot(re, im, prec, "n"), arg))
+            return Num((mpf_log_hypot(re, im, prec, "n"), arg))
 
         def series(w):
-            # The double formula, each step rounded to prec bits as mpc
-            # arithmetic would round it.
-            w = w._mpc_
-            w2 = mpc_mul(w, w, prec, "n")
-            xr, xi = to_fixed(w2[0], bits), to_fixed(w2[1], bits)
-            ar = ai = 0
-            for c in coeffs:
-                ar, ai = ((ar * xr - ai * xi) >> bits) + c, (ar * xi + ai * xr) >> bits
-            acc = (from_man_exp(ar, -bits, prec, "n"), from_man_exp(ai, -bits, prec, "n"))
-            tail = mpc_mul(mpc_mul(w, w2, prec, "n"), acc, prec, "n")
-            return make_mpc(mpc_add(mpc_sub(w, mpc_shift(w2, -2), prec, "n"), tail, prec, "n"))
+            # Li2 = w (1 - w/4 + x P(x)), x = w^2, P(x) = sum c_k x^(k-1).
+            # On |w| <= pi/3 the bracket is near 1 (at least 0.7), so its
+            # absolute error of a few 2^-bits is also relative, and one
+            # rounded product by w follows.  P's coefficients a_j = c_(j+1)
+            # are real, so it takes two real products a step: b_j = a_j
+            # + 2 Re(x) b_(j+1) - |x|^2 b_(j+2), P = b_0 - conj(x) b_1, and
+            # x P = x b_0 - |x|^2 b_1.
+            w = w.v
+            wr, wi = to_fixed(w[0], bits), to_fixed(w[1], bits)
+            r2 = wr * wr + wi * wi  # |w|^2 2^(2 bits)
+            n = min(cap, math.ceil(bits_ln2 / (ln_scaled_4pi2 - math.log(r2 or 1))) + 1)
+            xr, xi = (wr * wr - wi * wi) >> bits, (wr * wi) >> (bits - 1)
+            s, t = xr << 1, (r2 >> bits) ** 2 >> bits
+            b0 = b1 = 0
+            for c in coeffs[-n:]:
+                b0, b1 = c + ((s * b0 - t * b1) >> bits), b0
+            re = one - (wr >> 2) + ((xr * b0 - t * b1) >> bits)
+            im = ((xi * b0) >> bits) - (wi >> 2)
+            return Num(mpc_mul(w, (from_man_exp(re, -bits), from_man_exp(im, -bits)), prec, "n"))
 
-        with mp.workdps(dps + 10):
-            zeta2 = mp.pi**2 / 6
+        wide = dps_to_prec(dps + 10)
+        pi = mpf_pi(wide, "n")
+        zeta2 = Num((mpf_div(mpf_mul(pi, pi, wide, "n"), from_int(6), wide, "n"), fzero))
         arith = _HIGH[dps] = _Arith(point, log, series, zeta2)
     return arith
 
@@ -266,12 +311,9 @@ def _evaluate(kernel, p: CutPoint):
     dps = _DPS.get()
     if dps is None:
         return kernel(_DOUBLE, p.z, p.side)
-    import mpmath as mp
-
     arith = _high_arith(dps)
-    with mp.workdps(dps):
-        out = kernel(arith, arith.point(p.z), p.side)
-        return tuple(map(complex, out)) if isinstance(out, tuple) else complex(out)
+    out = kernel(arith, arith.point(p.z), p.side)
+    return tuple(map(complex, out)) if isinstance(out, tuple) else complex(out)
 
 
 def set_precision(mode: str = "double", dps: int = 50) -> None:

@@ -352,6 +352,7 @@ def root4(z: complex) -> complex:
 
 
 _I_POWER = (1 + 0j, 1j, -1 + 0j, -1j)
+_CHI_E12 = chi_hat(cmath.exp(1j * PI / 12.0))  # symmetry 5's correction, built once (it keeps its pass)
 
 
 def symmetry_relation(z: complex, p: int, q: int, which: int) -> FormalSum:
@@ -378,7 +379,7 @@ def symmetry_relation(z: complex, p: int, q: int, which: int) -> FormalSum:
         corr = chi_hat(cmath.exp(-1j * PI * (2 + 6 * q) / 12.0) * root4(z - 1.0))
     elif which == 5:
         main = flattened(1.0 - z, -q, -p)
-        corr = chi_hat(cmath.exp(1j * PI / 12.0))
+        corr = _CHI_E12
     else:
         raise ValueError("which must be 1..5")
     sign = 1 if which % 2 else -1  # odd: main + [z] - corr; even: main - [z] + corr

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -313,6 +314,28 @@ def test_hashed_merge_matches_reference_at_detect(tol, monkeypatch):
                         assert merged_far == [(base, 1 + 1j), (far, 4 - 2j)]
                     cases += 1
     assert cases == 48
+
+
+@pytest.mark.parametrize("tol", MERGE_TOLS)
+def test_hashed_merge_matches_reference_at_cell_edges(tol, monkeypatch):
+    # a-values on either side of a cell edge in Re and in Im (3 * 2^-18 is
+    # an edge for every cell width), inside and past the reach within which
+    # the neighbouring cells are searched, each with partners just inside
+    # the detection radius in eight directions, across lattice shifts
+    detect = min(tol, 1e-8)
+    radius = 2 * PI * detect
+    edge = 3 * 2.0**-18
+    fractions = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 4.0)
+    offsets = [s * (f * radius + e) for s in (1, -1) for f in fractions for e in (0.0, 1e-16, 1e-13, 2.0**-40)]
+    for axis in ("re", "im"):
+        for off in offsets:
+            base = complex(edge + off, 0.7) if axis == "re" else complex(-0.4, edge + off)
+            terms = [(1, base, 1 + 1j)]
+            for n in range(8):
+                terms.append((2, base + cmath.rect(radius * (1 - 1e-6), n * PI / 4) + (n - 3) * TAU, complex(1, n)))
+            merged = assert_merge_matches_reference(tuple(terms), tol, monkeypatch)
+            if tol > 0:
+                assert [r for r, _ in merged] == [base, TAU]
 
 
 @pytest.mark.parametrize("tol", MERGE_TOLS)

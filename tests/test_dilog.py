@@ -277,16 +277,83 @@ def _series_points():
     return points + [0.5, -0.75, 0.5j, -1e-20j]
 
 
+def _mpc(num):
+    # the kernel's number read through its raw tuple
+    return mp.make_mpc(num.v)
+
+
 def test_series_matches_mpc_horner():
     dps = 50
     arith = dilog._high_arith(dps)
     with mp.workdps(dps):
         bound = mp.ldexp(1, -(mp.mp.prec - 4))
         for z in _series_points():
-            w = mp.mpc(z)
-            got, want = arith.series(w), reference_series(dps, w)
+            got, want = _mpc(arith.series(arith.point(z))), reference_series(dps, mp.mpc(z))
             assert complex(got) == complex(want), z
             assert abs(got - want) <= bound * abs(want), z
+
+
+@pytest.mark.parametrize("dps", [80, 150])
+def test_series_at_both_ends_of_its_length(dps):
+    # the series runs more terms as |w| grows: all of them at |w| = pi/3
+    # and just inside it, the fewest at |w| = 1e-300
+    arith = dilog._high_arith(dps)
+    with mp.workdps(dps):
+        bound = mp.ldexp(1, -(mp.mp.prec - 4))
+        for r in (PI / 3, PI / 3 * (1 - 1e-12), 1e-300):
+            for theta in (0.0, 0.3, PI / 2, 1.9, PI, -0.8, -2.6):
+                z = cmath.rect(r, theta)
+                got, want = _mpc(arith.series(arith.point(z))), reference_series(dps, mp.mpc(z))
+                assert complex(got) == complex(want), z
+                assert abs(got - want) <= bound * abs(want), z
+
+
+def test_high_pass_leaves_mpmath_context_alone(monkeypatch):
+    # a high-precision pass works at its own precision: mpmath's process-wide
+    # context keeps the caller's 15 digits throughout
+    arith = dilog._high_arith(50)
+    seen = []
+
+    def recording(x, side, one_plus=False):
+        seen.append(mp.mp.dps)
+        return arith.log(x, side, one_plus)
+
+    monkeypatch.setitem(dilog._HIGH, 50, arith._replace(log=recording))
+    with mp.workdps(15), precision("high", 50):
+        dilog._evaluate(dilog._li2_logs, CutPoint(-5 + 2j))  # the inversion branch: three logarithms
+    assert seen == [15, 15, 15]
+
+
+def test_two_precisions_in_two_threads_agree_with_one_thread():
+    # threads at 50 and 150 digits share no precision setting: each value
+    # equals its single-threaded value, and mpmath's context is untouched
+    rng = random.Random(14)
+    points = [cmath.rect(10.0 ** rng.uniform(-3, 3), rng.uniform(-PI, PI)) for _ in range(300)]
+
+    def run(dps):
+        with precision("high", dps):
+            return [dilog._evaluate(dilog._li2_logs, CutPoint(z)) for z in points]
+
+    want = {dps: run(dps) for dps in (50, 150)}
+    before = mp.mp.dps
+    got = {dps: [] for dps in want}
+    barrier = threading.Barrier(len(want))
+
+    def worker(dps):
+        barrier.wait()
+        for _ in range(4):
+            got[dps].append(run(dps))
+
+    threads = [threading.Thread(target=worker, args=(dps,)) for dps in want]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for dps, rounds in got.items():
+        assert len(rounds) == 4
+        for values in rounds:
+            assert [(z, v) for z, v, w in zip(points, values, want[dps]) if v != w] == []
+    assert mp.mp.dps == before
 
 
 def _kernel_points():
@@ -307,8 +374,7 @@ def test_kernel_accuracy_at_working_precision(dps):
     # not only after rounding to a double
     arith = dilog._high_arith(dps)
     for p in _kernel_points():
-        with mp.workdps(dps):
-            li, _, _ = dilog._li2_logs(arith, mp.mpc(p.z), p.side)
+        li = _mpc(dilog._li2_logs(arith, arith.point(p.z), p.side)[0])
         with mp.workdps(dps + 20):
             want = _li2_mp(p.z, p.side.value)
             assert abs(li - want) <= mp.mpf(10) ** -(dps - 5) * abs(want), (p, li, want)
@@ -358,8 +424,7 @@ def test_high_log_and_li2_at_working_precision():
     dps = 50
     arith = dilog._high_arith(dps)
     for p in _log_points():
-        with mp.workdps(dps):
-            got = dilog._li2_logs(arith, mp.mpc(p.z), p.side)
+        got = [_mpc(v) for v in dilog._li2_logs(arith, arith.point(p.z), p.side)]
         with mp.workdps(70):
             want = (_li2_mp(p.z, p.side.value), *_log_reference(p.z, p.side))
             for name, g, w in zip(("li2", "log z", "log 1-z"), got, want):
@@ -380,6 +445,38 @@ def test_inversion_identity_log_one_minus_accuracy(mode, bound):
             want = _log_reference(p.z, p.side)[1]
             errors.append((float(abs(g - want) / abs(want)), p))
     assert [(err, p) for err, p in errors if not err <= bound] == []
+
+
+def _inversion_points():
+    # seeded points of the inversion region |z| > 1, |1-z| > 1 with |z| from
+    # 0.3 to 1e12, and points on both sides of both cuts out to 1e300
+    rng = random.Random(4586)
+    points = [CutPoint(complex(-0.9717247236133145, -0.5415135685803505))]  # the worst seen
+    while len(points) < 2000:
+        z = cmath.rect(10.0 ** rng.uniform(math.log10(0.3), 12), rng.uniform(-PI, PI))
+        if abs(z) > 1 and abs(1 - z) > 1:
+            points.append(CutPoint(z))
+    for _ in range(150):
+        r = 10.0 ** rng.uniform(0, 300)
+        for x in (-r, 1 + r):
+            if abs(x) > 1 and abs(1 - x) > 1:
+                points += [CutPoint(complex(x, 0.0), side) for side in (Side.ABOVE, Side.BELOW)]
+    return points
+
+
+def test_inversion_identity_log_one_minus_accuracy_seeded():
+    # the double Log(1-z) a point's pass keeps in the inversion region, from
+    # Log(-z) + Log(1-1/z) (beyond 2^32 by the far-out kernel), against
+    # mpmath; the reference forms 1 - z exactly, so 40 digits give the same
+    # errors as 700 on these points.  Worst seen 3.7e-16, at the first point.
+    points = _inversion_points()
+    got = [dilog._point_pass(p)[5] for p in points]
+    errors = []
+    with mp.workdps(40):
+        for g, p in zip(got, points):
+            want = _log_reference(p.z, p.side)[1]
+            errors.append((float(abs(g - want) / abs(want)), p))
+    assert [(err, p) for err, p in errors if not err <= 5e-16] == []
 
 
 def test_double_precision_does_not_import_mpmath():

@@ -259,7 +259,9 @@ def test_each_relation_element_is_normalized_once(monkeypatch):
     for which in range(1, 6):
         calls.clear()
         symmetry_relation(0.3 + 0.8j, 2, -1, which)
-        assert len(calls) == 2  # the element and its embedded chi_hat term
+        # the element and its embedded chi_hat term; symmetry 5's chi_hat
+        # term is one constant sum, built at import
+        assert len(calls) == (1 if which == 5 else 2)
     calls.clear()
     s = curly(z, 1)
     derived = (-s, 3 * s, 0 * s, FormalSum.single(flattened(z)))

@@ -79,3 +79,24 @@ def test_sweep_sample_kernel_passes(monkeypatch, relation, passes):
         calls.clear()
         assert run_sweep(SweepConfig(relation, samples=1, seed=seed)).passed
         assert len(calls) == passes
+
+
+def test_symmetry_5_sample_kernel_passes(monkeypatch):
+    # the correction term chi(e^(i pi/12)) is one sum built at import, whose
+    # point keeps its pass: after the first sample, each sample passes over
+    # its main point and [z] only
+    from extbloch import dilog
+
+    run_sweep(SweepConfig("symmetry-5", samples=1, seed=0))
+    calls = []
+    evaluate = dilog._evaluate
+
+    def counting(kernel, point):
+        calls.append(point)
+        return evaluate(kernel, point)
+
+    monkeypatch.setattr(dilog, "_evaluate", counting)
+    for seed in range(1, 6):
+        calls.clear()
+        assert run_sweep(SweepConfig("symmetry-5", samples=4, seed=seed)).passed
+        assert len(calls) == 2 * 4
