@@ -10,15 +10,11 @@ flagged as such in the result.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 from .cover import _log_params
-from .dilog import PI
 from .prebloch import FormalSum, _coefficient_error
-
-_TAU = complex(0.0, 2.0 * PI)  # 2 pi i, the lattice step used in merging
 
 
 @dataclass(frozen=True)
@@ -96,8 +92,9 @@ class NecessaryZeroCheck:
 
     ``certainty`` is "zero" (exact cancellation emptied the expression),
     "nonzero" (the pairing certifies a nonzero element), or
-    "necessary-only" (every computable obstruction vanished; the element
-    may still be nonzero torsion invisible to floating point).
+    "necessary-only" (the pairing vanished; the element may still be
+    nonzero torsion invisible to floating point).  ``merged_pairing``
+    equals ``pairing`` and stays for API compatibility.
     """
 
     passed: bool
@@ -107,82 +104,6 @@ class NecessaryZeroCheck:
 
     def __bool__(self) -> bool:
         return self.passed
-
-
-def _merge_by_lattice(terms, tol: float):
-    # Group a-values that differ by small integer multiples of 2 pi i,
-    # splitting off the integer part onto an explicit 2 pi i column.
-    # Detection stays tight even when the caller's tolerance is loose:
-    # a sloppy residual budget is no license to misread lattice shifts.
-    detect = min(tol, 1e-8)
-    # Representatives are hashed by grid cell of (Re a, Im a mod 2 pi).
-    # The predicate accepts a representative only within 2 pi detect of a
-    # (cyclically in Im), give or take its rounding, below 1e-13 for
-    # |k| <= 64.  So where a lies farther than reach = 4 pi detect + 2^-40
-    # from its cell's edges, only its own cell can hold a match; elsewhere
-    # the 3 x 3 cells around it are searched, and always beyond 2^53 and in
-    # the last Im row, which takes the remainder of the period.  Cells are
-    # 2^-shift wide, a power of two (so each index is an exact floor), at
-    # least 64 pi detect and 2^-29, so the 3 x 3 search is the rare case.
-    # The lowest-index match wins, as in a scan over all representatives.
-    period = _TAU.imag
-    span = 32.0 * period * detect
-    shift = min(29, math.floor(-math.log2(span))) if span > 0 else 29
-    scale = 2.0**shift
-    reach = (2.0 * period * detect + 2.0**-40) * scale  # in cell widths
-    far = 1.0 - reach
-    rows = math.floor(period * scale)  # detect <= 1e-8: over 2^20 Im rows
-    last = rows - 1
-    floor = math.floor
-    cells: dict[int, list[int]] = {}
-    reps: list[complex] = []
-    bucket: list[complex] = []
-    tau_bucket = 0.0 + 0.0j
-    for c, a, b in terms:
-        if not (cmath.isfinite(a) and cmath.isfinite(b)):
-            raise ValueError(f"wedge pair ({a!r}, {b!r}) is not finite")
-        y = a.imag % period * scale
-        row = floor(y)
-        x = a.real
-        if abs(x) < 2.0**53:
-            x *= scale
-            col = floor(x)
-            inside = reach < x - col < far and reach < y - row < far and row < last
-        else:  # every double is an integer (and x * scale may overflow)
-            col, inside = int(x) << shift, False
-        if inside:
-            key = col * rows + row
-            probe = (key,)
-        else:  # lo and hi: the Im neighbours, wrapped
-            row = min(row, last)
-            key = col * rows + row
-            lo = key - 1 if row else key + rows - 1
-            hi = key + 1 if row + 1 < rows else key + 1 - rows
-            probe = (lo - rows, key - rows, hi - rows, lo, key, hi, lo + rows, key + rows, hi + rows)
-        best, k_best = len(reps), 0
-        for cell in probe:
-            for idx in cells.get(cell, ()):  # ascending indices
-                if idx >= best:
-                    break
-                d = (a - reps[idx]) / _TAU
-                k = round(d.real)
-                if abs(k) <= 64 and abs(d - k) <= detect:
-                    best, k_best = idx, k
-                    break
-        try:
-            if best == len(reps):
-                cells.setdefault(key, []).append(best)
-                reps.append(a)
-                bucket.append(c * b)
-            else:
-                bucket[best] += c * b
-                tau_bucket += c * k_best * b
-        except OverflowError:  # c, or c k on the 2 pi i column, is beyond the range of a double
-            raise _coefficient_error(c) from None
-    merged = list(zip(reps, bucket))
-    if tau_bucket != 0:
-        merged.append((_TAU, tau_bucket))
-    return merged
 
 
 def wedge_necessary_zero(w: WedgeExpr, tol: float = 1e-9) -> NecessaryZeroCheck:
@@ -196,12 +117,6 @@ def wedge_necessary_zero(w: WedgeExpr, tol: float = 1e-9) -> NecessaryZeroCheck:
     if w.is_empty():
         return NecessaryZeroCheck(True, "zero", 0.0, 0.0)
     pairing = w.pairing()
-    merged = _merge_by_lattice(w.terms, tol)
-    merged_pairing = 0.0
-    for a, b in merged:
-        merged_pairing += a.real * b.imag - a.imag * b.real
-        if not math.isfinite(merged_pairing):
-            raise ValueError(f"the merged pairing is not finite at a-value {a!r} (b {b!r})")
-    passed = abs(pairing) <= tol and abs(merged_pairing) <= tol
+    passed = abs(pairing) <= tol
     certainty = "necessary-only" if passed else "nonzero"
-    return NecessaryZeroCheck(passed, certainty, pairing, merged_pairing)
+    return NecessaryZeroCheck(passed, certainty, pairing, pairing)

@@ -142,9 +142,9 @@ def continue_rogers(path: Sequence[complex], p: int = 0, q: int = 0) -> Continua
     """Continue the Rogers function continuously along a polyline.
 
     Vertices must avoid the cuts; each segment may cross the real axis at
-    most once.  Crossing the left cut re-charts p (no value jump); crossing
-    the right cut re-charts q and books a 4 pi^2 p sheet shift so the
-    tracked value stays continuous.  The per-step change is recorded so a
+    most once, and not at 0 or 1.  Crossing the left cut re-charts p (no
+    value jump); crossing the right cut re-charts q and books a 4 pi^2 p
+    sheet shift so the tracked value stays continuous.  The per-step change is recorded so a
     missed crossing (a genuine discontinuity) is detectable numerically.
     The total change is real; a path along which the imaginary part of the
     value moves is a ValueError.
@@ -168,6 +168,9 @@ def continue_rogers(path: Sequence[complex], p: int = 0, q: int = 0) -> Continua
         if (w0.imag > 0.0) != (w1.imag > 0.0):
             t = w0.imag / (w0.imag - w1.imag)
             x_cross = w0.real + t * (w1.real - w0.real)
+            if x_cross == 0.0 or x_cross == 1.0:
+                raise ValueError(f"segment {w0!r} -> {w1!r} crosses the real axis "
+                                 f"at the branch point {x_cross!r}")
             downward = w0.imag > 0.0
             if x_cross < 0.0:
                 p += 1 if downward else -1
@@ -205,8 +208,11 @@ def commutator_monodromy(steps: int = 97) -> ContinuationResult:
     The loop runs, based near 1/2: counterclockwise around 1, then around 0,
     then both reversed.  The continued value returns to the same cover chart
     but a different sheet; the change is exactly one lattice period 4 pi^2.
-    An odd step count keeps all vertices off the real axis.
+    An odd step count keeps all vertices off the real axis; ``steps`` must
+    be at least 2.
     """
+    if steps < 2:
+        raise ValueError(f"steps must be at least 2, got {steps!r}")
     if steps % 2 == 0:
         steps += 1
     base = 0.5

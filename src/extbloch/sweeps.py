@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .cover import make_flattened_ft
-from .dilog import PI, TWO_PI_I, CutPoint, Side, principal_log
+from .dilog import PI, TWO_PI_I, CutPoint, Side, arg_cut, principal_log
 from .prebloch import (
     FormalSum,
     chi_hat,
@@ -168,7 +168,7 @@ def _homo_case_pair(rng: random.Random, case: int) -> tuple[CutPoint, CutPoint]:
             w = _from_polar(rng, 0.1, 0.9 * PI)
             return z, w
         z = _from_polar(rng, 0.55 * PI, 0.95 * PI)
-        a_low = PI - math.atan2(z.z.imag, z.z.real) + 0.02
+        a_low = PI - arg_cut(z) + 0.02
         w = _from_polar(rng, a_low, 0.95 * PI)
         return z, w
     if boundary:
@@ -176,7 +176,7 @@ def _homo_case_pair(rng: random.Random, case: int) -> tuple[CutPoint, CutPoint]:
         w = _from_polar(rng, -0.9 * PI, -0.1)
         return z, w
     z = _from_polar(rng, -0.95 * PI, -0.55 * PI)
-    a_high = -PI - math.atan2(z.z.imag, z.z.real) - 0.02
+    a_high = -PI - arg_cut(z) - 0.02
     w = _from_polar(rng, -0.95 * PI, a_high)
     return z, w
 
@@ -187,11 +187,11 @@ def _cycle_case_pair(rng: random.Random, case: int) -> tuple[CutPoint, CutPoint]
         return _from_polar(rng, -0.45 * PI, 0.45 * PI), _from_polar(rng, -0.45 * PI, 0.45 * PI)
     if case == 1:
         y = _from_polar(rng, 0.55 * PI, 0.95 * PI)
-        a_high = math.atan2(y.z.imag, y.z.real) - PI - 0.02
+        a_high = arg_cut(y) - PI - 0.02
         x = _from_polar(rng, -0.95 * PI, a_high)
         return x, y
     x = _from_polar(rng, 0.55 * PI, 0.95 * PI)
-    a_high = math.atan2(x.z.imag, x.z.real) - PI - 0.02
+    a_high = arg_cut(x) - PI - 0.02
     y = _from_polar(rng, -0.95 * PI, a_high)
     return x, y
 

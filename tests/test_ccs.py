@@ -81,6 +81,11 @@ def test_load_bad_sign():
         load(io.StringIO("+2 0.5 0.86 i 0 0\n"))
 
 
+def test_load_names_a_sign_that_is_not_a_number():
+    with pytest.raises(TriangulationFormatError, match=r"^line 1: bad sign 'x'$"):
+        load(io.StringIO("x 0.5 0.86 i 0 0\n"))
+
+
 def test_load_bad_side_tag():
     with pytest.raises(TriangulationFormatError):
         load(io.StringIO("+1 2.0 0.0 b 0 0\n"))
@@ -199,17 +204,8 @@ def test_volume_report_evaluates_the_sum_once(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["double", "high"])
-def test_volume_report_one_kernel_pass_per_distinct_base(monkeypatch, mode):
-    from extbloch import dilog
-
-    calls = []
-    evaluate = dilog._evaluate
-
-    def counting(kernel, point):
-        calls.append(point)
-        return evaluate(kernel, point)
-
-    monkeypatch.setattr(dilog, "_evaluate", counting)
+def test_volume_report_one_kernel_pass_per_distinct_base(kernel_passes, mode):
+    calls = kernel_passes
     z = 0.5 + 0.8660254037844386j
     t = FlattenedTriangulation((
         (flattened(z), 1), (flattened(z, 1, 0), 1), (flattened(z, 0, -2), -1),
@@ -238,21 +234,13 @@ name: shared
 
 
 @pytest.mark.parametrize("mode", ["double", "high"])
-def test_loaded_file_one_kernel_pass_per_distinct_base(monkeypatch, mode):
+def test_loaded_file_one_kernel_pass_per_distinct_base(kernel_passes, mode):
     # load, the volume report, nu_hat and the wedge check of the whole file
     # and of a part of it share one pass per distinct (z, side)
-    from extbloch import dilog
     from extbloch.bloch import nu_hat, wedge_necessary_zero
     from extbloch.prebloch import FormalSum
 
-    calls = []
-    evaluate = dilog._evaluate
-
-    def counting(kernel, point):
-        calls.append(point)
-        return evaluate(kernel, point)
-
-    monkeypatch.setattr(dilog, "_evaluate", counting)
+    calls = kernel_passes
     with precision(mode):
         t = load(io.StringIO(LOADED_FILE))
         report = volume_report(t)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from extbloch import cover, dilog
+from extbloch import cover
 from extbloch.cover import (
     FlattenedFT,
     FlattenedNumber,
@@ -66,6 +66,11 @@ def test_canonicalize_rejects_bad_points():
 def test_flattened_number_never_stores_below():
     with pytest.raises(ValueError):
         FlattenedNumber(CutPoint(-2 + 0j, Side.BELOW), 0, 0)
+
+
+def test_flattened_number_base_must_be_a_cut_point():
+    with pytest.raises(TypeError, match="^base must be a CutPoint$"):
+        FlattenedNumber(0.5 + 0.5j)
 
 
 @given(
@@ -324,20 +329,8 @@ def test_constructors_accept_branch_indices_up_to_2_53():
 # both branch logarithms from one kernel pass
 # ---------------------------------------------------------------------------
 
-def count_kernel_passes(monkeypatch):
-    calls = []
-    evaluate = dilog._evaluate
-
-    def counting(kernel, point):
-        calls.append(kernel)
-        return evaluate(kernel, point)
-
-    monkeypatch.setattr(dilog, "_evaluate", counting)
-    return calls
-
-
 @pytest.mark.parametrize("mode", ["double", "high"])
-def test_log_params_one_kernel_pass_same_values(monkeypatch, mode):
+def test_log_params_one_kernel_pass_same_values(kernel_passes, mode):
     def build():
         return [
             flattened(0.3 + 0.4j, 1, -2), canonicalize(-2 + 0j, Side.BELOW, 2, 1),
@@ -348,18 +341,20 @@ def test_log_params_one_kernel_pass_same_values(monkeypatch, mode):
     with precision(mode):
         # want on equal but distinct points: a point keeps its kernel pass
         want = [(log_param_l(f), log_param_m(f)) for f in build()]
-        calls = count_kernel_passes(monkeypatch)
+        calls = kernel_passes
+        calls.clear()
         got = [(l, m) for _, l, m in cover._log_params((1, f) for f in points)]
     assert got == want
     assert len(calls) == len(points)
 
 
 @pytest.mark.parametrize("mode", ["double", "high"])
-def test_is_flattened_ft_one_kernel_pass_per_entry(monkeypatch, mode):
+def test_is_flattened_ft_one_kernel_pass_per_entry(kernel_passes, mode):
     rng = random.Random(8)
     x, y = sample_ftplus_pair(rng)
     t = make_flattened_ft(x, y, 1, -2, 0, 3, -1)
     with precision(mode):
-        calls = count_kernel_passes(monkeypatch)
+        calls = kernel_passes
+        calls.clear()
         assert is_flattened_ft(t)
     assert len(calls) == 5

@@ -573,15 +573,8 @@ def test_rogers_l_bar_relative_accuracy_against_mpmath(rogers_cases, mode):
 
 
 @pytest.mark.parametrize("z", [0.3 + 0.4j, 0.9 + 0.1j, -5 + 2j, 40 - 17j, 1e300 + 1e300j])
-def test_one_kernel_pass_per_rogers_value(monkeypatch, z):
-    calls = []
-    evaluate = dilog._evaluate
-
-    def counting(kernel, point):
-        calls.append(kernel)
-        return evaluate(kernel, point)
-
-    monkeypatch.setattr(dilog, "_evaluate", counting)
+def test_one_kernel_pass_per_rogers_value(kernel_passes, z):
+    calls = kernel_passes
     for mode in ("double", "high"):
         with precision(mode):
             rogers_l_bar(flattened(z, 1, -2))

@@ -363,15 +363,8 @@ def test_eval_lhat_matches_the_per_term_loop(mode):
 
 
 @pytest.mark.parametrize("mode", ["double", "high"])
-def test_eval_lhat_one_kernel_pass_per_distinct_base(monkeypatch, mode):
-    calls = []
-    evaluate = dilog._evaluate
-
-    def counting(kernel, point):
-        calls.append(point)
-        return evaluate(kernel, point)
-
-    monkeypatch.setattr(dilog, "_evaluate", counting)
+def test_eval_lhat_one_kernel_pass_per_distinct_base(kernel_passes, mode):
+    calls = kernel_passes
     rng = random.Random(29)
     terms = bases = 0
     with precision(mode):
@@ -494,6 +487,11 @@ def test_product_relation_boundary_factor():
 def test_product_relation_rejects_unit_product():
     with pytest.raises(ValueError):
         curly_product_relation(2 + 0j, 0, 0.5 + 0j, 0)
+
+
+def test_product_relation_rejects_an_underflowing_product():
+    with pytest.raises(ValueError, match="^product underflowed to zero$"):
+        curly_product_relation(1e-200 + 1e-200j, 0, 1e-200j, 0)
 
 
 def test_product_relation_cases_randomized():
@@ -665,6 +663,11 @@ def test_chi_rejects_overflowing_square_naming_z(z):
     with pytest.raises(ValueError) as info:
         chi_hat(z)
     assert repr(z) in str(info.value)
+
+
+def test_chi_rejects_an_underflowing_square():
+    with pytest.raises(ValueError, match=r"^z\^2 underflowed to zero$"):
+        chi_hat(1e-200j)
 
 
 def test_chi_lhat_is_twice_pi_i_log():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -188,9 +189,30 @@ def test_commutator_monodromy_is_one_lattice_period():
     assert result.max_step_change < 5.0
 
 
+@pytest.mark.parametrize("steps", [1, 0, -3])
+def test_commutator_monodromy_needs_two_steps(steps):
+    # fewer steps gave change 0.0 and sheet 0
+    with pytest.raises(ValueError, match=f"^steps must be at least 2, got {steps}$"):
+        commutator_monodromy(steps)
+
+
 def test_continuation_rejects_vertices_on_axis():
     with pytest.raises(ValueError):
         continue_rogers([0.5 + 0.5j, 0.7 + 0j, 0.5 - 0.5j])
+
+
+def test_continuation_needs_two_vertices():
+    with pytest.raises(ValueError, match="^need at least two path vertices$"):
+        continue_rogers([1j])
+
+
+@pytest.mark.parametrize("x", [0.0, 1.0])
+def test_continuation_through_a_branch_point_is_an_error(x):
+    # a crossing at 0 or 1 was read as one of (0, 1): change 0.0
+    w0, w1 = complex(x, 1.0), complex(x, -1.0)
+    message = re.escape(f"segment {w0!r} -> {w1!r} crosses the real axis at the branch point {x!r}")
+    with pytest.raises(ValueError, match=message):
+        continue_rogers([w0, w1, w0])
 
 
 def test_continuation_with_imaginary_drift_is_an_error():

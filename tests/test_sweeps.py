@@ -51,6 +51,11 @@ def test_config_rejects_bounds_whose_indices_pass_2_53():
         SweepConfig("five-term", samples=0)
 
 
+def test_config_rejects_an_unknown_relation():
+    with pytest.raises(ValueError, match="^unknown relation 'nope'$"):
+        SweepConfig("nope")
+
+
 def test_largest_bound_derives_indices_within_2_53():
     b = LARGEST_BOUND
     # five-term: p1 - p0 + q1 - q0 reaches 4 b
@@ -62,40 +67,22 @@ def test_largest_bound_derives_indices_within_2_53():
 
 
 @pytest.mark.parametrize("relation,passes", [("five-term", 5), ("kappa", 1)])
-def test_sweep_sample_kernel_passes(monkeypatch, relation, passes):
+def test_sweep_sample_kernel_passes(kernel_passes, relation, passes):
     # the membership check and the evaluation of a five-term sample share
     # one pass per entry; kappa's two evaluations share one pass
-    from extbloch import dilog
-
-    calls = []
-    evaluate = dilog._evaluate
-
-    def counting(kernel, point):
-        calls.append(point)
-        return evaluate(kernel, point)
-
-    monkeypatch.setattr(dilog, "_evaluate", counting)
+    calls = kernel_passes
     for seed in range(5):
         calls.clear()
         assert run_sweep(SweepConfig(relation, samples=1, seed=seed)).passed
         assert len(calls) == passes
 
 
-def test_symmetry_5_sample_kernel_passes(monkeypatch):
+def test_symmetry_5_sample_kernel_passes(kernel_passes):
     # the correction term chi(e^(i pi/12)) is one sum built at import, whose
     # point keeps its pass: after the first sample, each sample passes over
     # its main point and [z] only
-    from extbloch import dilog
-
     run_sweep(SweepConfig("symmetry-5", samples=1, seed=0))
-    calls = []
-    evaluate = dilog._evaluate
-
-    def counting(kernel, point):
-        calls.append(point)
-        return evaluate(kernel, point)
-
-    monkeypatch.setattr(dilog, "_evaluate", counting)
+    calls = kernel_passes
     for seed in range(1, 6):
         calls.clear()
         assert run_sweep(SweepConfig("symmetry-5", samples=4, seed=seed)).passed
