@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .dilog import TWO_PI_I, CutPoint, Side, _checked_z, _point_pass, _trusted, as_cut_point
+from .dilog import TWO_PI_I, _ABOVE, _BELOW, CutPoint, Side, _checked_z, _point_pass, _trusted, as_cut_point
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,7 @@ class FlattenedNumber:
                 "below-side points are not stored; build via canonicalize()"
             )
         _check_indices(self.p, self.q)
+        self.__dict__["_key"] = _merge_key(self.base, self.p, self.q)
 
     @property
     def z(self) -> complex:
@@ -50,6 +51,13 @@ class FlattenedNumber:
     def __str__(self) -> str:
         side = "" if self.base.side is Side.INTERIOR else "+0i"
         return f"[{self.z}{side}; {2 * self.p}, {2 * self.q}]"
+
+
+def _merge_key(base: CutPoint, p: int, q: int) -> tuple:
+    # What FormalSum merges and sorts terms on, stored on each number where
+    # it is built; like a point's pass, equality, hashing and repr ignore it.
+    z = base.z
+    return (z.real, z.imag, base.side._value_, p, q)
 
 
 def _check_indices(p: int, q: int) -> None:
@@ -72,14 +80,15 @@ def canonicalize(
     p decreases by one on the left cut, q decreases by one on the right.
     """
     point = z if isinstance(z, CutPoint) else CutPoint(z, side)
-    if point.side is Side.BELOW:
+    if point.side is _BELOW:
         if point.z.real < 0.0:
             p -= 1
         else:
             q -= 1
-        point = _trusted(CutPoint, z=point.z, side=Side.ABOVE)
-    _check_indices(p, q)
-    return _trusted(FlattenedNumber, base=point, p=p, q=q)
+        point = _trusted(CutPoint, z=point.z, side=_ABOVE)
+    if not (p.__class__ is int and q.__class__ is int and -2**53 <= p <= 2**53 and -2**53 <= q <= 2**53):
+        _check_indices(p, q)  # the bound tested inline first: this runs once per number built
+    return _build(point, p, q)
 
 
 def flattened(z: complex | CutPoint, p: int = 0, q: int = 0) -> FlattenedNumber:
@@ -100,10 +109,11 @@ def log_param_m(f: FlattenedNumber) -> complex:
 def _log_params(terms: Iterable[tuple[int, FlattenedNumber]]) -> tuple:
     # (c, l, m) for each term (c, f); one kernel pass per run of equal base points
     out = []
-    base = None
+    z = side = None
     for coeff, f in terms:
-        if f.base is not base and f.base != base:
-            base = f.base
+        base = f.base
+        if base.z != z or base.side is not side:  # a new (z, side), compared without CutPoint.__eq__
+            z, side = base.z, base.side
             _, _, _, _, log_z, log_1mz = _point_pass(base)
         out.append((coeff, log_z + TWO_PI_I * f.p, -log_1mz + TWO_PI_I * f.q))
     return tuple(out)
@@ -249,8 +259,12 @@ def _from_fields(re_s: str, im_s: str, side_s: str, p_s: str, q_s: str,
             base = points[re_s, im_s, side_s] = points.setdefault(z, base)
     p, q = int(p_s), int(q_s)
     _check_indices(p, q)
-    # _trusted written out, without its keyword packing: this runs once per record
+    return _build(base, p, q)
+
+
+def _build(base: CutPoint, p: int, q: int) -> FlattenedNumber:
+    # _trusted written out, without its keyword packing, and with the merge key
     f = object.__new__(FlattenedNumber)
     fields = f.__dict__
-    fields["base"], fields["p"], fields["q"] = base, p, q
+    fields["base"], fields["p"], fields["q"], fields["_key"] = base, p, q, _merge_key(base, p, q)
     return f

@@ -13,21 +13,24 @@ over two per-mode primitives.
   inversion z -> 1/z where |z| > 1 and |1-z| > 1, each carrying the side
   tag through the map.  Either way the remaining argument u has |u| <= 1
   and Re u <= 1/2, where w = -Log(1-u) has |w| <= pi/3 and the Bernoulli
-  series Li2(u) = sum B_n w^(n+1) / (n+1)! converges like 36^-k.  In the
-  inversion region Log(1-z) = Log(-z) + Log(1-1/z), so a pass there takes
-  three logarithms, not four.
+  series Li2(u) = sum B_n w^(n+1) / (n+1)! converges like 36^-k.  A pass
+  takes two logarithms, Log z and Log(1-z), in every region: inversion
+  reads Log(-z) = Log z -+ i pi and -Log(1-1/z) = Log(-z) - Log(1-z).
 * A side-aware logarithm: Log of a value together with the cut side that
   value sits on, or Log(1 + d) from d itself when the caller has d more
-  exactly than 1 + d (d = -z for Log(1-z)).  The argument is ``atan2`` of
-  the parts (negative zero read as +0, the side deciding +-pi on the
-  negative axis).  In double the modulus comes from ``log1p`` near 1; in
-  high precision the logarithm forms 1 + d exactly and takes the modulus
-  from ``mpf_log_hypot``, which redoes |v|^2 exactly where it cancels
-  against 1.  Either way Log(1-z) keeps its digits for tiny z.
-* The series: a float Horner loop over a literal table in double; in high
-  precision Li2 = w (1 - w/4 + w^2 P(w^2)) with the bracket, which is near
-  1, in fixed point over exact Bernoulli numbers, built per ``dps``, its
-  length following |w|, and one rounded product by w.
+  exactly than 1 + d (d = -z for Log(1-z)).  The side decides +-pi on the
+  negative axis.  In double it is ``cmath.log`` with the side carried as
+  the sign of a zero imaginary part, and the modulus from ``log1p`` of d
+  for |d| < 1/2; in high precision the argument is ``atan2`` of the parts
+  (negative zero read as +0), and the logarithm forms 1 + d exactly and
+  takes the modulus from ``mpf_log_hypot``, which redoes |v|^2 exactly
+  where it cancels against 1.  Either way Log(1-z) keeps its digits for
+  tiny z.
+* The series: one unrolled Horner expression over literal coefficients in
+  double; in high precision Li2 = w (1 - w/4 + w^2 P(w^2)) with the
+  bracket, which is near 1, in fixed point over exact Bernoulli numbers,
+  built per ``dps``, its length following |w|, and one rounded product by
+  w.
 
 In high precision the whole pass runs on a number type of the mode's own:
 one raw mpc tuple of ``mpmath.libmp``, each operation rounded to nearest at
@@ -44,6 +47,7 @@ both cuts.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from contextlib import contextmanager
@@ -93,7 +97,7 @@ def _trusted(cls, **fields):
     return obj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CutPoint:
     """A point of the closed cut plane: z together with a boundary side tag.
 
@@ -104,11 +108,13 @@ class CutPoint:
     z: complex
     side: Side = Side.INTERIOR
 
-    def __post_init__(self) -> None:
-        z = complex(self.z)
-        side = Side.coerce(self.side)
-        object.__setattr__(self, "z", _checked_z(z, side))
-        object.__setattr__(self, "side", side)
+    def __init__(self, z: complex, side: Side | str = Side.INTERIOR) -> None:
+        # the checks, then the fields stored directly, without the frozen setter
+        z = complex(z)
+        if side.__class__ is not Side:
+            side = Side.coerce(side)
+        fields = self.__dict__
+        fields["z"], fields["side"] = _checked_z(z, side), side
 
 
 def _checked_z(z: complex, side: Side) -> complex:
@@ -162,51 +168,40 @@ class _Arith(NamedTuple):
     log: Callable[[Any, Side, bool], Any]  # log(x, side, one_plus): Log x, or Log(1 + x)
     series: Callable[[Any], Any]           # Li2(u) from w = -Log(1-u), |w| <= pi/3
     zeta2: Any                             # pi^2 / 6
+    i_pi: Any                              # i pi
 
 
 def _double_series(w: complex) -> complex:
     # w - w^2/4 + sum_k B_2k w^(2k+1) / (2k+1)!, Horner in w^2 over
-    # B_2k / (2k+1)! for k = 10 .. 1: at |w| <= pi/3 the first omitted term
+    # B_2k / (2k+1)! for k = 1 .. 10: at |w| <= pi/3 the first omitted term
     # is below 1e-18 of the sum.
     w2 = w * w
-    acc = 0.0
-    for c in (
-        -1.0356517612181247e-17, 4.518980029619918e-16, -1.9939295860721074e-14, 8.921691020456452e-13,
-        -4.0647616451442256e-11, 1.8978869988971e-09, -9.185773074661964e-08, 4.72411186696901e-06,
-        -0.0002777777777777778, 0.027777777777777776,
-    ):
-        acc = acc * w2 + c
-    return w - 0.25 * w2 + w * w2 * acc
-
-
-def _arg(v: complex, side: Side) -> float:
-    # atan2 never overflows (cmath.phase does on subnormal parts); a zero
-    # imaginary part counts as +0, and the below side of (-inf, 0) is -pi.
-    if side is _BELOW and v.real < 0:
-        return -PI
-    return math.atan2(v.imag or 0.0, v.real)
+    return w - 0.25 * w2 + w * w2 * (
+        0.027777777777777776 + w2 * (-0.0002777777777777778 + w2 * (4.72411186696901e-06 + w2 * (
+            -9.185773074661964e-08 + w2 * (1.8978869988971e-09 + w2 * (-4.0647616451442256e-11 + w2 * (
+                8.921691020456452e-13 + w2 * (-1.9939295860721074e-14 + w2 * (
+                    4.518980029619918e-16 + w2 * -1.0356517612181247e-17)))))))))
 
 
 def _double_log(x: complex, side: Side, one_plus: bool = False) -> complex:
     # Log v for v = x, or v = 1 + x when the caller has d = v - 1 more
-    # exactly than v (for v = 1 - z it is -z).  Near v = 1 the modulus is
-    # log1p(|v|^2 - 1) / 2 with |v|^2 - 1 = d.re (2 + d.re) + d.im^2.
+    # exactly than v (for v = 1 - z it is -z): for |d| < 1/2 the modulus is
+    # then log1p(|v|^2 - 1) / 2 with |v|^2 - 1 = d.re (2 + d.re) + d.im^2.
+    # Otherwise cmath.log, which itself takes log1p near |v| = 1 and scales
+    # at either end of the double range, with the side as the sign of a zero
+    # imaginary part.
     if one_plus:
-        v, d = 1 + x, x
-    else:
-        v, d = x, x - 1
-    dr, di = d.real, d.imag
-    d_sq = dr * dr + di * di
-    if d_sq < 0.25:
-        modulus = 0.5 * math.log1p(dr * (2 + dr) + di * di)
-    elif d_sq < math.inf:
-        modulus = math.log(math.hypot(v.real, v.imag))
-    else:  # |v| > 1e154 and |v| itself may overflow: halve v first
-        modulus = math.log(math.hypot(0.5 * v.real, 0.5 * v.imag)) + math.log(2)
-    return complex(modulus, _arg(v, side))
+        v = 1 + x
+        dr, di = x.real, x.imag
+        if dr * dr + di * di < 0.25:
+            return complex(0.5 * math.log1p(dr * (2 + dr) + di * di), math.atan2(v.imag, v.real))
+        x = v
+    if not x.imag:
+        x = complex(x.real, -0.0 if side is _BELOW and x.real < 0 else 0.0)
+    return cmath.log(x)
 
 
-_DOUBLE = _Arith(complex, _double_log, _double_series, PI_SQ / 6.0)
+_DOUBLE = _Arith(complex, _double_log, _double_series, PI_SQ / 6.0, complex(0.0, PI))
 _HIGH: dict[int, _Arith] = {}
 _DPS: ContextVar[int | None] = ContextVar("extbloch_dps", default=None)  # None: double
 
@@ -261,7 +256,7 @@ def _high_arith(dps: int) -> _Arith:
         cap = len(coeffs)
         bits_ln2 = bits * math.log(2)
         ln_scaled_4pi2 = math.log(4 * PI_SQ) + 2 * bits_ln2  # ln 4 pi^2 + ln 2^(2 bits)
-        minus_pi = mpf_neg(mpf_pi(prec))
+        minus_pi = mpf_neg(mpf_pi(prec, "n"))
 
         def point(z):
             return Num((from_float(z.real), from_float(z.imag)))
@@ -301,7 +296,7 @@ def _high_arith(dps: int) -> _Arith:
         wide = dps_to_prec(dps + 10)
         pi = mpf_pi(wide, "n")
         zeta2 = Num((mpf_div(mpf_mul(pi, pi, wide, "n"), from_int(6), wide, "n"), fzero))
-        arith = _HIGH[dps] = _Arith(point, log, series, zeta2)
+        arith = _HIGH[dps] = _Arith(point, log, series, zeta2, Num((fzero, mpf_pi(prec, "n"))))
     return arith
 
 
@@ -364,9 +359,15 @@ def arg_cut(p: CutPoint | complex) -> float:
 
     A bare complex number reads the negative axis as its upper limit.
     """
+    # atan2 never overflows (cmath.phase does on subnormal parts); a zero
+    # imaginary part counts as +0, and the below side of (-inf, 0) is -pi.
     if isinstance(p, CutPoint):
-        return _arg(p.z, p.side)
-    return _arg(complex(p), _INTERIOR)
+        z, below = p.z, p.side is _BELOW
+    else:
+        z, below = complex(p), False
+    if below and z.real < 0:
+        return -PI
+    return math.atan2(z.imag or 0.0, z.real)
 
 
 def principal_log(p: CutPoint | complex) -> complex:
@@ -397,19 +398,19 @@ def _inverted(k: _Arith, z, side: Side):
 
 
 def _li2_logs(k: _Arith, z, side: Side):
-    # Li2 z, Log z and Log(1-z) in one kernel pass.
+    # Li2 z, Log z and Log(1-z) in one kernel pass of two logarithms.
     log_z = k.log(z, side)
+    log_1mz = _log_one_minus(k, z, side)
     c = complex(z)  # the region test in machine floats: a high precision z holds a double
     x = c.real
     nz = x * x + c.imag * c.imag
     if nz > 1 and 0.5 * nz > x:
-        # |z| > 1 and |1-z| > 1: Li2(z) = -Li2(1/z) - pi^2/6 - Log(-z)^2 / 2.
-        # 1 - z = (-z)(1 - 1/z), and the two arguments have opposite signs,
-        # so the sum of the logarithms stays principal; |Log(1-z)| > log 2
-        # here, so it does not cancel.
-        inverse, log_neg, log_1m_inv = _inverted(k, z, side)
-        return -inverse - k.zeta2 - 0.5 * log_neg * log_neg, log_z, log_neg + log_1m_inv
-    log_1mz = _log_one_minus(k, z, side)
+        # |z| > 1 and |1-z| > 1: Li2(z) = -Li2(1/z) - pi^2/6 - Log(-z)^2 / 2,
+        # with Log(-z) = Log z -+ i pi (minus on the upper half-plane and the
+        # above side) and, as 1 - z = (-z)(1 - 1/z) with the two arguments of
+        # opposite signs, -Log(1-1/z) = Log(-z) - Log(1-z).
+        log_neg = log_z - k.i_pi if c.imag > 0 or side is _ABOVE else log_z + k.i_pi
+        return -k.series(log_neg - log_1mz) - k.zeta2 - 0.5 * log_neg * log_neg, log_z, log_1mz
     if x > 0.5 and 0.5 * nz <= x:
         # |1-z| <= 1: Li2(z) = pi^2/6 - Log z Log(1-z) - Li2(1-z), where
         # the series for 1-z runs in w = -Log z.
@@ -439,8 +440,10 @@ def li2(p: CutPoint | complex) -> complex:
 # ---------------------------------------------------------------------------
 
 def _far_out(k: _Arith, z, side: Side):
-    # _inverted's three values, Log z and Log(1-z) = Log(-z) + Log(1-1/z).
-    # Log z is taken directly: Log(-z) +- i pi would cancel near the right cut.
+    # _inverted's three values, Log z and Log(1-z) = Log(-z) + Log(1-1/z):
+    # the chart formula needs Log(1-1/z) to absolute accuracy, which the
+    # difference of two logarithms of size log |z| would not give.  Log z is
+    # taken directly: Log(-z) +- i pi would cancel near the right cut.
     inverse, log_neg, log_1m_inv = _inverted(k, z, side)
     return inverse, log_neg, log_1m_inv, k.log(z, side), log_neg + log_1m_inv
 

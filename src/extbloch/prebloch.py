@@ -24,7 +24,7 @@ from .cover import (
     serialize_flattened,
 )
 from .dilog import PI, CutPoint, Side, _flip, _point_pass, _trusted, arg_cut, as_cut_point
-from .rogers import CmodZ2, _chart
+from .rogers import CmodZ2, _chart, _coefficient_error
 
 
 @dataclass(frozen=True)
@@ -40,19 +40,17 @@ class FormalSum:
     terms: tuple[tuple[int, FlattenedNumber], ...] = ()
 
     def __post_init__(self) -> None:
-        # Merge on the plain sort key, not on FlattenedNumber, whose hash goes
-        # through CutPoint and Side (and read Side._value_: .value is a
-        # descriptor call); the first-seen point is kept.
+        # Merge on the plain sort key each number stores, not on
+        # FlattenedNumber, whose hash goes through CutPoint and Side; the
+        # first-seen point is kept.
         merged: dict[tuple, tuple[int, FlattenedNumber]] = {}
         for coeff, gen in self.terms:
             if not isinstance(gen, FlattenedNumber):
                 raise TypeError("generators must be FlattenedNumber values")
-            base = gen.base
-            z = base.z
-            key = (z.real, z.imag, base.side._value_, gen.p, gen.q)
+            key = gen._key
             seen = merged.get(key)
             merged[key] = (int(coeff), gen) if seen is None else (seen[0] + int(coeff), seen[1])
-        cleaned = tuple(term for term in map(merged.__getitem__, sorted(merged)) if term[0])
+        cleaned = tuple([term for term in map(merged.__getitem__, sorted(merged)) if term[0]])
         object.__setattr__(self, "terms", cleaned)
 
     @classmethod
@@ -109,16 +107,6 @@ class FormalSum:
         return cls(tuple(pairs))
 
 
-def _coefficient_error(coeff: int) -> ValueError:
-    # for a coefficient beyond the range of a double; str() itself refuses
-    # an int of more than 4300 digits
-    try:
-        text = str(coeff)
-    except ValueError:
-        text = f"of {coeff.bit_length()} bits"
-    return ValueError(f"coefficient {text} is too large for double arithmetic")
-
-
 def eval_lhat(s: FormalSum) -> CmodZ2:
     """Sum of coefficient times lifted-Rogers value, reduced mod 4 pi^2.
 
@@ -128,10 +116,11 @@ def eval_lhat(s: FormalSum) -> CmodZ2:
     """
     total = 0.0 + 0.0j
     comp = 0.0 + 0.0j
-    base = None
+    z = side = None
     for coeff, gen in s.terms:
-        if gen.base is not base and gen.base != base:  # a new (z, side); -0.0 == 0.0 gives equal values
-            base = gen.base
+        base = gen.base
+        if base.z != z or base.side is not side:  # a new (z, side); -0.0 == 0.0 gives equal values
+            z, side = base.z, base.side
             point = _point_pass(base)
         try:
             term = coeff * _chart(point, gen.p, gen.q) - comp
@@ -190,7 +179,7 @@ def curly_product_relation(
     if not cmath.isfinite(product):
         raise ValueError(f"the product zw is not finite for z = {zp.z!r}, w = {wp.z!r}")
     if product == 0:
-        raise ValueError("product underflowed to zero")
+        raise ValueError(f"the product zw underflowed to zero for z = {zp.z!r}, w = {wp.z!r}")
     if abs(product - 1.0) <= 1e-12:
         raise ValueError("zw = 1 is excluded (the product leaves the domain)")
     eps = _product_shift(arg_cut(zp) + arg_cut(wp))
@@ -316,7 +305,7 @@ def chi_hat(z: complex) -> FormalSum:
         return kappa_hat()
     square = z * z
     if square == 0:
-        raise ValueError("z^2 underflowed to zero")
+        raise ValueError(f"z^2 underflowed to zero for z = {z!r}")
     if not cmath.isfinite(square):
         raise ValueError(f"z^2 is not finite for z = {z!r}")
     ph = arg_cut(z)

@@ -33,17 +33,27 @@ def reduce_into(x: float, period: float) -> float:
     return r
 
 
-@dataclass(frozen=True)
+def _coefficient_error(coeff: int) -> ValueError:
+    # for a coefficient beyond the range of a double; str() itself refuses
+    # an int of more than 4300 digits
+    try:
+        text = str(coeff)
+    except ValueError:
+        text = f"of {coeff.bit_length()} bits"
+    return ValueError(f"coefficient {text} is too large for double arithmetic")
+
+
+@dataclass(frozen=True, init=False)
 class CmodZ2:
     """An element of C / 4 pi^2 Z in canonical form, Re in (-2 pi^2, 2 pi^2]."""
 
     value: complex
 
-    def __post_init__(self) -> None:
-        v = complex(self.value)
+    def __init__(self, value: complex) -> None:
+        v = complex(value)
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
             raise ValueError(f"{v!r} is not a finite value of C mod 4 pi^2")
-        object.__setattr__(self, "value", complex(reduce_into(v.real, FOUR_PI_SQ), v.imag))
+        self.__dict__["value"] = complex(reduce_into(v.real, FOUR_PI_SQ), v.imag)
 
     def __add__(self, other: "CmodZ2") -> "CmodZ2":
         return CmodZ2(self.value + other.value)
@@ -57,7 +67,10 @@ class CmodZ2:
     def __rmul__(self, k: int) -> "CmodZ2":
         if not isinstance(k, int):
             return NotImplemented
-        return CmodZ2(k * self.value)
+        try:
+            return CmodZ2(k * self.value)
+        except OverflowError:  # int * complex converts k to a double
+            raise _coefficient_error(k) from None
 
     def distance_to(self, other: "CmodZ2 | complex") -> float:
         """Modular distance: wrap-around at the window boundary is free."""
@@ -67,7 +80,8 @@ class CmodZ2:
 
     def magnitude(self) -> float:
         """Modular distance to zero."""
-        return self.distance_to(0j)
+        v = self.value  # canonical: no wrap-around is nearer
+        return math.hypot(v.real, v.imag)
 
     def equals(self, other: "CmodZ2 | complex", tol: float = 1e-9) -> bool:
         return self.distance_to(other) <= tol

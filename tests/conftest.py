@@ -5,10 +5,12 @@ saved by an earlier run in the same directory; regressions are pinned
 with ``@example`` instead.
 """
 
+import mpmath as mp
 import pytest
 from hypothesis import settings
 
 from extbloch import dilog
+from extbloch.dilog import CutPoint
 
 settings.register_profile("extbloch", database=None)
 settings.load_profile("extbloch")
@@ -26,3 +28,45 @@ def kernel_passes(monkeypatch):
 
     monkeypatch.setattr(dilog, "_evaluate", counting)
     return points
+
+
+@pytest.fixture
+def pass_primitives(monkeypatch):
+    """The primitives of one point's kernel pass, in either precision mode.
+
+    ``pass_primitives(point)`` runs ``dilog._point_pass`` on a fresh copy of
+    the CutPoint in the current mode and returns, in order, ("log", dps) for
+    each logarithm and ("div", dps) for each 1 / z the pass takes, with dps
+    mpmath's process-wide precision at that call.
+    """
+    seen = []
+
+    def counted(number):
+        # the mode's number for z, recording 1 / z
+        class Counted(type(number)):
+            __slots__ = ()
+
+            def __rtruediv__(self, x):
+                seen.append(("div", mp.mp.dps))
+                return super().__rtruediv__(x)
+
+        return Counted(getattr(number, "v", number))
+
+    def recording(arith):
+        def log(x, side, one_plus=False):
+            seen.append(("log", mp.mp.dps))
+            return arith.log(x, side, one_plus)
+
+        return arith._replace(point=lambda z: counted(arith.point(z)), log=log)
+
+    high_arith = dilog._high_arith
+    monkeypatch.setattr(dilog, "_DOUBLE", recording(dilog._DOUBLE))
+    monkeypatch.setattr(dilog, "_high_arith", lambda dps: recording(high_arith(dps)))
+
+    def run(point):
+        seen.clear()
+        z = point.z if dilog._DPS.get() is not None else counted(point.z)  # a double pass takes z as it is
+        dilog._point_pass(dilog._trusted(CutPoint, z=z, side=point.side))
+        return list(seen)
+
+    return run

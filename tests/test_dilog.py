@@ -120,6 +120,23 @@ def test_principal_log_branch_window(z):
     assert cmath.exp(value) == pytest.approx(p.z, rel=1e-12)
 
 
+@pytest.mark.parametrize("mode", ["double", "high"])
+def test_log_reads_the_side_of_a_zero_imaginary_part(mode):
+    # the below side of (-inf, 0) is -pi exactly, and a -0.0 imaginary part,
+    # as -z makes it, reads as +pi unless the side is below
+    arith = dilog._DOUBLE if mode == "double" else dilog._high_arith(50)
+    for x, side, want in [(complex(-2, 0.0), Side.BELOW, -PI), (complex(-2, -0.0), Side.BELOW, -PI),
+                          (complex(-2, -0.0), Side.ABOVE, PI), (complex(-2, -0.0), Side.INTERIOR, PI),
+                          (complex(2, -0.0), Side.BELOW, 0.0)]:
+        assert complex(arith.log(arith.point(x), side)).imag == want, (x, side)
+    with precision(mode):
+        assert principal_log(CutPoint(-2 + 0j, Side.BELOW)).imag == -PI
+        assert principal_log(complex(-2, -0.0)).imag == PI
+        assert log_one_minus(CutPoint(3 + 0j, Side.ABOVE)).imag == -PI
+        assert log_one_minus(CutPoint(3 + 0j, Side.BELOW)).imag == PI
+        assert principal_log(2 + 5e-324j) == pytest.approx(math.log(2))  # a subnormal part does not raise
+
+
 def test_log_one_minus_examples():
     assert log_one_minus(CutPoint(0.5 + 0j)) == pytest.approx(-math.log(2))
     assert log_one_minus(CutPoint(2 + 0j, Side.ABOVE)) == pytest.approx(-1j * PI)
@@ -308,20 +325,34 @@ def test_series_at_both_ends_of_its_length(dps):
                 assert abs(got - want) <= bound * abs(want), z
 
 
-def test_high_pass_leaves_mpmath_context_alone(monkeypatch):
+def test_high_pass_leaves_mpmath_context_alone(pass_primitives):
     # a high-precision pass works at its own precision: mpmath's process-wide
     # context keeps the caller's 15 digits throughout
-    arith = dilog._high_arith(50)
-    seen = []
-
-    def recording(x, side, one_plus=False):
-        seen.append(mp.mp.dps)
-        return arith.log(x, side, one_plus)
-
-    monkeypatch.setitem(dilog._HIGH, 50, arith._replace(log=recording))
     with mp.workdps(15), precision("high", 50):
-        dilog._evaluate(dilog._li2_logs, CutPoint(-5 + 2j))  # the inversion branch: three logarithms
-    assert seen == [15, 15, 15]
+        seen = pass_primitives(CutPoint(-5 + 2j))  # the inversion branch: two logarithms
+    assert [dps for _, dps in seen] == [15, 15]
+
+
+PASS_SHAPES = [
+    # below 2^32, each region takes Log z and Log(1-z) and nothing else
+    (CutPoint(0.3 + 0.4j), ["log", "log"]),                  # the series
+    (CutPoint(0.9 + 0.3j), ["log", "log"]),                  # reflection
+    (CutPoint(-5 + 2j), ["log", "log"]),                     # inversion
+    (CutPoint(40 - 17j), ["log", "log"]),
+    (CutPoint(-3 + 0j, Side.BELOW), ["log", "log"]),
+    (CutPoint(3 + 0j, Side.ABOVE), ["log", "log"]),
+    (CutPoint(complex(2.0**32, -1e5)), ["log", "log"]),
+    # far out, the chart formula takes Log(1-1/z), Log(-z) and Log z
+    (CutPoint(1e30 + 1e29j), ["div", "log", "log", "log"]),
+    (CutPoint(-7e15 + 0j, Side.BELOW), ["div", "log", "log", "log"]),
+]
+
+
+@pytest.mark.parametrize("mode", ["double", "high"])
+@pytest.mark.parametrize("point,want", PASS_SHAPES, ids=[str(p.z) + p.side.value for p, _ in PASS_SHAPES])
+def test_kernel_pass_shape(pass_primitives, mode, point, want):
+    with precision(mode):
+        assert [name for name, _ in pass_primitives(point)] == want
 
 
 def test_two_precisions_in_two_threads_agree_with_one_thread():
@@ -433,8 +464,9 @@ def test_high_log_and_li2_at_working_precision():
 
 @pytest.mark.parametrize("mode,bound", [("double", 4e-16), ("high", 2e-16)])
 def test_inversion_identity_log_one_minus_accuracy(mode, bound):
-    # Log(1-z) = Log(-z) + Log(1-1/z) in the inversion region, where
-    # |Log(1-z)| > log 2; worst seen 2.9e-16 in double, 1.0e-16 in high
+    # Log(1-z) of a pass in the inversion region next to its edges, where
+    # |Log(1-z)| > log 2, taken directly; worst seen 2.0e-16 in double,
+    # 1.0e-16 in high
     points = _edge_points()
     assert len(points) >= 60
     with precision(mode):
@@ -465,10 +497,10 @@ def _inversion_points():
 
 
 def test_inversion_identity_log_one_minus_accuracy_seeded():
-    # the double Log(1-z) a point's pass keeps in the inversion region, from
-    # Log(-z) + Log(1-1/z) (beyond 2^32 by the far-out kernel), against
-    # mpmath; the reference forms 1 - z exactly, so 40 digits give the same
-    # errors as 700 on these points.  Worst seen 3.7e-16, at the first point.
+    # the double Log(1-z) a point's pass keeps in the inversion region (beyond
+    # 2^32 from Log(-z) + Log(1-1/z), by the far-out kernel), against mpmath;
+    # the reference forms 1 - z exactly, so 40 digits give the same errors as
+    # 700 on these points.  Worst seen 2.2e-16, at the first point.
     points = _inversion_points()
     got = [dilog._point_pass(p)[5] for p in points]
     errors = []
@@ -536,6 +568,50 @@ def test_li2_relative_accuracy_against_mpmath(accuracy_cases, mode, bound):
     with precision(mode):
         errors = [(abs(li2(p) - ref) / abs(ref), p) for p, ref in accuracy_cases]
     assert [(err, p) for err, p in errors if not err <= bound] == []
+
+
+def _inversion_region_points():
+    # seeded points of the inversion region with |z| in (1, 2^32], where
+    # Log(-z) = Log z -+ i pi and -Log(1-1/z) = Log(-z) - Log(1-z): |z| - 1 and
+    # |1-z| - 1 down to 2^-52, arguments within 1e-15 of 0 and of +-pi, and
+    # both sides of both cuts
+    rng = random.Random(4771)
+    points = []
+    for _ in range(150):
+        delta = 2.0 ** rng.uniform(-52, 0)
+        theta = rng.choice((1, -1)) * rng.uniform(PI / 3, PI)
+        points += [cmath.rect(1 + delta, theta), 1 - cmath.rect(1 + delta, theta)]
+    for _ in range(100):
+        r = 2.0 ** rng.uniform(0, 32)
+        eps = rng.uniform(-1e-15, 1e-15)
+        points += [cmath.rect(2 * r, eps), cmath.rect(r, PI - abs(eps)), cmath.rect(r, -PI + abs(eps))]
+    points = [CutPoint(z) for z in points if abs(z) > 1 and abs(1 - z) > 1 and abs(z) <= 2.0**32]
+    xs = [-(1 + 2.0**-52), 2 + 2.0**-51, -(2.0**32), 2.0**32]
+    xs += [-(2.0 ** rng.uniform(0, 32)) for _ in range(40)] + [1 + 2.0 ** rng.uniform(0, 32) for _ in range(40)]
+    return points + [CutPoint(complex(x, 0.0), side) for x in xs for side in (Side.ABOVE, Side.BELOW)]
+
+
+@pytest.fixture(scope="module")
+def inversion_region_cases():
+    return [(p, li2_mpmath(p.z, p.side.value)) for p in _inversion_region_points()]
+
+
+@pytest.mark.parametrize("mode,bound", [("double", 2e-15), ("high", 1e-15)])
+def test_li2_inversion_region_against_mpmath(inversion_region_cases, mode, bound):
+    assert len(inversion_region_cases) > 600
+    with precision(mode):
+        errors = [(abs(li2(p) - ref) / abs(ref), p) for p, ref in inversion_region_cases]
+    assert [(err, p) for err, p in errors if not err <= bound] == []
+
+
+@pytest.mark.parametrize("mode", ["double", "high"])
+def test_pass_log_one_minus_is_log_one_minus(mode):
+    # below 2^32 a point's pass takes Log(1-z) as log_one_minus does, so the
+    # two agree bit for bit
+    points = [p for p in _inversion_points() + _kernel_points() if max(abs(p.z.real), abs(p.z.imag)) <= 2.0**32]
+    with precision(mode):
+        differ = [p for p in points if repr(dilog._point_pass(p)[5]) != repr(log_one_minus(p))]
+    assert differ == []
 
 
 ROGERS_INDICES = [(p, q) for p in (-3, 0, 2) for q in (-3, 0, 2)]

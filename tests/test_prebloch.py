@@ -490,8 +490,9 @@ def test_product_relation_rejects_unit_product():
 
 
 def test_product_relation_rejects_an_underflowing_product():
-    with pytest.raises(ValueError, match="^product underflowed to zero$"):
+    with pytest.raises(ValueError) as err:
         curly_product_relation(1e-200 + 1e-200j, 0, 1e-200j, 0)
+    assert str(err.value) == "the product zw underflowed to zero for z = (1e-200+1e-200j), w = 1e-200j"
 
 
 def test_product_relation_cases_randomized():
@@ -666,8 +667,9 @@ def test_chi_rejects_overflowing_square_naming_z(z):
 
 
 def test_chi_rejects_an_underflowing_square():
-    with pytest.raises(ValueError, match=r"^z\^2 underflowed to zero$"):
+    with pytest.raises(ValueError) as err:
         chi_hat(1e-200j)
+    assert str(err.value) == "z^2 underflowed to zero for z = 1e-200j"
 
 
 def test_chi_lhat_is_twice_pi_i_log():

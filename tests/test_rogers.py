@@ -91,6 +91,14 @@ def test_non_finite_value_is_named(value):
     assert repr(value) in str(exc.value)
 
 
+@pytest.mark.parametrize("k", [10**400, -(10**400), 2**1024], ids=["1e400", "-1e400", "2^1024"])
+def test_multiple_names_a_coefficient_beyond_a_double(k):
+    # int * complex converts k to a double: this raised OverflowError
+    with pytest.raises(ValueError) as err:
+        k * CmodZ2(1)
+    assert str(err.value) == f"coefficient {k} is too large for double arithmetic"
+
+
 def test_reduce_into_half_open():
     assert reduce_into(5.0, 4.0) == pytest.approx(1.0)
     assert reduce_into(-2.0, 4.0) == pytest.approx(2.0)  # open at -period/2
