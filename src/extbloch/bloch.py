@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 
 from .cover import _log_params
-from .prebloch import FormalSum, _coefficient_error
+from .prebloch import FormalSum
+from .rogers import _coefficient_error
 
 
 @dataclass(frozen=True)

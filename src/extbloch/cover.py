@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .dilog import TWO_PI_I, _ABOVE, _BELOW, CutPoint, Side, _checked_z, _point_pass, _trusted, as_cut_point
+from .dilog import (PI, TWO_PI_I, _ABOVE, _BELOW, CutPoint, Side, _checked_z, _log_1mz, _log_z, _logs, _trusted,
+                    as_cut_point)
 
 
 @dataclass(frozen=True)
@@ -98,23 +99,24 @@ def flattened(z: complex | CutPoint, p: int = 0, q: int = 0) -> FlattenedNumber:
 
 def log_param_l(f: FlattenedNumber) -> complex:
     """The branch logarithm Log z + 2 pi i p."""
-    return _point_pass(f.base)[4] + TWO_PI_I * f.p
+    return _log_z(f.base) + TWO_PI_I * f.p
 
 
 def log_param_m(f: FlattenedNumber) -> complex:
     """The branch logarithm -Log(1-z) + 2 pi i q."""
-    return -_point_pass(f.base)[5] + TWO_PI_I * f.q
+    return -_log_1mz(f.base) + TWO_PI_I * f.q
 
 
 def _log_params(terms: Iterable[tuple[int, FlattenedNumber]]) -> tuple:
-    # (c, l, m) for each term (c, f); one kernel pass per run of equal base points
+    # (c, l, m) for each term (c, f); the logarithms of one pass per run of
+    # equal base points
     out = []
     z = side = None
     for coeff, f in terms:
         base = f.base
         if base.z != z or base.side is not side:  # a new (z, side), compared without CutPoint.__eq__
             z, side = base.z, base.side
-            _, _, _, _, log_z, log_1mz = _point_pass(base)
+            log_z, log_1mz = _logs(base)
         out.append((coeff, log_z + TWO_PI_I * f.p, -log_1mz + TWO_PI_I * f.q))
     return tuple(out)
 
@@ -197,7 +199,10 @@ def is_flattened_ft(
         l4 = m1 - m0
 
     which hold on the all-upper-half chart and extend to the whole
-    connected family by analytic continuation of both sides.
+    connected family by analytic continuation of both sides.  Each is
+    checked exactly in the indices: its float part, the same combination
+    of Log z_k and -Log(1-z_k), must be 2 pi i j within tol for an integer
+    j, and j plus the combination of the indices must be 0.
     """
     entries = tuple(t)
     if len(entries) != 5 or not all(isinstance(e, FlattenedNumber) for e in entries):
@@ -211,15 +216,24 @@ def is_flattened_ft(
         return False
     if any(abs(z[k] - expected[k]) > tol for k in (2, 3, 4)):
         return False
-    _, l, m = zip(*_log_params((1, e) for e in entries))
+    # (float part, index part) of each identity, as the docstring has them
+    logs = [_logs(e.base) for e in entries]
+    l = [x for x, _ in logs]
+    m = [-v for _, v in logs]
+    p = [e.p for e in entries]
+    q = [e.q for e in entries]
     residuals = (
-        l[2] - (l[1] - l[0]),
-        l[3] - (l[1] - l[0] + m[1] - m[0]),
-        l[4] - (m[1] - m[0]),
-        m[3] - (m[2] - m[1]),
-        m[4] - (m[2] - m[1] - l[0]),
+        (l[2] - l[1] + l[0], p[2] - p[1] + p[0]),
+        (l[3] - l[1] + l[0] - m[1] + m[0], p[3] - p[1] + p[0] - q[1] + q[0]),
+        (l[4] - m[1] + m[0], p[4] - q[1] + q[0]),
+        (m[3] - m[2] + m[1], q[3] - q[2] + q[1]),
+        (m[4] - m[2] + m[1] + l[0], q[4] - q[2] + q[1] + p[0]),
     )
-    return all(abs(r) <= tol for r in residuals)
+    for r, n in residuals:
+        j = round(r.imag / (2.0 * PI))
+        if j + n or abs(complex(r.real, r.imag - 2.0 * PI * j)) > tol:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

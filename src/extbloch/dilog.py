@@ -37,10 +37,12 @@ one raw mpc tuple of ``mpmath.libmp``, each operation rounded to nearest at
 the mode's precision, so no pass reads or sets mpmath's global context.
 The precision mode, a context variable (so per thread or asyncio task),
 picks the primitives; results are machine complex either way, and mpmath
-is imported on the first high-precision pass only.  One kernel pass gives
-Li2 z with Log z and Log(1-z); a point keeps its pass (``_point_pass``),
-one per precision mode, for the Rogers values and branch logarithms read
-from it.  Against mpmath, Li2 is within 2e-15 relative error in double and
+is imported on the first high-precision pass only.  A point's pass runs
+in stages, each on demand and kept on the point per precision mode: Log z,
+Log(1-z), and Li2 z from those two logarithms at working precision (beyond
+2**32, the far-out pass is one stage).  A reader runs only the stages it
+needs: a branch logarithm one logarithm, a Rogers value all three.
+Against mpmath, Li2 is within 2e-15 relative error in double and
 1e-15 in high precision for |z| from 1e-300 to 1e300, on both sides of
 both cuts.
 """
@@ -88,6 +90,24 @@ def on_cut(z: complex) -> bool:
     return z.imag == 0.0 and (z.real < 0.0 or z.real > 1.0)
 
 
+def _int_text(k: int) -> str:
+    # an int for a message; str() itself refuses one of more than 4300 digits
+    try:
+        return str(k)
+    except ValueError:
+        return f"of {k.bit_length()} bits"
+
+
+def _as_complex(value) -> complex:
+    # complex(value), with a number beyond the range of a double (an int
+    # of 309 digits or more) named in a ValueError
+    try:
+        return complex(value)
+    except OverflowError:
+        text = _int_text(value) if isinstance(value, int) else repr(value)
+        raise ValueError(f"{text} is beyond the range of a double") from None
+
+
 def _trusted(cls, **fields):
     # The one path that skips a value type's checks: for values the package
     # derives from checked ones.  The fields are stored as given, so they
@@ -110,7 +130,8 @@ class CutPoint:
 
     def __init__(self, z: complex, side: Side | str = Side.INTERIOR) -> None:
         # the checks, then the fields stored directly, without the frozen setter
-        z = complex(z)
+        if z.__class__ is not complex:
+            z = _as_complex(z)
         if side.__class__ is not Side:
             side = Side.coerce(side)
         fields = self.__dict__
@@ -144,7 +165,7 @@ def as_cut_point(value: complex | CutPoint) -> CutPoint:
     """
     if isinstance(value, CutPoint):
         return value
-    z = complex(value)
+    z = _as_complex(value)
     return CutPoint(z, _ABOVE if on_cut(z) else _INTERIOR)
 
 
@@ -397,11 +418,9 @@ def _inverted(k: _Arith, z, side: Side):
     return k.series(-log_1m_inv), k.log(-z, flipped), log_1m_inv
 
 
-def _li2_logs(k: _Arith, z, side: Side):
-    # Li2 z, Log z and Log(1-z) in one kernel pass of two logarithms.
-    log_z = k.log(z, side)
-    log_1mz = _log_one_minus(k, z, side)
-    c = complex(z)  # the region test in machine floats: a high precision z holds a double
+def _li2_of(k: _Arith, c: complex, side: Side, log_z, log_1mz):
+    # Li2 z from Log z and Log(1-z) of the mode; c is z as a machine complex,
+    # for the region test (a high precision z holds a double).
     x = c.real
     nz = x * x + c.imag * c.imag
     if nz > 1 and 0.5 * nz > x:
@@ -410,12 +429,19 @@ def _li2_logs(k: _Arith, z, side: Side):
         # above side) and, as 1 - z = (-z)(1 - 1/z) with the two arguments of
         # opposite signs, -Log(1-1/z) = Log(-z) - Log(1-z).
         log_neg = log_z - k.i_pi if c.imag > 0 or side is _ABOVE else log_z + k.i_pi
-        return -k.series(log_neg - log_1mz) - k.zeta2 - 0.5 * log_neg * log_neg, log_z, log_1mz
+        return -k.series(log_neg - log_1mz) - k.zeta2 - 0.5 * log_neg * log_neg
     if x > 0.5 and 0.5 * nz <= x:
         # |1-z| <= 1: Li2(z) = pi^2/6 - Log z Log(1-z) - Li2(1-z), where
         # the series for 1-z runs in w = -Log z.
-        return k.zeta2 - log_z * log_1mz - k.series(-log_z), log_z, log_1mz
-    return k.series(-log_1mz), log_z, log_1mz  # |z| <= 1 and Re z <= 1/2: no map needed
+        return k.zeta2 - log_z * log_1mz - k.series(-log_z)
+    return k.series(-log_1mz)  # |z| <= 1 and Re z <= 1/2: no map needed
+
+
+def _li2_logs(k: _Arith, z, side: Side):
+    # Li2 z, Log z and Log(1-z) in one kernel pass of two logarithms.
+    log_z = k.log(z, side)
+    log_1mz = _log_one_minus(k, z, side)
+    return _li2_of(k, complex(z), side, log_z, log_1mz), log_z, log_1mz
 
 
 def li2(p: CutPoint | complex) -> complex:
@@ -426,7 +452,7 @@ def li2(p: CutPoint | complex) -> complex:
     evaluate to their classical limits 0 and pi^2/6.
     """
     if not isinstance(p, CutPoint):
-        z = complex(p)
+        z = _as_complex(p)
         if z == 0:
             return 0.0 + 0.0j
         if z == 1:
@@ -436,7 +462,7 @@ def li2(p: CutPoint | complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# the kernel pass of a point, cached on the point
+# the kernel stages of a point, kept on the point
 # ---------------------------------------------------------------------------
 
 def _far_out(k: _Arith, z, side: Side):
@@ -448,28 +474,99 @@ def _far_out(k: _Arith, z, side: Side):
     return inverse, log_neg, log_1m_inv, k.log(z, side), log_neg + log_1m_inv
 
 
-def _point_pass(point: CutPoint) -> tuple:
-    # (c, x, v, s, Log z, Log(1-z)): what the Rogers value and the branch
-    # logarithms need of the point, from one kernel pass per precision mode.
-    # s = 0 marks the direct form, with c, x, v = Li2 z, Log z, Log(1-z).
-    # The pass lives on the point, keyed by the mode; equality, hashing and
-    # repr see the fields only.
+_FAR = 2.0**32
+
+
+def _far(z: complex) -> bool:
+    # beyond 2**32 in |Re z| or |Im z|, a pass takes the far-out form
+    return not (-_FAR <= z.real <= _FAR and -_FAR <= z.imag <= _FAR)
+
+
+class _Stages:
+    # The stages of one point's pass run so far in one precision mode (dps
+    # None for double), each None until asked for: Log z and Log(1-z) as
+    # machine complex (log_z, log_1mz) and as the mode's numbers (x, v), and
+    # what the Rogers value reads, (c, x, v, s, Log z, Log(1-z)).  s = 0
+    # marks the direct form, with c, x, v = Li2 z, Log z, Log(1-z).  Far out
+    # one stage fills all but x and v.
+    __slots__ = ("dps", "log_z", "log_1mz", "x", "v", "rogers")
+
+    def __init__(self, dps: int | None) -> None:
+        self.dps = dps
+        self.log_z = self.log_1mz = self.x = self.v = self.rogers = None
+
+
+def _run_stage(name: str, point: CutPoint) -> _Stages:
+    # Run one stage of the point's pass in the current precision mode (far
+    # out, the far-out pass in its place) and keep what it gives on the
+    # point's stages, which it returns: "log" Log z, "log1m" Log(1-z), "logs"
+    # both, "li2" Li2 z from the two, taking whichever is not yet kept.  The
+    # stages live on the point, keyed by the mode; equality, hashing and repr
+    # see the fields only.
     dps = _DPS.get()
-    cached = point.__dict__.get("_pass")
-    if cached is not None and cached[0] == dps:
-        return cached[1]
-    z = point.z
-    if max(abs(z.real), abs(z.imag)) > 2.0**32:
+    z, side = point.z, point.side
+    st = point.__dict__.get("_pass")
+    if st is None or st.dps != dps:
+        st = point.__dict__["_pass"] = _Stages(dps)
+    k = _DOUBLE if dps is None else _high_arith(dps)
+    zk = z if dps is None else k.point(z)
+    if _far(z):
         # Out here the direct sum loses digits: the (Log -z)^2 / 2 in Li2 z
         # and in Log z Log(1-z) / 2 cancel.  Cancel them exactly: with
         # u = Log(-z), Log z = u + i pi s (s = +-1 on the upper or lower side)
         # and Log(1-z) = u + v, v = Log(1-1/z), L = -Li2(1/z) - pi^2/3
         # + u (a + b) / 2 + a b / 2, a = i pi (s + 2p), b = v + 2 pi i q.
-        inverse, u, v, log_z, log_1mz = _evaluate(_far_out, point)
-        s = 1 if z.imag > 0 or point.side is _ABOVE else -1
-        out = (-inverse - PI_SQ / 3.0, u, v, s, log_z, log_1mz)
-    else:
-        li, log_z, log_1mz = _evaluate(_li2_logs, point)
-        out = (li, log_z, log_1mz, 0, log_z, log_1mz)
-    point.__dict__["_pass"] = (dps, out)
-    return out
+        inverse, u, v, st.log_z, st.log_1mz = map(complex, _far_out(k, zk, side))
+        s = 1 if z.imag > 0 or side is _ABOVE else -1
+        st.rogers = (-inverse - PI_SQ / 3.0, u, v, s, st.log_z, st.log_1mz)
+        return st
+    # Another thread of the same mode may run a stage of the same point at
+    # once: each field is stored after the one it implies (log_z before x,
+    # log_1mz before v, rogers last), so a field read as set is complete.
+    x, v = st.x, st.v
+    if x is None and name != "log1m":
+        x = k.log(zk, side)
+        st.log_z = x if dps is None else complex(x)
+        st.x = x
+    if v is None and name != "log":
+        v = _log_one_minus(k, zk, side)
+        st.log_1mz = v if dps is None else complex(v)
+        st.v = v
+    if name == "li2":
+        li = _li2_of(k, z, side, x, v)
+        log_z, log_1mz = st.log_z, st.log_1mz
+        st.rogers = (li if dps is None else complex(li), log_z, log_1mz, 0, log_z, log_1mz)
+    return st
+
+
+# The readers of a point's stages: each runs the stage it needs unless the
+# point keeps it in the current mode.
+
+def _log_z(point: CutPoint) -> complex:
+    st = point.__dict__.get("_pass")
+    if st is None or st.dps != _DPS.get() or st.log_z is None:
+        st = _run_stage("log", point)
+    return st.log_z
+
+
+def _log_1mz(point: CutPoint) -> complex:
+    st = point.__dict__.get("_pass")
+    if st is None or st.dps != _DPS.get() or st.log_1mz is None:
+        st = _run_stage("log1m", point)
+    return st.log_1mz
+
+
+def _logs(point: CutPoint) -> tuple[complex, complex]:
+    # Log z and Log(1-z)
+    st = point.__dict__.get("_pass")
+    if st is None or st.dps != _DPS.get() or st.log_z is None or st.log_1mz is None:
+        st = _run_stage("logs", point)
+    return st.log_z, st.log_1mz
+
+
+def _point_pass(point: CutPoint) -> tuple:
+    # (c, x, v, s, Log z, Log(1-z)): what the Rogers value reads
+    st = point.__dict__.get("_pass")
+    if st is None or st.dps != _DPS.get() or st.rogers is None:
+        st = _run_stage("li2", point)
+    return st.rogers

@@ -23,8 +23,8 @@ from .cover import (
     parse_flattened,
     serialize_flattened,
 )
-from .dilog import PI, CutPoint, Side, _flip, _point_pass, _trusted, arg_cut, as_cut_point
-from .rogers import CmodZ2, _chart, _coefficient_error
+from .dilog import PI, CutPoint, Side, _flip, _trusted, arg_cut, as_cut_point
+from .rogers import CmodZ2, _lhat_sum
 
 
 @dataclass(frozen=True)
@@ -110,26 +110,17 @@ class FormalSum:
 def eval_lhat(s: FormalSum) -> CmodZ2:
     """Sum of coefficient times lifted-Rogers value, reduced mod 4 pi^2.
 
-    The unreduced contributions are accumulated with compensated
-    summation in canonical term order, then reduced once; the charts over
-    one base point are adjacent in that order and share one kernel pass.
+    The charts over one base point are adjacent in canonical term order.
+    Each run of them is summed by four integer moments, C = sum c,
+    P = sum c p, Q = sum c q and PQ = sum c p q, into one float combination
+    of its point's pass, C (Li2 z + Log z Log(1-z)/2 - pi^2/6) + pi i (Q Log z
+    + P Log(1-z)) (far out, the same split of the far-out form), and a
+    lattice part -2 pi^2 PQ kept as an exact integer.  A stage of the pass
+    runs only where a moment that reads it is nonzero.  The float parts are
+    added with compensated summation, and the lattice part, reduced mod 4,
+    joins them once at the end; so k kappa_hat is exact for every int k.
     """
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    z = side = None
-    for coeff, gen in s.terms:
-        base = gen.base
-        if base.z != z or base.side is not side:  # a new (z, side); -0.0 == 0.0 gives equal values
-            z, side = base.z, base.side
-            point = _point_pass(base)
-        try:
-            term = coeff * _chart(point, gen.p, gen.q) - comp
-        except OverflowError:  # int * complex converts the coefficient to a double
-            raise _coefficient_error(coeff) from None
-        new_total = total + term
-        comp = (new_total - total) - term
-        total = new_total
-    return CmodZ2(total)
+    return _lhat_sum(s.terms)
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cover import FlattenedNumber
-from .dilog import PI, PI_SQ, TWO_PI_I, CutPoint, Side, _point_pass
+from .dilog import PI, PI_SQ, TWO_PI_I, CutPoint, Side, _as_complex, _far, _int_text, _log_1mz, _log_z, _point_pass
 
 FOUR_PI_SQ = 4.0 * PI_SQ
 TWO_PI_SQ = 2.0 * PI_SQ
+PI_I = complex(0.0, PI)
+ZETA2 = PI_SQ / 6.0
 
 
 def reduce_into(x: float, period: float) -> float:
@@ -34,13 +36,8 @@ def reduce_into(x: float, period: float) -> float:
 
 
 def _coefficient_error(coeff: int) -> ValueError:
-    # for a coefficient beyond the range of a double; str() itself refuses
-    # an int of more than 4300 digits
-    try:
-        text = str(coeff)
-    except ValueError:
-        text = f"of {coeff.bit_length()} bits"
-    return ValueError(f"coefficient {text} is too large for double arithmetic")
+    # for a coefficient beyond the range of a double
+    return ValueError(f"coefficient {_int_text(coeff)} is too large for double arithmetic")
 
 
 @dataclass(frozen=True, init=False)
@@ -50,15 +47,19 @@ class CmodZ2:
     value: complex
 
     def __init__(self, value: complex) -> None:
-        v = complex(value)
+        v = value if value.__class__ is complex else _as_complex(value)
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
             raise ValueError(f"{v!r} is not a finite value of C mod 4 pi^2")
         self.__dict__["value"] = complex(reduce_into(v.real, FOUR_PI_SQ), v.imag)
 
     def __add__(self, other: "CmodZ2") -> "CmodZ2":
+        if not isinstance(other, CmodZ2):
+            return NotImplemented
         return CmodZ2(self.value + other.value)
 
     def __sub__(self, other: "CmodZ2") -> "CmodZ2":
+        if not isinstance(other, CmodZ2):
+            return NotImplemented
         return CmodZ2(self.value - other.value)
 
     def __neg__(self) -> "CmodZ2":
@@ -129,12 +130,68 @@ def _chart(point: tuple, p: int, q: int) -> complex:
         a = complex(0.0, PI * (s + 2 * p))
         return c + 0.5 * x * (a + b) + 0.5 * a * b
     a = x + TWO_PI_I * p
-    return c + 0.5 * a * b - PI_SQ / 6.0
+    return c + 0.5 * a * b - ZETA2
+
+
+def _lhat_sum(terms: Sequence[tuple[int, FlattenedNumber]]) -> CmodZ2:
+    # sum c L(z; 2p, 2q) mod 4 pi^2 over terms (c, (z; 2p, 2q)) whose charts
+    # over one base point are adjacent, as in a FormalSum.  With x = Log z and
+    # v = Log(1-z), L = Li2 z + x v / 2 - pi^2/6 + pi i (q x + p v) - 2 pi^2 p q,
+    # so a run over one point needs only its moments C, P, Q and PQ (see
+    # eval_lhat); Li2 is read for C, Log z for Q and Log(1-z) for P.
+    total = comp = 0j
+    lattice = 0  # in units of pi^2
+    n = len(terms)
+    i = 0
+    try:
+        while i < n:
+            point = terms[i][1].base
+            z, side = point.z, point.side
+            c = p = q = pq = 0
+            while i < n:  # the run over point; -0.0 == 0.0 gives equal values
+                coeff, f = terms[i]
+                base = f.base
+                if base.z != z or base.side is not side:
+                    break
+                cp = coeff * f.p
+                c += coeff
+                p += cp
+                q += coeff * f.q
+                pq += cp * f.q
+                i += 1
+            if not (c or p or q):
+                lattice -= 2 * pq
+                continue
+            if c or _far(z):
+                rc, x, v, s, _, log_1mz = _point_pass(point)
+            else:
+                rc, s = 0j, 0
+                x = _log_z(point) if q else 0j
+                v = _log_1mz(point) if p else 0j
+            if s:  # far out x, v = Log(-z), Log(1-1/z), and a = i pi (s + 2p)
+                value = (c * (rc + 0.5 * x * v + complex(0.0, 0.5 * PI * s) * log_1mz)
+                         + PI_I * (p * log_1mz + q * x))
+                lattice -= s * q + 2 * pq
+            else:
+                value = c * (rc + 0.5 * x * v - ZETA2) + PI_I * (q * x + p * v)
+                lattice -= 2 * pq
+            term = value - comp
+            new_total = total + term
+            comp = (new_total - total) - term
+            total = new_total
+    except OverflowError:  # int * complex converts a moment to a double
+        raise _coefficient_error(max((c for c, _ in terms), key=abs)) from None
+    # the lattice part reduced exactly, into -1, 0, 1 or 2 times pi^2
+    return CmodZ2(complex(total.real + PI_SQ * ((lattice + 1) % 4 - 1), total.imag))
 
 
 def rogers_l_hat(f: FlattenedNumber) -> CmodZ2:
-    """The lifted Rogers dilogarithm, valued in C mod 4 pi^2 Z."""
-    return CmodZ2(rogers_l_bar(f))
+    """The lifted Rogers dilogarithm, valued in C mod 4 pi^2 Z.
+
+    The lattice part -2 pi^2 p q is reduced as an integer, so it is exact
+    for every chart.
+    """
+    return _lhat_sum(((1, f),))
 
 
 # ---------------------------------------------------------------------------

@@ -17,17 +17,23 @@ settings.load_profile("extbloch")
 
 
 @pytest.fixture
-def kernel_passes(monkeypatch):
-    """The point of every kernel pass (``dilog._evaluate``) the test runs, in order."""
-    points = []
-    evaluate = dilog._evaluate
+def kernel_stages(monkeypatch):
+    """Every stage of a point's pass (``dilog._run_stage``) the test runs, in order.
 
-    def counting(kernel, point):
-        points.append(point)
-        return evaluate(kernel, point)
+    Each entry is (stage, point), the stage one of "log" (Log z), "log1m"
+    (Log(1-z)), "logs" (both), "li2" (Li2 z, with the logarithms not yet
+    kept) and "far" (the whole far-out pass).
+    """
+    stages = []
+    run_stage = dilog._run_stage
 
-    monkeypatch.setattr(dilog, "_evaluate", counting)
-    return points
+    def counting(name, point):
+        st = run_stage(name, point)
+        stages.append(("far" if dilog._far(point.z) else name, point))
+        return st
+
+    monkeypatch.setattr(dilog, "_run_stage", counting)
+    return stages
 
 
 @pytest.fixture

@@ -70,6 +70,21 @@ def rogers_mpmath(z: complex, side: str, p: int, q: int, dps: int = 40) -> compl
         return complex(li + a * b / 2 - mp.pi**2 / 6)
 
 
+def lhat_sum_mpmath(terms, dps: int = 80) -> complex:
+    """sum c L(z; 2p, 2q) over terms (c, z, side, p, q), at ``dps`` digits,
+    its real part reduced into (-2 pi^2, 2 pi^2] before rounding."""
+    with mp.workdps(dps):
+        two_pi_i = 2j * mp.pi
+        total = mp.mpc(0)
+        for c, z, side, p, q in terms:
+            li, log_z, log_1mz = _rogers_pieces(z, side, dps)
+            a, b = log_z + two_pi_i * p, log_1mz + two_pi_i * q
+            total += c * (li + a * b / 2 - mp.pi**2 / 6)
+        period = 4 * mp.pi**2
+        re = total.real - period * mp.ceil(total.real / period - mp.mpf(1) / 2)
+        return complex(float(re), float(total.imag))
+
+
 @functools.lru_cache(maxsize=4096)
 def _rogers_pieces(z: complex, side: str, dps: int):
     with mp.workdps(dps):

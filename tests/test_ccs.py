@@ -204,8 +204,10 @@ def test_volume_report_evaluates_the_sum_once(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["double", "high"])
-def test_volume_report_one_kernel_pass_per_distinct_base(kernel_passes, mode):
-    calls = kernel_passes
+def test_volume_report_one_kernel_pass_per_distinct_base(kernel_stages, mode):
+    # one stage per base: Li2 at z (C = 1), only Log z at -3 (C = P = 0,
+    # Q = -1), and the far-out pass at 2e10 + 1e10j
+    calls = kernel_stages
     z = 0.5 + 0.8660254037844386j
     t = FlattenedTriangulation((
         (flattened(z), 1), (flattened(z, 1, 0), 1), (flattened(z, 0, -2), -1),
@@ -214,7 +216,7 @@ def test_volume_report_one_kernel_pass_per_distinct_base(kernel_passes, mode):
     ))
     with precision(mode):
         volume_report(t)
-    assert len(calls) == 3
+    assert [(name, p.z) for name, p in calls] == [("log", -3 + 0j), ("li2", z), ("far", 2e10 + 1e10j)]
 
 
 LOADED_FILE = """\
@@ -234,18 +236,20 @@ name: shared
 
 
 @pytest.mark.parametrize("mode", ["double", "high"])
-def test_loaded_file_one_kernel_pass_per_distinct_base(kernel_passes, mode):
+def test_loaded_file_one_kernel_pass_per_distinct_base(kernel_stages, mode):
     # load, the volume report, nu_hat and the wedge check of the whole file
-    # and of a part of it share one pass per distinct (z, side)
+    # and of a part of it share one pass per distinct (z, side): each stage
+    # runs at most once per point
     from extbloch.bloch import nu_hat, wedge_necessary_zero
     from extbloch.prebloch import FormalSum
 
-    calls = kernel_passes
+    calls = kernel_stages
     with precision(mode):
         t = load(io.StringIO(LOADED_FILE))
         report = volume_report(t)
         part = FormalSum(tuple((sign, shape) for shape, sign in t.simplices[3:]))
         for s in (t.as_formal_sum(), part):
             wedge_necessary_zero(nu_hat(s))
-    assert len(calls) == len({(f.z, f.base.side) for f, _ in t.simplices}) == 5
+    assert len({(p.z, p.side) for _, p in calls}) == len({(f.z, f.base.side) for f, _ in t.simplices}) == 5
+    assert len({(name, p.z, p.side) for name, p in calls}) == len(calls)
     assert report.simplex_count == 10

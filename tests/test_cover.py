@@ -186,6 +186,21 @@ def test_is_flattened_ft_accepts_constructed_tuples():
         assert is_flattened_ft(t, tol=1e-9)
 
 
+def test_is_flattened_ft_is_exact_in_the_indices():
+    # sample 2 of `check five-term --index-bound 1000000 --seed 5`: the
+    # residuals with 2 pi i p folded in were compared in floating point and
+    # failed on rounding; the index part is now an exact integer
+    x, y = -0.48998233260462387 + 1.2082406978809601j, -0.7671358369008483 + 1.6769064917841983j
+    t = make_flattened_ft(x, y, 921715, 819193, 605842, -183291, -665286)
+    assert is_flattened_ft(t)
+    for k in range(5):  # one index off by one is caught exactly, on any entry
+        entries = list(t)
+        entries[k] = FlattenedNumber(entries[k].base, entries[k].p, entries[k].q + 1)
+        assert not is_flattened_ft(entries)
+    big = 2**51 - 1
+    assert is_flattened_ft(make_flattened_ft(x, y, -big, big, -big, big, 0))
+
+
 def test_is_flattened_ft_rejects_tampered_index():
     t = make_flattened_ft(0.3 + 0.2j, 1j, 1, 2, 0, -1, 3)
     entries = list(t.entries)
@@ -330,7 +345,7 @@ def test_constructors_accept_branch_indices_up_to_2_53():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("mode", ["double", "high"])
-def test_log_params_one_kernel_pass_same_values(kernel_passes, mode):
+def test_log_params_one_kernel_pass_same_values(kernel_stages, mode):
     def build():
         return [
             flattened(0.3 + 0.4j, 1, -2), canonicalize(-2 + 0j, Side.BELOW, 2, 1),
@@ -341,20 +356,30 @@ def test_log_params_one_kernel_pass_same_values(kernel_passes, mode):
     with precision(mode):
         # want on equal but distinct points: a point keeps its kernel pass
         want = [(log_param_l(f), log_param_m(f)) for f in build()]
-        calls = kernel_passes
+        calls = kernel_stages
         calls.clear()
         got = [(l, m) for _, l, m in cover._log_params((1, f) for f in points)]
     assert got == want
-    assert len(calls) == len(points)
+    # the two logarithms of each point, and the far-out pass at 1e300
+    assert [name for name, _ in calls] == ["logs"] * 3 + ["far", "logs"]
 
 
 @pytest.mark.parametrize("mode", ["double", "high"])
-def test_is_flattened_ft_one_kernel_pass_per_entry(kernel_passes, mode):
+def test_is_flattened_ft_one_kernel_pass_per_entry(kernel_stages, mode):
     rng = random.Random(8)
     x, y = sample_ftplus_pair(rng)
     t = make_flattened_ft(x, y, 1, -2, 0, 3, -1)
     with precision(mode):
-        calls = kernel_passes
+        calls = kernel_stages
         calls.clear()
         assert is_flattened_ft(t)
-    assert len(calls) == 5
+    # the two logarithms of each entry, and no Li2
+    assert [name for name, _ in calls] == ["logs"] * 5
+    assert len({p.z for _, p in calls}) == 5
+
+
+def test_flattened_names_an_int_beyond_a_double():
+    # complex(10**400) raised OverflowError: int too large to convert to float
+    with pytest.raises(ValueError) as err:
+        flattened(10**400, 1, 2)
+    assert str(err.value) == f"{10**400} is beyond the range of a double"

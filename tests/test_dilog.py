@@ -649,8 +649,8 @@ def test_rogers_l_bar_relative_accuracy_against_mpmath(rogers_cases, mode):
 
 
 @pytest.mark.parametrize("z", [0.3 + 0.4j, 0.9 + 0.1j, -5 + 2j, 40 - 17j, 1e300 + 1e300j])
-def test_one_kernel_pass_per_rogers_value(kernel_passes, z):
-    calls = kernel_passes
+def test_one_kernel_pass_per_rogers_value(kernel_stages, z):
+    calls = kernel_stages
     for mode in ("double", "high"):
         with precision(mode):
             rogers_l_bar(flattened(z, 1, -2))
@@ -716,6 +716,40 @@ def test_point_pass_cache_is_invisible_to_equality_hash_and_repr():
     assert (p == q, hash(p) == hash(q), repr(p) == repr(q)) == (True, True, True)
 
 
+def test_a_stage_read_while_it_is_stored_is_complete(monkeypatch):
+    # another reader of the same point and mode (another thread, here a
+    # re-entrant call from the conversion of the 50-digit Log z to complex)
+    # can run between the stores of a stage: every field it finds set must
+    # be complete, so its Rogers tuple holds no None
+    point = CutPoint(-5 + 2j)
+    entered, seen = [], []
+    high_arith = dilog._high_arith
+
+    def reentrant(dps):
+        arith = high_arith(dps)
+
+        def log(x, side, one_plus=False):
+            out = arith.log(x, side, one_plus)
+
+            class Reentrant(type(out)):
+                __slots__ = ()
+
+                def __complex__(self):
+                    if not entered:
+                        entered.append(True)
+                        seen.append(dilog._point_pass(point))
+                    return super().__complex__()
+
+            return Reentrant(out.v)
+
+        return arith._replace(log=log)
+
+    monkeypatch.setattr(dilog, "_high_arith", reentrant)
+    with precision("high"):
+        got = dilog._point_pass(point)
+    assert seen == [got] and None not in got
+
+
 def test_point_pass_cache_shared_between_threads_of_two_modes():
     # the same point objects, evaluated at once by threads of both modes
     # (more threads than cores, short switch interval): a thread never
@@ -745,3 +779,23 @@ def test_point_pass_cache_shared_between_threads_of_two_modes():
     assert not any(t.is_alive() for t in threads)
     assert len(seen) == 120
     assert all(got == values[mode] for mode, got in seen)
+
+
+# ---------------------------------------------------------------------------
+# input beyond the range of a double
+# ---------------------------------------------------------------------------
+
+def test_cut_point_names_an_int_beyond_a_double():
+    # complex(10**400) raised OverflowError: int too large to convert to float
+    with pytest.raises(ValueError) as err:
+        CutPoint(10**400)
+    assert str(err.value) == f"{10**400} is beyond the range of a double"
+
+
+def test_li2_names_an_int_beyond_a_double():
+    with pytest.raises(ValueError) as err:
+        li2(-(10**400))
+    assert str(err.value) == f"{-(10**400)} is beyond the range of a double"
+    with pytest.raises(ValueError) as err:  # str() refuses an int of more than 4300 digits
+        li2(10**5000)
+    assert str(err.value) == f"of {(10**5000).bit_length()} bits is beyond the range of a double"

@@ -34,6 +34,8 @@ from extbloch.prebloch import (
 )
 from extbloch.rogers import TWO_PI_SQ, CmodZ2, l_bar_at, rogers_l_bar
 
+import oracles
+
 PI = math.pi
 
 
@@ -346,38 +348,66 @@ def distinct_bases(s):
     return len({(g.base.z, g.base.side) for _, g in s.terms})
 
 
+def rounding_bound(s):
+    """What regrouping a sum's terms may change: eps per term, scaled by
+    |c| (1 + |p| + |q|) (1 + |L|); the worst seen is a fifth of it."""
+    return 2.0**-52 * sum(abs(c) * (1 + abs(g.p) + abs(g.q)) * (1 + abs(reference_l_bar(g))) for c, g in s.terms)
+
+
 @pytest.mark.parametrize("mode", ["double", "high"])
 def test_eval_lhat_matches_the_per_term_loop(mode):
+    # eval_lhat sums by moments per base and keeps the lattice part exact,
+    # so it agrees with the per-term loop to rounding; the unreduced Rogers
+    # values are the loop's own, bit for bit
     rng = random.Random(23)
     with precision(mode):
         for _ in range(40 if mode == "double" else 10):
             s = FormalSum(shared_base_pairs(rng))
-            assert repr(eval_lhat(s).value) == repr(reference_eval_lhat(s).value)
+            assert eval_lhat(s).distance_to(reference_eval_lhat(s)) <= rounding_bound(s)
             assert [repr(rogers_l_bar(g)) for _, g in s.terms] == [repr(reference_l_bar(g)) for _, g in s.terms]
         for s in (kappa_hat(CutPoint(complex(-0.0, 2.0)), 3), index_relations(3 + 0j, 1, 2, -1, 4, "PQ"),
                   mirror_relation(CutPoint(-2 + 0j, Side.BELOW), 2, -1), chi_hat(1e6 - 3e5j)):
-            assert repr(eval_lhat(s).value) == repr(reference_eval_lhat(s).value)
+            assert eval_lhat(s).distance_to(reference_eval_lhat(s)) <= rounding_bound(s)
         for z, side in ((-2 + 0j, Side.BELOW), (3e10 + 0j, Side.BELOW), (-7e12 + 0j, Side.BELOW), (0.3 - 4e9j, "i")):
             chart = SimpleNamespace(base=CutPoint(z, side), p=2, q=-3)
             assert repr(l_bar_at(z, side, 2, -3)) == repr(reference_l_bar(chart))
 
 
+def expected_stages(s):
+    """The stages eval_lhat must run on s, sorted: per distinct base, from
+    the moments C = sum c, P = sum c p and Q = sum c q of its charts, none
+    if all three vanish, else the far-out pass beyond 2^32, Li2 if C is not
+    0, and otherwise Log z if Q is not 0 and Log(1-z) if P is not 0."""
+    moments = {}
+    for c, g in s.terms:
+        m = moments.setdefault((g.z, g.base.side), [0, 0, 0, max(abs(g.z.real), abs(g.z.imag)) > 2.0**32])
+        m[0], m[1], m[2] = m[0] + c, m[1] + c * g.p, m[2] + c * g.q
+    out = []
+    for c, p, q, far in moments.values():
+        if c or p or q:
+            out += ["far"] if far else ["li2"] if c else ["log"] * (q != 0) + ["log1m"] * (p != 0)
+    return sorted(out)
+
+
 @pytest.mark.parametrize("mode", ["double", "high"])
-def test_eval_lhat_one_kernel_pass_per_distinct_base(kernel_passes, mode):
-    calls = kernel_passes
+def test_eval_lhat_one_kernel_pass_per_distinct_base(kernel_stages, mode):
+    calls = kernel_stages
     rng = random.Random(29)
-    terms = bases = 0
+    terms = bases = li2_runs = 0
     with precision(mode):
         for _ in range(20):
             s = FormalSum(shared_base_pairs(rng))
             calls.clear()
             eval_lhat(s)
-            assert len(calls) == distinct_bases(s)
-            terms, bases = terms + len(s), bases + len(calls)
+            assert sorted(name for name, _ in calls) == expected_stages(s)
+            assert len({(name, p.z, p.side) for name, p in calls}) == len(calls)  # each stage once per base
+            terms, bases = terms + len(s), bases + distinct_bases(s)
+            li2_runs += sum(name in ("li2", "far") for name, _ in calls)
         calls.clear()
         eval_lhat(index_relations(CutPoint(-2 + 0j, Side.BELOW), 1, 2, -1, 3, "Q"))
-        assert len(calls) == 1  # four charts over one point
+        assert calls == []  # four charts over one point, with C = P = Q = 0
     assert terms > 2 * bases
+    assert li2_runs < bases  # some bases have C = 0
 
 
 def test_eval_single_half():
@@ -885,3 +915,47 @@ def test_curly_product_relation_names_its_inputs_when_the_product_overflows():
     with pytest.raises(ValueError) as err:
         curly_product_relation(1e200 + 1j, 0, 1e200 + 1j, 0)
     assert str(err.value) == "the product zw is not finite for z = (1e+200+1j), w = (1e+200+1j)"
+
+
+# ---------------------------------------------------------------------------
+# evaluation by integer moments
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("mode", ["double", "high"])
+@pytest.mark.parametrize("k", [1, 2, -3, 2**60 + 1, 10**300], ids=["1", "2", "-3", "2^60+1", "1e300"])
+def test_multiples_of_kappa_are_exact(k, mode):
+    # the moments C, P and Q of k kappa vanish and PQ = k, so the value is
+    # the lattice part alone: (2**60 + 1) kappa was 0, and 10**300 kappa -8.95
+    want = complex(TWO_PI_SQ, 0.0) if k % 2 else 0j
+    with precision(mode):
+        assert eval_lhat(k * kappa_hat()).value == want
+        assert eval_lhat(k * kappa_hat(CutPoint(-3 + 0j, Side.BELOW), 5)).value == want
+
+
+FAR_CHARTS = {
+    # a base beyond 2^32 with several charts: C = 2 - 1 - 1 = 0, and C = 7
+    "C=0": ((2, 3, -1), (-1, 0, 2), (-1, -4, 5)),
+    "C!=0": ((3, 1, 2), (-1, -2, 7), (5, 0, -3)),
+}
+
+
+@pytest.mark.parametrize("mode", ["double", "high"])
+@pytest.mark.parametrize("charts", list(FAR_CHARTS.values()), ids=list(FAR_CHARTS))
+@pytest.mark.parametrize("z,side", [(3e12 - 7e11j, "i"), (-5e15 + 0j, "b"), (9e9 + 0j, "a")])
+def test_far_base_with_several_charts_against_mpmath(z, side, charts, mode):
+    s = FormalSum(tuple((c, canonicalize(z, side, p, q)) for c, p, q in charts))
+    assert distinct_bases(s) == 1
+    want = oracles.lhat_sum_mpmath([(c, z, side, p, q) for c, p, q in charts], dps=80)
+    with precision(mode):
+        assert eval_lhat(s).distance_to(want) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["double", "high"])
+def test_curly_runs_one_logarithm_and_no_li2(kernel_stages, mode):
+    # {z; 2p} = [z; 2p, 2] - [z; 2p, 0] has C = P = 0 and Q = 1: its value
+    # pi i (Log z + 2 pi i p) reads Log z only
+    point = CutPoint(0.3 + 0.7j)
+    with precision(mode):
+        v = eval_lhat(curly(point, 2))
+    assert kernel_stages == [("log", point)]
+    assert v.equals(1j * PI * (cmath.log(0.3 + 0.7j) + TWO_PI_I * 2), tol=1e-12)

@@ -99,6 +99,21 @@ def test_multiple_names_a_coefficient_beyond_a_double(k):
     assert str(err.value) == f"coefficient {k} is too large for double arithmetic"
 
 
+def test_constructor_names_an_int_beyond_a_double():
+    # complex(10**400) raised OverflowError: int too large to convert to float
+    with pytest.raises(ValueError) as err:
+        CmodZ2(10**400)
+    assert str(err.value) == f"{10**400} is beyond the range of a double"
+
+
+def test_sum_and_difference_with_a_non_element_are_type_errors():
+    # other.value raised AttributeError on an int
+    for op in (lambda: CmodZ2(1) + 5, lambda: CmodZ2(1) - 5, lambda: 5 + CmodZ2(1), lambda: 2.5 - CmodZ2(1)):
+        with pytest.raises(TypeError):
+            op()
+    assert CmodZ2(1) + CmodZ2(2) == CmodZ2(3) and CmodZ2(3) - CmodZ2(2) == CmodZ2(1)
+
+
 def test_reduce_into_half_open():
     assert reduce_into(5.0, 4.0) == pytest.approx(1.0)
     assert reduce_into(-2.0, 4.0) == pytest.approx(2.0)  # open at -period/2

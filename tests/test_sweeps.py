@@ -2,8 +2,9 @@ import pytest
 
 from extbloch import sweeps
 from extbloch.cover import make_flattened_ft
-from extbloch.dilog import CutPoint, Side
+from extbloch.dilog import CutPoint, Side, precision
 from extbloch.prebloch import index_relations
+from extbloch.rogers import CmodZ2
 from extbloch.sweeps import RELATIONS, SweepConfig, run_sweep
 
 LARGEST_BOUND = 2**51 - 1  # 4 * bound + 2 <= 2**53
@@ -29,8 +30,16 @@ def test_passing_samples_build_no_echo(relation, echo_calls):
     assert echo_calls == []
 
 
+EXACT = ("index-q", "index-p", "index-pq", "kappa")  # C = P = Q = 0 on every base
+
+
 @pytest.mark.parametrize("relation", RELATIONS)
-def test_failing_samples_echo_their_element(relation, echo_calls):
+def test_failing_samples_echo_their_element(relation, echo_calls, monkeypatch):
+    if relation in EXACT:
+        # their residual is exactly 0, so even tol=1e-300 passes; a nudged
+        # evaluation makes every sample fail
+        evaluate = sweeps.eval_lhat
+        monkeypatch.setattr(sweeps, "eval_lhat", lambda s: evaluate(s) + CmodZ2(1e-6))
     result = run_sweep(SweepConfig(relation, samples=12, seed=3, tol=1e-300))
     failed = [int(line.split()[1][len("sample="):]) for line in result.failures]
     assert failed == sorted(set(failed)) and len(failed) >= 1
@@ -41,6 +50,27 @@ def test_failing_samples_echo_their_element(relation, echo_calls):
     # runners echo their inputs instead
     plain = relation in ("chi-hom", "kappa", "splitting")
     assert len(echo_calls) == (0 if plain else len(failed))
+
+
+@pytest.mark.parametrize("relation", EXACT)
+@pytest.mark.parametrize("mode", ["double", "high"])
+def test_lattice_only_relations_are_exact(relation, mode):
+    # their elements have only a lattice part, summed as an integer: the
+    # residual is 0 at every index bound, even at the largest
+    for bound in (5, 1000, LARGEST_BOUND):
+        with precision(mode):
+            result = run_sweep(SweepConfig(relation, samples=50, seed=5, index_bound=bound))
+        assert result.max_residual == 0.0 and result.passed
+
+
+@pytest.mark.parametrize("seed", [5, 7])
+def test_every_relation_passes_at_index_bound_1000(seed):
+    # with the lattice part -2 pi^2 p q in floating point, 11 of the 15
+    # relations failed here at tol 1e-9 (residuals up to 3.8e-8)
+    for relation in RELATIONS:
+        result = run_sweep(SweepConfig(relation, samples=500, seed=seed, index_bound=1000))
+        assert result.passed, (relation, result.max_residual)
+        assert result.max_residual < 1e-10, relation
 
 
 def test_config_rejects_bounds_whose_indices_pass_2_53():
@@ -66,24 +96,28 @@ def test_largest_bound_derives_indices_within_2_53():
     assert max(abs(f.q) for _, f in elem) == 3 * b + 2 <= 2**53
 
 
-@pytest.mark.parametrize("relation,passes", [("five-term", 5), ("kappa", 1)])
-def test_sweep_sample_kernel_passes(kernel_passes, relation, passes):
-    # the membership check and the evaluation of a five-term sample share
-    # one pass per entry; kappa's two evaluations share one pass
-    calls = kernel_passes
+@pytest.mark.parametrize("relation,points", [("five-term", 5), ("kappa", 1)])
+def test_sweep_sample_kernel_passes(kernel_stages, relation, points):
+    # the membership check of a five-term sample takes both logarithms of
+    # each of its 5 points, and its evaluation adds Li2 on each; kappa's
+    # moments C, P and Q vanish on its one point, so its two evaluations run
+    # no stage
+    stages = {"five-term": ["li2", "logs"], "kappa": []}[relation]
+    calls = kernel_stages
     for seed in range(5):
         calls.clear()
         assert run_sweep(SweepConfig(relation, samples=1, seed=seed)).passed
-        assert len(calls) == passes
+        assert sorted(name for name, _ in calls) == sorted(stages * points)
+        assert len({p.z for _, p in calls}) == (points if stages else 0)
 
 
-def test_symmetry_5_sample_kernel_passes(kernel_passes):
+def test_symmetry_5_sample_kernel_passes(kernel_stages):
     # the correction term chi(e^(i pi/12)) is one sum built at import, whose
-    # point keeps its pass: after the first sample, each sample passes over
+    # point keeps its pass: after the first sample, each sample runs Li2 on
     # its main point and [z] only
     run_sweep(SweepConfig("symmetry-5", samples=1, seed=0))
-    calls = kernel_passes
+    calls = kernel_stages
     for seed in range(1, 6):
         calls.clear()
         assert run_sweep(SweepConfig("symmetry-5", samples=4, seed=seed)).passed
-        assert len(calls) == 2 * 4
+        assert [name for name, _ in calls] == ["li2"] * (2 * 4)
