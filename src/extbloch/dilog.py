@@ -39,9 +39,12 @@ The precision mode, a context variable (so per thread or asyncio task),
 picks the primitives; results are machine complex either way, and mpmath
 is imported on the first high-precision pass only.  A point's pass runs
 in stages, each on demand and kept on the point per precision mode: Log z,
-Log(1-z), and Li2 z from those two logarithms at working precision (beyond
-2**32, the far-out pass is one stage).  A reader runs only the stages it
-needs: a branch logarithm one logarithm, a Rogers value all three.
+Log(1-z), and Li2 z from those two logarithms at working precision.  Beyond
+2**32 the far-out pass is one stage, and Li2 z comes from its inversion
+form, formed in the mode's numbers and rounded once.  ``li2``,
+``principal_log`` and ``log_one_minus`` read these stages like every other
+reader, and a reader runs only the stages it needs: a branch logarithm one
+logarithm, a Rogers value all three, a stage the point keeps none.
 Against mpmath, Li2 is within 2e-15 relative error in double and
 1e-15 in high precision for |z| from 1e-300 to 1e300, on both sides of
 both cuts.
@@ -321,17 +324,6 @@ def _high_arith(dps: int) -> _Arith:
     return arith
 
 
-def _evaluate(kernel, p: CutPoint):
-    # Run kernel(arith, z, side) in the current precision mode; a high
-    # precision result, one value or a tuple, comes back as machine complex.
-    dps = _DPS.get()
-    if dps is None:
-        return kernel(_DOUBLE, p.z, p.side)
-    arith = _high_arith(dps)
-    out = kernel(arith, arith.point(p.z), p.side)
-    return tuple(map(complex, out)) if isinstance(out, tuple) else complex(out)
-
-
 def set_precision(mode: str = "double", dps: int = 50) -> None:
     """Select the evaluation backend: "double" (default) or "high".
 
@@ -362,13 +354,8 @@ def precision(mode: str, dps: int = 50) -> Iterator[None]:
 
 
 # ---------------------------------------------------------------------------
-# the side-aware logarithm
+# the side-aware logarithm, and the dilogarithm from two of them
 # ---------------------------------------------------------------------------
-
-def _log(k: _Arith, z, side: Side):
-    # Log z as a kernel of its own
-    return k.log(z, side)
-
 
 def _log_one_minus(k: _Arith, z, side: Side):
     # 1 - z lies on the other side of the axis from z.
@@ -391,33 +378,6 @@ def arg_cut(p: CutPoint | complex) -> float:
     return math.atan2(z.imag or 0.0, z.real)
 
 
-def principal_log(p: CutPoint | complex) -> complex:
-    """Log z with Im in (-pi, pi], extended to the cut boundary by side."""
-    return _evaluate(_log, as_cut_point(p))
-
-
-def log_one_minus(p: CutPoint | complex) -> complex:
-    """Log(1-z) on the closed cut plane.
-
-    For z = x +- 0i with x > 1 the value 1-z sits on the negative axis
-    approached from the opposite side, so Im = -pi above and +pi below.
-    """
-    return _evaluate(_log_one_minus, as_cut_point(p))
-
-
-# ---------------------------------------------------------------------------
-# the dilogarithm
-# ---------------------------------------------------------------------------
-
-def _inverted(k: _Arith, z, side: Side):
-    # Li2(1/z), Log(-z) and Log(1-1/z) for |z| > 1, |1-z| > 1, where
-    # |1/z| < 1 and Re(1/z) < 1/2; -z and 1/z lie on the other side of the
-    # axis from z.
-    flipped = _flip(side)
-    log_1m_inv = _log_one_minus(k, 1 / z, flipped)
-    return k.series(-log_1m_inv), k.log(-z, flipped), log_1m_inv
-
-
 def _li2_of(k: _Arith, c: complex, side: Side, log_z, log_1mz):
     # Li2 z from Log z and Log(1-z) of the mode; c is z as a machine complex,
     # for the region test (a high precision z holds a double).
@@ -437,41 +397,23 @@ def _li2_of(k: _Arith, c: complex, side: Side, log_z, log_1mz):
     return k.series(-log_1mz)  # |z| <= 1 and Re z <= 1/2: no map needed
 
 
-def _li2_logs(k: _Arith, z, side: Side):
-    # Li2 z, Log z and Log(1-z) in one kernel pass of two logarithms.
-    log_z = k.log(z, side)
-    log_1mz = _log_one_minus(k, z, side)
-    return _li2_of(k, complex(z), side, log_z, log_1mz), log_z, log_1mz
-
-
-def li2(p: CutPoint | complex) -> complex:
-    """Principal branch of the dilogarithm on the closed cut plane.
-
-    Bare complex input is accepted; values exactly on a cut are read as
-    the upper limit x + 0i.  The points 0 and 1 (excluded from CutPoint)
-    evaluate to their classical limits 0 and pi^2/6.
-    """
-    if not isinstance(p, CutPoint):
-        z = _as_complex(p)
-        if z == 0:
-            return 0.0 + 0.0j
-        if z == 1:
-            return complex(PI_SQ / 6.0, 0.0)
-        p = as_cut_point(z)
-    return _evaluate(_li2_logs, p)[0]
-
-
 # ---------------------------------------------------------------------------
 # the kernel stages of a point, kept on the point
 # ---------------------------------------------------------------------------
 
 def _far_out(k: _Arith, z, side: Side):
-    # _inverted's three values, Log z and Log(1-z) = Log(-z) + Log(1-1/z):
-    # the chart formula needs Log(1-1/z) to absolute accuracy, which the
-    # difference of two logarithms of size log |z| would not give.  Log z is
+    # Li2 z, Li2(1/z), Log(-z), Log(1-1/z), Log z and Log(1-z) in the mode's
+    # numbers, for |z| > 2**32: Li2(1/z) is the series in -Log(1-1/z), and
+    # Li2 z = -Li2(1/z) - pi^2/6 - Log(-z)^2 / 2; -z and 1/z lie on the
+    # other side of the axis from z.  The chart formula needs Log(1-1/z) to
+    # absolute accuracy, which the difference of two logarithms of size
+    # log |z| would not give, so Log(1-z) = Log(-z) + Log(1-1/z).  Log z is
     # taken directly: Log(-z) +- i pi would cancel near the right cut.
-    inverse, log_neg, log_1m_inv = _inverted(k, z, side)
-    return inverse, log_neg, log_1m_inv, k.log(z, side), log_neg + log_1m_inv
+    flipped = _flip(side)
+    log_1m_inv = _log_one_minus(k, 1 / z, flipped)
+    inverse, log_neg = k.series(-log_1m_inv), k.log(-z, flipped)
+    li = -inverse - k.zeta2 - 0.5 * log_neg * log_neg
+    return li, inverse, log_neg, log_1m_inv, k.log(z, side), log_neg + log_1m_inv
 
 
 _FAR = 2.0**32
@@ -485,15 +427,15 @@ def _far(z: complex) -> bool:
 class _Stages:
     # The stages of one point's pass run so far in one precision mode (dps
     # None for double), each None until asked for: Log z and Log(1-z) as
-    # machine complex (log_z, log_1mz) and as the mode's numbers (x, v), and
-    # what the Rogers value reads, (c, x, v, s, Log z, Log(1-z)).  s = 0
-    # marks the direct form, with c, x, v = Li2 z, Log z, Log(1-z).  Far out
-    # one stage fills all but x and v.
-    __slots__ = ("dps", "log_z", "log_1mz", "x", "v", "rogers")
+    # machine complex (log_z, log_1mz) and as the mode's numbers (x, v), Li2 z
+    # as machine complex, and what the Rogers value reads, (c, x, v, s, Log z,
+    # Log(1-z)).  s = 0 marks the direct form, with c, x, v = Li2 z, Log z,
+    # Log(1-z).  Far out one stage fills all but x and v.
+    __slots__ = ("dps", "log_z", "log_1mz", "x", "v", "li2", "rogers")
 
     def __init__(self, dps: int | None) -> None:
         self.dps = dps
-        self.log_z = self.log_1mz = self.x = self.v = self.rogers = None
+        self.log_z = self.log_1mz = self.x = self.v = self.li2 = self.rogers = None
 
 
 def _run_stage(name: str, point: CutPoint) -> _Stages:
@@ -501,8 +443,9 @@ def _run_stage(name: str, point: CutPoint) -> _Stages:
     # out, the far-out pass in its place) and keep what it gives on the
     # point's stages, which it returns: "log" Log z, "log1m" Log(1-z), "logs"
     # both, "li2" Li2 z from the two, taking whichever is not yet kept.  The
-    # stages live on the point, keyed by the mode; equality, hashing and repr
-    # see the fields only.
+    # one place that picks a mode's primitives and runs them.  The stages
+    # live on the point, keyed by the mode; equality, hashing and repr see
+    # the fields only.
     dps = _DPS.get()
     z, side = point.z, point.side
     st = point.__dict__.get("_pass")
@@ -516,13 +459,14 @@ def _run_stage(name: str, point: CutPoint) -> _Stages:
         # u = Log(-z), Log z = u + i pi s (s = +-1 on the upper or lower side)
         # and Log(1-z) = u + v, v = Log(1-1/z), L = -Li2(1/z) - pi^2/3
         # + u (a + b) / 2 + a b / 2, a = i pi (s + 2p), b = v + 2 pi i q.
-        inverse, u, v, st.log_z, st.log_1mz = map(complex, _far_out(k, zk, side))
+        li, inverse, u, v, st.log_z, st.log_1mz = map(complex, _far_out(k, zk, side))
         s = 1 if z.imag > 0 or side is _ABOVE else -1
+        st.li2 = li
         st.rogers = (-inverse - PI_SQ / 3.0, u, v, s, st.log_z, st.log_1mz)
         return st
     # Another thread of the same mode may run a stage of the same point at
     # once: each field is stored after the one it implies (log_z before x,
-    # log_1mz before v, rogers last), so a field read as set is complete.
+    # log_1mz before v, li2 before rogers), so a field read as set is complete.
     x, v = st.x, st.v
     if x is None and name != "log1m":
         x = k.log(zk, side)
@@ -535,7 +479,8 @@ def _run_stage(name: str, point: CutPoint) -> _Stages:
     if name == "li2":
         li = _li2_of(k, z, side, x, v)
         log_z, log_1mz = st.log_z, st.log_1mz
-        st.rogers = (li if dps is None else complex(li), log_z, log_1mz, 0, log_z, log_1mz)
+        st.li2 = li = li if dps is None else complex(li)
+        st.rogers = (li, log_z, log_1mz, 0, log_z, log_1mz)
     return st
 
 
@@ -570,3 +515,41 @@ def _point_pass(point: CutPoint) -> tuple:
     if st is None or st.dps != _DPS.get() or st.rogers is None:
         st = _run_stage("li2", point)
     return st.rogers
+
+
+# ---------------------------------------------------------------------------
+# the public values: readers of the point's stages
+# ---------------------------------------------------------------------------
+
+def principal_log(p: CutPoint | complex) -> complex:
+    """Log z with Im in (-pi, pi], extended to the cut boundary by side."""
+    return _log_z(as_cut_point(p))
+
+
+def log_one_minus(p: CutPoint | complex) -> complex:
+    """Log(1-z) on the closed cut plane.
+
+    For z = x +- 0i with x > 1 the value 1-z sits on the negative axis
+    approached from the opposite side, so Im = -pi above and +pi below.
+    """
+    return _log_1mz(as_cut_point(p))
+
+
+def li2(p: CutPoint | complex) -> complex:
+    """Principal branch of the dilogarithm on the closed cut plane.
+
+    Bare complex input is accepted; values exactly on a cut are read as
+    the upper limit x + 0i.  The points 0 and 1 (excluded from CutPoint)
+    evaluate to their classical limits 0 and pi^2/6.
+    """
+    if not isinstance(p, CutPoint):
+        z = _as_complex(p)
+        if z == 0:
+            return 0.0 + 0.0j
+        if z == 1:
+            return complex(PI_SQ / 6.0, 0.0)
+        p = as_cut_point(z)
+    st = p.__dict__.get("_pass")
+    if st is None or st.dps != _DPS.get() or st.li2 is None:
+        st = _run_stage("li2", p)
+    return st.li2

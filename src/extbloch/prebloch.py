@@ -114,11 +114,12 @@ def eval_lhat(s: FormalSum) -> CmodZ2:
     Each run of them is summed by four integer moments, C = sum c,
     P = sum c p, Q = sum c q and PQ = sum c p q, into one float combination
     of its point's pass, C (Li2 z + Log z Log(1-z)/2 - pi^2/6) + pi i (Q Log z
-    + P Log(1-z)) (far out, the same split of the far-out form), and a
-    lattice part -2 pi^2 PQ kept as an exact integer.  A stage of the pass
-    runs only where a moment that reads it is nonzero.  The float parts are
-    added with compensated summation, and the lattice part, reduced mod 4,
-    joins them once at the end; so k kappa_hat is exact for every int k.
+    + P Log(1-z)) (far out with C != 0, the same split of the far-out
+    form), and a lattice part -2 pi^2 PQ kept as an exact integer.  A stage
+    of the pass runs only where a moment that reads it is nonzero.  The
+    float parts are added with compensated summation, and the lattice part,
+    reduced mod 4, joins them once at the end; so k kappa_hat is exact for
+    every int k.
     """
     return _lhat_sum(s.terms)
 
@@ -346,22 +347,26 @@ def symmetry_relation(z: complex, p: int, q: int, which: int) -> FormalSum:
     if not z.imag > 0.0:
         raise ValueError("these relations require Im z > 0")
     if which == 1:
-        main = flattened(1.0 / z, -p, p + q)
+        w, chart = 1.0 / z, (-p, p + q)
         corr = chi_hat(_I_POWER[p % 4] * root4(z))
     elif which == 2:
-        main = flattened(1.0 - 1.0 / z, -p - q, p)
+        w, chart = 1.0 - 1.0 / z, (-p - q, p)
         corr = chi_hat(cmath.exp(-1j * PI * (1 - 6 * p) / 12.0) * root4(z))
     elif which == 3:
-        main = flattened(-z / (1.0 - z), p + q, -q)
+        w, chart = -z / (1.0 - z), (p + q, -q)
         corr = chi_hat(cmath.exp(-1j * PI * (1 + 6 * q) / 12.0) * root4(z - 1.0))
     elif which == 4:
-        main = flattened(1.0 / (1.0 - z), q, -p - q)
+        w, chart = 1.0 / (1.0 - z), (q, -p - q)
         corr = chi_hat(cmath.exp(-1j * PI * (2 + 6 * q) / 12.0) * root4(z - 1.0))
     elif which == 5:
-        main = flattened(1.0 - z, -q, -p)
+        w, chart = 1.0 - z, (-q, -p)
         corr = _CHI_E12
     else:
         raise ValueError("which must be 1..5")
+    try:
+        main = flattened(w, *chart)
+    except ValueError as err:  # w rounded onto 0 or 1, or beyond the range of a double
+        raise ValueError(f"symmetry relation {which} at z = {z!r} derives the coordinate {w!r}: {err}") from None
     sign = 1 if which % 2 else -1  # odd: main + [z] - corr; even: main - [z] + corr
     terms = ((1, main), (sign, flattened(z, p, q))) + tuple((-sign * c, g) for c, g in corr.terms)
     return FormalSum(terms)

@@ -19,12 +19,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cover import FlattenedNumber
-from .dilog import PI, PI_SQ, TWO_PI_I, CutPoint, Side, _as_complex, _far, _int_text, _log_1mz, _log_z, _point_pass
+from .dilog import PI, PI_SQ, TWO_PI_I, CutPoint, Side, _as_complex, _int_text, _log_1mz, _log_z, _point_pass
 
 FOUR_PI_SQ = 4.0 * PI_SQ
 TWO_PI_SQ = 2.0 * PI_SQ
 PI_I = complex(0.0, PI)
 ZETA2 = PI_SQ / 6.0
+_DOUBLE_OVERFLOW = 2**1024 - 2**970  # the least int that rounds beyond the largest double
 
 
 def reduce_into(x: float, period: float) -> float:
@@ -162,9 +163,9 @@ def _lhat_sum(terms: Sequence[tuple[int, FlattenedNumber]]) -> CmodZ2:
             if not (c or p or q):
                 lattice -= 2 * pq
                 continue
-            if c or _far(z):
+            if c:
                 rc, x, v, s, _, log_1mz = _point_pass(point)
-            else:
+            else:  # Log z and Log(1-z) only, far out from the one far-out stage
                 rc, s = 0j, 0
                 x = _log_z(point) if q else 0j
                 v = _log_1mz(point) if p else 0j
@@ -180,7 +181,12 @@ def _lhat_sum(terms: Sequence[tuple[int, FlattenedNumber]]) -> CmodZ2:
             comp = (new_total - total) - term
             total = new_total
     except OverflowError:  # int * complex converts a moment to a double
-        raise _coefficient_error(max((c for c, _ in terms), key=abs)) from None
+        big = max((coeff for coeff, _ in terms), key=abs)
+        if abs(big) >= _DOUBLE_OVERFLOW:
+            raise _coefficient_error(big) from None
+        name, m = next((name, m) for name, m in (("C", c), ("P", p), ("Q", q)) if abs(m) >= _DOUBLE_OVERFLOW)
+        raise ValueError(f"moment {name} = {_int_text(m)} of the charts over {point.z!r} (side {point.side.value}) "
+                         "is too large for double arithmetic") from None
     # the lattice part reduced exactly, into -1, 0, 1 or 2 times pi^2
     return CmodZ2(complex(total.real + PI_SQ * ((lattice + 1) % 4 - 1), total.imag))
 

@@ -36,42 +36,54 @@ def kernel_stages(monkeypatch):
     return stages
 
 
-@pytest.fixture
-def pass_primitives(monkeypatch):
-    """The primitives of one point's kernel pass, in either precision mode.
+def _counted(number, seen):
+    # the mode's number for z, recording each 1 / z in seen
+    class Counted(type(number)):
+        __slots__ = ()
 
-    ``pass_primitives(point)`` runs ``dilog._point_pass`` on a fresh copy of
-    the CutPoint in the current mode and returns, in order, ("log", dps) for
-    each logarithm and ("div", dps) for each 1 / z the pass takes, with dps
-    mpmath's process-wide precision at that call.
+        def __rtruediv__(self, x):
+            seen.append(("div", mp.mp.dps))
+            return super().__rtruediv__(x)
+
+    return Counted(getattr(number, "v", number))
+
+
+@pytest.fixture
+def kernel_primitives(monkeypatch):
+    """The primitives the kernel takes while the test runs, in either mode.
+
+    The list holds, in order, ("log", dps) for each logarithm and ("div",
+    dps) for each 1 / z of a high-precision pass, with dps mpmath's
+    process-wide precision at that call.
     """
     seen = []
-
-    def counted(number):
-        # the mode's number for z, recording 1 / z
-        class Counted(type(number)):
-            __slots__ = ()
-
-            def __rtruediv__(self, x):
-                seen.append(("div", mp.mp.dps))
-                return super().__rtruediv__(x)
-
-        return Counted(getattr(number, "v", number))
 
     def recording(arith):
         def log(x, side, one_plus=False):
             seen.append(("log", mp.mp.dps))
             return arith.log(x, side, one_plus)
 
-        return arith._replace(point=lambda z: counted(arith.point(z)), log=log)
+        return arith._replace(point=lambda z: _counted(arith.point(z), seen), log=log)
 
     high_arith = dilog._high_arith
     monkeypatch.setattr(dilog, "_DOUBLE", recording(dilog._DOUBLE))
     monkeypatch.setattr(dilog, "_high_arith", lambda dps: recording(high_arith(dps)))
+    return seen
+
+
+@pytest.fixture
+def pass_primitives(kernel_primitives):
+    """The primitives of one point's kernel pass, in either precision mode.
+
+    ``pass_primitives(point)`` runs ``dilog._point_pass`` on a fresh copy of
+    the CutPoint in the current mode and returns what ``kernel_primitives``
+    records of it, a double pass's 1 / z included.
+    """
+    seen = kernel_primitives
 
     def run(point):
         seen.clear()
-        z = point.z if dilog._DPS.get() is not None else counted(point.z)  # a double pass takes z as it is
+        z = point.z if dilog._DPS.get() is not None else _counted(point.z, seen)  # a double pass takes z as it is
         dilog._point_pass(dilog._trusted(CutPoint, z=z, side=point.side))
         return list(seen)
 

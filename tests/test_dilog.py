@@ -363,7 +363,7 @@ def test_two_precisions_in_two_threads_agree_with_one_thread():
 
     def run(dps):
         with precision("high", dps):
-            return [dilog._evaluate(dilog._li2_logs, CutPoint(z)) for z in points]
+            return [(li2(p), principal_log(p), log_one_minus(p)) for p in map(CutPoint, points)]
 
     want = {dps: run(dps) for dps in (50, 150)}
     before = mp.mp.dps
@@ -399,13 +399,21 @@ def _kernel_points():
     return points
 
 
+def _working_pass(arith, p):
+    # Li2 z, Log z and Log(1-z) by the direct form (a pass's form below 2^32),
+    # in the mode's own numbers
+    z = arith.point(p.z)
+    log_z, log_1mz = arith.log(z, p.side), dilog._log_one_minus(arith, z, p.side)
+    return dilog._li2_of(arith, p.z, p.side, log_z, log_1mz), log_z, log_1mz
+
+
 @pytest.mark.parametrize("dps", [50, 80, 150])
 def test_kernel_accuracy_at_working_precision(dps):
     # the high-precision kernel keeps its digits at the working precision,
     # not only after rounding to a double
     arith = dilog._high_arith(dps)
     for p in _kernel_points():
-        li = _mpc(dilog._li2_logs(arith, arith.point(p.z), p.side)[0])
+        li = _mpc(_working_pass(arith, p)[0])
         with mp.workdps(dps + 20):
             want = _li2_mp(p.z, p.side.value)
             assert abs(li - want) <= mp.mpf(10) ** -(dps - 5) * abs(want), (p, li, want)
@@ -455,7 +463,7 @@ def test_high_log_and_li2_at_working_precision():
     dps = 50
     arith = dilog._high_arith(dps)
     for p in _log_points():
-        got = [_mpc(v) for v in dilog._li2_logs(arith, arith.point(p.z), p.side)]
+        got = [_mpc(v) for v in _working_pass(arith, p)]
         with mp.workdps(70):
             want = (_li2_mp(p.z, p.side.value), *_log_reference(p.z, p.side))
             for name, g, w in zip(("li2", "log z", "log 1-z"), got, want):
@@ -470,7 +478,7 @@ def test_inversion_identity_log_one_minus_accuracy(mode, bound):
     points = _edge_points()
     assert len(points) >= 60
     with precision(mode):
-        got = [dilog._evaluate(dilog._li2_logs, p)[2] for p in points]
+        got = [log_one_minus(p) for p in points]
     errors = []
     with mp.workdps(40):
         for g, p in zip(got, points):
@@ -604,11 +612,60 @@ def test_li2_inversion_region_against_mpmath(inversion_region_cases, mode, bound
     assert [(err, p) for err, p in errors if not err <= bound] == []
 
 
+def _far_points():
+    # seeded points beyond 2^32 with |z| from 10^9.7 to 10^307.5, and both
+    # sides of both cuts
+    rng = random.Random(3071)
+    points = []
+    while len(points) < 400:
+        z = cmath.rect(10.0 ** rng.uniform(9.7, 307.5), rng.uniform(-PI, PI))
+        if dilog._far(z):
+            points.append(CutPoint(z))
+    for _ in range(40):
+        r = 10.0 ** rng.uniform(9.7, 307.5)
+        points += [CutPoint(complex(x, 0.0), side) for x in (-r, r) for side in (Side.ABOVE, Side.BELOW)]
+    return points
+
+
+@pytest.fixture(scope="module")
+def far_cases():
+    with mp.workdps(40):
+        return [(p, _li2_mp(p.z, p.side.value)) for p in _far_points()]
+
+
+@pytest.mark.parametrize("mode,bound", [("double", 2e-15), ("high", 2e-16)])
+def test_li2_beyond_2_32_against_mpmath(far_cases, mode, bound):
+    # beyond 2^32 Li2 z comes from the far-out form, which high precision
+    # forms in its own numbers and rounds once: worst seen 1.1e-16 against
+    # the unrounded 40-digit value in high precision (3.8e-16 in double, and
+    # as much where high precision rounds the far-out parts to double first)
+    with precision(mode):
+        got = [(li2(p), p, ref) for p, ref in far_cases]
+    with mp.workdps(40):
+        errors = [(float(abs(g - ref) / abs(ref)), p) for g, p, ref in got]
+    assert [(err, p) for err, p in errors if not err <= bound] == []
+
+
+@pytest.mark.parametrize("mode", ["double", "high"])
+def test_public_functions_read_the_kept_stages(kernel_primitives, mode):
+    # after a Rogers value, li2, principal_log and log_one_minus of its base
+    # point read the stages it keeps and take no logarithm (they took four)
+    with precision(mode):
+        for z, side in CACHE_POINTS:
+            f = canonicalize(CutPoint(z, side), p=1, q=-2)
+            rogers_l_bar(f)
+            kernel_primitives.clear()
+            values = li2(f.base), principal_log(f.base), log_one_minus(f.base)
+            assert kernel_primitives == [], (z, side)
+            fresh = CutPoint(f.base.z, f.base.side)
+            assert values == (li2(fresh), principal_log(fresh), log_one_minus(fresh))
+            assert (f.base == fresh, hash(f.base) == hash(fresh), repr(f.base) == repr(fresh)) == (True, True, True)
+
+
 @pytest.mark.parametrize("mode", ["double", "high"])
 def test_pass_log_one_minus_is_log_one_minus(mode):
-    # below 2^32 a point's pass takes Log(1-z) as log_one_minus does, so the
-    # two agree bit for bit
-    points = [p for p in _inversion_points() + _kernel_points() if max(abs(p.z.real), abs(p.z.imag)) <= 2.0**32]
+    # log_one_minus reads the Log(1-z) a point's pass keeps
+    points = _inversion_points() + _kernel_points()
     with precision(mode):
         differ = [p for p in points if repr(dilog._point_pass(p)[5]) != repr(log_one_minus(p))]
     assert differ == []

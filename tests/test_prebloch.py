@@ -15,7 +15,7 @@ from extbloch.cover import (
     parse_flattened,
     serialize_flattened,
 )
-from extbloch.dilog import CutPoint, Side, TWO_PI_I, arg_cut, as_cut_point, precision, principal_log
+from extbloch.dilog import CutPoint, Side, TWO_PI_I, arg_cut, as_cut_point, li2, log_one_minus, precision, principal_log
 from extbloch.prebloch import (
     FormalSum,
     check_chi_homomorphism,
@@ -281,15 +281,17 @@ def test_eval_empty_is_zero():
 
 def reference_l_bar(gen):
     """The Rogers value as one kernel pass and one formula per cover point."""
-    point, p, q = gen.base, gen.p, gen.q
+    point, p, q = CutPoint(gen.base.z, gen.base.side), gen.p, gen.q  # a fresh point runs a pass of its own
     z = point.z
     if max(abs(z.real), abs(z.imag)) > 2.0**32:
-        inverse, u, v = dilog._evaluate(dilog._inverted, point)
+        dps = dilog._DPS.get()
+        arith = dilog._DOUBLE if dps is None else dilog._high_arith(dps)
+        _, inverse, u, v = map(complex, dilog._far_out(arith, arith.point(z), point.side)[:4])
         s = 1 if z.imag > 0 or point.side is Side.ABOVE else -1
         a = complex(0.0, PI * (s + 2 * p))
         b = v + TWO_PI_I * q
         return -inverse - PI**2 / 3.0 + 0.5 * u * (a + b) + 0.5 * a * b
-    li, log_z, log_1mz = dilog._evaluate(dilog._li2_logs, point)
+    li, log_z, log_1mz = li2(point), principal_log(point), log_one_minus(point)
     a = log_z + TWO_PI_I * p
     b = log_1mz + TWO_PI_I * q
     return li + 0.5 * a * b - PI**2 / 6.0
@@ -903,6 +905,31 @@ def test_eval_lhat_names_a_coefficient_beyond_a_double(coeff):
         eval_lhat(s)
     want = f"of {coeff.bit_length()} bits" if coeff == 10**5000 else str(coeff)
     assert str(err.value) == f"coefficient {want} is too large for double arithmetic"
+
+
+@pytest.mark.parametrize("terms,name,moment", [
+    (((10**300, flattened(0.3 + 0.2j, 10**10, 0)),), "P", 10**310),
+    (((10**308, flattened(0.3 + 0.2j)), (10**308, flattened(0.3 + 0.2j, 1, 0))), "C", 2 * 10**308),
+], ids=["P", "C"])
+def test_eval_lhat_names_a_moment_beyond_a_double(terms, name, moment):
+    # each coefficient fits in a double, but a moment does not: this named
+    # the coefficient 10**300 (or 10**308) as too large
+    with pytest.raises(ValueError) as err:
+        eval_lhat(FormalSum(terms))
+    assert str(err.value) == (f"moment {name} = {moment} of the charts over (0.3+0.2j) (side i) "
+                              "is too large for double arithmetic")
+
+
+@pytest.mark.parametrize("z,which,message", [
+    (1e300 + 1e300j, 3, "derives the coordinate (1-0j): 0 and 1 are excluded from the cut plane"),
+    (1e-310j, 1, "derives the coordinate -infj: -infj is not a finite point of the cut plane"),
+    (1.5e308 + 1e308j, 3, "derives the coordinate (nan-0j): (nan+0j) is not a finite point of the cut plane"),
+])
+def test_symmetry_relation_names_its_input_when_a_derived_point_leaves_the_plane(z, which, message):
+    # these raised the cut plane's own error, which names neither z nor which
+    with pytest.raises(ValueError) as err:
+        symmetry_relation(z, 0, 0, which)
+    assert str(err.value) == f"symmetry relation {which} at z = {z!r} {message}"
 
 
 def test_cycle_relation_names_its_inputs_when_the_quotient_overflows():
