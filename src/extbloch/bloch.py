@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .cover import _log_params
 from .prebloch import FormalSum
-from .rogers import _coefficient_error
+from .rogers import _coefficient, _coefficient_error
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class WedgeExpr:
         # first-seen pair is kept.
         merged: dict[tuple[float, float, float, float], tuple[int, complex, complex]] = {}
         for coeff, a, b in self.terms:
-            coeff = int(coeff)
+            coeff = _coefficient(coeff)
             a = complex(a)
             b = complex(b)
             key_a, key_b = (a.real, a.imag), (b.real, b.imag)
@@ -49,7 +49,7 @@ class WedgeExpr:
         object.__setattr__(self, "terms", cleaned)
 
     def __add__(self, other: "WedgeExpr") -> "WedgeExpr":
-        return WedgeExpr(self.terms + other.terms)
+        return WedgeExpr(self.terms + other.terms) if isinstance(other, WedgeExpr) else NotImplemented
 
     def __neg__(self) -> "WedgeExpr":
         return WedgeExpr(tuple((-c, a, b) for c, a, b in self.terms))
@@ -113,8 +113,10 @@ def wedge_necessary_zero(w: WedgeExpr, tol: float = 1e-9) -> NecessaryZeroCheck:
     False certifies the element is nonzero (the antisymmetric pairing, a
     well-defined functional on the wedge, does not vanish).  True is a
     necessary-condition pass only, unless exact cancellation emptied the
-    expression outright.
+    expression outright.  ``tol`` must be a number >= 0.
     """
+    if not tol >= 0:  # a negative or NaN tol would certify "nonzero" for anything
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     if w.is_empty():
         return NecessaryZeroCheck(True, "zero", 0.0, 0.0)
     pairing = w.pairing()

@@ -39,12 +39,14 @@ The precision mode, a context variable (so per thread or asyncio task),
 picks the primitives; results are machine complex either way, and mpmath
 is imported on the first high-precision pass only.  A point's pass runs
 in stages, each on demand and kept on the point per precision mode: Log z,
-Log(1-z), and Li2 z from those two logarithms at working precision.  Beyond
-2**32 the far-out pass is one stage, and Li2 z comes from its inversion
-form, formed in the mode's numbers and rounded once.  ``li2``,
-``principal_log`` and ``log_one_minus`` read these stages like every other
-reader, and a reader runs only the stages it needs: a branch logarithm one
-logarithm, a Rogers value all three, a stage the point keeps none.
+Log(1-z), and Li2 z from those two logarithms at working precision, with
+the Rogers constant R = Li2 z + Log z Log(1-z)/2 - pi^2/6.  Beyond 2**32
+the far-out pass is one stage: Li2 z comes from its inversion form, formed
+in the mode's numbers and rounded once, and R from its parts with the
+cancellation done exactly.  ``li2``, ``principal_log`` and ``log_one_minus``
+read these stages like every other reader, and a reader runs only the
+stages it needs: a branch logarithm one logarithm, a Rogers value all
+three, a stage the point keeps none.
 Against mpmath, Li2 is within 2e-15 relative error in double and
 1e-15 in high precision for |z| from 1e-300 to 1e300, on both sides of
 both cuts.
@@ -427,10 +429,9 @@ def _far(z: complex) -> bool:
 class _Stages:
     # The stages of one point's pass run so far in one precision mode (dps
     # None for double), each None until asked for: Log z and Log(1-z) as
-    # machine complex (log_z, log_1mz) and as the mode's numbers (x, v), Li2 z
-    # as machine complex, and what the Rogers value reads, (c, x, v, s, Log z,
-    # Log(1-z)).  s = 0 marks the direct form, with c, x, v = Li2 z, Log z,
-    # Log(1-z).  Far out one stage fills all but x and v.
+    # machine complex (log_z, log_1mz) and as the mode's numbers (x, v), and
+    # as machine complex Li2 z and the Rogers constant R = Li2 z + Log z
+    # Log(1-z)/2 - pi^2/6 (rogers).  Far out one stage fills all but x and v.
     __slots__ = ("dps", "log_z", "log_1mz", "x", "v", "li2", "rogers")
 
     def __init__(self, dps: int | None) -> None:
@@ -457,12 +458,12 @@ def _run_stage(name: str, point: CutPoint) -> _Stages:
         # Out here the direct sum loses digits: the (Log -z)^2 / 2 in Li2 z
         # and in Log z Log(1-z) / 2 cancel.  Cancel them exactly: with
         # u = Log(-z), Log z = u + i pi s (s = +-1 on the upper or lower side)
-        # and Log(1-z) = u + v, v = Log(1-1/z), L = -Li2(1/z) - pi^2/3
-        # + u (a + b) / 2 + a b / 2, a = i pi (s + 2p), b = v + 2 pi i q.
+        # and Log(1-z) = u + v, v = Log(1-1/z),
+        # R = -Li2(1/z) - pi^2/3 + u v / 2 + (i pi s / 2) Log(1-z).
         li, inverse, u, v, st.log_z, st.log_1mz = map(complex, _far_out(k, zk, side))
         s = 1 if z.imag > 0 or side is _ABOVE else -1
         st.li2 = li
-        st.rogers = (-inverse - PI_SQ / 3.0, u, v, s, st.log_z, st.log_1mz)
+        st.rogers = -inverse - PI_SQ / 3.0 + 0.5 * u * v + complex(0.0, 0.5 * PI * s) * st.log_1mz
         return st
     # Another thread of the same mode may run a stage of the same point at
     # once: each field is stored after the one it implies (log_z before x,
@@ -478,9 +479,8 @@ def _run_stage(name: str, point: CutPoint) -> _Stages:
         st.v = v
     if name == "li2":
         li = _li2_of(k, z, side, x, v)
-        log_z, log_1mz = st.log_z, st.log_1mz
         st.li2 = li = li if dps is None else complex(li)
-        st.rogers = (li, log_z, log_1mz, 0, log_z, log_1mz)
+        st.rogers = li + 0.5 * st.log_z * st.log_1mz - PI_SQ / 6.0
     return st
 
 
@@ -509,12 +509,12 @@ def _logs(point: CutPoint) -> tuple[complex, complex]:
     return st.log_z, st.log_1mz
 
 
-def _point_pass(point: CutPoint) -> tuple:
-    # (c, x, v, s, Log z, Log(1-z)): what the Rogers value reads
+def _point_pass(point: CutPoint) -> tuple[complex, complex, complex]:
+    # (R, Log z, Log(1-z)): what the Rogers value reads
     st = point.__dict__.get("_pass")
     if st is None or st.dps != _DPS.get() or st.rogers is None:
         st = _run_stage("li2", point)
-    return st.rogers
+    return st.rogers, st.log_z, st.log_1mz
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .cover import (
     serialize_flattened,
 )
 from .dilog import PI, CutPoint, Side, _flip, _trusted, arg_cut, as_cut_point
-from .rogers import CmodZ2, _lhat_sum
+from .rogers import CmodZ2, _coefficient, _lhat_sum
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,9 @@ class FormalSum:
         for coeff, gen in self.terms:
             if not isinstance(gen, FlattenedNumber):
                 raise TypeError("generators must be FlattenedNumber values")
-            key = gen._key
+            key, coeff = gen._key, _coefficient(coeff)
             seen = merged.get(key)
-            merged[key] = (int(coeff), gen) if seen is None else (seen[0] + int(coeff), seen[1])
+            merged[key] = (coeff, gen) if seen is None else (seen[0] + coeff, seen[1])
         cleaned = tuple([term for term in map(merged.__getitem__, sorted(merged)) if term[0]])
         object.__setattr__(self, "terms", cleaned)
 
@@ -61,14 +61,14 @@ class FormalSum:
     def single(cls, gen: FlattenedNumber, coeff: int = 1) -> "FormalSum":
         if not isinstance(gen, FlattenedNumber):
             raise TypeError("generators must be FlattenedNumber values")
-        coeff = int(coeff)
+        coeff = _coefficient(coeff)
         return _trusted(cls, terms=((coeff, gen),) if coeff else ())
 
     def __add__(self, other: "FormalSum") -> "FormalSum":
-        return FormalSum(self.terms + other.terms)
+        return FormalSum(self.terms + other.terms) if isinstance(other, FormalSum) else NotImplemented
 
     def __sub__(self, other: "FormalSum") -> "FormalSum":
-        return FormalSum(self.terms + tuple((-c, g) for c, g in other.terms))
+        return self + -other if isinstance(other, FormalSum) else NotImplemented
 
     def __neg__(self) -> "FormalSum":
         return _trusted(FormalSum, terms=tuple((-c, g) for c, g in self.terms))
@@ -113,13 +113,12 @@ def eval_lhat(s: FormalSum) -> CmodZ2:
     The charts over one base point are adjacent in canonical term order.
     Each run of them is summed by four integer moments, C = sum c,
     P = sum c p, Q = sum c q and PQ = sum c p q, into one float combination
-    of its point's pass, C (Li2 z + Log z Log(1-z)/2 - pi^2/6) + pi i (Q Log z
-    + P Log(1-z)) (far out with C != 0, the same split of the far-out
-    form), and a lattice part -2 pi^2 PQ kept as an exact integer.  A stage
-    of the pass runs only where a moment that reads it is nonzero.  The
-    float parts are added with compensated summation, and the lattice part,
-    reduced mod 4, joins them once at the end; so k kappa_hat is exact for
-    every int k.
+    of its point's stages, C R + pi i (Q Log z + P Log(1-z)) with the Rogers
+    constant R = Li2 z + Log z Log(1-z)/2 - pi^2/6, and a lattice part
+    -2 pi^2 PQ kept as an exact integer.  A stage of the pass runs only
+    where a moment that reads it is nonzero.  The float parts are added
+    with compensated summation, and the lattice part, reduced mod 4, joins
+    them once at the end; so k kappa_hat is exact for every int k.
     """
     return _lhat_sum(s.terms)
 

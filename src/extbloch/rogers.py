@@ -2,7 +2,10 @@
 
 The branch-corrected Rogers function on a cover point (z; 2p, 2q) is
 
-    L(z; 2p, 2q) = Li2(z) + (Log z + 2 pi i p)(Log(1-z) + 2 pi i q)/2 - pi^2/6.
+    L(z; 2p, 2q) = Li2(z) + (Log z + 2 pi i p)(Log(1-z) + 2 pi i q)/2 - pi^2/6
+                 = R + pi i (q Log z + p Log(1-z)) - 2 pi^2 p q,
+
+with R = Li2 z + Log z Log(1-z)/2 - pi^2/6 the Rogers constant of the point.
 
 As a function on the cut-plane charts it jumps by integer multiples of
 4 pi^2 across the right cut, so its reduction mod 4 pi^2 descends to a
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,7 +28,6 @@ from .dilog import PI, PI_SQ, TWO_PI_I, CutPoint, Side, _as_complex, _int_text, 
 FOUR_PI_SQ = 4.0 * PI_SQ
 TWO_PI_SQ = 2.0 * PI_SQ
 PI_I = complex(0.0, PI)
-ZETA2 = PI_SQ / 6.0
 _DOUBLE_OVERFLOW = 2**1024 - 2**970  # the least int that rounds beyond the largest double
 
 
@@ -39,6 +42,15 @@ def reduce_into(x: float, period: float) -> float:
 def _coefficient_error(coeff: int) -> ValueError:
     # for a coefficient beyond the range of a double
     return ValueError(f"coefficient {_int_text(coeff)} is too large for double arithmetic")
+
+
+def _coefficient(value) -> int:
+    # a coefficient as an int, through __index__ (so True is 1), or a
+    # TypeError naming it: int() would truncate 1.5 to 1
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"coefficient {value!r} is not an integer") from None
 
 
 @dataclass(frozen=True, init=False)
@@ -115,31 +127,28 @@ def l_bar_at(z: complex, side: Side | str, p: int, q: int) -> complex:
     4 pi^2 p across the right cut.  Prefer :func:`rogers_l_bar` for
     canonical cover points.
     """
-    return _chart(_point_pass(CutPoint(z, side)), p, q)
+    return _linear(CutPoint(z, side), 1, p, q) - TWO_PI_SQ * (p * q)
 
 
 def rogers_l_bar(f: FlattenedNumber) -> complex:
     """Unreduced branch-corrected Rogers value of a canonical cover point."""
-    return _chart(_point_pass(f.base), f.p, f.q)
+    return _linear(f.base, 1, f.p, f.q) - TWO_PI_SQ * (f.p * f.q)
 
 
-def _chart(point: tuple, p: int, q: int) -> complex:
-    # L on the chart (p, q) over a point, from that point's _point_pass
-    c, x, v, s, _, _ = point
-    b = v + TWO_PI_I * q
-    if s:
-        a = complex(0.0, PI * (s + 2 * p))
-        return c + 0.5 * x * (a + b) + 0.5 * a * b
-    a = x + TWO_PI_I * p
-    return c + 0.5 * a * b - ZETA2
+def _linear(point: CutPoint, c: int, p: int, q: int) -> complex:
+    # c R + pi i (q Log z + p Log(1-z)) over a point, R its Rogers constant;
+    # a stage is read only where the moment that needs it is nonzero
+    if c:
+        r, x, v = _point_pass(point)
+        return c * r + PI_I * (q * x + p * v)
+    return PI_I * ((q * _log_z(point) if q else 0j) + (p * _log_1mz(point) if p else 0j))
 
 
 def _lhat_sum(terms: Sequence[tuple[int, FlattenedNumber]]) -> CmodZ2:
     # sum c L(z; 2p, 2q) mod 4 pi^2 over terms (c, (z; 2p, 2q)) whose charts
-    # over one base point are adjacent, as in a FormalSum.  With x = Log z and
-    # v = Log(1-z), L = Li2 z + x v / 2 - pi^2/6 + pi i (q x + p v) - 2 pi^2 p q,
-    # so a run over one point needs only its moments C, P, Q and PQ (see
-    # eval_lhat); Li2 is read for C, Log z for Q and Log(1-z) for P.
+    # over one base point are adjacent, as in a FormalSum.  As
+    # L = R + pi i (q Log z + p Log(1-z)) - 2 pi^2 p q, a run over one point
+    # needs only its moments C, P, Q and PQ (see eval_lhat).
     total = comp = 0j
     lattice = 0  # in units of pi^2
     n = len(terms)
@@ -160,23 +169,10 @@ def _lhat_sum(terms: Sequence[tuple[int, FlattenedNumber]]) -> CmodZ2:
                 q += coeff * f.q
                 pq += cp * f.q
                 i += 1
+            lattice -= 2 * pq
             if not (c or p or q):
-                lattice -= 2 * pq
                 continue
-            if c:
-                rc, x, v, s, _, log_1mz = _point_pass(point)
-            else:  # Log z and Log(1-z) only, far out from the one far-out stage
-                rc, s = 0j, 0
-                x = _log_z(point) if q else 0j
-                v = _log_1mz(point) if p else 0j
-            if s:  # far out x, v = Log(-z), Log(1-1/z), and a = i pi (s + 2p)
-                value = (c * (rc + 0.5 * x * v + complex(0.0, 0.5 * PI * s) * log_1mz)
-                         + PI_I * (p * log_1mz + q * x))
-                lattice -= s * q + 2 * pq
-            else:
-                value = c * (rc + 0.5 * x * v - ZETA2) + PI_I * (q * x + p * v)
-                lattice -= 2 * pq
-            term = value - comp
+            term = _linear(point, c, p, q) - comp
             new_total = total + term
             comp = (new_total - total) - term
             total = new_total

@@ -115,6 +115,33 @@ def test_nonzero_certificate():
     assert check.pairing == pytest.approx(1.0)
 
 
+def test_wedge_refuses_a_non_integral_coefficient():
+    # int() truncated 0.9 to 0, so the expression came out empty and was certified "zero"
+    with pytest.raises(TypeError, match=r"^coefficient 0\.9 is not an integer$"):
+        WedgeExpr(((0.9, 1j, 2),))
+    (coeff, a, b), = WedgeExpr(((True, 1j, 2),)).terms
+    assert (coeff, type(coeff), a, b) == (1, int, 1j, 2)
+
+
+def test_wedge_plus_a_non_expression_is_a_type_error():
+    # other.terms raised AttributeError on an int
+    w = WedgeExpr(((1, 1j, 2),))
+    for op in (lambda: w + 5, lambda: 5 + w):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_tol_below_zero_or_nan_is_refused():
+    # 1 ^ 2 = 2 (1 ^ 1) = 0 and its pairing is 0.0, yet tol = -1 or NaN
+    # certified it "nonzero"
+    w = WedgeExpr(((1, 1, 2),))
+    assert w.pairing() == 0.0
+    for tol in (-1, float("nan")):
+        with pytest.raises(ValueError, match=r"^tol must be >= 0, got "):
+            wedge_necessary_zero(w, tol=tol)
+    assert wedge_necessary_zero(w, tol=0).certainty == "necessary-only"
+
+
 def test_lattice_shifted_pair_flagged_nonzero():
     # a^b - (a + 2 pi i)^b = -(2 pi i)^b, which the pairing sees as 2 pi Re b
     a = 0.3 + 0.7j

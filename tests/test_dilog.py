@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import extbloch
 from extbloch import dilog
 from extbloch.cover import canonicalize, flattened
 from extbloch.dilog import (
@@ -510,7 +511,7 @@ def test_inversion_identity_log_one_minus_accuracy_seeded():
     # the reference forms 1 - z exactly, so 40 digits give the same errors as
     # 700 on these points.  Worst seen 2.2e-16, at the first point.
     points = _inversion_points()
-    got = [dilog._point_pass(p)[5] for p in points]
+    got = [dilog._point_pass(p)[2] for p in points]
     errors = []
     with mp.workdps(40):
         for g, p in zip(got, points):
@@ -536,6 +537,37 @@ print("mpmath" in sys.modules)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}).stdout
     assert out == "False\n"
+
+
+def test_high_precision_sweep_does_not_import_numpy():
+    # numpy is not a dependency: mpmath alone carries the high precision mode
+    code = """
+import sys
+from extbloch import SweepConfig, precision, run_sweep
+with precision("high"):
+    for relation in ("five-term", "symmetry-2", "splitting"):
+        assert run_sweep(SweepConfig(relation, samples=3, seed=1)).failures == []
+print("mpmath" in sys.modules, "numpy" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}).stdout
+    assert out == "True False\n"
+
+
+def test_public_names_are_pinned():
+    # the public API stays as it is unless a change says otherwise
+    assert extbloch.__all__ == [
+        "CmodZ2", "CutPoint", "FlattenedFT", "FlattenedNumber", "FlattenedTriangulation", "FormalSum",
+        "NecessaryZeroCheck", "RELATIONS", "Side", "SweepConfig", "SweepResult", "TriangulationFormatError",
+        "WedgeExpr", "as_cut_point", "canonicalize", "check_chi_homomorphism", "chi_hat", "commutator_monodromy",
+        "complex_volume", "curly", "curly_product_relation", "cycle_relation", "eval_lhat", "five_term_element",
+        "flattened", "index_relations", "is_flattened_ft", "kappa_hat", "li2", "load", "log_one_minus",
+        "log_param_l", "log_param_m", "make_flattened_ft", "mirror_relation", "nu_hat", "parse_flattened",
+        "precision", "principal_log", "reduce_mod_transfer", "rogers_l_bar", "rogers_l_hat", "root4", "run_sweep",
+        "serialize_flattened", "set_precision", "splitting", "symmetry_relation", "volume_report",
+        "wedge_necessary_zero",
+    ]
+    assert all(hasattr(extbloch, name) for name in extbloch.__all__)
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +699,7 @@ def test_pass_log_one_minus_is_log_one_minus(mode):
     # log_one_minus reads the Log(1-z) a point's pass keeps
     points = _inversion_points() + _kernel_points()
     with precision(mode):
-        differ = [p for p in points if repr(dilog._point_pass(p)[5]) != repr(log_one_minus(p))]
+        differ = [p for p in points if repr(dilog._point_pass(p)[2]) != repr(log_one_minus(p))]
     assert differ == []
 
 
@@ -677,22 +709,37 @@ ROGERS_INDICES = [(p, q) for p in (-3, 0, 2) for q in (-3, 0, 2)]
 @pytest.fixture(scope="module")
 def rogers_cases():
     # on the point set of the li2 test, plus radii between 1e2 and 1e10 and
-    # on either side of 2^32, where the Rogers value changes its formula:
-    # each (z; 2p, 2q) in canonical form, and on the below side also as
-    # given, against the mpmath value
+    # on either side of 2^32, where the Rogers constant changes its formula,
+    # at p, q in {-3, 0, 2}; and on seeded points beyond 2^32 with |z| up to
+    # 1e300, off the cuts and on both sides of both, at indices up to 1000,
+    # where pi i q Log z carries the half-plane of the far-out form: each
+    # (z; 2p, 2q) in canonical form, and on the below side also as given,
+    # against the mpmath value
     radii = (1.3e2, 1.3e5, 1.3e8, 4e9, 2.0**32 * (1 - 2**-20), 2.0**32 * (1 + 2**-20))
     angles = (1e-9, 0.3, PI / 3, 1.2, 2.5, PI - 1e-9, -0.4, -2.0)
     extra = [CutPoint(cmath.rect(r, theta)) for r in radii for theta in angles]
     for r in radii:
         extra += [CutPoint(complex(x, 0.0), side) for x in (-r, r) for side in (Side.ABOVE, Side.BELOW)]
+    charts = [(point, p, q) for point in _accuracy_points() + extra for p, q in ROGERS_INDICES]
+    rng = random.Random(5077)
+    far = []
+    while len(far) < 60:
+        z = cmath.rect(10.0 ** rng.uniform(9.7, 300), rng.uniform(-PI, PI))
+        if dilog._far(z):
+            far.append(CutPoint(z))
+    for _ in range(15):
+        r = 10.0 ** rng.uniform(9.7, 300)
+        far += [CutPoint(complex(x, 0.0), side) for x in (-r, r) for side in (Side.ABOVE, Side.BELOW)]
+    for point in far:
+        charts += [(point, rng.randint(-1000, 1000), rng.randint(-1000, 1000)) for _ in range(2)]
+        charts.append((point, rng.choice((-1000, 1000)), rng.choice((-1000, 1000))))
     cases = []
-    for point in _accuracy_points() + extra:
-        for p, q in ROGERS_INDICES:
-            f = canonicalize(point, p=p, q=q)
-            cases.append((rogers_l_bar, (f,), rogers_mpmath(f.z, f.base.side.value, f.p, f.q)))
-            if point.side is Side.BELOW:
-                args = (point.z, point.side, p, q)
-                cases.append((l_bar_at, args, rogers_mpmath(point.z, "b", p, q)))
+    for point, p, q in charts:
+        f = canonicalize(point, p=p, q=q)
+        cases.append((rogers_l_bar, (f,), rogers_mpmath(f.z, f.base.side.value, f.p, f.q)))
+        if point.side is Side.BELOW:
+            args = (point.z, point.side, p, q)
+            cases.append((l_bar_at, args, rogers_mpmath(point.z, "b", p, q)))
     return cases
 
 

@@ -171,6 +171,24 @@ def test_formal_sum_normalization_keeps_the_first_seen_point():
         FormalSum.of((1, plus.base))
 
 
+def test_formal_sum_refuses_a_non_integral_coefficient():
+    # int() truncated these: 1.5 was stored as 1, and 2.7 as 2
+    f = flattened(0.3 + 0.4j)
+    with pytest.raises(TypeError, match=r"^coefficient 1\.5 is not an integer$"):
+        FormalSum(((1.5, f),))
+    with pytest.raises(TypeError, match=r"^coefficient 2\.7 is not an integer$"):
+        FormalSum.single(f, 2.7)
+    assert FormalSum(((True, f),)).terms == ((1, f),) and type(FormalSum(((True, f),)).terms[0][0]) is int
+
+
+def test_formal_sum_plus_or_minus_a_non_sum_is_a_type_error():
+    # other.terms raised AttributeError on an int
+    s = FormalSum.single(flattened(0.3 + 0.4j))
+    for op in (lambda: s + 5, lambda: s - 5, lambda: 5 + s, lambda: 5 - s):
+        with pytest.raises(TypeError):
+            op()
+
+
 POINTS = [
     CutPoint(0.3 + 0.4j), CutPoint(-1.5 + 2j), CutPoint(2.5 - 1j), CutPoint(complex(-0.0, 1.25)),
     CutPoint(-2 + 0j, Side.ABOVE), CutPoint(-2 + 0j, Side.BELOW), CutPoint(3 + 0j, Side.ABOVE),
@@ -280,21 +298,22 @@ def test_eval_empty_is_zero():
 
 
 def reference_l_bar(gen):
-    """The Rogers value as one kernel pass and one formula per cover point."""
+    """The Rogers value as one kernel pass and one formula per cover point:
+    L = R + pi i (q Log z + p Log(1-z)) - 2 pi^2 p q, with the Rogers
+    constant R = Li2 z + Log z Log(1-z)/2 - pi^2/6."""
     point, p, q = CutPoint(gen.base.z, gen.base.side), gen.p, gen.q  # a fresh point runs a pass of its own
     z = point.z
     if max(abs(z.real), abs(z.imag)) > 2.0**32:
+        # R from the far-out parts, u = Log(-z), v = Log(1-1/z) and Log z = u + i pi s
         dps = dilog._DPS.get()
         arith = dilog._DOUBLE if dps is None else dilog._high_arith(dps)
-        _, inverse, u, v = map(complex, dilog._far_out(arith, arith.point(z), point.side)[:4])
+        _, inverse, u, v, log_z, log_1mz = map(complex, dilog._far_out(arith, arith.point(z), point.side))
         s = 1 if z.imag > 0 or point.side is Side.ABOVE else -1
-        a = complex(0.0, PI * (s + 2 * p))
-        b = v + TWO_PI_I * q
-        return -inverse - PI**2 / 3.0 + 0.5 * u * (a + b) + 0.5 * a * b
-    li, log_z, log_1mz = li2(point), principal_log(point), log_one_minus(point)
-    a = log_z + TWO_PI_I * p
-    b = log_1mz + TWO_PI_I * q
-    return li + 0.5 * a * b - PI**2 / 6.0
+        r = -inverse - PI**2 / 3.0 + 0.5 * u * v + complex(0.0, 0.5 * PI * s) * log_1mz
+    else:
+        li, log_z, log_1mz = li2(point), principal_log(point), log_one_minus(point)
+        r = li + 0.5 * log_z * log_1mz - PI**2 / 6.0
+    return r + complex(0.0, PI) * (q * log_z + p * log_1mz) - TWO_PI_SQ * (p * q)
 
 
 def reference_eval_lhat(s):
