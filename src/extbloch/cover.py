@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .dilog import (PI, TWO_PI_I, _ABOVE, _BELOW, CutPoint, Side, _checked_z, _log_1mz, _log_z, _logs, _trusted,
-                    as_cut_point)
+from .dilog import PI, TWO_PI_I, _ABOVE, _BELOW, CutPoint, Side, _checked_z, _stages, _trusted, as_cut_point
 
 
 @dataclass(frozen=True)
@@ -99,12 +98,12 @@ def flattened(z: complex | CutPoint, p: int = 0, q: int = 0) -> FlattenedNumber:
 
 def log_param_l(f: FlattenedNumber) -> complex:
     """The branch logarithm Log z + 2 pi i p."""
-    return _log_z(f.base) + TWO_PI_I * f.p
+    return _stages("log", f.base).log_z + TWO_PI_I * f.p
 
 
 def log_param_m(f: FlattenedNumber) -> complex:
     """The branch logarithm -Log(1-z) + 2 pi i q."""
-    return -_log_1mz(f.base) + TWO_PI_I * f.q
+    return -_stages("log1m", f.base).log_1mz + TWO_PI_I * f.q
 
 
 def _log_params(terms: Iterable[tuple[int, FlattenedNumber]]) -> tuple:
@@ -116,8 +115,8 @@ def _log_params(terms: Iterable[tuple[int, FlattenedNumber]]) -> tuple:
         base = f.base
         if base.z != z or base.side is not side:  # a new (z, side), compared without CutPoint.__eq__
             z, side = base.z, base.side
-            log_z, log_1mz = _logs(base)
-        out.append((coeff, log_z + TWO_PI_I * f.p, -log_1mz + TWO_PI_I * f.q))
+            st = _stages("logs", base)
+        out.append((coeff, st.log_z + TWO_PI_I * f.p, -st.log_1mz + TWO_PI_I * f.q))
     return tuple(out)
 
 
@@ -217,9 +216,9 @@ def is_flattened_ft(
     if any(abs(z[k] - expected[k]) > tol for k in (2, 3, 4)):
         return False
     # (float part, index part) of each identity, as the docstring has them
-    logs = [_logs(e.base) for e in entries]
-    l = [x for x, _ in logs]
-    m = [-v for _, v in logs]
+    stages = [_stages("logs", e.base) for e in entries]
+    l = [st.log_z for st in stages]
+    m = [-st.log_1mz for st in stages]
     p = [e.p for e in entries]
     q = [e.q for e in entries]
     residuals = (

@@ -43,10 +43,10 @@ Log(1-z), and Li2 z from those two logarithms at working precision, with
 the Rogers constant R = Li2 z + Log z Log(1-z)/2 - pi^2/6.  Beyond 2**32
 the far-out pass is one stage: Li2 z comes from its inversion form, formed
 in the mode's numbers and rounded once, and R from its parts with the
-cancellation done exactly.  ``li2``, ``principal_log`` and ``log_one_minus``
-read these stages like every other reader, and a reader runs only the
-stages it needs: a branch logarithm one logarithm, a Rogers value all
-three, a stage the point keeps none.
+cancellation done exactly.  Every value, ``li2``, ``principal_log`` and
+``log_one_minus`` included, reads the stages through one reader, which
+runs only a stage the point does not keep: a branch logarithm one
+logarithm, a Rogers value all three, a stage the point keeps none.
 Against mpmath, Li2 is within 2e-15 relative error in double and
 1e-15 in high precision for |z| from 1e-300 to 1e300, on both sides of
 both cuts.
@@ -428,10 +428,10 @@ def _far(z: complex) -> bool:
 
 class _Stages:
     # The stages of one point's pass run so far in one precision mode (dps
-    # None for double), each None until asked for: Log z and Log(1-z) as
-    # machine complex (log_z, log_1mz) and as the mode's numbers (x, v), and
-    # as machine complex Li2 z and the Rogers constant R = Li2 z + Log z
-    # Log(1-z)/2 - pi^2/6 (rogers).  Far out one stage fills all but x and v.
+    # None for double), read through _stages, each None until run: Log z and
+    # Log(1-z) as machine complex (log_z, log_1mz) and in the mode's numbers
+    # (x, v), and Li2 z (li2) and the Rogers constant R = Li2 z + Log z
+    # Log(1-z)/2 - pi^2/6 (rogers) as machine complex; far out all but x, v.
     __slots__ = ("dps", "log_z", "log_1mz", "x", "v", "li2", "rogers")
 
     def __init__(self, dps: int | None) -> None:
@@ -440,13 +440,12 @@ class _Stages:
 
 
 def _run_stage(name: str, point: CutPoint) -> _Stages:
-    # Run one stage of the point's pass in the current precision mode (far
-    # out, the far-out pass in its place) and keep what it gives on the
-    # point's stages, which it returns: "log" Log z, "log1m" Log(1-z), "logs"
-    # both, "li2" Li2 z from the two, taking whichever is not yet kept.  The
-    # one place that picks a mode's primitives and runs them.  The stages
-    # live on the point, keyed by the mode; equality, hashing and repr see
-    # the fields only.
+    # The miss path of _stages: run one stage of the point's pass in the
+    # current mode (far out, the far-out pass in its place) and keep what it
+    # gives on the point's stages: "log" Log z, "log1m" Log(1-z), "logs" both,
+    # "li2" Li2 z from the two, taking whichever is not yet kept.  The one
+    # place that picks a mode's primitives and runs them.  The stages live on
+    # the point, keyed by the mode; equality, hashing and repr see z and side.
     dps = _DPS.get()
     z, side = point.z, point.side
     st = point.__dict__.get("_pass")
@@ -460,9 +459,8 @@ def _run_stage(name: str, point: CutPoint) -> _Stages:
         # u = Log(-z), Log z = u + i pi s (s = +-1 on the upper or lower side)
         # and Log(1-z) = u + v, v = Log(1-1/z),
         # R = -Li2(1/z) - pi^2/3 + u v / 2 + (i pi s / 2) Log(1-z).
-        li, inverse, u, v, st.log_z, st.log_1mz = map(complex, _far_out(k, zk, side))
+        st.li2, inverse, u, v, st.log_z, st.log_1mz = map(complex, _far_out(k, zk, side))
         s = 1 if z.imag > 0 or side is _ABOVE else -1
-        st.li2 = li
         st.rogers = -inverse - PI_SQ / 3.0 + 0.5 * u * v + complex(0.0, 0.5 * PI * s) * st.log_1mz
         return st
     # Another thread of the same mode may run a stage of the same point at
@@ -484,46 +482,24 @@ def _run_stage(name: str, point: CutPoint) -> _Stages:
     return st
 
 
-# The readers of a point's stages: each runs the stage it needs unless the
-# point keeps it in the current mode.
-
-def _log_z(point: CutPoint) -> complex:
+def _stages(name: str, point: CutPoint) -> _Stages:
+    # The one reader of a point's stages: those of the current mode, with
+    # stage name run first unless kept.  rogers set means every slot is (far
+    # out too); otherwise "log" needs x, "log1m" v, and "logs" both.
     st = point.__dict__.get("_pass")
-    if st is None or st.dps != _DPS.get() or st.log_z is None:
-        st = _run_stage("log", point)
-    return st.log_z
-
-
-def _log_1mz(point: CutPoint) -> complex:
-    st = point.__dict__.get("_pass")
-    if st is None or st.dps != _DPS.get() or st.log_1mz is None:
-        st = _run_stage("log1m", point)
-    return st.log_1mz
-
-
-def _logs(point: CutPoint) -> tuple[complex, complex]:
-    # Log z and Log(1-z)
-    st = point.__dict__.get("_pass")
-    if st is None or st.dps != _DPS.get() or st.log_z is None or st.log_1mz is None:
-        st = _run_stage("logs", point)
-    return st.log_z, st.log_1mz
-
-
-def _point_pass(point: CutPoint) -> tuple[complex, complex, complex]:
-    # (R, Log z, Log(1-z)): what the Rogers value reads
-    st = point.__dict__.get("_pass")
-    if st is None or st.dps != _DPS.get() or st.rogers is None:
-        st = _run_stage("li2", point)
-    return st.rogers, st.log_z, st.log_1mz
+    if st is None or st.dps != _DPS.get() or st.rogers is None and (
+            name == "li2" or st.x is None and name != "log1m" or st.v is None and name != "log"):
+        st = _run_stage(name, point)
+    return st
 
 
 # ---------------------------------------------------------------------------
-# the public values: readers of the point's stages
+# the public values, read from the point's stages
 # ---------------------------------------------------------------------------
 
 def principal_log(p: CutPoint | complex) -> complex:
     """Log z with Im in (-pi, pi], extended to the cut boundary by side."""
-    return _log_z(as_cut_point(p))
+    return _stages("log", as_cut_point(p)).log_z
 
 
 def log_one_minus(p: CutPoint | complex) -> complex:
@@ -532,7 +508,7 @@ def log_one_minus(p: CutPoint | complex) -> complex:
     For z = x +- 0i with x > 1 the value 1-z sits on the negative axis
     approached from the opposite side, so Im = -pi above and +pi below.
     """
-    return _log_1mz(as_cut_point(p))
+    return _stages("log1m", as_cut_point(p)).log_1mz
 
 
 def li2(p: CutPoint | complex) -> complex:
@@ -549,7 +525,4 @@ def li2(p: CutPoint | complex) -> complex:
         if z == 1:
             return complex(PI_SQ / 6.0, 0.0)
         p = as_cut_point(z)
-    st = p.__dict__.get("_pass")
-    if st is None or st.dps != _DPS.get() or st.li2 is None:
-        st = _run_stage("li2", p)
-    return st.li2
+    return _stages("li2", p).li2

@@ -94,8 +94,8 @@ class FormalSum:
     def parse(cls, text: str) -> "FormalSum":
         pairs = []
         for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
+            line = line.split("#", 1)[0].strip()
+            if not line:
                 continue
             try:
                 fields = line.split(None, 1)

@@ -22,8 +22,8 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cover import FlattenedNumber
-from .dilog import PI, PI_SQ, TWO_PI_I, CutPoint, Side, _as_complex, _int_text, _log_1mz, _log_z, _point_pass
+from .cover import FlattenedNumber, _check_indices
+from .dilog import PI, PI_SQ, TWO_PI_I, CutPoint, Side, _as_complex, _int_text, _stages
 
 FOUR_PI_SQ = 4.0 * PI_SQ
 TWO_PI_SQ = 2.0 * PI_SQ
@@ -127,6 +127,7 @@ def l_bar_at(z: complex, side: Side | str, p: int, q: int) -> complex:
     4 pi^2 p across the right cut.  Prefer :func:`rogers_l_bar` for
     canonical cover points.
     """
+    _check_indices(p, q)
     return _linear(CutPoint(z, side), 1, p, q) - TWO_PI_SQ * (p * q)
 
 
@@ -139,9 +140,10 @@ def _linear(point: CutPoint, c: int, p: int, q: int) -> complex:
     # c R + pi i (q Log z + p Log(1-z)) over a point, R its Rogers constant;
     # a stage is read only where the moment that needs it is nonzero
     if c:
-        r, x, v = _point_pass(point)
-        return c * r + PI_I * (q * x + p * v)
-    return PI_I * ((q * _log_z(point) if q else 0j) + (p * _log_1mz(point) if p else 0j))
+        st = _stages("li2", point)
+        return c * st.rogers + PI_I * (q * st.log_z + p * st.log_1mz)
+    return PI_I * ((q * _stages("log", point).log_z if q else 0j)
+                   + (p * _stages("log1m", point).log_1mz if p else 0j))
 
 
 def _lhat_sum(terms: Sequence[tuple[int, FlattenedNumber]]) -> CmodZ2:

@@ -75,16 +75,17 @@ def kernel_primitives(monkeypatch):
 def pass_primitives(kernel_primitives):
     """The primitives of one point's kernel pass, in either precision mode.
 
-    ``pass_primitives(point)`` runs ``dilog._point_pass`` on a fresh copy of
-    the CutPoint in the current mode and returns what ``kernel_primitives``
-    records of it, a double pass's 1 / z included.
+    ``pass_primitives(point)`` reads the stages of a Rogers value
+    (``dilog._stages("li2", ...)``) on a fresh copy of the CutPoint in the
+    current mode and returns what ``kernel_primitives`` records of it, a
+    double pass's 1 / z included.
     """
     seen = kernel_primitives
 
     def run(point):
         seen.clear()
         z = point.z if dilog._DPS.get() is not None else _counted(point.z, seen)  # a double pass takes z as it is
-        dilog._point_pass(dilog._trusted(CutPoint, z=z, side=point.side))
+        dilog._stages("li2", dilog._trusted(CutPoint, z=z, side=point.side))
         return list(seen)
 
     return run

@@ -219,6 +219,21 @@ def test_check_impossible_tolerance_fails(capsys):
     assert "FAIL sample=" in out
 
 
+def test_failing_check_echo_replays_with_eval_sum(capsys, tmp_path):
+    # the echo joins the records of the failing sum with " | "; one record
+    # a line, it is an eval --sum file whose value has the reported residual
+    code, out, _ = run_cli(capsys, "check", "five-term", "--samples", "1", "--tol", "1e-30")
+    assert code == 1
+    fail = next(line for line in out.splitlines() if line.startswith("FAIL sample="))
+    residual = float(fail.split()[2].removeprefix("residual="))
+    path = tmp_path / "echo.sum"
+    path.write_text(fail.split("five-term element: ", 1)[1].replace(" | ", "\n") + "\n")
+    code, out, _ = run_cli(capsys, "eval", "--sum", str(path), "--format", "structured")
+    assert code == 0
+    payload = json.loads(out)
+    assert math.hypot(payload["value_re"], payload["value_im"]) == residual
+
+
 def test_check_structured(capsys):
     code, out, _ = run_cli(
         capsys, "check", "kappa", "--samples", "20", "--seed", "2",

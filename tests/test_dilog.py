@@ -1,5 +1,6 @@
 import cmath
 import functools
+import itertools
 import math
 import os
 import random
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 import extbloch
 from extbloch import dilog
-from extbloch.cover import canonicalize, flattened
+from extbloch.bloch import nu_hat
+from extbloch.cover import _build, canonicalize, flattened, log_param_l, log_param_m
 from extbloch.dilog import (
     CutPoint,
     Side,
@@ -26,6 +28,7 @@ from extbloch.dilog import (
     precision,
     principal_log,
 )
+from extbloch.prebloch import FormalSum
 from extbloch.rogers import l_bar_at, rogers_l_bar
 from oracles import _li2_mp, li2_mpmath, li2_reference, li2_series, rogers_mpmath
 
@@ -511,7 +514,7 @@ def test_inversion_identity_log_one_minus_accuracy_seeded():
     # the reference forms 1 - z exactly, so 40 digits give the same errors as
     # 700 on these points.  Worst seen 2.2e-16, at the first point.
     points = _inversion_points()
-    got = [dilog._point_pass(p)[2] for p in points]
+    got = [dilog._stages("li2", p).log_1mz for p in points]
     errors = []
     with mp.workdps(40):
         for g, p in zip(got, points):
@@ -694,12 +697,69 @@ def test_public_functions_read_the_kept_stages(kernel_primitives, mode):
             assert (f.base == fresh, hash(f.base) == hash(fresh), repr(f.base) == repr(fresh)) == (True, True, True)
 
 
+# the readers of a point's stages, each on a number over the point, with
+# the logarithms and the series its first read takes
+STAGE_READERS = {
+    "principal_log": (lambda f: principal_log(f.base), {"log z"}),
+    "log_one_minus": (lambda f: log_one_minus(f.base), {"log 1-z"}),
+    "log_param_l": (log_param_l, {"log z"}),
+    "log_param_m": (log_param_m, {"log 1-z"}),
+    "nu_hat": (lambda f: nu_hat(FormalSum.single(f)), {"log z", "log 1-z"}),
+    "li2": (lambda f: li2(f.base), {"log z", "log 1-z", "series"}),
+    "rogers_l_bar": (rogers_l_bar, {"log z", "log 1-z", "series"}),
+}
+# an interior point, both sides of both cuts, and a point beyond 2**32
+STAGE_POINTS = [(0.3 + 0.4j, Side.INTERIOR), (3 + 0j, Side.ABOVE), (3 + 0j, Side.BELOW),
+                (-2 + 0j, Side.ABOVE), (-2 + 0j, Side.BELOW), (1e12 - 3e11j, Side.INTERIOR)]
+
+
+@pytest.mark.parametrize("mode", ["double", "high"])
+def test_every_order_of_readers_takes_each_primitive_once(kernel_primitives, monkeypatch, mode):
+    # every ordered pair of readers on a fresh point, then every reader
+    # again: the pair takes just the logarithms and series its stages need
+    # (far out, the whole far-out pass: three logarithms and the series),
+    # the rest only what the pair left, and each value is a fresh point's
+    def with_series(arith):
+        def series(w):
+            kernel_primitives.append(("series", None))
+            return arith.series(w)
+
+        return arith._replace(series=series)
+
+    high_arith = dilog._high_arith
+    monkeypatch.setattr(dilog, "_DOUBLE", with_series(dilog._DOUBLE))
+    monkeypatch.setattr(dilog, "_high_arith", lambda dps: with_series(high_arith(dps)))
+
+    def over(point):  # a number over the point itself, below side too
+        return _build(point, 1, -2)
+
+    def taken():
+        names = [name for name, _ in kernel_primitives]
+        return names.count("log"), names.count("series")
+
+    with precision(mode):
+        for z, side in STAGE_POINTS:
+            fresh = {name: repr(read(over(CutPoint(z, side)))) for name, (read, _) in STAGE_READERS.items()}
+            full = (3, 1) if dilog._far(z) else (2, 1)
+            for (a, (read_a, need_a)), (b, (read_b, need_b)) in itertools.product(STAGE_READERS.items(), repeat=2):
+                f = over(CutPoint(z, side))
+                kernel_primitives.clear()
+                values = {a: repr(read_a(f)), b: repr(read_b(f))}
+                need = need_a | need_b
+                want = full if dilog._far(z) else (len(need - {"series"}), len(need & {"series"}))
+                assert taken() == want, (z, side, a, b)
+                assert values == {a: fresh[a], b: fresh[b]}, (z, side, a, b)
+                values = {name: repr(read(f)) for name, (read, _) in STAGE_READERS.items()}
+                assert taken() == full, (z, side, a, b)
+                assert values == fresh, (z, side, a, b)
+
+
 @pytest.mark.parametrize("mode", ["double", "high"])
 def test_pass_log_one_minus_is_log_one_minus(mode):
     # log_one_minus reads the Log(1-z) a point's pass keeps
     points = _inversion_points() + _kernel_points()
     with precision(mode):
-        differ = [p for p in points if repr(dilog._point_pass(p)[2]) != repr(log_one_minus(p))]
+        differ = [p for p in points if repr(dilog._stages("li2", p).log_1mz) != repr(log_one_minus(p))]
     assert differ == []
 
 
@@ -801,6 +861,12 @@ CACHE_POINTS = [(0.3 + 0.4j, Side.INTERIOR), (-5 + 2j, Side.INTERIOR), (3 + 0j, 
                 (-7e15 + 0j, Side.BELOW)]
 
 
+def _rogers_stages(point):
+    # (R, Log z, Log(1-z)): the slots a Rogers value reads
+    st = dilog._stages("li2", point)
+    return st.rogers, st.log_z, st.log_1mz
+
+
 def test_point_pass_cache_is_keyed_by_precision():
     # a point evaluated in one mode gives, in another, exactly a fresh point's value
     shared = [CutPoint(z, side) for z, side in CACHE_POINTS]
@@ -808,15 +874,15 @@ def test_point_pass_cache_is_keyed_by_precision():
         mode, dps = mode if isinstance(mode, tuple) else (mode, 50)
         with precision(mode, dps):
             for p, (z, side) in zip(shared, CACHE_POINTS):
-                assert dilog._point_pass(p) == dilog._point_pass(CutPoint(z, side)), (mode, dps, z)
+                assert _rogers_stages(p) == _rogers_stages(CutPoint(z, side)), (mode, dps, z)
     with precision("high"):
-        high = [dilog._point_pass(p) for p in shared]
-    assert high != [dilog._point_pass(p) for p in shared]  # the modes can be told apart
+        high = [_rogers_stages(p) for p in shared]
+    assert high != [_rogers_stages(p) for p in shared]  # the modes can be told apart
 
 
 def test_point_pass_cache_is_invisible_to_equality_hash_and_repr():
     p, q = CutPoint(-5 + 2j), CutPoint(-5 + 2j)
-    dilog._point_pass(p)
+    _rogers_stages(p)
     assert (p == q, hash(p) == hash(q), repr(p) == repr(q)) == (True, True, True)
 
 
@@ -841,7 +907,7 @@ def test_a_stage_read_while_it_is_stored_is_complete(monkeypatch):
                 def __complex__(self):
                     if not entered:
                         entered.append(True)
-                        seen.append(dilog._point_pass(point))
+                        seen.append(_rogers_stages(point))
                     return super().__complex__()
 
             return Reentrant(out.v)
@@ -850,7 +916,7 @@ def test_a_stage_read_while_it_is_stored_is_complete(monkeypatch):
 
     monkeypatch.setattr(dilog, "_high_arith", reentrant)
     with precision("high"):
-        got = dilog._point_pass(point)
+        got = _rogers_stages(point)
     assert seen == [got] and None not in got
 
 

@@ -75,6 +75,14 @@ def test_formal_sum_serialize_round_trip():
     assert FormalSum.parse(s.serialize()) == s
 
 
+def test_formal_sum_parse_skips_trailing_comments():
+    # a trailing comment was read as fields: "got 7 fields"
+    plain = "1 0.5 0.5 i 0 0\n-2 3.0 0.0 a 1 -1\n"
+    commented = "# header\n1 0.5 0.5 i 0 0  # note\n-2 3.0 0.0 a 1 -1# no space\n   # indented\n"
+    assert FormalSum.parse(commented) == FormalSum.parse(plain)
+    assert len(FormalSum.parse(commented)) == 2
+
+
 @pytest.mark.parametrize("text,lineno,message", [
     ("1 0.5 0.5 i 0 0\n1 nan 0.5 i 0 0\n", 2, "not a finite point"),
     ("# header\n\nx\n", 3, "expected 'coeff z_re z_im side p q'"),

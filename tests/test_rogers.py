@@ -128,6 +128,21 @@ def test_l_bar_at_half():
     assert rogers_l_bar(flattened(0.5)) == pytest.approx(-PI**2 / 12)
 
 
+@pytest.mark.parametrize("p,q,error", [
+    (10**400, 1, ValueError),  # raised a bare OverflowError
+    (10**200, 10**200, ValueError),  # raised a bare OverflowError
+    (1.5, 0, TypeError),  # returned a value
+    (2**60, 0, ValueError),  # returned a value
+], ids=["p=10**400", "p=q=10**200", "p=1.5", "p=2**60"])
+def test_l_bar_at_checks_the_indices_as_flattened_does(p, q, error):
+    with pytest.raises(error) as info:
+        l_bar_at(0.3 + 0.4j, "i", p, q)
+    if error is ValueError:
+        assert str(info.value) == "branch index p is beyond 2**53 in magnitude"
+    with pytest.raises(error):
+        flattened(0.3 + 0.4j, p, q)
+
+
 def test_l_bar_direct_formula_interior():
     from extbloch.dilog import CutPoint, li2, log_one_minus, principal_log
 
