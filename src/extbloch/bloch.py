@@ -14,8 +14,9 @@ import math
 from dataclasses import dataclass
 
 from .cover import _log_params
+from .dilog import _integer
 from .prebloch import FormalSum
-from .rogers import _coefficient, _coefficient_error
+from .rogers import _coefficient_error
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,7 @@ class WedgeExpr:
         # first-seen pair is kept.
         merged: dict[tuple[float, float, float, float], tuple[int, complex, complex]] = {}
         for coeff, a, b in self.terms:
-            coeff = _coefficient(coeff)
+            coeff = _integer(coeff, "coefficient")
             a = complex(a)
             b = complex(b)
             key_a, key_b = (a.real, a.imag), (b.real, b.imag)

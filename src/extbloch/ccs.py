@@ -14,19 +14,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TextIO
 
-from .cover import FlattenedNumber, _from_fields, serialize_flattened
+from .cover import FlattenedNumber, TriangulationFormatError, _records, serialize_flattened
 from .dilog import _trusted
 from .prebloch import FormalSum, eval_lhat
 from .rogers import CmodZ2, reduce_mod_transfer
-
-
-class TriangulationFormatError(ValueError):
-    """Malformed or invalid triangulation input; carries a line number."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        prefix = f"line {line}: " if line is not None else ""
-        super().__init__(prefix + message)
 
 
 @dataclass(frozen=True)
@@ -50,60 +41,29 @@ class FlattenedTriangulation:
         return FormalSum(tuple((sign, shape) for shape, sign in self.simplices))
 
 
-_SIGNS = {"+1": 1, "-1": -1, "1": 1}  # the usual spellings; any other goes through int()
-
-
 def load(source: str | Path | TextIO) -> FlattenedTriangulation:
-    """Parse a triangulation file or stream.
+    """Parse a triangulation file or stream: one ``sign z_re z_im side p q`` record per simplex.
 
-    One record per simplex: ``sign z_re z_im side p q`` with side i or a;
-    ``#`` starts a comment; an optional ``name: <string>`` header line may
-    precede the records.
+    Side is i or a; ``#`` starts a comment, and a ``name: <string>`` header may precede the records.
     """
+    def sign(field: str) -> int:  # a sign not spelled +1, -1 or 1
+        try:
+            value = int(field)
+        except ValueError:
+            raise ValueError(f"bad sign {field!r}") from None
+        if value not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {value}")
+        return value
+
     if hasattr(source, "read"):
-        text = source.read()
-        name = ""
+        text, name = source.read(), ""
     else:
         path = Path(source)
-        text = path.read_text()
-        name = path.stem
-    simplices: list[tuple[FlattenedNumber, int]] = []
-    points: dict = {}
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if "#" in line:
-            line = line[:line.index("#")]
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0].startswith("name:"):
-            if simplices:
-                raise TriangulationFormatError(
-                    "name header must precede all records", lineno
-                )
-            name = line.strip()[len("name:"):].strip()
-            continue
-        if len(parts) != 6:
-            raise TriangulationFormatError(
-                f"expected 'sign z_re z_im side p q', got {len(parts)} fields", lineno
-            )
-        sign = _SIGNS.get(parts[0])
-        if sign is None:
-            try:
-                sign = int(parts[0])
-            except ValueError:
-                raise TriangulationFormatError(f"bad sign {parts[0]!r}", lineno) from None
-            if sign not in (1, -1):
-                raise TriangulationFormatError(f"sign must be +1 or -1, got {sign}", lineno)
-        try:
-            shape = _from_fields(parts[1], parts[2], parts[3], parts[4], parts[5], points)
-        except ValueError as exc:
-            raise TriangulationFormatError(
-                f"simplex {len(simplices) + 1}: {exc}", lineno
-            ) from None
-        simplices.append((shape, sign))
+        text, name = path.read_text(), path.stem
+    header, simplices = _records(text, sign, "simplex")
     if not simplices:
         raise TriangulationFormatError("no simplex records found")
-    return _trusted(FlattenedTriangulation, simplices=tuple(simplices), name=name)
+    return _trusted(FlattenedTriangulation, simplices=tuple(simplices), name=name if header is None else header)
 
 
 def complex_volume(t: FlattenedTriangulation) -> CmodZ2:
@@ -164,9 +124,5 @@ def volume_report(t: FlattenedTriangulation) -> VolumeReport:
 
 def dump(t: FlattenedTriangulation) -> str:
     """Round-trip serialization in the input format."""
-    lines = []
-    if t.name:
-        lines.append(f"name: {t.name}")
-    for shape, sign in t.simplices:
-        lines.append(f"{sign:+d} {serialize_flattened(shape)}")
-    return "\n".join(lines)
+    header = [f"name: {t.name}"] if t.name else []
+    return "\n".join(header + [f"{sign:+d} {serialize_flattened(shape)}" for shape, sign in t.simplices])

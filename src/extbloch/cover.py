@@ -15,8 +15,9 @@ leave l and m unchanged.  Canonical form never stores a below-side tag.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .dilog import PI, TWO_PI_I, _ABOVE, _BELOW, CutPoint, Side, _checked_z, _stages, _trusted, as_cut_point
 
@@ -36,8 +37,8 @@ class FlattenedNumber:
             raise ValueError(
                 "below-side points are not stored; build via canonicalize()"
             )
-        _check_indices(self.p, self.q)
-        self.__dict__["_key"] = _merge_key(self.base, self.p, self.q)
+        p, q = self.__dict__["p"], self.__dict__["q"] = _check_indices(self.p, self.q)
+        self.__dict__["_key"] = _merge_key(self.base, p, q)
 
     @property
     def z(self) -> complex:
@@ -60,12 +61,16 @@ def _merge_key(base: CutPoint, p: int, q: int) -> tuple:
     return (z.real, z.imag, base.side._value_, p, q)
 
 
-def _check_indices(p: int, q: int) -> None:
-    if not isinstance(p, int) or not isinstance(q, int):
-        raise TypeError("branch indices p, q must be integers")
+def _check_indices(p: int, q: int) -> tuple[int, int]:
+    # p and q as plain ints, through __index__ (so True is 1)
+    try:
+        p, q = operator.index(p), operator.index(q)
+    except TypeError:
+        raise TypeError("branch indices p, q must be integers") from None
     if abs(p) > 2**53 or abs(q) > 2**53:  # beyond 2**53, 2 pi i p is not exact
         name = "p" if abs(p) > 2**53 else "q"
         raise ValueError(f"branch index {name} is beyond 2**53 in magnitude")
+    return p, q
 
 
 def canonicalize(
@@ -80,13 +85,15 @@ def canonicalize(
     p decreases by one on the left cut, q decreases by one on the right.
     """
     point = z if isinstance(z, CutPoint) else CutPoint(z, side)
+    if not (p.__class__ is int and q.__class__ is int):
+        p, q = _check_indices(p, q)
     if point.side is _BELOW:
         if point.z.real < 0.0:
             p -= 1
         else:
             q -= 1
         point = _trusted(CutPoint, z=point.z, side=_ABOVE)
-    if not (p.__class__ is int and q.__class__ is int and -2**53 <= p <= 2**53 and -2**53 <= q <= 2**53):
+    if not (-2**53 <= p <= 2**53 and -2**53 <= q <= 2**53):
         _check_indices(p, q)  # the bound tested inline first: this runs once per number built
     return _build(point, p, q)
 
@@ -249,30 +256,72 @@ def parse_flattened(text: str) -> FlattenedNumber:
         raise ValueError(
             f"expected 'z_re z_im side p q', got {len(parts)} fields: {text!r}"
         )
-    return _from_fields(*parts)
+    return _from_fields(*parts, {})
 
 
 _FIELD_SIDES = {"i": Side.INTERIOR, "a": Side.ABOVE}  # the serialized form stores no below side
 
 
-def _from_fields(re_s: str, im_s: str, side_s: str, p_s: str, q_s: str,
-                 points: dict | None = None) -> FlattenedNumber:
+def _from_fields(re_s: str, im_s: str, side_s: str, p_s: str, q_s: str, points: dict) -> FlattenedNumber:
     # The checks and messages of CutPoint and FlattenedNumber, then the
     # trusted constructor.  ``points`` maps the point fields, and the checked
     # z (a z allows one side only), to the CutPoint built for them: equal
     # records share one point, and so one kernel pass.
-    base = None if points is None else points.get((re_s, im_s, side_s))
+    base = points.get((re_s, im_s, side_s))
     if base is None:
         side = _FIELD_SIDES.get(side_s)
         if side is None:
             raise ValueError(f"side must be 'i' or 'a', got {side_s!r}")
         z = _checked_z(complex(float(re_s), float(im_s)), side)
-        base = _trusted(CutPoint, z=z, side=side)
-        if points is not None:
-            base = points[re_s, im_s, side_s] = points.setdefault(z, base)
+        base = points[re_s, im_s, side_s] = points.setdefault(z, _trusted(CutPoint, z=z, side=side))
     p, q = int(p_s), int(q_s)
-    _check_indices(p, q)
+    if not (-2**53 <= p <= 2**53 and -2**53 <= q <= 2**53):
+        _check_indices(p, q)  # the bound tested inline first, as in canonicalize
     return _build(base, p, q)
+
+
+class TriangulationFormatError(ValueError):
+    """Malformed or invalid record text; carries a line number."""
+
+    def __init__(self, message: str, line: int | None = None):
+        self.line = line
+        super().__init__(message if line is None else f"line {line}: {message}")
+
+
+_SIGNS = {"+1": 1, "-1": -1, "1": 1}  # the usual coefficients, read without the caller's rule
+
+
+def _records(text: str, coefficient: Callable[[str], int], word: str) -> tuple[str | None, list]:
+    """The ``name:`` header (None without one) and (shape, coeff) pairs of ``coeff z_re z_im side p q`` lines.
+
+    ``#`` starts a comment.  ``coefficient`` reads a first field not in _SIGNS, and its name is that
+    field's in messages; ``word`` numbers a record whose point fields are bad ("simplex 2: ...").
+    """
+    name, pairs, points = None, [], {}
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if "#" in line:
+            line = line[:line.index("#")]
+        parts = line.split()
+        if not parts:
+            continue
+        if parts[0].startswith("name:"):
+            if pairs:
+                raise TriangulationFormatError("name header must precede all records", lineno)
+            name = line.strip()[len("name:"):].strip()
+            continue
+        if len(parts) != 6:
+            raise TriangulationFormatError(f"expected '{coefficient.__name__} z_re z_im side p q', "
+                                           f"got {len(parts)} fields", lineno)
+        try:
+            coeff = _SIGNS.get(parts[0]) or coefficient(parts[0])  # no spelling in _SIGNS is 0
+        except ValueError as exc:
+            raise TriangulationFormatError(str(exc), lineno) from None
+        try:
+            shape = _from_fields(parts[1], parts[2], parts[3], parts[4], parts[5], points)
+        except ValueError as exc:
+            raise TriangulationFormatError(f"{word} {len(pairs) + 1}: {exc}", lineno) from None
+        pairs.append((shape, coeff))
+    return name, pairs
 
 
 def _build(base: CutPoint, p: int, q: int) -> FlattenedNumber:

@@ -57,6 +57,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -101,6 +102,14 @@ def _int_text(k: int) -> str:
         return str(k)
     except ValueError:
         return f"of {k.bit_length()} bits"
+
+
+def _integer(value, name: str) -> int:
+    # value as an int, through __index__ (so True is 1; int() would truncate 1.5), or a TypeError naming it
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} {value!r} is not an integer") from None
 
 
 def _as_complex(value) -> complex:
@@ -335,9 +344,10 @@ def set_precision(mode: str = "double", dps: int = 50) -> None:
     """
     if mode not in ("double", "high"):
         raise ValueError(f"unknown precision mode {mode!r}")
-    if mode == "high" and dps < 50:
+    dps = _integer(dps, "dps") if mode == "high" else None
+    if dps is not None and dps < 50:
         raise ValueError("high-precision mode requires dps >= 50")
-    _DPS.set(dps if mode == "high" else None)
+    _DPS.set(dps)
 
 
 def get_precision() -> tuple[str, int | None]:

@@ -17,14 +17,14 @@ from typing import Sequence
 from .cover import (
     FlattenedFT,
     FlattenedNumber,
+    _records,
     canonicalize,
     flattened,
     is_flattened_ft,
-    parse_flattened,
     serialize_flattened,
 )
-from .dilog import PI, CutPoint, Side, _flip, _trusted, arg_cut, as_cut_point
-from .rogers import CmodZ2, _coefficient, _lhat_sum
+from .dilog import PI, CutPoint, Side, _flip, _integer, _trusted, arg_cut, as_cut_point
+from .rogers import CmodZ2, _lhat_sum
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ class FormalSum:
         for coeff, gen in self.terms:
             if not isinstance(gen, FlattenedNumber):
                 raise TypeError("generators must be FlattenedNumber values")
-            key, coeff = gen._key, _coefficient(coeff)
+            key, coeff = gen._key, _integer(coeff, "coefficient")
             seen = merged.get(key)
             merged[key] = (coeff, gen) if seen is None else (seen[0] + coeff, seen[1])
         cleaned = tuple([term for term in map(merged.__getitem__, sorted(merged)) if term[0]])
@@ -61,7 +61,7 @@ class FormalSum:
     def single(cls, gen: FlattenedNumber, coeff: int = 1) -> "FormalSum":
         if not isinstance(gen, FlattenedNumber):
             raise TypeError("generators must be FlattenedNumber values")
-        coeff = _coefficient(coeff)
+        coeff = _integer(coeff, "coefficient")
         return _trusted(cls, terms=((coeff, gen),) if coeff else ())
 
     def __add__(self, other: "FormalSum") -> "FormalSum":
@@ -92,19 +92,10 @@ class FormalSum:
 
     @classmethod
     def parse(cls, text: str) -> "FormalSum":
-        pairs = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                fields = line.split(None, 1)
-                if len(fields) != 2:
-                    raise ValueError("expected 'coeff z_re z_im side p q'")
-                pairs.append((int(fields[0]), parse_flattened(fields[1])))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-        return cls(tuple(pairs))
+        """Read a ``ccs`` file's records with any int coefficients; a name header is ignored."""
+        def coeff(field: str) -> int:  # the rule is named for the field it reads
+            return int(field)
+        return cls(tuple((c, f) for f, c in _records(text, coeff, "term")[1]))
 
 
 def eval_lhat(s: FormalSum) -> CmodZ2:

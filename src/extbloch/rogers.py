@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 from .cover import FlattenedNumber, _check_indices
-from .dilog import PI, PI_SQ, TWO_PI_I, CutPoint, Side, _as_complex, _int_text, _stages
+from .dilog import PI, PI_SQ, TWO_PI_I, CutPoint, Side, _as_complex, _int_text, _integer, _stages
 
 FOUR_PI_SQ = 4.0 * PI_SQ
 TWO_PI_SQ = 2.0 * PI_SQ
@@ -42,15 +41,6 @@ def reduce_into(x: float, period: float) -> float:
 def _coefficient_error(coeff: int) -> ValueError:
     # for a coefficient beyond the range of a double
     return ValueError(f"coefficient {_int_text(coeff)} is too large for double arithmetic")
-
-
-def _coefficient(value) -> int:
-    # a coefficient as an int, through __index__ (so True is 1), or a
-    # TypeError naming it: int() would truncate 1.5 to 1
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"coefficient {value!r} is not an integer") from None
 
 
 @dataclass(frozen=True, init=False)
@@ -127,7 +117,7 @@ def l_bar_at(z: complex, side: Side | str, p: int, q: int) -> complex:
     4 pi^2 p across the right cut.  Prefer :func:`rogers_l_bar` for
     canonical cover points.
     """
-    _check_indices(p, q)
+    p, q = _check_indices(p, q)
     return _linear(CutPoint(z, side), 1, p, q) - TWO_PI_SQ * (p * q)
 
 
@@ -286,10 +276,10 @@ def commutator_monodromy(steps: int = 97) -> ContinuationResult:
     An odd step count keeps all vertices off the real axis; ``steps`` must
     be at least 2.
     """
+    steps = _integer(steps, "steps")
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps!r}")
-    if steps % 2 == 0:
-        steps += 1
+    steps |= 1  # an even count rounds up to odd
     base = 0.5
     loop1_ccw = _circle(1.0, 0.5, PI, steps, ccw=True)
     loop0_ccw = _circle(0.0, 0.5, 0.0, steps, ccw=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .cover import make_flattened_ft
-from .dilog import PI, TWO_PI_I, CutPoint, Side, arg_cut, principal_log
+from .dilog import PI, TWO_PI_I, CutPoint, Side, _integer, arg_cut, principal_log
 from .prebloch import (
     FormalSum,
     chi_hat,
@@ -43,6 +43,11 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.relation not in RELATIONS:
             raise ValueError(f"unknown relation {self.relation!r}")
+        for name in ("samples", "index_bound"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        if not isinstance(self.tol, (int, float)):
+            raise TypeError(f"tol {self.tol!r} is not a number")
+        object.__setattr__(self, "tol", float(self.tol))
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if not self.tol > 0:
@@ -121,11 +126,8 @@ def sample_ft_plus(rng: random.Random) -> tuple[complex, complex]:
 def sample_interior(rng: random.Random) -> CutPoint:
     while True:
         z = complex(rng.uniform(-3.0, 4.0), rng.uniform(-3.0, 3.0))
-        if abs(z.imag) < 0.02:
-            continue
-        if abs(z) < 0.05 or abs(z - 1.0) < 0.05:
-            continue
-        return CutPoint(z)
+        if abs(z.imag) >= 0.02 and abs(z) >= 0.05 and abs(z - 1.0) >= 0.05:  # clear of the cuts, 0 and 1
+            return CutPoint(z)
 
 
 def sample_boundary(rng: random.Random) -> CutPoint:
@@ -137,8 +139,8 @@ def sample_boundary(rng: random.Random) -> CutPoint:
     return CutPoint(complex(x, 0.0), side)
 
 
-def sample_cut_point(rng: random.Random, boundary_frac: float = 0.15) -> CutPoint:
-    if rng.random() < boundary_frac:
+def sample_cut_point(rng: random.Random) -> CutPoint:
+    if rng.random() < 0.15:  # the share of points drawn on a cut
         return sample_boundary(rng)
     return sample_interior(rng)
 

@@ -15,6 +15,7 @@ from extbloch.ccs import (
 )
 from extbloch.cover import canonicalize, flattened, parse_flattened
 from extbloch.dilog import Side, precision
+from extbloch.prebloch import FormalSum
 from extbloch.rogers import TWO_PI_SQ, reduce_into, reduce_mod_transfer
 from oracles import figure_eight_volume
 
@@ -102,6 +103,14 @@ def test_load_from_path(tmp_path):
     t = load(path)
     assert len(t) == 2
     assert t.name == "two"
+
+
+def test_a_name_header_overrides_the_file_stem_even_when_empty(tmp_path):
+    path = tmp_path / "stem.tri"
+    path.write_text("name: given\n+1 0.5 0.5 i 0 0\n")
+    assert load(path).name == "given"
+    path.write_text("name:\n+1 0.5 0.5 i 0 0\n")
+    assert load(path).name == ""
 
 
 # ---------------------------------------------------------------------------
@@ -253,3 +262,37 @@ def test_loaded_file_one_kernel_pass_per_distinct_base(kernel_stages, mode):
     assert len({(p.z, p.side) for _, p in calls}) == len({(f.z, f.base.side) for f, _ in t.simplices}) == 5
     assert len({(name, p.z, p.side) for name, p in calls}) == len(calls)
     assert report.simplex_count == 10
+
+
+# ---------------------------------------------------------------------------
+# one record grammar for ccs files and FormalSum.parse (eval --sum)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("text", [FIG8, LOADED_FILE], ids=["fig8", "loaded"])
+def test_crlf_text_reads_as_lf_text_through_both_readers(text):
+    crlf = text.replace("\n", "\r\n")
+    assert load(io.StringIO(crlf)) == load(io.StringIO(text))
+    assert load(io.StringIO(crlf)).name == load(io.StringIO(text)).name != ""
+    assert FormalSum.parse(crlf) == FormalSum.parse(text) == load(io.StringIO(text)).as_formal_sum()
+
+
+def test_formal_sum_parse_ignores_the_name_header_and_keeps_its_place():
+    # a header line was read as a record: "invalid literal for int() with base 10: 'name:'"
+    assert FormalSum.parse(FIG8) == load(io.StringIO(FIG8)).as_formal_sum()
+    assert FormalSum.parse(FIG8).terms[0][0] == 2
+    with pytest.raises(ValueError, match=r"^line 2: name header must precede all records$"):
+        FormalSum.parse("1 0.5 0.5 i 0 0\nname: late\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("1 0.5 0.5 i 0 0\n1 nan 0.5 i 0 0\n", "line 2: term 2: (nan+0.5j) is not a finite point of the cut plane"),
+    ("# header\n\nx\n", "line 3: expected 'coeff z_re z_im side p q', got 1 fields"),
+    ("1 0.5 0.5 i 0\n", "line 1: expected 'coeff z_re z_im side p q', got 5 fields"),
+    ("1 0.5 0.5 i 0 0\n\nz 0.5 0.5 i 0 0\n", "line 3: invalid literal for int() with base 10: 'z'"),
+    ("0 0.5 0.5 i 0 0\n-7 0.25 0.5 b 0 0\n", "line 2: term 2: side must be 'i' or 'a', got 'b'"),
+], ids=["point", "one-field", "five-fields", "coefficient", "side"])
+def test_formal_sum_parse_messages_follow_the_ccs_ones(text, message):
+    # the sum's rule reads any int; a bad point is numbered as a term, as ccs numbers a simplex
+    with pytest.raises(TriangulationFormatError) as err:
+        FormalSum.parse(text)
+    assert str(err.value) == message

@@ -11,6 +11,7 @@ import extbloch
 from extbloch.cli import main
 from extbloch.dilog import get_precision, precision
 from extbloch.rogers import TWO_PI_SQ
+from test_ccs import LOADED_FILE
 
 PI = math.pi
 
@@ -82,6 +83,26 @@ def test_eval_bad_sum_file_names_the_line(capsys, tmp_path, text, lineno):
     assert code == 2
     assert out == ""
     assert f"bad formal sum: line {lineno}: " in err
+
+
+@pytest.mark.parametrize("mode", ["double", "high"])
+@pytest.mark.parametrize("text", [FIG8, LOADED_FILE], ids=["fig8", "loaded"])
+def test_eval_sum_reports_what_ccs_reports_on_the_same_file(capsys, tmp_path, text, mode):
+    # a ccs file is a --sum file whose coefficients are +-1; its name header is ignored
+    path = tmp_path / "file.tri"
+    path.write_text(text)
+    flags = ("--precision", mode, "--format")
+    _, ccs_text, _ = run_cli(capsys, "ccs", str(path), *flags, "text")
+    _, ccs_json, _ = run_cli(capsys, "ccs", str(path), *flags, "structured")
+    code, eval_text, err = run_cli(capsys, "eval", "--sum", str(path), *flags, "text")
+    assert code == 0 and err == ""
+    want = [line.replace("value-mod-2pi2:", "mod-2pi2:") for line in ccs_text.splitlines()
+            if line.startswith(("value:", "value-mod-2pi2:", "split:"))]
+    assert eval_text.splitlines() == want
+    code, eval_json, _ = run_cli(capsys, "eval", "--sum", str(path), *flags, "structured")
+    assert code == 0
+    report = json.loads(ccs_json)
+    assert json.loads(eval_json) == {k: report[k] for k in ("value_re", "value_im", "value_mod_2pi2_re", "split_re", "split_im")}
 
 
 def test_eval_missing_sum_file(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import cmath
+import io
 import math
 import random
 
@@ -383,3 +384,42 @@ def test_flattened_names_an_int_beyond_a_double():
     with pytest.raises(ValueError) as err:
         flattened(10**400, 1, 2)
     assert str(err.value) == f"{10**400} is beyond the range of a double"
+
+
+class Index:
+    """An integer that is not an int: it has __index__ and nothing else."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def __index__(self):
+        return self.k
+
+
+@pytest.mark.parametrize("p,q,want", [(True, 0, (1, 0)), (False, True, (0, 1)), (Index(3), Index(-2), (3, -2))])
+def test_index_like_branch_indices_are_stored_as_ints_and_round_trip(p, q, want):
+    # flattened(z, True, 0) stored p=True, serialized as "... True 0", which no parser read back
+    from extbloch import ccs
+    from extbloch.prebloch import FormalSum
+
+    below = (want[0] - 1, want[1])  # the left cut's below side, rewritten to the above side
+    for f, indices in (
+        (flattened(0.5 + 0.5j, p, q), want),
+        (FlattenedNumber(CutPoint(0.5 + 0.5j), p, q), want),
+        (canonicalize(-2 + 0j, Side.ABOVE, p, q), want),
+        (canonicalize(-2 + 0j, Side.BELOW, p, q), below),
+    ):
+        assert (f.p, f.q) == indices and type(f.p) is int and type(f.q) is int
+        assert parse_flattened(serialize_flattened(f)) == f
+        s = FormalSum.single(f, 3)
+        assert FormalSum.parse(s.serialize()) == s
+        t = ccs.FlattenedTriangulation(((f, -1), (f, 1)), "indices")
+        assert ccs.load(io.StringIO(ccs.dump(t))) == t
+
+
+def test_index_like_branch_indices_in_l_bar_at():
+    from extbloch.rogers import l_bar_at
+
+    assert l_bar_at(0.3 + 0.4j, "i", True, Index(2)) == l_bar_at(0.3 + 0.4j, "i", 1, 2)
+    with pytest.raises(TypeError, match="^branch indices p, q must be integers$"):
+        l_bar_at(0.3 + 0.4j, "i", 1.0, 2)

@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -27,6 +28,7 @@ from extbloch.dilog import (
     log_one_minus,
     precision,
     principal_log,
+    set_precision,
 )
 from extbloch.prebloch import FormalSum
 from extbloch.rogers import l_bar_at, rogers_l_bar
@@ -264,6 +266,31 @@ def test_precision_mode_validation():
         precision("high", dps=10).__enter__()
     with pytest.raises(ValueError):
         precision("fast").__enter__()
+
+
+@pytest.mark.parametrize("dps", [60.5, 60.0, "60"])
+def test_precision_names_a_dps_that_is_not_an_integer(dps):
+    # these were accepted; the first high-precision pass then raised an
+    # unrelated TypeError ("'float' object cannot be interpreted ...", "'<' not supported")
+    message = f"^dps {re.escape(repr(dps))} is not an integer$"
+    with pytest.raises(TypeError, match=message):
+        with precision("high", dps):
+            pass
+    with pytest.raises(TypeError, match=message):
+        set_precision("high", dps)
+    assert get_precision() == ("double", None)
+
+
+def test_precision_takes_dps_through_index():
+    class Digits:
+        def __index__(self):
+            return 60
+
+    with precision("high", Digits()):
+        assert get_precision() == ("high", 60) and type(get_precision()[1]) is int
+        assert li2(0.5) == pytest.approx(li2_reference(0.5), rel=1e-15)
+    with pytest.raises(ValueError, match="requires dps >= 50"):
+        set_precision("high", True)
 
 
 # ---------------------------------------------------------------------------

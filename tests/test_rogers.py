@@ -234,6 +234,14 @@ def test_commutator_monodromy_needs_two_steps(steps):
         commutator_monodromy(steps)
 
 
+def test_commutator_monodromy_names_steps_that_are_not_an_integer():
+    # 2.5 raised the TypeError of range(); True is the step count 1
+    with pytest.raises(TypeError, match=r"^steps 2\.5 is not an integer$"):
+        commutator_monodromy(2.5)
+    with pytest.raises(ValueError, match="^steps must be at least 2, got 1$"):
+        commutator_monodromy(True)
+
+
 def test_continuation_rejects_vertices_on_axis():
     with pytest.raises(ValueError):
         continue_rogers([0.5 + 0.5j, 0.7 + 0j, 0.5 - 0.5j])

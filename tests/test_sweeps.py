@@ -81,6 +81,39 @@ def test_config_rejects_bounds_whose_indices_pass_2_53():
         SweepConfig("five-term", samples=0)
 
 
+@pytest.mark.parametrize("field,value,error,message", [
+    ("samples", 2.5, TypeError, r"^samples 2\.5 is not an integer$"),
+    ("index_bound", 1.5, TypeError, r"^index_bound 1\.5 is not an integer$"),
+    ("samples", "3", TypeError, r"^samples '3' is not an integer$"),
+    ("tol", "1e-9", TypeError, r"^tol '1e-9' is not a number$"),
+    ("tol", None, TypeError, r"^tol None is not a number$"),
+    ("samples", False, ValueError, r"^samples must be >= 1$"),
+])
+def test_config_names_a_size_of_the_wrong_type(field, value, error, message):
+    # each was accepted and failed later in run_sweep (range, randrange, '>')
+    with pytest.raises(error, match=message):
+        SweepConfig("index-q", **{field: value})
+
+
+def test_config_stores_sizes_as_ints_and_tol_as_a_float():
+    # samples=True ran and reported "samples: True", and tol=True "tol: True"
+    config = SweepConfig("index-q", samples=True, index_bound=True, tol=True)
+    assert (config.samples, config.index_bound, config.tol) == (1, 1, 1.0)
+    assert type(config.samples) is int and type(config.index_bound) is int and type(config.tol) is float
+    report = run_sweep(config).render_text()
+    assert "samples: 1\n" in report and "tol: 1.0\n" in report
+
+
+def test_sample_cut_point_draws_a_cut_point_with_chance_0_15():
+    import random
+
+    for seed in range(300):
+        rng, ref = random.Random(seed), random.Random(seed)
+        want = sweeps.sample_boundary(ref) if ref.random() < 0.15 else sweeps.sample_interior(ref)
+        assert sweeps.sample_cut_point(rng) == want
+        assert rng.random() == ref.random()
+
+
 def test_config_rejects_an_unknown_relation():
     with pytest.raises(ValueError, match="^unknown relation 'nope'$"):
         SweepConfig("nope")

@@ -227,3 +227,15 @@ def test_loaded_records_share_equal_points():
     assert [f.base for f in shapes] == [half, half, two, two, half]
     assert len({id(f.base) for f in shapes}) == 2
     assert shapes[0] is not shapes[4]  # each record keeps its own cover point
+
+
+def test_summed_records_share_equal_points():
+    # FormalSum.parse reads records as ccs.load does: one CutPoint per distinct (z, side)
+    text = "2 0.5 0.5 i 0 0\n-1 5e-1 0.50 i 1 0\n3 -2 0.0 a 0 1\n1 -2.0 -0.0 a 1 1\n-4 0.5 0.5 i 2 0\n"
+    s = FormalSum.parse(text)
+    half, two = CutPoint(0.5 + 0.5j), CutPoint(-2 + 0j, "a")
+    assert [(c, f.base, f.p, f.q) for c, f in s.terms] == [
+        (3, two, 0, 1), (1, two, 1, 1), (2, half, 0, 0), (-1, half, 1, 0), (-4, half, 2, 0),
+    ]
+    assert len({id(f.base) for _, f in s.terms}) == 2
+    assert "-0j" not in repr(s)
