@@ -15,6 +15,7 @@ leave l and m unchanged.  Canonical form never stores a below-side tag.
 
 from __future__ import annotations
 
+import cmath
 import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -176,11 +177,15 @@ def make_flattened_ft(
     if x == 0 or y == 0 or x == 1 or y == 1 or x == y:
         raise ValueError("x, y must be distinct and avoid 0 and 1")
     coords = ft_projections(x, y)
-    if not all(c.imag > 0.0 for c in coords):
-        raise ValueError(
-            "not in the all-upper-half five-term chart; this constructor "
-            "does not apply the +-1 index adjustments other charts need"
-        )
+    for k, c in enumerate(coords):
+        if not cmath.isfinite(c):
+            raise ValueError(f"the five-term coordinate z{k} = {c!r} of x = {x!r}, y = {y!r} is not finite")
+        if not c.imag > 0.0:
+            raise ValueError(
+                f"the five-term coordinate z{k} = {c!r} of x = {x!r}, y = {y!r} is not in the upper "
+                "half-plane, so (x, y) is outside the all-upper-half five-term chart; this "
+                "constructor does not apply the +-1 index adjustments other charts need"
+            )
     indices = (
         (p0, q0),
         (p1, q1),
@@ -208,8 +213,11 @@ def is_flattened_ft(
     connected family by analytic continuation of both sides.  Each is
     checked exactly in the indices: its float part, the same combination
     of Log z_k and -Log(1-z_k), must be 2 pi i j within tol for an integer
-    j, and j plus the combination of the indices must be 0.
+    j, and j plus the combination of the indices must be 0.  ``tol`` must
+    be a number >= 0.
     """
+    if not tol >= 0:  # with a NaN tol every "> tol" test below is False, so any tuple would pass
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     entries = tuple(t)
     if len(entries) != 5 or not all(isinstance(e, FlattenedNumber) for e in entries):
         return False

@@ -43,7 +43,7 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.relation not in RELATIONS:
             raise ValueError(f"unknown relation {self.relation!r}")
-        for name in ("samples", "index_bound"):
+        for name in ("samples", "seed", "index_bound"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         if not isinstance(self.tol, (int, float)):
             raise TypeError(f"tol {self.tol!r} is not a number")
@@ -161,41 +161,25 @@ def _homo_case_pair(rng: random.Random, case: int) -> tuple[CutPoint, CutPoint]:
         if boundary:
             x = rng.uniform(1.1, 6.0)
             z = CutPoint(complex(x, 0.0), Side.ABOVE if rng.random() < 0.5 else Side.BELOW)
-            w = _from_polar(rng, -0.45 * PI, 0.45 * PI)
-            return z, w
-        return _from_polar(rng, -0.45 * PI, 0.45 * PI), _from_polar(rng, -0.45 * PI, 0.45 * PI)
-    if case == 1:
-        if boundary:
-            z = CutPoint(complex(rng.uniform(-5.0, -0.1), 0.0), Side.ABOVE)  # Arg = pi
-            w = _from_polar(rng, 0.1, 0.9 * PI)
-            return z, w
-        z = _from_polar(rng, 0.55 * PI, 0.95 * PI)
-        a_low = PI - arg_cut(z) + 0.02
-        w = _from_polar(rng, a_low, 0.95 * PI)
-        return z, w
+        else:
+            z = _from_polar(rng, -0.45 * PI, 0.45 * PI)
+        return z, _from_polar(rng, -0.45 * PI, 0.45 * PI)
+    # case -1 mirrors case +1; sorted() passes each Arg window low end first, as the draws always have
     if boundary:
-        z = CutPoint(complex(rng.uniform(-5.0, -0.1), 0.0), Side.BELOW)  # Arg = -pi
-        w = _from_polar(rng, -0.9 * PI, -0.1)
-        return z, w
-    z = _from_polar(rng, -0.95 * PI, -0.55 * PI)
-    a_high = -PI - arg_cut(z) - 0.02
-    w = _from_polar(rng, -0.95 * PI, a_high)
-    return z, w
+        z = CutPoint(complex(rng.uniform(-5.0, -0.1), 0.0), Side.ABOVE if case > 0 else Side.BELOW)  # Arg = case pi
+        return z, _from_polar(rng, *sorted((case * 0.1, case * 0.9 * PI)))
+    z = _from_polar(rng, *sorted((case * 0.55 * PI, case * 0.95 * PI)))
+    edge = case * PI - arg_cut(z) + case * 0.02  # Arg z + Arg w passes case pi by 0.02
+    return z, _from_polar(rng, *sorted((edge, case * 0.95 * PI)))
 
 
 def _cycle_case_pair(rng: random.Random, case: int) -> tuple[CutPoint, CutPoint]:
     """x, y with Arg y - Arg x in the window of the requested index shift."""
     if case == 0:
         return _from_polar(rng, -0.45 * PI, 0.45 * PI), _from_polar(rng, -0.45 * PI, 0.45 * PI)
-    if case == 1:
-        y = _from_polar(rng, 0.55 * PI, 0.95 * PI)
-        a_high = arg_cut(y) - PI - 0.02
-        x = _from_polar(rng, -0.95 * PI, a_high)
-        return x, y
-    x = _from_polar(rng, 0.55 * PI, 0.95 * PI)
-    a_high = arg_cut(x) - PI - 0.02
-    y = _from_polar(rng, -0.95 * PI, a_high)
-    return x, y
+    upper = _from_polar(rng, 0.55 * PI, 0.95 * PI)
+    lower = _from_polar(rng, -0.95 * PI, arg_cut(upper) - PI - 0.02)
+    return (lower, upper) if case == 1 else (upper, lower)
 
 
 def _rand_nonzero(rng: random.Random) -> complex:
@@ -212,7 +196,8 @@ def _indices(rng: random.Random, bound: int, n: int) -> list[int]:
 # per-relation runners: return (residual, case label, echo)
 #
 # The echo is a zero-argument callable that builds the replayable text;
-# only failing samples call it.
+# only failing samples call it.  The twelve relations whose element must
+# vanish have a builder returning (element, case label), run by _vanishing.
 # ---------------------------------------------------------------------------
 
 def _echo_sum(tag: str, s: FormalSum) -> str:
@@ -220,54 +205,60 @@ def _echo_sum(tag: str, s: FormalSum) -> str:
     return f"{tag} element: {body}"
 
 
-def _run_five_term(rng, k, cfg):
+def _vanishing(build: Callable, *args) -> Callable:
+    def run(rng, k, cfg):
+        elem, case = build(rng, k, cfg, *args)
+        return eval_lhat(elem).magnitude(), case, lambda: _echo_sum(cfg.relation, elem)
+
+    return run
+
+
+def _five_term(rng, k, cfg):
     x, y = sample_ft_plus(rng)
     p0, p1, q0, q1, q2 = _indices(rng, cfg.index_bound, 5)
-    elem = five_term_element(make_flattened_ft(x, y, p0, p1, q0, q1, q2))
-    return eval_lhat(elem).magnitude(), "all", lambda: _echo_sum("five-term", elem)
+    return five_term_element(make_flattened_ft(x, y, p0, p1, q0, q1, q2)), "all"
 
 
-def _run_cycle(rng, k, cfg):
+def _cycle(rng, k, cfg):
     case = (-1, 0, 1)[k % 3]
     while True:
         x, y = _cycle_case_pair(rng, case)
         if abs(y.z / x.z - 1.0) > 1e-6:
             break
     p0, p1, q0, q1, q2 = _indices(rng, cfg.index_bound, 5)
-    elem = cycle_relation(x, y, p0, p1, q0, q1, q2)
-    return eval_lhat(elem).magnitude(), f"shift{case:+d}", lambda: _echo_sum("cycle", elem)
+    return cycle_relation(x, y, p0, p1, q0, q1, q2), f"shift{case:+d}"
 
 
-def _run_homo(rng, k, cfg):
+def _homo(rng, k, cfg):
     case = (-1, 0, 1)[k % 3]
     while True:
         z, w = _homo_case_pair(rng, case)
         if abs(z.z * w.z - 1.0) > 1e-6:
             break
     p, r = _indices(rng, cfg.index_bound, 2)
-    elem = curly_product_relation(z, p, w, r)
-    return eval_lhat(elem).magnitude(), f"shift{case:+d}", lambda: _echo_sum("homo", elem)
+    return curly_product_relation(z, p, w, r), f"shift{case:+d}"
 
 
-def _run_mirror(rng, k, cfg):
+def _mirror(rng, k, cfg):
     z = sample_cut_point(rng)
     p, q = _indices(rng, cfg.index_bound, 2)
-    elem = mirror_relation(z, p, q)
-    return eval_lhat(elem).magnitude(), "all", lambda: _echo_sum("mirror", elem)
+    return mirror_relation(z, p, q), "all"
 
 
-def _run_index(kind: str):
-    def run(rng, k, cfg):
-        z = sample_cut_point(rng)
-        p, q, p2 = _indices(rng, cfg.index_bound, 3)
-        if kind == "PQ":
-            q2 = p + q - p2
-        else:
-            q2 = rng.randint(-cfg.index_bound, cfg.index_bound)
-        elem = index_relations(z, p, q, p2, q2, kind)
-        return eval_lhat(elem).magnitude(), "all", lambda: _echo_sum(f"index-{kind.lower()}", elem)
+def _index(rng, k, cfg, kind: str):
+    z = sample_cut_point(rng)
+    p, q, p2 = _indices(rng, cfg.index_bound, 3)
+    if kind == "PQ":
+        q2 = p + q - p2
+    else:
+        q2 = rng.randint(-cfg.index_bound, cfg.index_bound)
+    return index_relations(z, p, q, p2, q2, kind), "all"
 
-    return run
+
+def _symmetry(rng, k, cfg, which: int):
+    z = complex(rng.uniform(-3.0, 4.0), rng.uniform(0.05, 3.0))
+    p, q = _indices(rng, cfg.index_bound, 2)
+    return symmetry_relation(z, p, q, which), "all"
 
 
 def _run_chi_hom(rng, k, cfg):
@@ -294,16 +285,6 @@ def _run_chi_hom(rng, k, cfg):
     return residual, case, lambda: f"chi-hom inputs: z={z!r} w={w!r}"
 
 
-def _run_symmetry(which: int):
-    def run(rng, k, cfg):
-        z = complex(rng.uniform(-3.0, 4.0), rng.uniform(0.05, 3.0))
-        p, q = _indices(rng, cfg.index_bound, 2)
-        elem = symmetry_relation(z, p, q, which)
-        return eval_lhat(elem).magnitude(), "all", lambda: _echo_sum(f"symmetry-{which}", elem)
-
-    return run
-
-
 def _run_kappa(rng, k, cfg):
     z = sample_interior(rng)
     p = rng.randint(-cfg.index_bound, cfg.index_bound)
@@ -324,19 +305,19 @@ def _run_splitting(rng, k, cfg):
 
 
 _RUNNERS: dict[str, Callable] = {
-    "five-term": _run_five_term,
-    "cycle": _run_cycle,
-    "mirror": _run_mirror,
-    "homo": _run_homo,
-    "index-q": _run_index("Q"),
-    "index-p": _run_index("P"),
-    "index-pq": _run_index("PQ"),
+    "five-term": _vanishing(_five_term),
+    "cycle": _vanishing(_cycle),
+    "mirror": _vanishing(_mirror),
+    "homo": _vanishing(_homo),
+    "index-q": _vanishing(_index, "Q"),
+    "index-p": _vanishing(_index, "P"),
+    "index-pq": _vanishing(_index, "PQ"),
     "chi-hom": _run_chi_hom,
-    "symmetry-1": _run_symmetry(1),
-    "symmetry-2": _run_symmetry(2),
-    "symmetry-3": _run_symmetry(3),
-    "symmetry-4": _run_symmetry(4),
-    "symmetry-5": _run_symmetry(5),
+    "symmetry-1": _vanishing(_symmetry, 1),
+    "symmetry-2": _vanishing(_symmetry, 2),
+    "symmetry-3": _vanishing(_symmetry, 3),
+    "symmetry-4": _vanishing(_symmetry, 4),
+    "symmetry-5": _vanishing(_symmetry, 5),
     "kappa": _run_kappa,
     "splitting": _run_splitting,
 }

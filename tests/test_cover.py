@@ -2,6 +2,7 @@ import cmath
 import io
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -22,6 +23,7 @@ from extbloch.cover import (
     serialize_flattened,
 )
 from extbloch.dilog import TWO_PI_I, CutPoint, Side, log_one_minus, precision, principal_log
+from extbloch.prebloch import five_term_element
 
 PI = math.pi
 
@@ -176,6 +178,33 @@ def test_make_flattened_ft_rejects_wrong_chart():
     # lower-half y projects out of the all-upper-half chart
     with pytest.raises(ValueError):
         make_flattened_ft(0.3 - 0.2j, -1j)
+
+
+@pytest.mark.parametrize("x,y,coordinate,reason", [
+    # y/x overflows: the error named the overflowed coordinate alone
+    (1e-320 + 1e-320j, 0.5 + 1j, "z2 = (inf+infj)", "is not finite"),
+    # these two were reported as lying outside the chart
+    (float("nan"), 0.5 + 1j, "z0 = (nan+0j)", "is not finite"),
+    (0.3 + 0.2j, complex(float("inf"), 1.0), "z1 = (inf+1j)", "is not finite"),
+    (0.3 - 0.2j, -1j, "z0 = (0.3-0.2j)", "is not in the upper half-plane, so (x, y) is outside the all-upper-half"),
+])
+def test_make_flattened_ft_names_its_inputs(x, y, coordinate, reason):
+    named = f"the five-term coordinate {coordinate} of x = {complex(x)!r}, y = {complex(y)!r} {reason}"
+    with pytest.raises(ValueError, match="^" + re.escape(named)):
+        make_flattened_ft(x, y)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, -1e-300])
+def test_is_flattened_ft_refuses_a_nan_or_negative_tol(tol):
+    # at a NaN tol every comparison failed, so five unrelated numbers were
+    # accepted and five_term_element built a "five-term element" of value
+    # about -3.26-0.23i
+    entries = [flattened(z) for z in (0.3 + 0.4j, 0.5 + 0.5j, -0.2 + 1j, 2 + 1j, 0.1 + 0.1j)]
+    with pytest.raises(ValueError, match=r"^tol must be >= 0, got "):
+        is_flattened_ft(entries, tol)
+    with pytest.raises(ValueError, match=r"^tol must be >= 0, got "):
+        five_term_element(entries, tol)
+    assert not is_flattened_ft(entries, 0.0)
 
 
 def test_is_flattened_ft_accepts_constructed_tuples():

@@ -1,6 +1,10 @@
+import random
+from pathlib import Path
+
 import pytest
 
 from extbloch import sweeps
+from extbloch.cli import main
 from extbloch.cover import make_flattened_ft
 from extbloch.dilog import CutPoint, Side, precision
 from extbloch.prebloch import index_relations
@@ -88,20 +92,27 @@ def test_config_rejects_bounds_whose_indices_pass_2_53():
     ("tol", "1e-9", TypeError, r"^tol '1e-9' is not a number$"),
     ("tol", None, TypeError, r"^tol None is not a number$"),
     ("samples", False, ValueError, r"^samples must be >= 1$"),
+    ("seed", [1], TypeError, r"^seed \[1\] is not an integer$"),
+    ("seed", 1.5, TypeError, r"^seed 1\.5 is not an integer$"),
+    ("seed", "abc", TypeError, r"^seed 'abc' is not an integer$"),
+    ("seed", None, TypeError, r"^seed None is not an integer$"),
 ])
 def test_config_names_a_size_of_the_wrong_type(field, value, error, message):
-    # each was accepted and failed later in run_sweep (range, randrange, '>')
+    # each was accepted and failed later in run_sweep (range, randrange, '>',
+    # random.Random), or ran: seed 1.5 and 'abc' were reported as given, and
+    # seed None seeded from the OS, so one config gave different reports
     with pytest.raises(error, match=message):
         SweepConfig("index-q", **{field: value})
 
 
 def test_config_stores_sizes_as_ints_and_tol_as_a_float():
     # samples=True ran and reported "samples: True", and tol=True "tol: True"
-    config = SweepConfig("index-q", samples=True, index_bound=True, tol=True)
-    assert (config.samples, config.index_bound, config.tol) == (1, 1, 1.0)
-    assert type(config.samples) is int and type(config.index_bound) is int and type(config.tol) is float
+    config = SweepConfig("index-q", samples=True, seed=True, index_bound=True, tol=True)
+    assert (config.samples, config.seed, config.index_bound, config.tol) == (1, 1, 1, 1.0)
+    assert all(type(v) is int for v in (config.samples, config.seed, config.index_bound))
+    assert type(config.tol) is float
     report = run_sweep(config).render_text()
-    assert "samples: 1\n" in report and "tol: 1.0\n" in report
+    assert "samples: 1\n" in report and "seed: 1\n" in report and "tol: 1.0\n" in report
 
 
 def test_sample_cut_point_draws_a_cut_point_with_chance_0_15():
@@ -154,3 +165,45 @@ def test_symmetry_5_sample_kernel_passes(kernel_stages):
         calls.clear()
         assert run_sweep(SweepConfig("symmetry-5", samples=4, seed=seed)).passed
         assert [name for name, _ in calls] == ["li2"] * (2 * 4)
+
+
+# ---------------------------------------------------------------------------
+# what perfbench's SweepCapture relies on, and a corpus of reports
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("relation", RELATIONS)
+def test_every_sample_evaluates_through_the_sweeps_namespace(relation, monkeypatch):
+    # the benchmark wraps sweeps.eval_lhat and counts one evaluation per
+    # sample; a runner that reached the evaluation through another module
+    # would not be seen
+    calls = []
+    evaluate = sweeps.eval_lhat
+    monkeypatch.setattr(sweeps, "eval_lhat", lambda s: calls.append(s) or evaluate(s))
+    run_sweep(SweepConfig(relation, samples=9, seed=4))
+    assert len(calls) >= 9
+
+
+def test_splitting_builds_each_sample_through_the_sweeps_chi_hat(monkeypatch):
+    seen = []
+    chi_hat = sweeps.chi_hat
+    monkeypatch.setattr(sweeps, "chi_hat", lambda z: seen.append(z) or chi_hat(z))
+    run_sweep(SweepConfig("splitting", samples=9, seed=4))
+    rng = random.Random(4)  # the splitting sweep draws one z per sample, nothing else
+    assert seen == [sweeps._rand_nonzero(rng) for _ in range(9)]
+
+
+CORPUS = Path(__file__).parent / "data" / "check_double_seed5.txt"
+
+
+def test_check_reports_match_the_corpus(capsys):
+    # `check <relation> --samples 3 --seed 5 --tol 1e-30` for every relation
+    # in double precision, concatenated: at that tol every sample that is not
+    # exact fails and prints its echo, so the file pins the sampling, the
+    # residuals and the echoes to the bit
+    out = []
+    for relation in RELATIONS:
+        code = main(["check", relation, "--samples", "3", "--seed", "5", "--tol", "1e-30"])
+        report = capsys.readouterr().out
+        assert code == (0 if "status: PASS" in report else 1)
+        out.append(report)
+    assert "".join(out) == CORPUS.read_bytes().decode()
