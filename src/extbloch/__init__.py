@@ -54,7 +54,6 @@ from .prebloch import (
 )
 from .rogers import (
     CmodZ2,
-    commutator_monodromy,
     reduce_mod_transfer,
     rogers_l_bar,
     rogers_l_hat,
@@ -81,7 +80,6 @@ __all__ = [
     "canonicalize",
     "check_chi_homomorphism",
     "chi_hat",
-    "commutator_monodromy",
     "complex_volume",
     "curly",
     "curly_product_relation",

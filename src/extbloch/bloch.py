@@ -114,9 +114,9 @@ def wedge_necessary_zero(w: WedgeExpr, tol: float = 1e-9) -> NecessaryZeroCheck:
     False certifies the element is nonzero (the antisymmetric pairing, a
     well-defined functional on the wedge, does not vanish).  True is a
     necessary-condition pass only, unless exact cancellation emptied the
-    expression outright.  ``tol`` must be a number >= 0.
+    expression outright.  ``tol`` must be a finite number >= 0.
     """
-    if not tol >= 0:  # a negative or NaN tol would certify "nonzero" for anything
+    if not 0 <= tol < math.inf:  # a negative or NaN tol certifies anything "nonzero", inf "necessary-only"
         raise ValueError(f"tol must be >= 0, got {tol!r}")
     if w.is_empty():
         return NecessaryZeroCheck(True, "zero", 0.0, 0.0)

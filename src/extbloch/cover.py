@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .dilog import PI, TWO_PI_I, _ABOVE, _BELOW, CutPoint, Side, _checked_z, _stages, _trusted, as_cut_point
+from .dilog import PI, TWO_PI_I, _ABOVE, _BELOW, CutPoint, Side, _as_complex, _checked_z, _stages, _trusted, as_cut_point
 
 
 @dataclass(frozen=True)
@@ -172,10 +172,10 @@ def make_flattened_ft(
     constructor deliberately does not attempt; validate externally built
     tuples with :func:`is_flattened_ft` instead.
     """
-    x = complex(x)
-    y = complex(y)
+    x = _as_complex(x)
+    y = _as_complex(y)
     if x == 0 or y == 0 or x == 1 or y == 1 or x == y:
-        raise ValueError("x, y must be distinct and avoid 0 and 1")
+        raise ValueError(f"x, y must be distinct and avoid 0 and 1, got x = {x!r}, y = {y!r}")
     coords = ft_projections(x, y)
     for k, c in enumerate(coords):
         if not cmath.isfinite(c):
@@ -214,9 +214,9 @@ def is_flattened_ft(
     checked exactly in the indices: its float part, the same combination
     of Log z_k and -Log(1-z_k), must be 2 pi i j within tol for an integer
     j, and j plus the combination of the indices must be 0.  ``tol`` must
-    be a number >= 0.
+    be a finite number >= 0.
     """
-    if not tol >= 0:  # with a NaN tol every "> tol" test below is False, so any tuple would pass
+    if not 0 <= tol < cmath.inf:  # a NaN tol would accept any tuple below, an infinite one none
         raise ValueError(f"tol must be >= 0, got {tol!r}")
     entries = tuple(t)
     if len(entries) != 5 or not all(isinstance(e, FlattenedNumber) for e in entries):

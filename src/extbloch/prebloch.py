@@ -23,7 +23,7 @@ from .cover import (
     is_flattened_ft,
     serialize_flattened,
 )
-from .dilog import PI, CutPoint, Side, _flip, _integer, _trusted, arg_cut, as_cut_point
+from .dilog import PI, CutPoint, Side, _as_complex, _flip, _integer, _trusted, arg_cut, as_cut_point
 from .rogers import CmodZ2, _lhat_sum
 
 
@@ -225,6 +225,8 @@ def index_relations(
         diagonal constraint p + q = p2 + q2.
     """
     point = as_cut_point(z)
+    if not isinstance(kind, str):
+        raise TypeError(f"kind {kind!r} is not a string")
     kind = kind.upper()
     if kind == "Q":
         charts = ((p, q - 1), (p, q), (p, q2 - 1), (p, q2))
@@ -278,7 +280,7 @@ def chi_hat(z: complex) -> FormalSum:
     lies in (-pi/2, pi/2] or not.  Composing with the lifted Rogers
     evaluation gives 2 pi i Log z mod 4 pi^2.
     """
-    z = complex(z)
+    z = _as_complex(z)
     if z == 0:
         raise ValueError("chi is defined on nonzero numbers only")
     if z == 1:
@@ -310,7 +312,7 @@ def splitting(s: FormalSum) -> complex:
 
 def root4(z: complex) -> complex:
     """The standard fourth root: the unique w with w^4 = z, Arg w in (-pi/4, pi/4]."""
-    z = complex(z)
+    z = _as_complex(z)
     if z == 0:
         raise ValueError("fourth root of zero is excluded")
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -333,7 +335,7 @@ def symmetry_relation(z: complex, p: int, q: int, which: int) -> FormalSum:
     cross-ratio orderings, with a chi correction term built from a fourth
     root.  Contract: the lifted evaluation of the result is zero.
     """
-    z = complex(z)
+    z = _as_complex(z)
     if not z.imag > 0.0:
         raise ValueError("these relations require Im z > 0")
     if which == 1:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .cover import make_flattened_ft
-from .dilog import PI, TWO_PI_I, CutPoint, Side, _integer, arg_cut, principal_log
+from .dilog import PI, TWO_PI_I, CutPoint, Side, _int_text, _integer, arg_cut, principal_log
 from .prebloch import (
     FormalSum,
     chi_hat,
@@ -47,10 +47,13 @@ class SweepConfig:
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         if not isinstance(self.tol, (int, float)):
             raise TypeError(f"tol {self.tol!r} is not a number")
-        object.__setattr__(self, "tol", float(self.tol))
+        try:
+            object.__setattr__(self, "tol", float(self.tol))
+        except OverflowError:  # an int beyond the range of a double
+            raise ValueError(f"tol {_int_text(self.tol)} is beyond the range of a double") from None
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if not self.tol > 0:
+        if not 0 < self.tol < math.inf:  # at an infinite tol every sweep passes
             raise ValueError("tol must be positive")
         if self.index_bound < 0:
             raise ValueError("index-bound must be >= 0")

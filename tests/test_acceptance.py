@@ -27,8 +27,9 @@ from extbloch.prebloch import (
     kappa_hat,
     splitting,
 )
-from extbloch.rogers import CmodZ2, FOUR_PI_SQ, TWO_PI_SQ, commutator_monodromy
+from extbloch.rogers import CmodZ2, FOUR_PI_SQ, TWO_PI_SQ
 from extbloch.sweeps import SweepConfig, run_sweep, sample_ft_plus
+from continuation import commutator_monodromy
 from oracles import figure_eight_volume
 
 PI = math.pi

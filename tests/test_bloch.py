@@ -133,10 +133,11 @@ def test_wedge_plus_a_non_expression_is_a_type_error():
 
 def test_tol_below_zero_or_nan_is_refused():
     # 1 ^ 2 = 2 (1 ^ 1) = 0 and its pairing is 0.0, yet tol = -1 or NaN
-    # certified it "nonzero"
+    # certified it "nonzero"; an infinite tol certified any pairing
+    # "necessary-only"
     w = WedgeExpr(((1, 1, 2),))
     assert w.pairing() == 0.0
-    for tol in (-1, float("nan")):
+    for tol in (-1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match=r"^tol must be >= 0, got "):
             wedge_necessary_zero(w, tol=tol)
     assert wedge_necessary_zero(w, tol=0).certainty == "necessary-only"

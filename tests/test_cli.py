@@ -323,6 +323,7 @@ def test_five_term_membership_holds_at_index_bound_1e6(capsys):
     (("--index-bound", str(2**51)), "index-bound must be at most 2251799813685247"),
     (("--tol", "0"), "tol must be positive"),
     (("--tol", "nan"), "tol must be positive"),
+    (("--tol", "inf"), "tol must be positive"),
 ])
 def test_check_bad_sizes_exit_2(capsys, flags, message):
     code, out, err = run_cli(capsys, "check", "five-term", *flags)

@@ -187,18 +187,25 @@ def test_make_flattened_ft_rejects_wrong_chart():
     (float("nan"), 0.5 + 1j, "z0 = (nan+0j)", "is not finite"),
     (0.3 + 0.2j, complex(float("inf"), 1.0), "z1 = (inf+1j)", "is not finite"),
     (0.3 - 0.2j, -1j, "z0 = (0.3-0.2j)", "is not in the upper half-plane, so (x, y) is outside the all-upper-half"),
+    # x or y at 0 or 1, or x = y, before any coordinate: the message named neither
+    (0, 1j, None, "must be distinct and avoid 0 and 1"),
+    (0.3 + 0.2j, 1, None, "must be distinct and avoid 0 and 1"),
+    (1j, 1j, None, "must be distinct and avoid 0 and 1"),
 ])
 def test_make_flattened_ft_names_its_inputs(x, y, coordinate, reason):
-    named = f"the five-term coordinate {coordinate} of x = {complex(x)!r}, y = {complex(y)!r} {reason}"
+    if coordinate is None:
+        named = f"x, y {reason}, got x = {complex(x)!r}, y = {complex(y)!r}"
+    else:
+        named = f"the five-term coordinate {coordinate} of x = {complex(x)!r}, y = {complex(y)!r} {reason}"
     with pytest.raises(ValueError, match="^" + re.escape(named)):
         make_flattened_ft(x, y)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), -1.0, -1e-300])
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, -1e-300, float("inf")])
 def test_is_flattened_ft_refuses_a_nan_or_negative_tol(tol):
     # at a NaN tol every comparison failed, so five unrelated numbers were
     # accepted and five_term_element built a "five-term element" of value
-    # about -3.26-0.23i
+    # about -3.26-0.23i; an infinite tol rejected every tuple
     entries = [flattened(z) for z in (0.3 + 0.4j, 0.5 + 0.5j, -0.2 + 1j, 2 + 1j, 0.1 + 0.1j)]
     with pytest.raises(ValueError, match=r"^tol must be >= 0, got "):
         is_flattened_ft(entries, tol)

@@ -1,3 +1,4 @@
+import ast
 import cmath
 import functools
 import itertools
@@ -8,6 +9,7 @@ import re
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -589,7 +591,7 @@ def test_public_names_are_pinned():
     assert extbloch.__all__ == [
         "CmodZ2", "CutPoint", "FlattenedFT", "FlattenedNumber", "FlattenedTriangulation", "FormalSum",
         "NecessaryZeroCheck", "RELATIONS", "Side", "SweepConfig", "SweepResult", "TriangulationFormatError",
-        "WedgeExpr", "as_cut_point", "canonicalize", "check_chi_homomorphism", "chi_hat", "commutator_monodromy",
+        "WedgeExpr", "as_cut_point", "canonicalize", "check_chi_homomorphism", "chi_hat",
         "complex_volume", "curly", "curly_product_relation", "cycle_relation", "eval_lhat", "five_term_element",
         "flattened", "index_relations", "is_flattened_ft", "kappa_hat", "li2", "load", "log_one_minus",
         "log_param_l", "log_param_m", "make_flattened_ft", "mirror_relation", "nu_hat", "parse_flattened",
@@ -598,6 +600,24 @@ def test_public_names_are_pinned():
         "wedge_necessary_zero",
     ]
     assert all(hasattr(extbloch, name) for name in extbloch.__all__)
+
+
+def test_every_imported_name_is_used():
+    # a module keeps no import it no longer uses; __init__ imports to re-export
+    unused = []
+    for path in sorted(Path(extbloch.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name.partition(".")[0], node.lineno) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []
 
 
 # ---------------------------------------------------------------------------

@@ -645,6 +645,12 @@ def test_index_relation_unknown_kind():
         index_relations(0.4 + 0.3j, 0, 0, 0, 0, "X")
 
 
+def test_index_relation_kind_that_is_not_a_string_is_named():
+    # was an AttributeError: 'int' object has no attribute 'upper'
+    with pytest.raises(TypeError, match="^kind 1 is not a string$"):
+        index_relations(0.3 + 0.4j, 0, 0, 1, 1, kind=1)
+
+
 # ---------------------------------------------------------------------------
 # mirror relation
 # ---------------------------------------------------------------------------

@@ -12,14 +12,13 @@ from extbloch.rogers import (
     FOUR_PI_SQ,
     TWO_PI_SQ,
     CmodZ2,
-    commutator_monodromy,
-    continue_rogers,
     l_bar_at,
     reduce_into,
     reduce_mod_transfer,
     rogers_l_bar,
     rogers_l_hat,
 )
+from continuation import commutator_monodromy, continue_rogers
 from oracles import classical_rogers
 
 PI = math.pi
@@ -212,6 +211,12 @@ def test_reduce_mod_transfer_examples():
     v = reduce_mod_transfer(CmodZ2(complex(1.5 * PI**2, -2.0)))
     assert v.real == pytest.approx(-0.5 * PI**2)
     assert v.imag == -2.0
+
+
+def test_reduce_mod_transfer_names_a_value_that_is_not_a_cmodz2():
+    # was an AttributeError: 'complex' object has no attribute 'value'
+    with pytest.raises(TypeError, match=re.escape("1j is not a CmodZ2")):
+        reduce_mod_transfer(1j)
 
 
 # ---------------------------------------------------------------------------
