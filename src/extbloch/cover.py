@@ -38,8 +38,7 @@ class FlattenedNumber:
             raise ValueError(
                 "below-side points are not stored; build via canonicalize()"
             )
-        p, q = self.__dict__["p"], self.__dict__["q"] = _check_indices(self.p, self.q)
-        self.__dict__["_key"] = _merge_key(self.base, p, q)
+        self.__dict__["p"], self.__dict__["q"] = _check_indices(self.p, self.q)
 
     @property
     def z(self) -> complex:
@@ -53,13 +52,6 @@ class FlattenedNumber:
     def __str__(self) -> str:
         side = "" if self.base.side is Side.INTERIOR else "+0i"
         return f"[{self.z}{side}; {2 * self.p}, {2 * self.q}]"
-
-
-def _merge_key(base: CutPoint, p: int, q: int) -> tuple:
-    # What FormalSum merges and sorts terms on, stored on each number where
-    # it is built; like a point's pass, equality, hashing and repr ignore it.
-    z = base.z
-    return (z.real, z.imag, base.side._value_, p, q)
 
 
 def _check_indices(p: int, q: int) -> tuple[int, int]:
@@ -94,8 +86,6 @@ def canonicalize(
         else:
             q -= 1
         point = _trusted(CutPoint, z=point.z, side=_ABOVE)
-    if not (-2**53 <= p <= 2**53 and -2**53 <= q <= 2**53):
-        _check_indices(p, q)  # the bound tested inline first: this runs once per number built
     return _build(point, p, q)
 
 
@@ -282,10 +272,7 @@ def _from_fields(re_s: str, im_s: str, side_s: str, p_s: str, q_s: str, points: 
             raise ValueError(f"side must be 'i' or 'a', got {side_s!r}")
         z = _checked_z(complex(float(re_s), float(im_s)), side)
         base = points[re_s, im_s, side_s] = points.setdefault(z, _trusted(CutPoint, z=z, side=side))
-    p, q = int(p_s), int(q_s)
-    if not (-2**53 <= p <= 2**53 and -2**53 <= q <= 2**53):
-        _check_indices(p, q)  # the bound tested inline first, as in canonicalize
-    return _build(base, p, q)
+    return _build(base, int(p_s), int(q_s))
 
 
 class TriangulationFormatError(ValueError):
@@ -333,8 +320,11 @@ def _records(text: str, coefficient: Callable[[str], int], word: str) -> tuple[s
 
 
 def _build(base: CutPoint, p: int, q: int) -> FlattenedNumber:
-    # _trusted written out, without its keyword packing, and with the merge key
+    # _trusted written out, without its keyword packing, for ints p, q; the
+    # 2**53 bound is tested inline first, since this runs once per number built
+    if not (-2**53 <= p <= 2**53 and -2**53 <= q <= 2**53):
+        _check_indices(p, q)
     f = object.__new__(FlattenedNumber)
     fields = f.__dict__
-    fields["base"], fields["p"], fields["q"], fields["_key"] = base, p, q, _merge_key(base, p, q)
+    fields["base"], fields["p"], fields["q"] = base, p, q
     return f

@@ -40,14 +40,16 @@ class FormalSum:
     terms: tuple[tuple[int, FlattenedNumber], ...] = ()
 
     def __post_init__(self) -> None:
-        # Merge on the plain sort key each number stores, not on
+        # Merge and sort on the plain key (Re z, Im z, side, p, q), not on
         # FlattenedNumber, whose hash goes through CutPoint and Side; the
         # first-seen point is kept.
         merged: dict[tuple, tuple[int, FlattenedNumber]] = {}
         for coeff, gen in self.terms:
             if not isinstance(gen, FlattenedNumber):
                 raise TypeError("generators must be FlattenedNumber values")
-            key, coeff = gen._key, _integer(coeff, "coefficient")
+            base, coeff = gen.base, _integer(coeff, "coefficient")
+            z = base.z
+            key = (z.real, z.imag, base.side._value_, gen.p, gen.q)
             seen = merged.get(key)
             merged[key] = (coeff, gen) if seen is None else (seen[0] + coeff, seen[1])
         cleaned = tuple([term for term in map(merged.__getitem__, sorted(merged)) if term[0]])
