@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .cover import _log_params
-from .dilog import _integer
+from .dilog import _as_complex, _integer, _real
 from .prebloch import FormalSum
 from .rogers import _coefficient_error
 
@@ -35,8 +35,8 @@ class WedgeExpr:
         merged: dict[tuple[float, float, float, float], tuple[int, complex, complex]] = {}
         for coeff, a, b in self.terms:
             coeff = _integer(coeff, "coefficient")
-            a = complex(a)
-            b = complex(b)
+            a = a if a.__class__ is complex else _as_complex(a)
+            b = b if b.__class__ is complex else _as_complex(b)
             key_a, key_b = (a.real, a.imag), (b.real, b.imag)
             if key_a == key_b:
                 continue
@@ -116,7 +116,7 @@ def wedge_necessary_zero(w: WedgeExpr, tol: float = 1e-9) -> NecessaryZeroCheck:
     necessary-condition pass only, unless exact cancellation emptied the
     expression outright.  ``tol`` must be a finite number >= 0.
     """
-    if not 0 <= tol < math.inf:  # a negative or NaN tol certifies anything "nonzero", inf "necessary-only"
+    if not 0 <= _real(tol, "tol") < math.inf:  # a negative or NaN tol certifies anything "nonzero", inf "necessary-only"
         raise ValueError(f"tol must be >= 0, got {tol!r}")
     if w.is_empty():
         return NecessaryZeroCheck(True, "zero", 0.0, 0.0)

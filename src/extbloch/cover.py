@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .dilog import PI, TWO_PI_I, _ABOVE, _BELOW, CutPoint, Side, _as_complex, _checked_z, _stages, _trusted, as_cut_point
+from .dilog import PI, TWO_PI_I, _ABOVE, _BELOW, CutPoint, Side, _as_complex, _checked_z, _real, _stages, _trusted, as_cut_point
 
 
 @dataclass(frozen=True)
@@ -206,7 +206,7 @@ def is_flattened_ft(
     j, and j plus the combination of the indices must be 0.  ``tol`` must
     be a finite number >= 0.
     """
-    if not 0 <= tol < cmath.inf:  # a NaN tol would accept any tuple below, an infinite one none
+    if not 0 <= _real(tol, "tol") < cmath.inf:  # a NaN tol would accept any tuple below, an infinite one none
         raise ValueError(f"tol must be >= 0, got {tol!r}")
     entries = tuple(t)
     if len(entries) != 5 or not all(isinstance(e, FlattenedNumber) for e in entries):
@@ -249,6 +249,8 @@ def serialize_flattened(f: FlattenedNumber) -> str:
 
 
 def parse_flattened(text: str) -> FlattenedNumber:
+    if not isinstance(text, str):
+        raise TypeError(f"text {text!r} is not a string")
     parts = text.split()
     if len(parts) != 5:
         raise ValueError(
@@ -292,6 +294,8 @@ def _records(text: str, coefficient: Callable[[str], int], word: str) -> tuple[s
     ``#`` starts a comment.  ``coefficient`` reads a first field not in _SIGNS, and its name is that
     field's in messages; ``word`` numbers a record whose point fields are bad ("simplex 2: ...").
     """
+    if not isinstance(text, str):
+        raise TypeError(f"text {text!r} is not a string")
     name, pairs, points = None, [], {}
     for lineno, line in enumerate(text.split("\n"), start=1):
         if "#" in line:

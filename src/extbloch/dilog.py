@@ -112,6 +112,17 @@ def _integer(value, name: str) -> int:
         raise TypeError(f"{name} {value!r} is not an integer") from None
 
 
+def _real(value, name: str) -> float:
+    # an int or float value as a float, or an error naming it: a TypeError for
+    # any other type, a ValueError for an int beyond the range of a double
+    if not isinstance(value, (int, float)):
+        raise TypeError(f"{name} {value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} {_int_text(value)} is beyond the range of a double") from None
+
+
 def _as_complex(value) -> complex:
     # complex(value), with a number beyond the range of a double (an int
     # of 309 digits or more) named in a ValueError
@@ -345,7 +356,7 @@ def set_precision(mode: str = "double", dps: int = 50) -> None:
     if mode not in ("double", "high"):
         raise ValueError(f"unknown precision mode {mode!r}")
     dps = _integer(dps, "dps") if mode == "high" else None
-    if dps is not None and dps < 50:
+    if dps is not None and _real(dps, "dps") < 50:  # mpmath cannot take a dps beyond a double
         raise ValueError("high-precision mode requires dps >= 50")
     _DPS.set(dps)
 

@@ -17,6 +17,7 @@ from typing import Sequence
 from .cover import (
     FlattenedFT,
     FlattenedNumber,
+    _check_indices,
     _records,
     canonicalize,
     flattened,
@@ -338,6 +339,7 @@ def symmetry_relation(z: complex, p: int, q: int, which: int) -> FormalSum:
     root.  Contract: the lifted evaluation of the result is zero.
     """
     z = _as_complex(z)
+    p, q = _check_indices(p, q)
     if not z.imag > 0.0:
         raise ValueError("these relations require Im z > 0")
     if which == 1:

@@ -78,7 +78,7 @@ class CmodZ2:
 
     def distance_to(self, other: "CmodZ2 | complex") -> float:
         """Modular distance: wrap-around at the window boundary is free."""
-        w = other.value if isinstance(other, CmodZ2) else complex(other)
+        w = other.value if isinstance(other, CmodZ2) else _as_complex(other)
         d = self.value - w
         return math.hypot(reduce_into(d.real, FOUR_PI_SQ), d.imag)
 

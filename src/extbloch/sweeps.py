@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .cover import make_flattened_ft
-from .dilog import PI, TWO_PI_I, CutPoint, Side, _int_text, _integer, arg_cut, principal_log
+from .dilog import PI, TWO_PI_I, CutPoint, Side, _integer, _real, arg_cut, principal_log
 from .prebloch import (
     FormalSum,
     chi_hat,
@@ -45,12 +45,7 @@ class SweepConfig:
             raise ValueError(f"unknown relation {self.relation!r}")
         for name in ("samples", "seed", "index_bound"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if not isinstance(self.tol, (int, float)):
-            raise TypeError(f"tol {self.tol!r} is not a number")
-        try:
-            object.__setattr__(self, "tol", float(self.tol))
-        except OverflowError:  # an int beyond the range of a double
-            raise ValueError(f"tol {_int_text(self.tol)} is beyond the range of a double") from None
+        object.__setattr__(self, "tol", _real(self.tol, "tol"))
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if not 0 < self.tol < math.inf:  # at an infinite tol every sweep passes
