@@ -47,9 +47,10 @@ def _enter_precision(dps):
         "CmodZ2.distance_to", "CmodZ2.equals", "wedge_necessary_zero-tol", "is_flattened_ft-tol",
         "set_precision-dps", "precision-dps"])
 def test_a_number_beyond_a_double_is_named(call, message):
-    # each raised a bare OverflowError (from complex(), float() or mpmath), or
-    # for a tol accepted it: wedge_necessary_zero certified a pairing of -15
-    # "necessary-only"
+    # each raised a bare "OverflowError: int too large to convert to float",
+    # or took the value: a dps until the next high-precision pass, a wedge
+    # tol to certify a pairing of -15 "necessary-only"; is_flattened_ft
+    # called its tol "not >= 0"
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         call()
 

@@ -133,6 +133,7 @@ def normalization_pool(rng):
         canonicalize(-2.5 + 0j, Side.ABOVE, 0, 1), canonicalize(-2.5 + 0j, Side.BELOW, 1, 1),  # equal
         canonicalize(3.0 + 0j, Side.ABOVE, -1, 0), canonicalize(3.0 + 0j, Side.BELOW, -1, 1),  # equal
         canonicalize(3.0 + 0j, Side.ABOVE, -1, 1), flattened(0.5 + 0j, 0, 0),
+        flattened(0.5 + 0j, 1, -1),  # sorts after (0, 0) on p first, before it on q first
     ]
     return pool
 
