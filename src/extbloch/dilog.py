@@ -21,35 +21,37 @@ over two per-mode primitives.
   exactly than 1 + d (d = -z for Log(1-z)).  The side decides +-pi on the
   negative axis.  In double it is ``cmath.log`` with the side carried as
   the sign of a zero imaginary part, and the modulus from ``log1p`` of d
-  for |d| < 1/2; in high precision the argument is ``atan2`` of the parts
-  (negative zero read as +0), and the logarithm forms 1 + d exactly and
-  takes the modulus from ``mpf_log_hypot``, which redoes |v|^2 exactly
-  where it cancels against 1.  Either way Log(1-z) keeps its digits for
-  tiny z.
+  for |d| < 1/2.  In high precision it is ln|v|^2 / 2 + i arg v from the
+  exact |v|^2 and the parts, each reduced by a table of ln(j/2^8) or
+  atan(j/2^8) to a few terms of a series in an argument below 2^-9.
+  Either way Log(1-z) keeps its digits for tiny z.
 * The series: one unrolled Horner expression over literal coefficients in
   double; in high precision Li2 = w (1 - w/4 + w^2 P(w^2)) with the
-  bracket, which is near 1, in fixed point over exact Bernoulli numbers,
-  built per ``dps``, its length following |w|, and one rounded product by
-  w.
+  bracket, near 1, in fixed point over exact Bernoulli numbers, its length
+  following |w|, and one product by w.
 
-In high precision the whole pass runs on a number type of the mode's own:
-one raw mpc tuple of ``mpmath.libmp``, each operation rounded to nearest at
-the mode's precision, so no pass reads or sets mpmath's global context.
-The precision mode, a context variable (so per thread or asyncio task),
-picks the primitives; results are machine complex either way, and mpmath
-is imported on the first high-precision pass only.  A point's pass runs
-in stages, each on demand and kept on the point per precision mode: Log z,
-Log(1-z), and Li2 z from those two logarithms at working precision, with
-the Rogers constant R = Li2 z + Log z Log(1-z)/2 - pi^2/6.  Beyond 2**32
-the far-out pass is one stage: Li2 z comes from its inversion form, formed
-in the mode's numbers and rounded once, and R from its parts with the
-cancellation done exactly.  Every value, ``li2``, ``principal_log`` and
-``log_one_minus`` included, reads the stages through one reader, which
-runs only a stage the point does not keep: a branch logarithm one
-logarithm, a Rogers value all three, a stage the point keeps none.
-Against mpmath, Li2 is within 2e-15 relative error in double and
-1e-15 in high precision for |z| from 1e-300 to 1e300, on both sides of
-both cuts.
+In high precision the whole pass runs on Python integers: a number is two
+ints at a binary scale s, (re + i im) 2^-s, so a sum is two integer adds
+and a product one multiply and one shift a part.  A pass picks s from its
+point: 20 guard bits over the working precision, plus the depth below 1 of
+the smallest part of a value the pass forms (tiny Re z or Im z, |z| or
+|1-z| near 1, 1/z far out), so every part keeps its relative accuracy.
+mpmath, imported on the first high-precision pass only, supplies the
+Bernoulli numbers, pi, ln 2 and each table entry on its first use; no pass
+reads or sets its global context.  The precision mode, a context variable
+(so per thread or asyncio task), picks the primitives; results are machine
+complex either way.  A point's pass runs in stages, each on demand and kept
+on the point per precision mode: Log z, Log(1-z), and Li2 z from those two
+logarithms at working precision, with the Rogers constant R = Li2 z + Log z
+Log(1-z)/2 - pi^2/6.  Beyond 2**32 the far-out pass is one stage: Li2 z
+comes from its inversion form, formed in the mode's numbers and rounded
+once, and R from its parts with the cancellation done exactly.  Every
+value, ``li2``, ``principal_log`` and ``log_one_minus`` included, reads the
+stages through one reader, which runs only a stage the point does not keep:
+a branch logarithm one logarithm, a Rogers value all three, a stage the
+point keeps none.  Against mpmath, Li2 is within 2e-15 relative error in
+double and 1e-15 in high precision for |z| from 1e-300 to 1e300, on both
+sides of both cuts.
 """
 
 from __future__ import annotations
@@ -255,109 +257,165 @@ _DPS: ContextVar[int | None] = ContextVar("extbloch_dps", default=None)  # None:
 def _high_arith(dps: int) -> _Arith:
     arith = _HIGH.get(dps)
     if arith is None:
-        from mpmath.libmp import (bernfrac, dps_to_prec, fone, from_float, from_int, from_man_exp, fzero,
-                                  mpc_add, mpc_div, mpc_mul, mpc_mul_mpf, mpc_neg, mpc_sub, mpc_to_complex, mpf_add,
-                                  mpf_atan2, mpf_div, mpf_log_hypot, mpf_mul, mpf_neg, mpf_pi, to_fixed)
+        from mpmath.libmp import bernfrac, dps_to_prec, from_man_exp, mpf_atan, mpf_ln2, mpf_log, mpf_pi, to_fixed
 
-        prec = dps_to_prec(dps)
+        # Fixed point at 2^-bits, 20 guard bits over the working precision,
+        # holds the constants, the tables and the sums of the series.
+        bits = dps_to_prec(dps) + 20
+        one, wide = 1 << bits, bits + 10
+        pi, ln2 = to_fixed(mpf_pi(wide), bits), to_fixed(mpf_ln2(wide), bits)
 
         class Num:
-            # The mode's number: one raw mpc tuple, each operation rounded
-            # to prec bits, to nearest, as mpmath's mpc would round it.
+            # The mode's number: v = (re, im, s) for (re + i im) 2^-s.  Two meet at
+            # the larger scale, so a constant (at bits) meets a pass's exactly.
             __slots__ = ("v",)
 
             def __init__(self, v):
                 self.v = v
 
             def __add__(self, other):
-                return Num(mpc_add(self.v, other.v, prec, "n"))
+                (a, b, s), (c, d, t) = self.v, other.v
+                return Num(((a << t - s) + c, (b << t - s) + d, t) if s < t else (a + (c << s - t), b + (d << s - t), s))
 
             def __sub__(self, other):
-                return Num(mpc_sub(self.v, other.v, prec, "n"))
+                (a, b, s), (c, d, t) = self.v, other.v
+                return Num(((a << t - s) - c, (b << t - s) - d, t) if s < t else (a - (c << s - t), b - (d << s - t), s))
 
             def __mul__(self, other):
-                return Num(mpc_mul(self.v, other.v, prec, "n"))
+                (a, b, s), (c, d, t) = self.v, other.v
+                low, high = (s, t) if s < t else (t, s)
+                return Num(((a * c - b * d) >> low, (a * d + b * c) >> low, high))
 
             def __rmul__(self, x: float):
-                return Num(mpc_mul_mpf(self.v, from_float(x), prec, "n"))
+                (a, b, s), (n, d) = self.v, x.as_integer_ratio()
+                return Num((a * n // d, b * n // d, s))
 
             def __rtruediv__(self, x: float):
-                return Num(mpc_div((from_float(x), fzero), self.v, prec, "n"))
+                (a, b, s), (n, d) = self.v, x.as_integer_ratio()
+                den = d * (a * a + b * b)
+                return Num(((n * a << 2 * s) // den, (-n * b << 2 * s) // den, s))
 
             def __neg__(self):
-                return Num(mpc_neg(self.v, prec, "n"))
+                return -1.0 * self
 
             def __complex__(self):
-                return mpc_to_complex(self.v, False, "n")
-
-        # The series bracket 1 - w/4 + sum_k c_k w^2k runs on integers
-        # scaled by 2^bits, 20 guard bits over the working precision.
-        # c_k = B_2k / (2k+1)! is about 2 (2 pi)^-2k / (2k+1), so at |w|
-        # the terms past k = bits ln 2 / (2 ln(2 pi / |w|)) are below
-        # 2^-bits; the table holds the 2 dps / 3 + 1 that |w| = pi/3 needs.
-        bits = prec + 20
-        one = 1 << bits
-        fracs = [(bernfrac(2 * k), math.factorial(2 * k + 1)) for k in range(2 * dps // 3 + 1, 0, -1)]
-        coeffs = [(num << bits) // (den * fact) for (num, den), fact in fracs]
-        cap = len(coeffs)
-        bits_ln2 = bits * math.log(2)
-        ln_scaled_4pi2 = math.log(4 * PI_SQ) + 2 * bits_ln2  # ln 4 pi^2 + ln 2^(2 bits)
-        minus_pi = mpf_neg(mpf_pi(prec, "n"))
+                a, b, s = self.v
+                try:
+                    return complex(math.ldexp(a, -s), math.ldexp(b, -s))
+                except OverflowError:  # a part of over 1024 bits: the int quotient, rounded once
+                    return complex(a / (1 << s), b / (1 << s))
 
         def point(z):
-            return Num((from_float(z.real), from_float(z.imag)))
+            # z, exactly, at the scale of its pass: bits plus the depth of the
+            # smallest part of a value the pass forms.  The parts of z, 1/z and
+            # the arguments of z and 1-z lie above 2^(e_min - 2 max(e_max, 0))
+            # for the exponents e of z's parts; Re Log v near |v| = 1 is about
+            # |v|^2 - 1, taken exactly.
+            x, y = z.real, z.imag
+            (mx, ex), (my, ey) = math.frexp(x), math.frexp(y)
+            lo, hi = (ex, ex) if not y else (ey, ey) if not x else (ex, ey) if ex < ey else (ey, ex)
+            depth = (2 * hi if hi > 0 else 0) - lo
+            near = x * x + y * y
+            if abs(near - 1) < 2**-20 or abs(near - 2 * x) < 2**-20:  # |z| or |1-z| near 1: at 2^-1126
+                u, w = int(mx * 2.0**53) << ex + 1073, int(my * 2.0**53) << ey + 1073
+                for t in (u * u + w * w - (1 << 2252), u * u + w * w - (u << 1127)):
+                    depth = max(depth, 2252 - t.bit_length()) if t else depth
+            s = bits + depth
+            return Num((int(mx * 2.0**53) << s + ex - 53, int(my * 2.0**53) << s + ey - 53, s))
+
+        # 1/(2k+1), highest k first, and the tables ln(j/2^8), j = 192 .. 384,
+        # and atan(j/2^8), j = 0 .. 256, each entry from mpmath on first use
+        odd = [one // (2 * k + 1) for k in range(bits // 18 + 1, -1, -1)]
+        logs, atans = {256: 0}, {0: 0}
+
+        def entry(table, j, fill):
+            c = table.get(j)
+            if c is None:
+                c = table[j] = to_fixed(fill(from_man_exp(j, -8), wide), bits)
+            return c
+
+        def odd_series(t, s, sign):
+            # atanh t (sign 1) or atan t (sign -1) at scale s for |t| <= 2^-9:
+            # t sum (sign t^2)^k / (2k+1), the sum at bits
+            t2 = sign * ((t * t) >> 2 * s - bits)
+            acc = 0
+            for c in odd[-(bits // (bits - t2.bit_length()) + 1):]:
+                acc = c + ((acc * t2) >> bits)
+            return (t * acc) >> bits
 
         def log(x, side, one_plus=False):
-            # The same Log on mpmath's raw (sign, man, exp, bc) tuples, where
-            # a negative value has sign 1 and there is no -0.  1 + d is
-            # exact (1 - z itself would round at prec bits), and
-            # mpf_log_hypot redoes |v|^2 exactly where it cancels against 1.
-            re, im = x.v
+            # Log v = ln|v|^2 / 2 + i arg v, v = x or 1 + x formed exactly.  n =
+            # |v|^2 2^2s = 2^e m exactly, m in [3/4, 3/2), and ln m = ln c + 2
+            # atanh((m - c) / (m + c)) at the nearest c = j/2^8 (c = 1 near |v| =
+            # 1).  arg v: atan of the smaller part over the larger, reduced
+            # alike, put in its octant; the side decides +-pi on the negative axis.
+            a, b, s = x.v
             if one_plus:
-                re = mpf_add(fone, re, 0)
-            arg = minus_pi if side is _BELOW and re[0] else mpf_atan2(im, re, prec, "n")
-            return Num((mpf_log_hypot(re, im, prec, "n"), arg))
+                a += 1 << s
+            pi_s = pi << s - bits
+            n = a * a + b * b
+            e = n.bit_length() - 1
+            e += n >> e - 1 == 3
+            j = (n >> e - 9) + 1 >> 1
+            num, den = (n << 8) - (j << e), (n << 8) + (j << e)
+            re = (((e - 2 * s) * ln2 + entry(logs, j, mpf_log)) << s - bits >> 1) + odd_series(
+                (num << s) // den, s, 1)
+            swap = abs(b) > abs(a)
+            q, p = (abs(a), abs(b)) if swap else (abs(b), abs(a))
+            j = ((q << 9) // p + 1) >> 1
+            arg = (entry(atans, j, mpf_atan) << s - bits) + odd_series(
+                ((q << 8) - j * p << s) // ((p << 8) + j * q), s, -1)
+            if swap:
+                arg = (pi_s >> 1) - arg
+            if a < 0:
+                arg = pi_s - arg
+            return Num((re, -arg if b < 0 or side is _BELOW else arg, s))  # the below side: -pi on the negative axis
+
+        # The series' c_k = B_2k / (2k+1)!, about 2 (2 pi)^-2k / (2k+1): at |w| the terms
+        # past k = bits / log2(4 pi^2 / |w|^2) are below 2^-bits, 2 dps / 3 + 1 at pi/3.
+        fracs = [(bernfrac(2 * k), math.factorial(2 * k + 1)) for k in range(2 * dps // 3 + 1, 0, -1)]
+        coeffs = [(num << bits) // (den * fact) for (num, den), fact in fracs]
 
         def series(w):
-            # Li2 = w (1 - w/4 + x P(x)), x = w^2, P(x) = sum c_k x^(k-1).
-            # On |w| <= pi/3 the bracket is near 1 (at least 0.7), so its
-            # absolute error of a few 2^-bits is also relative, and one
-            # rounded product by w follows.  P's coefficients a_j = c_(j+1)
-            # are real, so it takes two real products a step: b_j = a_j
-            # + 2 Re(x) b_(j+1) - |x|^2 b_(j+2), P = b_0 - conj(x) b_1, and
-            # x P = x b_0 - |x|^2 b_1.
-            w = w.v
-            wr, wi = to_fixed(w[0], bits), to_fixed(w[1], bits)
+            # Li2 = w (1 - w/4 + x P(x)), x = w^2, P(x) = sum c_k x^(k-1): on |w| <=
+            # pi/3 the bracket is near 1 (at least 0.7), so its error of a few
+            # 2^-bits is relative.  P takes two real products a step, b_j =
+            # c_(j+1) + 2 Re(x) b_(j+1) - |x|^2 b_(j+2), x P = x b_0 - |x|^2 b_1;
+            # Im of the bracket, Im w (2 Re w b_0 - 1/4), is at the scale of w.
+            a, b, s = w.v
+            wr, wi = a >> s - bits, b >> s - bits
             r2 = wr * wr + wi * wi  # |w|^2 2^(2 bits)
-            n = min(cap, math.ceil(bits_ln2 / (ln_scaled_4pi2 - math.log(r2 or 1))) + 1)
-            xr, xi = (wr * wr - wi * wi) >> bits, (wr * wi) >> (bits - 1)
-            s, t = xr << 1, (r2 >> bits) ** 2 >> bits
+            xr = (wr * wr - wi * wi) >> bits
+            s2, t = xr << 1, (r2 >> bits) ** 2 >> bits
             b0 = b1 = 0
-            for c in coeffs[-n:]:
-                b0, b1 = c + ((s * b0 - t * b1) >> bits), b0
+            for c in coeffs[-(int(bits / (5.3 + 2 * bits - math.log2(r2 or 1))) + 2):]:
+                b0, b1 = c + ((s2 * b0 - t * b1) >> bits), b0
             re = one - (wr >> 2) + ((xr * b0 - t * b1) >> bits)
-            im = ((xi * b0) >> bits) - (wi >> 2)
-            return Num(mpc_mul(w, (from_man_exp(re, -bits), from_man_exp(im, -bits)), prec, "n"))
+            im = (b * (((wr * b0) >> bits - 1) - (one >> 2))) >> bits
+            return Num(((a * re >> bits) - (b * im >> s), (a * im >> s) + (b * re >> bits), s))
 
-        wide = dps_to_prec(dps + 10)
-        pi = mpf_pi(wide, "n")
-        zeta2 = Num((mpf_div(mpf_mul(pi, pi, wide, "n"), from_int(6), wide, "n"), fzero))
-        arith = _HIGH[dps] = _Arith(point, log, series, zeta2, Num((fzero, mpf_pi(prec, "n"))))
+        zeta2 = to_fixed(mpf_pi(wide), wide) ** 2 // 6 >> 2 * wide - bits
+        arith = _HIGH[dps] = _Arith(point, log, series, Num((zeta2, 0, bits)), Num((0, pi, bits)))
     return arith
 
 
 def set_precision(mode: str = "double", dps: int = 50) -> None:
     """Select the evaluation backend: "double" (default) or "high".
 
-    In high mode the primitives run through mpmath with at least ``dps``
-    significant digits internally; returned values are machine complex.
-    The mode holds for the calling thread (or asyncio task) only.
+    In high mode each pass runs on Python integers at a binary scale of at
+    least ``dps`` digits, deeper for a point's tiny parts; logarithms reduce
+    by tables of ln(j/2^8) and atan(j/2^8) to short series, and mpmath
+    supplies only Bernoulli numbers, pi, ln 2 and the table entries.
+    Returned values are machine complex.  The mode holds for the calling
+    thread (or asyncio task) only.
     """
     if mode not in ("double", "high"):
         raise ValueError(f"unknown precision mode {mode!r}")
     dps = _integer(dps, "dps") if mode == "high" else None
     if dps is not None and _real(dps, "dps") < 50:  # mpmath cannot take a dps beyond a double
         raise ValueError("high-precision mode requires dps >= 50")
+    if dps is not None and not dps * 3.3219280948873626 < math.inf:  # nor one whose bits overflow (dps_to_prec)
+        raise ValueError(f"dps {dps} is beyond what mpmath can turn into bits")
     _DPS.set(dps)
 
 

@@ -328,8 +328,9 @@ def _series_points():
 
 
 def _mpc(num):
-    # the kernel's number read through its raw tuple
-    return mp.make_mpc(num.v)
+    # the kernel's number, (re + i im) 2^-s, as an exact mpc
+    re, im, s = num.v
+    return mp.make_mpc((mp.libmp.from_man_exp(re, -s), mp.libmp.from_man_exp(im, -s)))
 
 
 def test_series_matches_mpc_horner():
@@ -489,18 +490,30 @@ def _log_points():
     return points + _edge_points()
 
 
-def test_high_log_and_li2_at_working_precision():
+# points with a part far below the other: Im z tiny on either side of 1,
+# a subnormal Re z on the unit circle (Re Log z is then about 1e-647), and
+# both parts tiny; a pass's scale must reach down to each part
+TINY_PART_POINTS = [CutPoint(z) for z in (2 + 1e-300j, 5e-324 + 1j, 1e-300 + 1e-300j, 1 + 1e-300j)]
+
+
+@pytest.mark.parametrize("dps", [50, 80, 150])
+def test_high_log_and_li2_at_working_precision(dps):
     # Log z, Log(1-z) and Li2 z of one high-precision kernel pass against
-    # mpmath at 70 digits, relative to each value; Log(1-z) comes from the
-    # inversion identity on the edge points
-    dps = 50
+    # mpmath at 20 more digits, relative to each value, and on the points
+    # with a tiny part also each part relative to its own size; Log(1-z)
+    # comes from the inversion identity on the edge points
     arith = dilog._high_arith(dps)
-    for p in _log_points():
+    bound = mp.mpf(10) ** -(dps - 5)
+    for p in _log_points() + TINY_PART_POINTS:
         got = [_mpc(v) for v in _working_pass(arith, p)]
-        with mp.workdps(70):
+        with mp.workdps(dps + 20):
             want = (_li2_mp(p.z, p.side.value), *_log_reference(p.z, p.side))
             for name, g, w in zip(("li2", "log z", "log 1-z"), got, want):
-                assert abs(g - w) <= mp.mpf(10) ** -(dps - 5) * abs(w), (name, p, g, w)
+                assert abs(g - w) <= bound * abs(w), (name, p, g, w)
+                if p in TINY_PART_POINTS:
+                    for part in ("real", "imag"):
+                        gp, wp = getattr(g, part), getattr(w, part)
+                        assert abs(gp - wp) <= bound * abs(wp), (name, part, p, gp, wp)
 
 
 @pytest.mark.parametrize("mode,bound", [("double", 4e-16), ("high", 2e-16)])
@@ -554,7 +567,9 @@ def test_inversion_identity_log_one_minus_accuracy_seeded():
 
 def test_double_precision_does_not_import_mpmath():
     # mpmath is imported on the first high-precision pass, not before:
-    # its import would add to the start-up of every double-precision run
+    # its import would add to the start-up of every double-precision run,
+    # and a dps refused for its size (10**308 digits overflow mpmath's
+    # digits-to-bits conversion) is refused without it
     code = """
 import cmath, sys
 import extbloch
@@ -564,6 +579,10 @@ li2(0.3 + 0.4j)
 eval_lhat(kappa_hat())
 shape = cover.flattened(cmath.exp(1j * cmath.pi / 3))
 ccs.volume_report(ccs.FlattenedTriangulation(((shape, 1), (shape, 1)), "fig8"))
+try:
+    extbloch.set_precision("high", 10**308)
+except ValueError:
+    pass
 print("mpmath" in sys.modules)
 """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,

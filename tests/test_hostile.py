@@ -4,6 +4,7 @@ Each row calls one public callable with one argument replaced by a value
 it cannot handle, and pins the exception type and message.
 """
 
+import math
 import re
 
 import pytest
@@ -37,6 +38,7 @@ def _enter_precision(dps):
     (lambda: WedgeExpr(((1, 1j, BIG),)), f"{BIG} is beyond the range of a double"),
     (lambda: CmodZ2(1j).distance_to(BIG), f"{BIG} is beyond the range of a double"),
     (lambda: CmodZ2(1j).equals(BIG), f"{BIG} is beyond the range of a double"),
+    (lambda: CmodZ2(1j).equals(1j, tol=BIG), f"tol {BIG} is beyond the range of a double"),
     (lambda: wedge_necessary_zero(WEDGE, tol=BIG), f"tol {BIG} is beyond the range of a double"),
     (lambda: is_flattened_ft(make_flattened_ft(0.3 + 0.2j, 0.4 + 0.9j), BIG),
      f"tol {BIG} is beyond the range of a double"),
@@ -44,8 +46,8 @@ def _enter_precision(dps):
     (lambda: _enter_precision(BIG), f"dps {BIG} is beyond the range of a double"),
 ], ids=["chi_hat", "check_chi_homomorphism-z", "check_chi_homomorphism-w", "root4", "symmetry_relation",
         "make_flattened_ft-x", "make_flattened_ft-y", "SweepConfig-tol", "WedgeExpr-a", "WedgeExpr-b",
-        "CmodZ2.distance_to", "CmodZ2.equals", "wedge_necessary_zero-tol", "is_flattened_ft-tol",
-        "set_precision-dps", "precision-dps"])
+        "CmodZ2.distance_to", "CmodZ2.equals", "CmodZ2.equals-tol", "wedge_necessary_zero-tol",
+        "is_flattened_ft-tol", "set_precision-dps", "precision-dps"])
 def test_a_number_beyond_a_double_is_named(call, message):
     # each raised a bare "OverflowError: int too large to convert to float",
     # or took the value: a dps until the next high-precision pass, a wedge
@@ -66,13 +68,21 @@ def test_a_number_beyond_a_double_is_named(call, message):
     (lambda: symmetry_relation(0.3 + 0.4j, BIG, 0, 2), ValueError, "branch index p is beyond 2**53 in magnitude"),
     (lambda: is_flattened_ft(make_flattened_ft(0.3 + 0.2j, 0.4 + 0.9j), "x"), TypeError, "tol 'x' is not a number"),
     (lambda: wedge_necessary_zero(WEDGE, tol="x"), TypeError, "tol 'x' is not a number"),
+    (lambda: CmodZ2(1j).equals(1j, tol="x"), TypeError, "tol 'x' is not a number"),
+    (lambda: CmodZ2(1j).equals(1j, tol=-1.0), ValueError, "tol must be >= 0, got -1.0"),
+    (lambda: CmodZ2(1j).equals(1j, tol=math.inf), ValueError, "tol must be >= 0, got inf"),
+    (lambda: set_precision("high", 10**308), ValueError, f"dps {10**308} is beyond what mpmath can turn into bits"),
+    (lambda: _enter_precision(10**308), ValueError, f"dps {10**308} is beyond what mpmath can turn into bits"),
 ], ids=["parse_flattened", "FormalSum.parse", "symmetry_relation-1", "symmetry_relation-2",
         "symmetry_relation-3", "symmetry_relation-4", "symmetry_relation-5", "symmetry_relation-p-big",
-        "is_flattened_ft-tol", "wedge_necessary_zero-tol"])
+        "is_flattened_ft-tol", "wedge_necessary_zero-tol", "CmodZ2.equals-tol", "CmodZ2.equals-negative-tol",
+        "CmodZ2.equals-infinite-tol", "set_precision-dps-bits", "precision-dps-bits"])
 def test_an_input_of_the_wrong_kind_is_named(call, exc, message):
     # each raised an error naming neither the argument nor its value:
     # AttributeError from str.split, a TypeError from indexing a tuple,
     # from arithmetic on a str or from comparing it, or an OverflowError
+    # (for the dps, at the first high-precision pass); CmodZ2.equals took a
+    # negative or infinite tol
     with pytest.raises(exc, match="^" + re.escape(message) + "$") as info:
         call()
     assert type(info.value) is exc

@@ -193,6 +193,7 @@ def test_splitting_builds_each_sample_through_the_sweeps_chi_hat(monkeypatch):
 
 
 CORPUS = Path(__file__).parent / "data" / "check_double_seed5.txt"
+HIGH_CORPUS = Path(__file__).parent / "data" / "check_high_seed5.txt"
 
 
 def test_check_reports_match_the_corpus(capsys):
@@ -207,3 +208,15 @@ def test_check_reports_match_the_corpus(capsys):
         assert code == (0 if "status: PASS" in report else 1)
         out.append(report)
     assert "".join(out) == CORPUS.read_bytes().decode()
+
+
+def test_high_precision_check_reports_match_the_corpus(capsys):
+    # the same reports under --precision high: the high-precision kernel's
+    # values, rounded to double, pinned to the bit
+    out = []
+    for relation in RELATIONS:
+        code = main(["check", relation, "--samples", "3", "--seed", "5", "--tol", "1e-30", "--precision", "high"])
+        report = capsys.readouterr().out
+        assert code == (0 if "status: PASS" in report else 1)
+        out.append(report)
+    assert "".join(out) == HIGH_CORPUS.read_bytes().decode()
