@@ -4,112 +4,44 @@ Cover points of the twice-cut plane with explicit branch indices, the
 lifted Rogers dilogarithm valued in C mod 4 pi^2 Z, generators and
 verifiers for the relations among them, and a complex-volume evaluator
 for flattened triangulation data.
+
+Each public name is read from its submodule, which is imported on first
+use, so a run loads only the modules it uses.
 """
 
-from .bloch import NecessaryZeroCheck, WedgeExpr, nu_hat, wedge_necessary_zero
-from .ccs import (
-    FlattenedTriangulation,
-    TriangulationFormatError,
-    complex_volume,
-    load,
-    volume_report,
-)
-from .cover import (
-    FlattenedFT,
-    FlattenedNumber,
-    canonicalize,
-    flattened,
-    is_flattened_ft,
-    log_param_l,
-    log_param_m,
-    make_flattened_ft,
-    parse_flattened,
-    serialize_flattened,
-)
-from .dilog import (
-    CutPoint,
-    Side,
-    as_cut_point,
-    li2,
-    log_one_minus,
-    precision,
-    principal_log,
-    set_precision,
-)
-from .prebloch import (
-    FormalSum,
-    check_chi_homomorphism,
-    chi_hat,
-    curly,
-    curly_product_relation,
-    cycle_relation,
-    eval_lhat,
-    five_term_element,
-    index_relations,
-    kappa_hat,
-    mirror_relation,
-    root4,
-    splitting,
-    symmetry_relation,
-)
-from .rogers import (
-    CmodZ2,
-    reduce_mod_transfer,
-    rogers_l_bar,
-    rogers_l_hat,
-)
-from .sweeps import RELATIONS, SweepConfig, SweepResult, run_sweep
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CmodZ2",
-    "CutPoint",
-    "FlattenedFT",
-    "FlattenedNumber",
-    "FlattenedTriangulation",
-    "FormalSum",
-    "NecessaryZeroCheck",
-    "RELATIONS",
-    "Side",
-    "SweepConfig",
-    "SweepResult",
-    "TriangulationFormatError",
-    "WedgeExpr",
-    "as_cut_point",
-    "canonicalize",
-    "check_chi_homomorphism",
-    "chi_hat",
-    "complex_volume",
-    "curly",
-    "curly_product_relation",
-    "cycle_relation",
-    "eval_lhat",
-    "five_term_element",
-    "flattened",
-    "index_relations",
-    "is_flattened_ft",
-    "kappa_hat",
-    "li2",
-    "load",
-    "log_one_minus",
-    "log_param_l",
-    "log_param_m",
-    "make_flattened_ft",
-    "mirror_relation",
-    "nu_hat",
-    "parse_flattened",
-    "precision",
-    "principal_log",
-    "reduce_mod_transfer",
-    "rogers_l_bar",
-    "rogers_l_hat",
-    "root4",
-    "run_sweep",
-    "serialize_flattened",
-    "set_precision",
-    "splitting",
-    "symmetry_relation",
-    "volume_report",
-    "wedge_necessary_zero",
-]
+# each public name, in the order of __all__, and the submodule that defines it
+_HOMES = {
+    "CmodZ2": "rogers", "CutPoint": "dilog", "FlattenedFT": "cover", "FlattenedNumber": "cover",
+    "FlattenedTriangulation": "ccs", "FormalSum": "prebloch", "NecessaryZeroCheck": "bloch",
+    "RELATIONS": "sweeps", "Side": "dilog", "SweepConfig": "sweeps", "SweepResult": "sweeps",
+    "TriangulationFormatError": "cover", "WedgeExpr": "bloch", "as_cut_point": "dilog",
+    "canonicalize": "cover", "check_chi_homomorphism": "prebloch", "chi_hat": "prebloch",
+    "complex_volume": "ccs", "curly": "prebloch", "curly_product_relation": "prebloch",
+    "cycle_relation": "prebloch", "eval_lhat": "prebloch", "five_term_element": "prebloch",
+    "flattened": "cover", "index_relations": "prebloch", "is_flattened_ft": "cover",
+    "kappa_hat": "prebloch", "li2": "dilog", "load": "ccs", "log_one_minus": "dilog",
+    "log_param_l": "cover", "log_param_m": "cover", "make_flattened_ft": "cover",
+    "mirror_relation": "prebloch", "nu_hat": "bloch", "parse_flattened": "cover",
+    "precision": "dilog", "principal_log": "dilog", "reduce_mod_transfer": "rogers",
+    "rogers_l_bar": "rogers", "rogers_l_hat": "rogers", "root4": "prebloch", "run_sweep": "sweeps",
+    "serialize_flattened": "cover", "set_precision": "dilog", "splitting": "prebloch",
+    "symmetry_relation": "prebloch", "volume_report": "ccs", "wedge_necessary_zero": "bloch",
+}
+_SUBMODULES = {*_HOMES.values(), "cli"}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str):
+    # A public name is looked up in its submodule on every use, not kept
+    # here, so a wrapper bound over the submodule's attribute is what callers
+    # get; a submodule name gives the submodule.
+    if name in _HOMES:
+        return getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,7 +10,6 @@ import sys
 from pathlib import Path
 from typing import NoReturn, Sequence
 
-from . import ccs as ccs_mod
 from .cover import parse_flattened
 from .dilog import precision
 from .prebloch import FormalSum, eval_lhat, kappa_hat
@@ -151,8 +150,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_ccs(args: argparse.Namespace) -> int:
+    from . import ccs  # here, so eval and check do not load it
+
     try:
-        report = ccs_mod.volume_report(ccs_mod.load(args.input))
+        report = ccs.volume_report(ccs.load(args.input))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,7 +27,7 @@ over two per-mode primitives.
   Either way Log(1-z) keeps its digits for tiny z.
 * The series: one unrolled Horner expression over literal coefficients in
   double; in high precision Li2 = w (1 - w/4 + w^2 P(w^2)) with the
-  bracket, near 1, in fixed point over exact Bernoulli numbers, its length
+  bracket, near 1, in fixed point over the Bernoulli numbers, its length
   following |w|, and one product by w.
 
 In high precision the whole pass runs on Python integers: a number is two
@@ -36,10 +36,11 @@ and a product one multiply and one shift a part.  A pass picks s from its
 point: 20 guard bits over the working precision, plus the depth below 1 of
 the smallest part of a value the pass forms (tiny Re z or Im z, |z| or
 |1-z| near 1, 1/z far out), so every part keeps its relative accuracy.
-mpmath, imported on the first high-precision pass only, supplies the
-Bernoulli numbers, pi, ln 2 and each table entry on its first use; no pass
-reads or sets its global context.  The precision mode, a context variable
-(so per thread or asyncio task), picks the primitives; results are machine
+The kernel sums its own constants on the same integers: pi by Machin's
+formula, ln 2 and each table entry (on its first use) by the atanh and
+atan series, and the Bernoulli numbers by their recurrence; no numerics
+library is imported.  The precision mode, a context variable (so per
+thread or asyncio task), picks the primitives; results are machine
 complex either way.  A point's pass runs in stages, each on demand and kept
 on the point per precision mode: Log z, Log(1-z), and Li2 z from those two
 logarithms at working precision, with the Rogers constant R = Li2 z + Log z
@@ -164,6 +165,10 @@ class CutPoint:
         fields = self.__dict__
         fields["z"], fields["side"] = _checked_z(z, side), side
 
+    def __reduce__(self):
+        # a pickle or copy holds z and side, not the stages a pass keeps on the point
+        return CutPoint, (self.z, self.side)
+
 
 def _checked_z(z: complex, side: Side) -> complex:
     # The rules of the cut plane, for CutPoint and for the parsers that build
@@ -254,16 +259,36 @@ _HIGH: dict[int, _Arith] = {}
 _DPS: ContextVar[int | None] = ContextVar("extbloch_dps", default=None)  # None: double
 
 
+def _bits(dps: int) -> int:
+    # the binary digits that carry dps decimal ones, round((dps + 1) log2 10),
+    # or a ValueError naming a dps whose count overflows a double
+    try:
+        return round((dps + 1) * 3.3219280948873626)
+    except OverflowError:
+        raise ValueError(f"dps {_int_text(dps)} is too large to count in bits") from None
+
+
 def _high_arith(dps: int) -> _Arith:
     arith = _HIGH.get(dps)
     if arith is None:
-        from mpmath.libmp import bernfrac, dps_to_prec, from_man_exp, mpf_atan, mpf_ln2, mpf_log, mpf_pi, to_fixed
-
         # Fixed point at 2^-bits, 20 guard bits over the working precision,
-        # holds the constants, the tables and the sums of the series.
-        bits = dps_to_prec(dps) + 20
-        one, wide = 1 << bits, bits + 10
-        pi, ln2 = to_fixed(mpf_pi(wide), bits), to_fixed(mpf_ln2(wide), bits)
+        # holds the constants, the tables and the sums of the series.  Each
+        # constant is summed at 2^-wide and floored to 2^-bits.
+        bits = _bits(dps) + 20
+        one, wide = 1 << bits, bits + 32
+
+        def odd_sum(p, q, sign):
+            # atanh(p/q) (sign 1) or atan(p/q) (sign -1) at 2^-wide for |p/q| <= 1/2:
+            # the terms (sign p^2/q^2)^k (p/q) / (2k+1) down to 2^-wide, at most
+            # wide / 2 of them, each off by under 3 of 2^-wide: far below 2^-bits
+            power, total, k, term_sign = (abs(p) << wide) // q, 0, 1, 1 if p > 0 else -1
+            while power:
+                total += term_sign * (power // k)
+                power, k, term_sign = power * p * p // (q * q), k + 2, sign * term_sign
+            return total
+
+        pi_wide = 16 * odd_sum(1, 5, -1) - 4 * odd_sum(1, 239, -1)  # Machin's formula
+        pi, ln2 = pi_wide >> wide - bits, 2 * odd_sum(1, 3, 1) >> wide - bits
 
         class Num:
             # The mode's number: v = (re, im, s) for (re + i im) 2^-s.  Two meet at
@@ -323,15 +348,22 @@ def _high_arith(dps: int) -> _Arith:
             s = bits + depth
             return Num((int(mx * 2.0**53) << s + ex - 53, int(my * 2.0**53) << s + ey - 53, s))
 
-        # 1/(2k+1), highest k first, and the tables ln(j/2^8), j = 192 .. 384,
-        # and atan(j/2^8), j = 0 .. 256, each entry from mpmath on first use
+        # 1/(2k+1), highest k first, and the tables ln(j/2^8) = 2 atanh((j - 2^8)
+        # / (j + 2^8)), j = 192 .. 384, and atan(j/2^8), j = 0 .. 256, past 2^8/3
+        # as pi/4 - atan((2^8 - j) / (2^8 + j)), each entry summed on first use
         odd = [one // (2 * k + 1) for k in range(bits // 18 + 1, -1, -1)]
-        logs, atans = {256: 0}, {0: 0}
+        logs, atans = {}, {}
+
+        def ln_entry(j):
+            return 2 * odd_sum(j - 256, j + 256, 1)
+
+        def atan_entry(j):
+            return odd_sum(j, 256, -1) if 3 * j <= 256 else (pi_wide >> 2) - odd_sum(256 - j, 256 + j, -1)
 
         def entry(table, j, fill):
             c = table.get(j)
             if c is None:
-                c = table[j] = to_fixed(fill(from_man_exp(j, -8), wide), bits)
+                c = table[j] = fill(j) >> wide - bits
             return c
 
         def odd_series(t, s, sign):
@@ -358,12 +390,12 @@ def _high_arith(dps: int) -> _Arith:
             e += n >> e - 1 == 3
             j = (n >> e - 9) + 1 >> 1
             num, den = (n << 8) - (j << e), (n << 8) + (j << e)
-            re = (((e - 2 * s) * ln2 + entry(logs, j, mpf_log)) << s - bits >> 1) + odd_series(
+            re = (((e - 2 * s) * ln2 + entry(logs, j, ln_entry)) << s - bits >> 1) + odd_series(
                 (num << s) // den, s, 1)
             swap = abs(b) > abs(a)
             q, p = (abs(a), abs(b)) if swap else (abs(b), abs(a))
             j = ((q << 9) // p + 1) >> 1
-            arg = (entry(atans, j, mpf_atan) << s - bits) + odd_series(
+            arg = (entry(atans, j, atan_entry) << s - bits) + odd_series(
                 ((q << 8) - j * p << s) // ((p << 8) + j * q), s, -1)
             if swap:
                 arg = (pi_s >> 1) - arg
@@ -373,8 +405,16 @@ def _high_arith(dps: int) -> _Arith:
 
         # The series' c_k = B_2k / (2k+1)!, about 2 (2 pi)^-2k / (2k+1): at |w| the terms
         # past k = bits / log2(4 pi^2 / |w|^2) are below 2^-bits, 2 dps / 3 + 1 at pi/3.
-        fracs = [(bernfrac(2 * k), math.factorial(2 * k + 1)) for k in range(2 * dps // 3 + 1, 0, -1)]
-        coeffs = [(num << bits) // (den * fact) for (num, den), fact in fracs]
+        # b_n = B_n / n! at 2^-wide from sum_(j <= n) b_j / (n+1-j)! = 0, where
+        # b_0 = 1, b_1 = -1/2 and b_j = 0 for odd j > 1, over 1/m! at 2^-wide.
+        top = 2 * dps // 3 + 1
+        inv = [1 << wide]
+        for m in range(1, 2 * top + 2):
+            inv.append(inv[-1] // m)
+        evens = [1 << wide]  # b_0, b_2, b_4, ...
+        for n in range(2, 2 * top + 1, 2):
+            evens.append((inv[n] << wide - 1) - sum(b * inv[n + 1 - 2 * i] for i, b in enumerate(evens)) >> wide)
+        coeffs = [evens[k] // (2 * k + 1) >> wide - bits for k in range(top, 0, -1)]
 
         def series(w):
             # Li2 = w (1 - w/4 + x P(x)), x = w^2, P(x) = sum c_k x^(k-1): on |w| <=
@@ -394,7 +434,7 @@ def _high_arith(dps: int) -> _Arith:
             im = (b * (((wr * b0) >> bits - 1) - (one >> 2))) >> bits
             return Num(((a * re >> bits) - (b * im >> s), (a * im >> s) + (b * re >> bits), s))
 
-        zeta2 = to_fixed(mpf_pi(wide), wide) ** 2 // 6 >> 2 * wide - bits
+        zeta2 = pi_wide**2 // 6 >> 2 * wide - bits
         arith = _HIGH[dps] = _Arith(point, log, series, Num((zeta2, 0, bits)), Num((0, pi, bits)))
     return arith
 
@@ -404,18 +444,19 @@ def set_precision(mode: str = "double", dps: int = 50) -> None:
 
     In high mode each pass runs on Python integers at a binary scale of at
     least ``dps`` digits, deeper for a point's tiny parts; logarithms reduce
-    by tables of ln(j/2^8) and atan(j/2^8) to short series, and mpmath
-    supplies only Bernoulli numbers, pi, ln 2 and the table entries.
-    Returned values are machine complex.  The mode holds for the calling
-    thread (or asyncio task) only.
+    by tables of ln(j/2^8) and atan(j/2^8) to short series.  The kernel sums
+    its constants itself (pi, ln 2, the table entries and the Bernoulli
+    numbers), so the mode imports no numerics library.  Returned values are
+    machine complex.  The mode holds for the calling thread (or asyncio
+    task) only.
     """
     if mode not in ("double", "high"):
         raise ValueError(f"unknown precision mode {mode!r}")
     dps = _integer(dps, "dps") if mode == "high" else None
-    if dps is not None and _real(dps, "dps") < 50:  # mpmath cannot take a dps beyond a double
-        raise ValueError("high-precision mode requires dps >= 50")
-    if dps is not None and not dps * 3.3219280948873626 < math.inf:  # nor one whose bits overflow (dps_to_prec)
-        raise ValueError(f"dps {dps} is beyond what mpmath can turn into bits")
+    if dps is not None:
+        if _real(dps, "dps") < 50:  # a dps beyond a double has no count in bits
+            raise ValueError("high-precision mode requires dps >= 50")
+        _bits(dps)  # nor one whose count overflows
     _DPS.set(dps)
 
 

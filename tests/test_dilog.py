@@ -1,9 +1,11 @@
 import ast
 import cmath
+import copy
 import functools
 import itertools
 import math
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 import extbloch
 from extbloch import dilog
 from extbloch.bloch import nu_hat
-from extbloch.cover import _build, canonicalize, flattened, log_param_l, log_param_m
+from extbloch.cover import FlattenedNumber, _build, canonicalize, flattened, log_param_l, log_param_m
 from extbloch.dilog import (
     CutPoint,
     Side,
@@ -32,7 +34,7 @@ from extbloch.dilog import (
     principal_log,
     set_precision,
 )
-from extbloch.prebloch import FormalSum
+from extbloch.prebloch import FormalSum, eval_lhat
 from extbloch.rogers import l_bar_at, rogers_l_bar
 from oracles import _li2_mp, li2_mpmath, li2_reference, li2_series, rogers_mpmath
 
@@ -359,6 +361,41 @@ def test_series_at_both_ends_of_its_length(dps):
                 assert abs(got - want) <= bound * abs(want), z
 
 
+def _table_points():
+    # values whose reductions take every table entry: |v|^2 = 4^k (j + u) / 2^8
+    # for the ln table, j = 192 .. 384 (u keeps the reduced index at j), and
+    # v = 2^k (1 + i j/2^8) put in a seeded octant for the atan table, j = 0 .. 256
+    rng = random.Random(29)
+    points = []
+    for j in range(192, 385):
+        u = rng.uniform(0.0 if j == 192 else -0.4, 0.0 if j == 384 else 0.4)
+        r = math.ldexp(math.sqrt((j + u) / 256), rng.randint(-40, 40))
+        points.append(cmath.rect(r, rng.uniform(-PI, PI)))
+    for j in range(257):
+        a = math.ldexp(1.0, rng.randint(-40, 40))
+        b = a * j / 256
+        a, b = (b, a) if rng.random() < 0.5 else (a, b)
+        points.append(complex(rng.choice((-a, a)), rng.choice((-b, b))))
+    return points
+
+
+@pytest.mark.parametrize("dps", [50, 80, 150])
+def test_constants_against_mpmath(dps):
+    # the kernel's own pi, pi^2/6, ln 2 and table entries, read through its
+    # hooks: Log v over every table entry and the constants i pi and zeta(2),
+    # each within a few units of the kernel's base scale, which i pi is at
+    # (the working precision plus its guard bits; worst seen 2^-(bits - 1))
+    arith = dilog._high_arith(dps)
+    bound = mp.ldexp(1, -(arith.i_pi.v[2] - 4))
+    got = [_mpc(arith.log(arith.point(v), Side.INTERIOR)) for v in _table_points()]
+    with mp.workdps(dps + 20):
+        for v, g in zip(_table_points(), got):
+            want = mp.log(mp.mpc(v))
+            assert abs(g - want) <= bound * abs(want), (v, g, want)
+        assert abs(_mpc(arith.i_pi) - mp.mpc(0, mp.pi)) <= bound * mp.pi
+        assert abs(_mpc(arith.zeta2) - mp.pi**2 / 6) <= bound * mp.pi**2 / 6
+
+
 def test_high_pass_leaves_mpmath_context_alone(pass_primitives):
     # a high-precision pass works at its own precision: mpmath's process-wide
     # context keeps the caller's 15 digits throughout
@@ -565,11 +602,16 @@ def test_inversion_identity_log_one_minus_accuracy_seeded():
     assert [(err, p) for err, p in errors if not err <= 5e-16] == []
 
 
+def _python(code, cwd=None):
+    # stdout of a fresh interpreter that runs code on this checkout
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}).stdout
+
+
 def test_double_precision_does_not_import_mpmath():
-    # mpmath is imported on the first high-precision pass, not before:
-    # its import would add to the start-up of every double-precision run,
-    # and a dps refused for its size (10**308 digits overflow mpmath's
-    # digits-to-bits conversion) is refused without it
+    # no pass imports mpmath: its import would add to the start-up of
+    # every run, and a dps refused for its size (10**308 digits overflow
+    # the digits-to-bits conversion) is refused without it
     code = """
 import cmath, sys
 import extbloch
@@ -585,13 +627,11 @@ except ValueError:
     pass
 print("mpmath" in sys.modules)
 """
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}).stdout
-    assert out == "False\n"
+    assert _python(code) == "False\n"
 
 
 def test_high_precision_sweep_does_not_import_numpy():
-    # numpy is not a dependency: mpmath alone carries the high precision mode
+    # no numerics library is a dependency: the high precision mode sums its own constants
     code = """
 import sys
 from extbloch import SweepConfig, precision, run_sweep
@@ -600,9 +640,7 @@ with precision("high"):
         assert run_sweep(SweepConfig(relation, samples=3, seed=1)).failures == []
 print("mpmath" in sys.modules, "numpy" in sys.modules)
 """
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}).stdout
-    assert out == "True False\n"
+    assert _python(code) == "False False\n"
 
 
 def test_public_names_are_pinned():
@@ -619,6 +657,58 @@ def test_public_names_are_pinned():
         "wedge_necessary_zero",
     ]
     assert all(hasattr(extbloch, name) for name in extbloch.__all__)
+
+
+def test_high_precision_runs_without_mpmath(tmp_path):
+    # with mpmath blocked, the sweeps of every relation, a ccs report and
+    # `python -m extbloch check` all run in high precision
+    (tmp_path / "fig8.tri").write_text("+1 0.5 0.8660254037844386 i 0 0\n" * 2)
+    code = """
+import contextlib, io, json, runpy, sys
+sys.modules["mpmath"] = None
+from extbloch import RELATIONS, SweepConfig, precision, run_sweep
+from extbloch.cli import main
+with precision("high"):
+    for relation in RELATIONS:
+        assert run_sweep(SweepConfig(relation, samples=2, seed=1)).failures == [], relation
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    assert main(["ccs", "fig8.tri", "--precision", "high", "--format", "structured"]) == 0
+print(json.loads(out.getvalue())["value_im"])
+sys.argv = ["extbloch", "check", "five-term", "--precision", "high", "--samples", "10"]
+runpy.run_module("extbloch", run_name="__main__", alter_sys=True)
+"""
+    out = _python(code, cwd=tmp_path).splitlines()
+    assert float(out[0]) == pytest.approx(2.029883212819307, rel=1e-15)  # the figure-eight knot's volume
+    assert out[-1] == "status: PASS"
+
+
+def test_a_run_imports_only_the_modules_it_uses():
+    # a bare import loads no submodule; each public name and submodule
+    # resolves on first use; `check` loads neither bloch nor ccs
+    code = """
+import contextlib, io, runpy, sys
+import extbloch
+print(sorted(m for m in sys.modules if m.startswith("extbloch.")))
+print(extbloch.cli is sys.modules["extbloch.cli"])
+sys.argv = ["extbloch", "check", "five-term", "--samples", "10"]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    runpy.run_module("extbloch", run_name="__main__", alter_sys=True)
+print("extbloch.bloch" in sys.modules, "extbloch.ccs" in sys.modules)
+names = {}
+exec("from extbloch import *", names)
+print(sorted(set(names) & set(extbloch.__all__)) == extbloch.__all__ and len(extbloch.__all__) == 49)
+modules = ("bloch", "ccs", "cli", "cover", "dilog", "prebloch", "rogers", "sweeps")
+print(all(getattr(extbloch, m) is sys.modules["extbloch." + m] for m in modules))
+"""
+    assert _python(code).splitlines() == ["[]", "True", "False False", "True", "True"]
+
+
+def test_a_public_name_is_read_from_its_module_on_each_use(monkeypatch):
+    # nothing is kept on the package, so a wrapper bound over the defining
+    # module's attribute (as a tracer binds one) is what the package gives
+    monkeypatch.setattr(dilog, "li2", "wrapped")
+    assert extbloch.li2 == "wrapped" and "li2" not in vars(extbloch)
+    assert not hasattr(extbloch, "no_such_name")
 
 
 def test_every_imported_name_is_used():
@@ -950,6 +1040,36 @@ def test_point_pass_cache_is_invisible_to_equality_hash_and_repr():
     p, q = CutPoint(-5 + 2j), CutPoint(-5 + 2j)
     _rogers_stages(p)
     assert (p == q, hash(p) == hash(q), repr(p) == repr(q)) == (True, True, True)
+
+
+def _points_of(value):
+    if isinstance(value, CutPoint):
+        return [value]
+    if isinstance(value, FlattenedNumber):
+        return [value.base]
+    return [gen.base for _, gen in value.terms]
+
+
+@pytest.mark.parametrize("mode", ["double", "high"])
+def test_values_pickle_and_copy_as_their_fields(mode):
+    # the stages a pass keeps on a point stay behind: a high pass's numbers
+    # are of a class local to the kernel, which pickle cannot name, and a
+    # double pass's would more than double a pickled point
+    point = CutPoint(-2 + 0j, Side.BELOW)
+    gen = flattened(0.3 + 0.4j, 2, -1)
+    total = FormalSum.of((2, gen), (-1, flattened(3 + 0j, 0, 1)), (1, flattened(1e12 - 3e11j)))
+    with precision(mode):
+        li2(point)
+        eval_lhat(total)
+    for value in (point, gen, total):
+        assert all("_pass" in p.__dict__ for p in _points_of(value))
+        copies = [pickle.loads(pickle.dumps(value)), copy.deepcopy(value)]
+        if isinstance(value, CutPoint):
+            copies.append(copy.copy(value))
+        for other in copies:
+            assert other == value and type(other) is type(value)
+            assert [p for p in _points_of(other) if "_pass" in p.__dict__] == []
+    assert len(pickle.dumps(point)) == len(pickle.dumps(CutPoint(-2 + 0j, Side.BELOW)))
 
 
 def test_a_stage_read_while_it_is_stored_is_complete(monkeypatch):

@@ -71,8 +71,8 @@ def test_a_number_beyond_a_double_is_named(call, message):
     (lambda: CmodZ2(1j).equals(1j, tol="x"), TypeError, "tol 'x' is not a number"),
     (lambda: CmodZ2(1j).equals(1j, tol=-1.0), ValueError, "tol must be >= 0, got -1.0"),
     (lambda: CmodZ2(1j).equals(1j, tol=math.inf), ValueError, "tol must be >= 0, got inf"),
-    (lambda: set_precision("high", 10**308), ValueError, f"dps {10**308} is beyond what mpmath can turn into bits"),
-    (lambda: _enter_precision(10**308), ValueError, f"dps {10**308} is beyond what mpmath can turn into bits"),
+    (lambda: set_precision("high", 10**308), ValueError, f"dps {10**308} is too large to count in bits"),
+    (lambda: _enter_precision(10**308), ValueError, f"dps {10**308} is too large to count in bits"),
 ], ids=["parse_flattened", "FormalSum.parse", "symmetry_relation-1", "symmetry_relation-2",
         "symmetry_relation-3", "symmetry_relation-4", "symmetry_relation-5", "symmetry_relation-p-big",
         "is_flattened_ft-tol", "wedge_necessary_zero-tol", "CmodZ2.equals-tol", "CmodZ2.equals-negative-tol",
