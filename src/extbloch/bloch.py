@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .cover import _log_params
-from .dilog import _as_complex, _integer, _real
+from .dilog import _as_complex, _check_tol, _integer
 from .prebloch import FormalSum
 from .rogers import _coefficient_error
 
@@ -116,8 +116,7 @@ def wedge_necessary_zero(w: WedgeExpr, tol: float = 1e-9) -> NecessaryZeroCheck:
     necessary-condition pass only, unless exact cancellation emptied the
     expression outright.  ``tol`` must be a finite number >= 0.
     """
-    if not 0 <= _real(tol, "tol") < math.inf:  # a negative or NaN tol certifies anything "nonzero", inf "necessary-only"
-        raise ValueError(f"tol must be >= 0, got {tol!r}")
+    _check_tol(tol)  # a negative or NaN tol certifies anything "nonzero", inf "necessary-only"
     if w.is_empty():
         return NecessaryZeroCheck(True, "zero", 0.0, 0.0)
     pairing = w.pairing()

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import TextIO
 
 from .cover import FlattenedNumber, TriangulationFormatError, _records, serialize_flattened
-from .dilog import _trusted
+from .dilog import _integer
 from .prebloch import FormalSum, eval_lhat
 from .rogers import CmodZ2, reduce_mod_transfer
 
@@ -28,11 +28,15 @@ class FlattenedTriangulation:
     def __post_init__(self) -> None:
         if not self.simplices:
             raise ValueError("a triangulation needs at least one simplex")
+        simplices = []
         for shape, sign in self.simplices:
             if not isinstance(shape, FlattenedNumber):
                 raise TypeError("shapes must be FlattenedNumber values")
+            sign = _integer(sign, "simplex sign")  # an int, so True is 1
             if sign not in (1, -1):
                 raise ValueError(f"simplex signs must be +1 or -1, got {sign}")
+            simplices.append((shape, sign))
+        object.__setattr__(self, "simplices", tuple(simplices))
 
     def __len__(self) -> int:
         return len(self.simplices)
@@ -63,7 +67,7 @@ def load(source: str | Path | TextIO) -> FlattenedTriangulation:
     header, simplices = _records(text, sign, "simplex")
     if not simplices:
         raise TriangulationFormatError("no simplex records found")
-    return _trusted(FlattenedTriangulation, simplices=tuple(simplices), name=name if header is None else header)
+    return FlattenedTriangulation(tuple(simplices), name if header is None else header)
 
 
 def complex_volume(t: FlattenedTriangulation) -> CmodZ2:

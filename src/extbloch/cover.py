@@ -20,10 +20,10 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .dilog import PI, TWO_PI_I, _ABOVE, _BELOW, CutPoint, Side, _as_complex, _checked_z, _real, _stages, _trusted, as_cut_point
+from .dilog import PI, TWO_PI_I, _ABOVE, _BELOW, CutPoint, Side, _as_complex, _check_tol, _stages, as_cut_point
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FlattenedNumber:
     """A cover point (z; 2p, 2q) in canonical (above-side) form."""
 
@@ -31,14 +31,17 @@ class FlattenedNumber:
     p: int = 0
     q: int = 0
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.base, CutPoint):
+    def __init__(self, base: CutPoint, p: int = 0, q: int = 0) -> None:
+        # the checks, then the fields stored directly, without the frozen
+        # setter; ints p, q within 2**53 are tested inline first
+        if not isinstance(base, CutPoint):
             raise TypeError("base must be a CutPoint")
-        if self.base.side is Side.BELOW:
-            raise ValueError(
-                "below-side points are not stored; build via canonicalize()"
-            )
-        self.__dict__["p"], self.__dict__["q"] = _check_indices(self.p, self.q)
+        if base.side is _BELOW:
+            raise ValueError("below-side points are not stored; build via canonicalize()")
+        if not (p.__class__ is int and q.__class__ is int and -2**53 <= p <= 2**53 and -2**53 <= q <= 2**53):
+            p, q = _check_indices(p, q)
+        fields = self.__dict__
+        fields["base"], fields["p"], fields["q"] = base, p, q
 
     @property
     def z(self) -> complex:
@@ -85,8 +88,8 @@ def canonicalize(
             p -= 1
         else:
             q -= 1
-        point = _trusted(CutPoint, z=point.z, side=_ABOVE)
-    return _build(point, p, q)
+        point = CutPoint(point.z, _ABOVE)
+    return FlattenedNumber(point, p, q)
 
 
 def flattened(z: complex | CutPoint, p: int = 0, q: int = 0) -> FlattenedNumber:
@@ -206,8 +209,7 @@ def is_flattened_ft(
     j, and j plus the combination of the indices must be 0.  ``tol`` must
     be a finite number >= 0.
     """
-    if not 0 <= _real(tol, "tol") < cmath.inf:  # a NaN tol would accept any tuple below, an infinite one none
-        raise ValueError(f"tol must be >= 0, got {tol!r}")
+    _check_tol(tol)
     entries = tuple(t)
     if len(entries) != 5 or not all(isinstance(e, FlattenedNumber) for e in entries):
         return False
@@ -263,18 +265,17 @@ _FIELD_SIDES = {"i": Side.INTERIOR, "a": Side.ABOVE}  # the serialized form stor
 
 
 def _from_fields(re_s: str, im_s: str, side_s: str, p_s: str, q_s: str, points: dict) -> FlattenedNumber:
-    # The checks and messages of CutPoint and FlattenedNumber, then the
-    # trusted constructor.  ``points`` maps the point fields, and the checked
-    # z (a z allows one side only), to the CutPoint built for them: equal
-    # records share one point, and so one kernel pass.
+    # One record through the checked constructors.  ``points`` maps the point
+    # fields, and the stored z (a z allows one side only), to the CutPoint
+    # built for them: equal records share one point, and so one kernel pass.
     base = points.get((re_s, im_s, side_s))
     if base is None:
         side = _FIELD_SIDES.get(side_s)
         if side is None:
             raise ValueError(f"side must be 'i' or 'a', got {side_s!r}")
-        z = _checked_z(complex(float(re_s), float(im_s)), side)
-        base = points[re_s, im_s, side_s] = points.setdefault(z, _trusted(CutPoint, z=z, side=side))
-    return _build(base, int(p_s), int(q_s))
+        point = CutPoint(complex(float(re_s), float(im_s)), side)
+        base = points[re_s, im_s, side_s] = points.setdefault(point.z, point)
+    return FlattenedNumber(base, int(p_s), int(q_s))
 
 
 class TriangulationFormatError(ValueError):
@@ -321,14 +322,3 @@ def _records(text: str, coefficient: Callable[[str], int], word: str) -> tuple[s
             raise TriangulationFormatError(f"{word} {len(pairs) + 1}: {exc}", lineno) from None
         pairs.append((shape, coeff))
     return name, pairs
-
-
-def _build(base: CutPoint, p: int, q: int) -> FlattenedNumber:
-    # _trusted written out, without its keyword packing, for ints p, q; the
-    # 2**53 bound is tested inline first, since this runs once per number built
-    if not (-2**53 <= p <= 2**53 and -2**53 <= q <= 2**53):
-        _check_indices(p, q)
-    f = object.__new__(FlattenedNumber)
-    fields = f.__dict__
-    fields["base"], fields["p"], fields["q"] = base, p, q
-    return f

@@ -126,6 +126,12 @@ def _real(value, name: str) -> float:
         raise ValueError(f"{name} {_int_text(value)} is beyond the range of a double") from None
 
 
+def _check_tol(tol) -> None:
+    # a finite tol >= 0: a NaN one makes every comparison false, an infinite one every one true
+    if not 0 <= _real(tol, "tol") < math.inf:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
+
+
 def _as_complex(value) -> complex:
     # complex(value), with a number beyond the range of a double (an int
     # of 309 digits or more) named in a ValueError
@@ -137,9 +143,9 @@ def _as_complex(value) -> complex:
 
 
 def _trusted(cls, **fields):
-    # The one path that skips a value type's checks: for values the package
-    # derives from checked ones.  The fields are stored as given, so they
-    # must already be what __post_init__ would store.
+    # A value stored without its type's checks: FormalSum's negation,
+    # multiples and single terms, whose terms are already checked and in
+    # canonical order.  The fields must be what __post_init__ would store.
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
@@ -157,35 +163,29 @@ class CutPoint:
     side: Side = Side.INTERIOR
 
     def __init__(self, z: complex, side: Side | str = Side.INTERIOR) -> None:
-        # the checks, then the fields stored directly, without the frozen setter
+        # the checks, then the fields stored directly, without the frozen setter;
+        # a -0.0 imaginary part is stored as +0.0, so Arg stays in (-pi, pi]
         if z.__class__ is not complex:
             z = _as_complex(z)
         if side.__class__ is not Side:
             side = Side.coerce(side)
+        if z.imag == 0.0:
+            z = complex(z.real, 0.0)
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise ValueError(f"{z} is not a finite point of the cut plane")
+        if z == 0 or z == 1:
+            raise ValueError("0 and 1 are excluded from the cut plane")
+        if side is _INTERIOR:
+            if on_cut(z):
+                raise ValueError(f"{z} lies on a cut; an interior point needs a side tag")
+        elif not on_cut(z):
+            raise ValueError(f"side tag {side.value!r} given but {z} is not on a cut")
         fields = self.__dict__
-        fields["z"], fields["side"] = _checked_z(z, side), side
+        fields["z"], fields["side"] = z, side
 
     def __reduce__(self):
         # a pickle or copy holds z and side, not the stages a pass keeps on the point
         return CutPoint, (self.z, self.side)
-
-
-def _checked_z(z: complex, side: Side) -> complex:
-    # The rules of the cut plane, for CutPoint and for the parsers that build
-    # points through _trusted: z as stored, with a -0.0 imaginary part read
-    # as +0.0 (so Arg stays in (-pi, pi]), or a ValueError naming z.
-    if z.imag == 0.0:
-        z = complex(z.real, 0.0)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"{z} is not a finite point of the cut plane")
-    if z == 0 or z == 1:
-        raise ValueError("0 and 1 are excluded from the cut plane")
-    if side is _INTERIOR:
-        if on_cut(z):
-            raise ValueError(f"{z} lies on a cut; an interior point needs a side tag")
-    elif not on_cut(z):
-        raise ValueError(f"side tag {side.value!r} given but {z} is not on a cut")
-    return z
 
 
 def as_cut_point(value: complex | CutPoint) -> CutPoint:
@@ -407,32 +407,37 @@ def _high_arith(dps: int) -> _Arith:
         # past k = bits / log2(4 pi^2 / |w|^2) are below 2^-bits, 2 dps / 3 + 1 at pi/3.
         # b_n = B_n / n! at 2^-wide from sum_(j <= n) b_j / (n+1-j)! = 0, where
         # b_0 = 1, b_1 = -1/2 and b_j = 0 for odd j > 1, over 1/m! at 2^-wide.
+        # The floors of the recurrence below reach its sum multiplied by up to
+        # |x|^top, |x| <= (pi/3)^2; past 2^14 that outruns the 20 guard bits, so
+        # the bracket runs guard bits deeper (none up to dps 157).
         top = 2 * dps // 3 + 1
-        inv = [1 << wide]
+        guard = max(0, math.ceil(top * 2 * math.log2(PI / 3)) - 14)
+        deep, wider = bits + guard, wide + guard
+        inv = [1 << wider]
         for m in range(1, 2 * top + 2):
             inv.append(inv[-1] // m)
-        evens = [1 << wide]  # b_0, b_2, b_4, ...
+        evens = [1 << wider]  # b_0, b_2, b_4, ...
         for n in range(2, 2 * top + 1, 2):
-            evens.append((inv[n] << wide - 1) - sum(b * inv[n + 1 - 2 * i] for i, b in enumerate(evens)) >> wide)
-        coeffs = [evens[k] // (2 * k + 1) >> wide - bits for k in range(top, 0, -1)]
+            evens.append((inv[n] << wider - 1) - sum(b * inv[n + 1 - 2 * i] for i, b in enumerate(evens)) >> wider)
+        coeffs = [evens[k] // (2 * k + 1) >> wider - deep for k in range(top, 0, -1)]
 
         def series(w):
-            # Li2 = w (1 - w/4 + x P(x)), x = w^2, P(x) = sum c_k x^(k-1): on |w| <=
-            # pi/3 the bracket is near 1 (at least 0.7), so its error of a few
-            # 2^-bits is relative.  P takes two real products a step, b_j =
-            # c_(j+1) + 2 Re(x) b_(j+1) - |x|^2 b_(j+2), x P = x b_0 - |x|^2 b_1;
-            # Im of the bracket, Im w (2 Re w b_0 - 1/4), is at the scale of w.
+            # Li2 = w (1 - w/4 + x P(x)), x = w^2, P(x) = sum c_k x^(k-1), at 2^-deep:
+            # on |w| <= pi/3 the bracket is near 1 (at least 0.7), so its error of a
+            # few 2^-bits is relative.  P takes two real products a step, b_j = c_(j+1)
+            # + 2 Re(x) b_(j+1) - |x|^2 b_(j+2), x P = x b_0 - |x|^2 b_1; Im of the
+            # bracket, Im w (2 Re w b_0 - 1/4), is at the scale of w.
             a, b, s = w.v
-            wr, wi = a >> s - bits, b >> s - bits
-            r2 = wr * wr + wi * wi  # |w|^2 2^(2 bits)
-            xr = (wr * wr - wi * wi) >> bits
-            s2, t = xr << 1, (r2 >> bits) ** 2 >> bits
+            wr, wi = (a << guard) >> s - bits, (b << guard) >> s - bits
+            r2 = wr * wr + wi * wi  # |w|^2 2^(2 deep)
+            xr = (wr * wr - wi * wi) >> deep
+            s2, t = xr << 1, (r2 >> deep) ** 2 >> deep
             b0 = b1 = 0
-            for c in coeffs[-(int(bits / (5.3 + 2 * bits - math.log2(r2 or 1))) + 2):]:
-                b0, b1 = c + ((s2 * b0 - t * b1) >> bits), b0
-            re = one - (wr >> 2) + ((xr * b0 - t * b1) >> bits)
-            im = (b * (((wr * b0) >> bits - 1) - (one >> 2))) >> bits
-            return Num(((a * re >> bits) - (b * im >> s), (a * im >> s) + (b * re >> bits), s))
+            for c in coeffs[-(int(bits / (5.3 + 2 * deep - math.log2(r2 or 1))) + 2):]:
+                b0, b1 = c + ((s2 * b0 - t * b1) >> deep), b0
+            re = (1 << deep) - (wr >> 2) + ((xr * b0 - t * b1) >> deep)
+            im = (b * (((wr * b0) >> deep - 1) - (1 << deep - 2))) >> deep
+            return Num(((a * re >> deep) - (b * im >> s), (a * im >> s) + (b * re >> deep), s))
 
         zeta2 = pi_wide**2 // 6 >> 2 * wide - bits
         arith = _HIGH[dps] = _Arith(point, log, series, Num((zeta2, 0, bits)), Num((0, pi, bits)))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cover import FlattenedNumber, _check_indices
-from .dilog import PI, PI_SQ, TWO_PI_I, CutPoint, Side, _as_complex, _int_text, _real, _stages
+from .dilog import PI, PI_SQ, TWO_PI_I, CutPoint, Side, _as_complex, _check_tol, _int_text, _stages
 
 FOUR_PI_SQ = 4.0 * PI_SQ
 TWO_PI_SQ = 2.0 * PI_SQ
@@ -88,8 +88,7 @@ class CmodZ2:
         return math.hypot(v.real, v.imag)
 
     def equals(self, other: "CmodZ2 | complex", tol: float = 1e-9) -> bool:
-        if not 0 <= _real(tol, "tol") < math.inf:  # a NaN tol would refuse every value, an infinite one accept any
-            raise ValueError(f"tol must be >= 0, got {tol!r}")
+        _check_tol(tol)
         return self.distance_to(other) <= tol
 
     def serialize(self) -> str:

@@ -169,6 +169,17 @@ def test_signs_validated():
         FlattenedTriangulation(())
 
 
+def test_signs_are_stored_as_ints():
+    # a sign of 1.0 was stored: dump then raised "Unknown format code 'd' for
+    # object of type 'float'", and volume_report "coefficient 1.0 is not an integer"
+    f = flattened(0.5 + 0.5j)
+    with pytest.raises(TypeError, match=r"^simplex sign 1\.0 is not an integer$"):
+        FlattenedTriangulation(((f, 1.0),))
+    t = FlattenedTriangulation(((f, True), (f, -1)), "signs")
+    assert t.simplices == ((f, 1), (f, -1)) and type(t.simplices[0][1]) is int
+    assert load(io.StringIO(dump(t))) == t
+
+
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------

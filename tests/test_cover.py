@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import io
 import math
 import random
@@ -74,6 +75,37 @@ def test_flattened_number_never_stores_below():
 def test_flattened_number_base_must_be_a_cut_point():
     with pytest.raises(TypeError, match="^base must be a CutPoint$"):
         FlattenedNumber(0.5 + 0.5j)
+
+
+@pytest.mark.parametrize("value,change,exc,message", [
+    (FlattenedNumber(CutPoint(0.5 + 0.5j), 1, 2), {"q": 2**53 + 1}, ValueError,
+     "branch index q is beyond 2**53 in magnitude"),
+    (FlattenedNumber(CutPoint(0.5 + 0.5j), 1, 2), {"p": -(2**53) - 1}, ValueError,
+     "branch index p is beyond 2**53 in magnitude"),
+    (FlattenedNumber(CutPoint(0.5 + 0.5j), 1, 2), {"p": 0.5}, TypeError, "branch indices p, q must be integers"),
+    (FlattenedNumber(CutPoint(-2 + 0j, "a")), {"base": CutPoint(-2 + 0j, Side.BELOW)}, ValueError,
+     "below-side points are not stored; build via canonicalize()"),
+    (FlattenedNumber(CutPoint(0.5 + 0.5j)), {"base": 0.5 + 0.5j}, TypeError, "base must be a CutPoint"),
+    (CutPoint(0.5 + 0.5j), {"z": 1 + 0j}, ValueError, "0 and 1 are excluded from the cut plane"),
+    (CutPoint(0.5 + 0.5j), {"z": complex(math.nan, 1)}, ValueError, "(nan+1j) is not a finite point of the cut plane"),
+    (CutPoint(-2 + 0j, "a"), {"side": "i"}, ValueError, "(-2+0j) lies on a cut; an interior point needs a side tag"),
+    (CutPoint(0.5 + 0.5j), {"side": "below"}, ValueError, "side tag 'b' given but (0.5+0.5j) is not on a cut"),
+    (CutPoint(0.5 + 0.5j), {"side": "x"}, ValueError, "unknown side tag 'x'"),
+])
+def test_replace_runs_every_check(value, change, exc, message):
+    with pytest.raises(exc, match="^" + re.escape(message) + "$"):
+        dataclasses.replace(value, **change)
+
+
+def test_keywords_and_replace_store_checked_fields():
+    f = FlattenedNumber(base=CutPoint(z=complex(-2, -0.0), side="a"), p=True, q=2)
+    assert f == FlattenedNumber(CutPoint(-2 + 0j, Side.ABOVE), 1, 2)
+    assert type(f.p) is int and f.p == 1 and f.base.side is Side.ABOVE and repr(f.z) == "(-2+0j)"
+    f = dataclasses.replace(FlattenedNumber(CutPoint(0.5 + 0.5j), 1, 2), p=True, q=-(2**53))
+    assert (f.p, f.q) == (1, -(2**53)) and type(f.p) is int
+    point = dataclasses.replace(CutPoint(-2 + 0j, "a"), z=complex(-3, -0.0), side="below")
+    assert point.side is Side.BELOW and repr(point.z) == "(-3+0j)"
+    assert dataclasses.replace(f, base=CutPoint(point.z, "above")).base == CutPoint(-3 + 0j, Side.ABOVE)
 
 
 @given(

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import extbloch
 from extbloch import dilog
 from extbloch.bloch import nu_hat
-from extbloch.cover import FlattenedNumber, _build, canonicalize, flattened, log_param_l, log_param_m
+from extbloch.cover import FlattenedNumber, canonicalize, flattened, log_param_l, log_param_m
 from extbloch.dilog import (
     CutPoint,
     Side,
@@ -359,6 +359,20 @@ def test_series_at_both_ends_of_its_length(dps):
                 got, want = _mpc(arith.series(arith.point(z))), reference_series(dps, mp.mpc(z))
                 assert complex(got) == complex(want), z
                 assert abs(got - want) <= bound * abs(want), z
+
+
+@pytest.mark.parametrize("dps", [300, 500])
+def test_series_keeps_the_working_precision_at_large_dps(dps):
+    # the bracket's floors grow like |w^2|^k over the 2 dps / 3 + 1 terms: with
+    # 20 guard bits and no more, the error at |w| = pi/3 was 2^-989.8 at dps 300
+    # (1000 working bits) and 2^-1637 at dps 500 (1664)
+    arith = dilog._high_arith(dps)
+    bits = dilog._bits(dps)
+    with mp.workdps(dps + 40):
+        for k in range(6):
+            w = cmath.rect(PI / 3, k * PI / 3 + 0.3)
+            got, want = _mpc(arith.series(arith.point(w))), mp.polylog(2, 1 - mp.exp(-mp.mpc(w)))
+            assert abs(got - want) <= mp.ldexp(abs(want), 4 - bits), w
 
 
 def _table_points():
@@ -887,7 +901,7 @@ def test_every_order_of_readers_takes_each_primitive_once(kernel_primitives, mon
     monkeypatch.setattr(dilog, "_high_arith", lambda dps: with_series(high_arith(dps)))
 
     def over(point):  # a number over the point itself, below side too
-        return _build(point, 1, -2)
+        return dilog._trusted(FlattenedNumber, base=point, p=1, q=-2)
 
     def taken():
         names = [name for name, _ in kernel_primitives]
