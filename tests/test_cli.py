@@ -11,6 +11,7 @@ import extbloch
 from extbloch.cli import main
 from extbloch.dilog import get_precision, precision
 from extbloch.rogers import TWO_PI_SQ
+from extbloch.sweeps import RELATIONS
 from test_ccs import LOADED_FILE
 
 PI = math.pi
@@ -434,3 +435,58 @@ def test_closed_stdout_ends_quietly(tmp_path, argv):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, "")
+
+
+# ---------------------------------------------------------------------------
+# report corpora: every report the three commands print, pinned to the byte
+# ---------------------------------------------------------------------------
+
+DATA = Path(__file__).parent / "data"
+_FORMATS = (["--format", "text"], ["--format", "structured"])
+_EVAL_OPERANDS = (
+    ["kappa"],
+    ["0.3", "0.8", "i", "2", "-1"],  # interior
+    ["1e10", "-3e9", "i", "4", "-1"],  # far out
+    ["-2.5", "0", "a", "1", "2"],  # left cut
+    ["3.5", "0", "a", "-1", "3"],  # right cut
+    ["--sum", str(DATA / "formal_sum.txt")],
+)
+# with and without a name header, and an excerpt of a volume-large file
+_CCS_FILES = ("fig8.tri", "cut_simplices.tri", "volume_excerpt.tri")
+
+
+def _check_argvs(*flags):
+    # at tol 1e-30 every sample that is not exact fails and prints its echo,
+    # so the reports pin the sampling, the residuals and the echoes to the bit
+    return [["check", r, "--samples", "3", "--seed", "5", "--tol", "1e-30", *flags] for r in RELATIONS]
+
+
+# each corpus in tests/data and the command lines whose reports it holds, concatenated
+CORPORA = {
+    "check_double_seed5.txt": _check_argvs(),
+    "check_high_seed5.txt": _check_argvs("--precision", "high"),
+    "check_structured_double_seed5.txt": _check_argvs("--format", "structured"),
+    "check_structured_high_seed5.txt": _check_argvs("--format", "structured", "--precision", "high"),
+    **{f"eval_{mode}.txt": [["eval", *op, *fmt, "--precision", mode] for fmt in _FORMATS for op in _EVAL_OPERANDS]
+       for mode in ("double", "high")},
+    **{f"ccs_{mode}.txt": [["ccs", str(DATA / f), *fmt, "--precision", mode] for fmt in _FORMATS for f in _CCS_FILES]
+       for mode in ("double", "high")},
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(CORPORA), ids=lambda name: name.removesuffix(".txt"))
+def test_reports_match_the_corpus(capsys, corpus):
+    expected = (DATA / corpus).read_bytes().decode()
+    at = 0
+    for argv in CORPORA[corpus]:
+        code = main(argv)
+        out = capsys.readouterr().out
+        want = expected[at:at + len(out)]
+        if out != want:
+            got_lines, want_lines = out.split("\n"), want.split("\n")
+            line = next(i for i, pair in enumerate(zip(got_lines, want_lines)) if pair[0] != pair[1])
+            pytest.fail(f"extbloch {' '.join(argv)}: line {line + 1} of its report differs from {corpus}:\n"
+                        f"  got  {got_lines[line]!r}\n  want {want_lines[line]!r}")
+        assert code == (1 if "status: FAIL" in out or '"passed": false' in out else 0), argv
+        at += len(out)
+    assert at == len(expected), f"{corpus} holds more than its {len(CORPORA[corpus])} reports"
