@@ -17,7 +17,7 @@ from typing import TextIO
 from .cover import FlattenedNumber, TriangulationFormatError, _records, serialize_flattened
 from .dilog import _integer
 from .prebloch import FormalSum, eval_lhat
-from .rogers import CmodZ2, reduce_mod_transfer
+from .rogers import CmodZ2, _render_dict, _render_text, _row, _value_rows, reduce_mod_transfer
 
 
 @dataclass(frozen=True)
@@ -87,28 +87,20 @@ class VolumeReport:
 
     NOTE = "Im part = volume contribution; no Vol/CS sign convention asserted"
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "simplices": self.simplex_count,
-            "value_re": self.value_re,
-            "value_im": self.value_im,
-            "value_mod_2pi2_re": self.value_mod_2pi2_re,
-            "split_re": self.split_re,
-            "split_im": self.split_im,
-            "note": self.NOTE,
-        }
+    def rows(self) -> list:
+        return [
+            _row("name", self.name or None, name=self.name),  # no text line for an empty name
+            _row("simplices", self.simplex_count, simplices=self.simplex_count),
+            *_value_rows(complex(self.value_re, self.value_im), self.value_mod_2pi2_re,
+                         complex(self.split_re, self.split_im), "value-mod-2pi2"),
+            _row("note", self.NOTE, note=self.NOTE),
+        ]
 
     def render_text(self) -> str:
-        lines = []
-        if self.name:
-            lines.append(f"name: {self.name}")
-        lines.append(f"simplices: {self.simplex_count}")
-        lines.append(f"value: {self.value_re!r} {self.value_im!r}")
-        lines.append(f"value-mod-2pi2: {self.value_mod_2pi2_re!r} {self.value_im!r}")
-        lines.append(f"split: {self.split_re!r} {self.split_im!r}")
-        lines.append(f"note: {self.NOTE}")
-        return "\n".join(lines)
+        return _render_text(self.rows())
+
+    def to_dict(self) -> dict:
+        return _render_dict(self.rows())
 
 
 def volume_report(t: FlattenedTriangulation) -> VolumeReport:

@@ -13,7 +13,7 @@ from typing import NoReturn, Sequence
 from .cover import parse_flattened
 from .dilog import precision
 from .prebloch import FormalSum, eval_lhat, kappa_hat
-from .rogers import reduce_mod_transfer
+from .rogers import _render_dict, _render_text, _value_rows, reduce_mod_transfer
 from .sweeps import RELATIONS, SweepConfig, run_sweep
 
 TOL_ENV_VAR = "EXTBLOCH_TOL"
@@ -74,22 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_value(s: FormalSum, fmt: str) -> None:
-    value = eval_lhat(s)
-    transfer = reduce_mod_transfer(value)
-    split = value.split()
-    if fmt == "structured":
-        print(json.dumps({
-            "value_re": value.value.real,
-            "value_im": value.value.imag,
-            "value_mod_2pi2_re": transfer.real,
-            "split_re": split.real,
-            "split_im": split.imag,
-        }))
-    else:
-        print(f"value: {value.value.real!r} {value.value.imag!r}")
-        print(f"mod-2pi2: {transfer.real!r} {transfer.imag!r}")
-        print(f"split: {split.real!r} {split.imag!r}")
+def _emit(rows: list, fmt: str) -> None:
+    print(json.dumps(_render_dict(rows)) if fmt == "structured" else _render_text(rows))
 
 
 def _eval_usage_error(message: str) -> NoReturn:
@@ -122,7 +108,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     else:
         _eval_usage_error("expected kappa, z_re z_im side p q, or --sum FILE")
     try:
-        _emit_value(s, args.format)
+        value = eval_lhat(s)
+        _emit(_value_rows(value.value, reduce_mod_transfer(value).real, value.split(), "mod-2pi2"), args.format)
     except ValueError as exc:  # a coefficient beyond a double, or a value whose split overflows
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -142,10 +129,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     except ValueError as exc:  # a bad size or tolerance, or a sample the sweep cannot build
         print(f"extbloch check: error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "structured":
-        print(json.dumps(result.to_dict()))
-    else:
-        print(result.render_text())
+    _emit(result.rows(), args.format)
     return 0 if result.passed else 1
 
 
@@ -160,10 +144,7 @@ def _cmd_ccs(args: argparse.Namespace) -> int:
     except ValueError as exc:  # a malformed file, or a value whose split overflows
         print(f"error: {args.input}: {exc}", file=sys.stderr)
         return 2
-    if args.format == "structured":
-        print(json.dumps(report.to_dict()))
-    else:
-        print(report.render_text())
+    _emit(report.rows(), args.format)
     return 0
 
 

@@ -113,6 +113,31 @@ def reduce_mod_transfer(v: CmodZ2) -> complex:
     return complex(reduce_into(v.value.real, TWO_PI_SQ), v.value.imag)
 
 
+# A report is one list of rows, each the text lines and the JSON fields of
+# one datum; _render_text and _render_dict render every report.
+
+def _row(label: str, text, **fields) -> tuple[list[str], dict]:
+    # the line "label: text", none where text is None, and the JSON fields
+    return ([] if text is None else [f"{label}: {text}"]), fields
+
+
+def _render_text(rows) -> str:
+    return "\n".join(line for lines, _ in rows for line in lines)
+
+
+def _render_dict(rows) -> dict:
+    return {key: value for _, fields in rows for key, value in fields.items()}
+
+
+def _value_rows(value: complex, mod_2pi2_re: float, split: complex, mod_label: str) -> list:
+    # a value mod 4 pi^2, its image mod 2 pi^2 (the text label is the caller's) and its split
+    return [
+        _row("value", f"{value.real!r} {value.imag!r}", value_re=value.real, value_im=value.imag),
+        _row(mod_label, f"{mod_2pi2_re!r} {value.imag!r}", value_mod_2pi2_re=mod_2pi2_re),
+        _row("split", f"{split.real!r} {split.imag!r}", split_re=split.real, split_im=split.imag),
+    ]
+
+
 def l_bar_at(z: complex, side: Side | str, p: int, q: int) -> complex:
     """Branch-corrected Rogers value on an explicit chart, below side allowed.
 

@@ -30,7 +30,7 @@ from .prebloch import (
     mirror_relation,
     symmetry_relation,
 )
-from .rogers import TWO_PI_SQ
+from .rogers import TWO_PI_SQ, _render_dict, _render_text, _row
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -69,35 +69,25 @@ class SweepResult:
     def passed(self) -> bool:
         return self.max_residual <= self.config.tol and not self.failures
 
-    def render_text(self) -> str:
-        c = self.config
-        cases = " ".join(f"{k}={v}" for k, v in sorted(self.case_counts.items()))
-        lines = [
-            f"relation: {c.relation}",
-            f"samples: {c.samples}",
-            f"seed: {c.seed}",
-            f"tol: {c.tol!r}",
-            f"index-bound: {c.index_bound}",
-            f"cases: {cases}",
-            f"max-residual: {self.max_residual!r}",
-            f"status: {'PASS' if self.passed else 'FAIL'}",
-            *self.failures,
+    def rows(self) -> list:
+        c, cases = self.config, dict(sorted(self.case_counts.items()))
+        return [
+            _row("relation", c.relation, relation=c.relation),
+            _row("samples", c.samples, samples=c.samples),
+            _row("seed", c.seed, seed=c.seed),
+            _row("tol", repr(c.tol), tol=c.tol),
+            _row("index-bound", c.index_bound, index_bound=c.index_bound),
+            _row("cases", " ".join(f"{k}={v}" for k, v in cases.items()), cases=cases),
+            _row("max-residual", repr(self.max_residual), max_residual=self.max_residual),
+            _row("status", "PASS" if self.passed else "FAIL", passed=self.passed),
+            (self.failures, {"failures": list(self.failures)}),  # a line each, unlabelled
         ]
-        return "\n".join(lines)
+
+    def render_text(self) -> str:
+        return _render_text(self.rows())
 
     def to_dict(self) -> dict:
-        c = self.config
-        return {
-            "relation": c.relation,
-            "samples": c.samples,
-            "seed": c.seed,
-            "tol": c.tol,
-            "index_bound": c.index_bound,
-            "cases": dict(sorted(self.case_counts.items())),
-            "max_residual": self.max_residual,
-            "passed": self.passed,
-            "failures": list(self.failures),
-        }
+        return _render_dict(self.rows())
 
 
 # ---------------------------------------------------------------------------
