@@ -37,6 +37,10 @@ class FlattenedTriangulation:
                 raise ValueError(f"simplex signs must be +1 or -1, got {sign}")
             simplices.append((shape, sign))
         object.__setattr__(self, "simplices", tuple(simplices))
+        if not isinstance(self.name, str):
+            raise TypeError(f"name {self.name!r} is not a string")
+        if "\n" in self.name or "#" in self.name or self.name != self.name.strip():  # dump could not write it
+            raise ValueError(f"name {self.name!r} holds a newline or '#', or whitespace at an end")
 
     def __len__(self) -> int:
         return len(self.simplices)
@@ -49,6 +53,7 @@ def load(source: str | Path | TextIO) -> FlattenedTriangulation:
     """Parse a triangulation file or stream: one ``sign z_re z_im side p q`` record per simplex.
 
     Side is i or a; ``#`` starts a comment, and a ``name: <string>`` header may precede the records.
+    Without one, a file's name is its stem read as a header would be: up to a newline or ``#``, stripped.
     """
     def sign(field: str) -> int:  # a sign not spelled +1, -1 or 1
         try:
@@ -63,7 +68,7 @@ def load(source: str | Path | TextIO) -> FlattenedTriangulation:
         text, name = source.read(), ""
     else:
         path = Path(source)
-        text, name = path.read_text(), path.stem
+        text, name = path.read_text(), path.stem.split("\n")[0].partition("#")[0].strip()
     header, simplices = _records(text, sign, "simplex")
     if not simplices:
         raise TriangulationFormatError("no simplex records found")
@@ -105,17 +110,9 @@ class VolumeReport:
 
 def volume_report(t: FlattenedTriangulation) -> VolumeReport:
     value = complex_volume(t)
-    transfer = reduce_mod_transfer(value)
     split = value.split()
-    return VolumeReport(
-        name=t.name,
-        simplex_count=len(t),
-        value_re=value.value.real,
-        value_im=value.value.imag,
-        value_mod_2pi2_re=transfer.real,
-        split_re=split.real,
-        split_im=split.imag,
-    )
+    return VolumeReport(name=t.name, simplex_count=len(t), value_re=value.value.real, value_im=value.value.imag,
+                        value_mod_2pi2_re=reduce_mod_transfer(value).real, split_re=split.real, split_im=split.imag)
 
 
 def dump(t: FlattenedTriangulation) -> str:

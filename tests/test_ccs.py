@@ -2,6 +2,7 @@ import cmath
 import io
 import json
 import math
+import re
 
 import pytest
 
@@ -111,6 +112,33 @@ def test_a_name_header_overrides_the_file_stem_even_when_empty(tmp_path):
     assert load(path).name == "given"
     path.write_text("name:\n+1 0.5 0.5 i 0 0\n")
     assert load(path).name == ""
+
+
+@pytest.mark.parametrize("name,error", [
+    (5, TypeError),
+    (b"fig8", TypeError),
+    ("a\nb", ValueError),  # dump would write a second line
+    ("a#b", ValueError),  # load would cut it at the comment
+    (" a", ValueError),  # load would strip it
+    ("a ", ValueError),
+    ("\x85a", ValueError),  # str.strip() counts U+0085 as whitespace
+])
+def test_a_name_dump_cannot_write_is_refused(name, error):
+    with pytest.raises(error, match=re.escape(repr(name))):
+        FlattenedTriangulation(((flattened(0.5), 1),), name)
+
+
+@pytest.mark.parametrize("name", ["", "fig8", "a b", "a\rb", "name: x", "a\x85b", "m004 (4_1)"])
+def test_dump_round_trips_every_name_the_constructor_takes(name):
+    t = FlattenedTriangulation(((flattened(0.5), 1),), name)
+    assert load(io.StringIO(dump(t))).name == name
+
+
+@pytest.mark.parametrize("stem,name", [("a#b", "a"), (" a ", "a"), ("\x85a", "a"), ("a\nb", "a"), ("#b", "")])
+def test_a_file_without_a_header_reads_its_stem_as_a_header_is_read(tmp_path, stem, name):
+    path = tmp_path / f"{stem}.tri"
+    path.write_text("+1 0.5 0.5 i 0 0\n")
+    assert load(path).name == name
 
 
 # ---------------------------------------------------------------------------
