@@ -328,6 +328,14 @@ def root4(z: complex) -> complex:
 
 
 _I_POWER = (1 + 0j, 1j, -1 + 0j, -1j)
+
+
+def _e12(n: int) -> complex:
+    # e^(-i pi n / 12), a function of n mod 24: a large n, which would scale
+    # the rounding of pi, is reduced; elements at small index bounds keep their bits
+    return cmath.exp(-1j * PI * (n % 24 if abs(n) > 48 else n) / 12.0)
+
+
 _CHI_E12 = chi_hat(cmath.exp(1j * PI / 12.0))  # symmetry 5's correction, built once (it keeps its pass)
 
 
@@ -347,13 +355,13 @@ def symmetry_relation(z: complex, p: int, q: int, which: int) -> FormalSum:
         corr = chi_hat(_I_POWER[p % 4] * root4(z))
     elif which == 2:
         w, chart = 1.0 - 1.0 / z, (-p - q, p)
-        corr = chi_hat(cmath.exp(-1j * PI * (1 - 6 * p) / 12.0) * root4(z))
+        corr = chi_hat(_e12(1 - 6 * p) * root4(z))
     elif which == 3:
         w, chart = -z / (1.0 - z), (p + q, -q)
-        corr = chi_hat(cmath.exp(-1j * PI * (1 + 6 * q) / 12.0) * root4(z - 1.0))
+        corr = chi_hat(_e12(1 + 6 * q) * root4(z - 1.0))
     elif which == 4:
         w, chart = 1.0 / (1.0 - z), (q, -p - q)
-        corr = chi_hat(cmath.exp(-1j * PI * (2 + 6 * q) / 12.0) * root4(z - 1.0))
+        corr = chi_hat(_e12(2 + 6 * q) * root4(z - 1.0))
     elif which == 5:
         w, chart = 1.0 - z, (-q, -p)
         corr = _CHI_E12

@@ -920,6 +920,26 @@ def test_symmetry_relations_randomized(which):
         assert eval_lhat(symmetry_relation(z, p, q, which)).magnitude() <= 1e-9
 
 
+@pytest.mark.parametrize("which", [2, 3, 4])
+def test_chi_correction_reads_its_integer_mod_24(which, monkeypatch):
+    # symmetries 2, 3 and 4 take chi of e^(-i pi n / 12) root4, with
+    # n = 1 - 6p, 1 + 6q or 2 + 6q; only n mod 24 matters, so an index and
+    # that index plus 24 * 41667 (about 10^6) give the same correction point
+    seen = []
+    chi_hat = prebloch.chi_hat
+    monkeypatch.setattr(prebloch, "chi_hat", lambda u: seen.append(u) or chi_hat(u))
+
+    def correction(index):
+        seen.clear()
+        symmetry_relation(0.3 + 0.8j, index, index, which)
+        [point] = seen
+        return point
+
+    far = 24 * 41667
+    assert correction(9) == correction(9 + far)  # |n| > 48 at both: reduced to the same integer
+    assert abs(correction(1 + far) - correction(1)) <= 2e-15 * abs(correction(1))  # n kept as it is at 1
+
+
 def test_symmetry_rejects_lower_half():
     with pytest.raises(ValueError):
         symmetry_relation(0.5 - 0.5j, 0, 0, 1)
