@@ -15,7 +15,8 @@ over two per-mode primitives.
   and Re u <= 1/2, where w = -Log(1-u) has |w| <= pi/3 and the Bernoulli
   series Li2(u) = sum B_n w^(n+1) / (n+1)! converges like 36^-k.  A pass
   takes two logarithms, Log z and Log(1-z), in every region: inversion
-  reads Log(-z) = Log z -+ i pi and -Log(1-1/z) = Log(-z) - Log(1-z).
+  reads Log(-z) = Log z -+ i pi (in double near the left cut, its Im
+  directly) and -Log(1-1/z) = Log(-z) - Log(1-z).
 * A side-aware logarithm: Log of a value together with the cut side that
   value sits on, or Log(1 + d) from d itself when the caller has d more
   exactly than 1 + d (d = -z for Log(1-z)).  The side decides +-pi on the
@@ -514,8 +515,12 @@ def _li2_of(k: _Arith, c: complex, side: Side, log_z, log_1mz):
         # |z| > 1 and |1-z| > 1: Li2(z) = -Li2(1/z) - pi^2/6 - Log(-z)^2 / 2,
         # with Log(-z) = Log z -+ i pi (minus on the upper half-plane and the
         # above side) and, as 1 - z = (-z)(1 - 1/z) with the two arguments of
-        # opposite signs, -Log(1-1/z) = Log(-z) - Log(1-z).
-        log_neg = log_z - k.i_pi if c.imag > 0 or side is _ABOVE else log_z + k.i_pi
+        # opposite signs, -Log(1-1/z) = Log(-z) - Log(1-z).  Near the left cut
+        # that difference keeps a double's Im only to ulp(pi): take it directly.
+        if isinstance(log_z, complex) and c.imag and 4 * abs(c.imag) < -x:
+            log_neg = complex(log_z.real, math.atan2(-c.imag, -x))
+        else:
+            log_neg = log_z - k.i_pi if c.imag > 0 or side is _ABOVE else log_z + k.i_pi
         return -k.series(log_neg - log_1mz) - k.zeta2 - 0.5 * log_neg * log_neg
     if x > 0.5 and 0.5 * nz <= x:
         # |1-z| <= 1: Li2(z) = pi^2/6 - Log z Log(1-z) - Li2(1-z), where

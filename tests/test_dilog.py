@@ -851,6 +851,43 @@ def test_li2_beyond_2_32_against_mpmath(far_cases, mode, bound):
     assert [(err, p) for err, p in errors if not err <= bound] == []
 
 
+def _left_of_minus_one_points():
+    # seeded points left of -1 on both sides of the axis: Re z in (-1000, -1)
+    # with |Im z| from 1e-300 to 1, where 4 |Im z| < -Re z holds for most, and
+    # Re z in (-4, -1) with 4 |Im z| >= -Re z, up to |Im z| = 1
+    rng = random.Random(1061)
+    points = [-2.75662837051682 + 5.1763481622196476e-83j, -2.6039566911792997 + 1.066636e-317j]
+    for _ in range(240):
+        x = -(10.0 ** rng.uniform(0, 3))
+        points.append(complex(x, rng.choice((1, -1)) * 10.0 ** rng.uniform(-300, 0)))
+    for _ in range(60):
+        x = -rng.uniform(1, 4)
+        points.append(complex(x, rng.choice((1, -1)) * rng.uniform(-x / 4, 1)))
+    return [z for z in points if z.real < -1]
+
+
+def test_li2_left_of_minus_one_is_right_part_by_part():
+    # Im Li2 z is far below |Li2 z| near the left cut, so the whole value's
+    # accuracy does not bound it.  References: for |Im z| <= 1e-8 the first
+    # order form Im Li2(x + iy) = -y ln(1 - x) / x + O(y^3); otherwise, and
+    # for every real part, the high-precision kernel at 120 digits (mpmath's
+    # polylog is itself wrong here).
+    worst = []
+    for z in _left_of_minus_one_points():
+        with precision("high", 120):
+            ref = li2(z)
+        if abs(z.imag) <= 1e-8:
+            with mp.workdps(40):
+                x, y = mp.mpf(z.real), mp.mpf(z.imag)
+                ref = complex(ref.real, float(-y * mp.log(1 - x) / x))
+        got = li2(z)
+        bound = 1e-15 if 4 * abs(z.imag) < -z.real else 4e-15
+        # a subnormal part is kept to steps of 2^-1074 only: a few are allowed
+        worst += [(z, part) for part, g, r in (("re", got.real, ref.real), ("im", got.imag, ref.imag))
+                  if not abs(g - r) <= bound * abs(r) + 4 * math.ulp(0.0)]
+    assert worst == []
+
+
 @pytest.mark.parametrize("mode", ["double", "high"])
 def test_public_functions_read_the_kept_stages(kernel_primitives, mode):
     # after a Rogers value, li2, principal_log and log_one_minus of its base
