@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .dilog import PI, TWO_PI_I, _ABOVE, _BELOW, CutPoint, Side, _as_complex, _check_tol, _stages, as_cut_point
+from .dilog import PI, TWO_PI_I, _ABOVE, _BELOW, CutPoint, Side, _as_complex, _check_tol, _log_z, _pass, as_cut_point
 
 
 @dataclass(frozen=True, init=False)
@@ -99,12 +99,12 @@ def flattened(z: complex | CutPoint, p: int = 0, q: int = 0) -> FlattenedNumber:
 
 def log_param_l(f: FlattenedNumber) -> complex:
     """The branch logarithm Log z + 2 pi i p."""
-    return _stages("log", f.base).log_z + TWO_PI_I * f.p
+    return _log_z(f.base) + TWO_PI_I * f.p
 
 
 def log_param_m(f: FlattenedNumber) -> complex:
     """The branch logarithm -Log(1-z) + 2 pi i q."""
-    return -_stages("log1m", f.base).log_1mz + TWO_PI_I * f.q
+    return -_pass(f.base).log_1mz + TWO_PI_I * f.q
 
 
 def _log_params(terms: Iterable[tuple[int, FlattenedNumber]]) -> tuple:
@@ -116,7 +116,7 @@ def _log_params(terms: Iterable[tuple[int, FlattenedNumber]]) -> tuple:
         base = f.base
         if base.z != z or base.side is not side:  # a new (z, side), compared without CutPoint.__eq__
             z, side = base.z, base.side
-            st = _stages("logs", base)
+            st = _pass(base)
         out.append((coeff, st.log_z + TWO_PI_I * f.p, -st.log_1mz + TWO_PI_I * f.q))
     return tuple(out)
 
@@ -223,9 +223,9 @@ def is_flattened_ft(
     if any(abs(z[k] - expected[k]) > tol for k in (2, 3, 4)):
         return False
     # (float part, index part) of each identity, as the docstring has them
-    stages = [_stages("logs", e.base) for e in entries]
-    l = [st.log_z for st in stages]
-    m = [-st.log_1mz for st in stages]
+    passes = [_pass(e.base) for e in entries]
+    l = [st.log_z for st in passes]
+    m = [-st.log_1mz for st in passes]
     p = [e.p for e in entries]
     q = [e.q for e in entries]
     residuals = (

@@ -42,18 +42,19 @@ formula, ln 2 and each table entry (on its first use) by the atanh and
 atan series, and the Bernoulli numbers by their recurrence; no numerics
 library is imported.  The precision mode, a context variable (so per
 thread or asyncio task), picks the primitives; results are machine
-complex either way.  A point's pass runs in stages, each on demand and kept
-on the point per precision mode: Log z, Log(1-z), and Li2 z from those two
-logarithms at working precision, with the Rogers constant R = Li2 z + Log z
-Log(1-z)/2 - pi^2/6.  Beyond 2**32 the far-out pass is one stage: Li2 z
-comes from its inversion form, formed in the mode's numbers and rounded
-once, and R from its parts with the cancellation done exactly.  Every
-value, ``li2``, ``principal_log`` and ``log_one_minus`` included, reads the
-stages through one reader, which runs only a stage the point does not keep:
-a branch logarithm one logarithm, a Rogers value all three, a stage the
-point keeps none.  Against mpmath, Li2 is within 2e-15 relative error in
-double and 1e-15 in high precision for |z| from 1e-300 to 1e300, on both
-sides of both cuts.
+complex either way.  A point's pass is whole: Log z, Log(1-z), and Li2 z
+from those two logarithms at working precision, with the Rogers constant
+R = Li2 z + Log z Log(1-z)/2 - pi^2/6; beyond 2**32 the far-out pass, where
+Li2 z comes from its inversion form, formed in the mode's numbers and
+rounded once, and R from its parts with the cancellation done exactly.  A
+point's first read in a mode runs the pass, and its record is kept on the
+point, stored only when complete.  Every value, ``li2`` and
+``log_one_minus`` included, reads that record through one reader, except
+where Log z alone is wanted (``principal_log``, ``log_param_l``, and a
+Rogers sum over a point whose moments C and P vanish): that reader takes a
+kept record's Log z, or one logarithm that it keeps nowhere.  Against
+mpmath, Li2 is within 2e-15 relative error in double and 1e-15 in high
+precision for |z| from 1e-300 to 1e300, on both sides of both cuts.
 """
 
 from __future__ import annotations
@@ -185,7 +186,7 @@ class CutPoint:
         fields["z"], fields["side"] = z, side
 
     def __reduce__(self):
-        # a pickle or copy holds z and side, not the stages a pass keeps on the point
+        # a pickle or copy holds z and side, not the record a pass keeps on the point
         return CutPoint, (self.z, self.side)
 
 
@@ -530,7 +531,7 @@ def _li2_of(k: _Arith, c: complex, side: Side, log_z, log_1mz):
 
 
 # ---------------------------------------------------------------------------
-# the kernel stages of a point, kept on the point
+# the kernel pass of a point, kept on the point
 # ---------------------------------------------------------------------------
 
 def _far_out(k: _Arith, z, side: Side):
@@ -556,31 +557,26 @@ def _far(z: complex) -> bool:
     return not (-_FAR <= z.real <= _FAR and -_FAR <= z.imag <= _FAR)
 
 
-class _Stages:
-    # The stages of one point's pass run so far in one precision mode (dps
-    # None for double), read through _stages, each None until run: Log z and
-    # Log(1-z) as machine complex (log_z, log_1mz) and in the mode's numbers
-    # (x, v), and Li2 z (li2) and the Rogers constant R = Li2 z + Log z
-    # Log(1-z)/2 - pi^2/6 (rogers) as machine complex; far out all but x, v.
-    __slots__ = ("dps", "log_z", "log_1mz", "x", "v", "li2", "rogers")
-
-    def __init__(self, dps: int | None) -> None:
-        self.dps = dps
-        self.log_z = self.log_1mz = self.x = self.v = self.li2 = self.rogers = None
+class _Pass(NamedTuple):
+    # One point's whole pass in one precision mode (dps None for double), as
+    # machine complex: Log z, Log(1-z), Li2 z and the Rogers constant
+    # R = Li2 z + Log z Log(1-z)/2 - pi^2/6.
+    dps: int | None
+    log_z: complex
+    log_1mz: complex
+    li2: complex
+    rogers: complex
 
 
-def _run_stage(name: str, point: CutPoint) -> _Stages:
-    # The miss path of _stages: run one stage of the point's pass in the
-    # current mode (far out, the far-out pass in its place) and keep what it
-    # gives on the point's stages: "log" Log z, "log1m" Log(1-z), "logs" both,
-    # "li2" Li2 z from the two, taking whichever is not yet kept.  The one
-    # place that picks a mode's primitives and runs them.  The stages live on
-    # the point, keyed by the mode; equality, hashing and repr see z and side.
+def _run_pass(point: CutPoint) -> _Pass:
+    # The miss path of _pass, and the one place that picks a mode's
+    # primitives and runs a whole pass: Log z, Log(1-z) and Li2 z from the
+    # two in the current mode (far out, the far-out pass).  Its record is
+    # kept on the point, keyed by the mode, and stored only when complete, so
+    # a thread of the same mode finds no record or a whole one; equality,
+    # hashing and repr see z and side.
     dps = _DPS.get()
     z, side = point.z, point.side
-    st = point.__dict__.get("_pass")
-    if st is None or st.dps != dps:
-        st = point.__dict__["_pass"] = _Stages(dps)
     k = _DOUBLE if dps is None else _high_arith(dps)
     zk = z if dps is None else k.point(z)
     if _far(z):
@@ -589,47 +585,47 @@ def _run_stage(name: str, point: CutPoint) -> _Stages:
         # u = Log(-z), Log z = u + i pi s (s = +-1 on the upper or lower side)
         # and Log(1-z) = u + v, v = Log(1-1/z),
         # R = -Li2(1/z) - pi^2/3 + u v / 2 + (i pi s / 2) Log(1-z).
-        st.li2, inverse, u, v, st.log_z, st.log_1mz = map(complex, _far_out(k, zk, side))
+        li, inverse, u, v, log_z, log_1mz = map(complex, _far_out(k, zk, side))
         s = 1 if z.imag > 0 or side is _ABOVE else -1
-        st.rogers = -inverse - PI_SQ / 3.0 + 0.5 * u * v + complex(0.0, 0.5 * PI * s) * st.log_1mz
-        return st
-    # Another thread of the same mode may run a stage of the same point at
-    # once: each field is stored after the one it implies (log_z before x,
-    # log_1mz before v, li2 before rogers), so a field read as set is complete.
-    x, v = st.x, st.v
-    if x is None and name != "log1m":
-        x = k.log(zk, side)
-        st.log_z = x if dps is None else complex(x)
-        st.x = x
-    if v is None and name != "log":
-        v = _log_one_minus(k, zk, side)
-        st.log_1mz = v if dps is None else complex(v)
-        st.v = v
-    if name == "li2":
-        li = _li2_of(k, z, side, x, v)
-        st.li2 = li = li if dps is None else complex(li)
-        st.rogers = li + 0.5 * st.log_z * st.log_1mz - PI_SQ / 6.0
-    return st
+        rogers = -inverse - PI_SQ / 3.0 + 0.5 * u * v + complex(0.0, 0.5 * PI * s) * log_1mz
+    else:
+        log_z, log_1mz = k.log(zk, side), _log_one_minus(k, zk, side)
+        li = _li2_of(k, z, side, log_z, log_1mz)
+        if dps is not None:
+            li, log_z, log_1mz = complex(li), complex(log_z), complex(log_1mz)
+        rogers = li + 0.5 * log_z * log_1mz - PI_SQ / 6.0
+    record = point.__dict__["_pass"] = _Pass(dps, log_z, log_1mz, li, rogers)
+    return record
 
 
-def _stages(name: str, point: CutPoint) -> _Stages:
-    # The one reader of a point's stages: those of the current mode, with
-    # stage name run first unless kept.  rogers set means every slot is (far
-    # out too); otherwise "log" needs x, "log1m" v, and "logs" both.
-    st = point.__dict__.get("_pass")
-    if st is None or st.dps != _DPS.get() or st.rogers is None and (
-            name == "li2" or st.x is None and name != "log1m" or st.v is None and name != "log"):
-        st = _run_stage(name, point)
-    return st
+def _pass(point: CutPoint) -> _Pass:
+    # The reader of a point's whole pass: its record of the current mode, the
+    # pass run first unless kept.
+    record = point.__dict__.get("_pass")
+    if record is None or record.dps != _DPS.get():
+        record = _run_pass(point)
+    return record
+
+
+def _log_z(point: CutPoint) -> complex:
+    # Log z alone, for the readers that need nothing more: the kept record's,
+    # or one logarithm of the mode, the pass's own bits, kept nowhere.
+    record, dps = point.__dict__.get("_pass"), _DPS.get()
+    if record is not None and record.dps == dps:
+        return record.log_z
+    if dps is None:
+        return _DOUBLE.log(point.z, point.side)
+    k = _high_arith(dps)
+    return complex(k.log(k.point(point.z), point.side))
 
 
 # ---------------------------------------------------------------------------
-# the public values, read from the point's stages
+# the public values, read from the point's pass
 # ---------------------------------------------------------------------------
 
 def principal_log(p: CutPoint | complex) -> complex:
     """Log z with Im in (-pi, pi], extended to the cut boundary by side."""
-    return _stages("log", as_cut_point(p)).log_z
+    return _log_z(as_cut_point(p))
 
 
 def log_one_minus(p: CutPoint | complex) -> complex:
@@ -638,7 +634,7 @@ def log_one_minus(p: CutPoint | complex) -> complex:
     For z = x +- 0i with x > 1 the value 1-z sits on the negative axis
     approached from the opposite side, so Im = -pi above and +pi below.
     """
-    return _stages("log1m", as_cut_point(p)).log_1mz
+    return _pass(as_cut_point(p)).log_1mz
 
 
 def li2(p: CutPoint | complex) -> complex:
@@ -655,4 +651,4 @@ def li2(p: CutPoint | complex) -> complex:
         if z == 1:
             return complex(PI_SQ / 6.0, 0.0)
         p = as_cut_point(z)
-    return _stages("li2", p).li2
+    return _pass(p).li2

@@ -107,10 +107,10 @@ def eval_lhat(s: FormalSum) -> CmodZ2:
     The charts over one base point are adjacent in canonical term order.
     Each run of them is summed by four integer moments, C = sum c,
     P = sum c p, Q = sum c q and PQ = sum c p q, into one float combination
-    of its point's stages, C R + pi i (Q Log z + P Log(1-z)) with the Rogers
+    of its point's pass, C R + pi i (Q Log z + P Log(1-z)) with the Rogers
     constant R = Li2 z + Log z Log(1-z)/2 - pi^2/6, and a lattice part
-    -2 pi^2 PQ kept as an exact integer.  A stage of the pass runs only
-    where a moment that reads it is nonzero.  The float parts are added
+    -2 pi^2 PQ kept as an exact integer.  The whole pass runs where C or P
+    is nonzero; where only Q is, Log z alone.  The float parts are added
     with compensated summation, and the lattice part, reduced mod 4, joins
     them once at the end; so k kappa_hat is exact for every int k.
     """
@@ -336,7 +336,7 @@ def _e12(n: int) -> complex:
     return cmath.exp(-1j * PI * (n % 24 if abs(n) > 48 else n) / 12.0)
 
 
-_CHI_E12 = chi_hat(cmath.exp(1j * PI / 12.0))  # symmetry 5's correction, built once (it keeps its pass)
+_CHI_E12 = chi_hat(cmath.exp(1j * PI / 12.0))  # symmetry 5's correction, built once
 
 
 def symmetry_relation(z: complex, p: int, q: int, which: int) -> FormalSum:

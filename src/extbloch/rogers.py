@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cover import FlattenedNumber, _check_indices
-from .dilog import PI, PI_SQ, TWO_PI_I, CutPoint, Side, _as_complex, _check_tol, _int_text, _stages
+from .dilog import PI, PI_SQ, TWO_PI_I, CutPoint, Side, _as_complex, _check_tol, _int_text, _log_z, _pass
 
 FOUR_PI_SQ = 4.0 * PI_SQ
 TWO_PI_SQ = 2.0 * PI_SQ
@@ -155,13 +155,14 @@ def rogers_l_bar(f: FlattenedNumber) -> complex:
 
 
 def _linear(point: CutPoint, c: int, p: int, q: int) -> complex:
-    # c R + pi i (q Log z + p Log(1-z)) over a point, R its Rogers constant;
-    # a stage is read only where the moment that needs it is nonzero
+    # c R + pi i (q Log z + p Log(1-z)) over a point, R its Rogers constant:
+    # the point's whole pass where c or p is nonzero, else Log z alone
+    if not (c or p):
+        return PI_I * (q * _log_z(point) + 0j)
+    st = _pass(point)
     if c:
-        st = _stages("li2", point)
         return c * st.rogers + PI_I * (q * st.log_z + p * st.log_1mz)
-    return PI_I * ((q * _stages("log", point).log_z if q else 0j)
-                   + (p * _stages("log1m", point).log_1mz if p else 0j))
+    return PI_I * ((q * st.log_z if q else 0j) + p * st.log_1mz)
 
 
 def _lhat_sum(terms: Sequence[tuple[int, FlattenedNumber]]) -> CmodZ2:

@@ -9,7 +9,7 @@ import mpmath as mp
 import pytest
 from hypothesis import settings
 
-from extbloch import dilog
+from extbloch import cover, dilog, rogers
 from extbloch.dilog import CutPoint
 
 settings.register_profile("extbloch", database=None)
@@ -17,23 +17,31 @@ settings.load_profile("extbloch")
 
 
 @pytest.fixture
-def kernel_stages(monkeypatch):
-    """Every stage of a point's pass (``dilog._run_stage``) the test runs, in order.
+def kernel_passes(monkeypatch):
+    """Every kernel pass and every lone Log z the test runs, in order.
 
-    Each entry is (stage, point), the stage one of "log" (Log z), "log1m"
-    (Log(1-z)), "logs" (both), "li2" (Li2 z, with the logarithms not yet
-    kept) and "far" (the whole far-out pass).
+    Each entry is (kind, point): "pass" for a whole pass (``dilog._run_pass``)
+    below 2^32, "far" for the far-out pass, and "log" for a read of Log z
+    alone (``dilog._log_z``) that found no kept record of the current mode
+    and so took one logarithm.
     """
-    stages = []
-    run_stage = dilog._run_stage
+    calls = []
+    run_pass, log_z = dilog._run_pass, dilog._log_z
 
-    def counting(name, point):
-        st = run_stage(name, point)
-        stages.append(("far" if dilog._far(point.z) else name, point))
-        return st
+    def counting_pass(point):
+        calls.append(("far" if dilog._far(point.z) else "pass", point))
+        return run_pass(point)
 
-    monkeypatch.setattr(dilog, "_run_stage", counting)
-    return stages
+    def counting_log_z(point):
+        record = point.__dict__.get("_pass")
+        if record is None or record.dps != dilog._DPS.get():
+            calls.append(("log", point))
+        return log_z(point)
+
+    monkeypatch.setattr(dilog, "_run_pass", counting_pass)
+    for module in (dilog, cover, rogers):  # each reader module binds _log_z at import
+        monkeypatch.setattr(module, "_log_z", counting_log_z)
+    return calls
 
 
 def _counted(number, seen):
@@ -75,17 +83,16 @@ def kernel_primitives(monkeypatch):
 def pass_primitives(kernel_primitives):
     """The primitives of one point's kernel pass, in either precision mode.
 
-    ``pass_primitives(point)`` reads the stages of a Rogers value
-    (``dilog._stages("li2", ...)``) on a fresh copy of the CutPoint in the
-    current mode and returns what ``kernel_primitives`` records of it, a
-    double pass's 1 / z included.
+    ``pass_primitives(point)`` runs the whole pass (``dilog._pass``) on a
+    fresh copy of the CutPoint in the current mode and returns what
+    ``kernel_primitives`` records of it, a double pass's 1 / z included.
     """
     seen = kernel_primitives
 
     def run(point):
         seen.clear()
         z = point.z if dilog._DPS.get() is not None else _counted(point.z, seen)  # a double pass takes z as it is
-        dilog._stages("li2", dilog._trusted(CutPoint, z=z, side=point.side))
+        dilog._pass(dilog._trusted(CutPoint, z=z, side=point.side))
         return list(seen)
 
     return run

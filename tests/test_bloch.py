@@ -181,9 +181,8 @@ def test_near_cancelling_wedge_is_not_certified_nonzero():
 
 
 @pytest.mark.parametrize("mode", ["double", "high"])
-def test_nu_hat_one_kernel_pass_per_term(kernel_stages, mode):
-    # the two logarithms of one pass per distinct base point, shared by the
-    # charts over it; no Li2
+def test_nu_hat_one_kernel_pass_per_term(kernel_passes, mode):
+    # one whole pass per distinct base point, shared by the charts over it
     def build():
         return FormalSum.of(
             (2, flattened(0.3 + 0.4j, 1, -2)), (-1, canonicalize(-2 + 0j, Side.BELOW, 2, 1)),
@@ -194,7 +193,7 @@ def test_nu_hat_one_kernel_pass_per_term(kernel_stages, mode):
             (2, flattened(complex(0.0, 2.0), 0, 1)), (3, flattened(-5 + 2j, 0, 1)),
         )
 
-    calls = kernel_stages
+    calls = kernel_passes
     s = build()
     with precision(mode):
         # want on equal but distinct points: a point keeps its kernel pass
@@ -203,7 +202,7 @@ def test_nu_hat_one_kernel_pass_per_term(kernel_stages, mode):
         assert nu_hat(s) == want
     assert len(s.terms) == 12
     assert len({(p.z, p.side) for _, p in calls}) == 6
-    assert sorted(name for name, _ in calls) == ["far"] + ["logs"] * 5
+    assert sorted(name for name, _ in calls) == ["far"] + ["pass"] * 5
 
 
 def test_wedge_check_rejects_non_finite_entries():

@@ -252,10 +252,10 @@ def test_volume_report_evaluates_the_sum_once(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["double", "high"])
-def test_volume_report_one_kernel_pass_per_distinct_base(kernel_stages, mode):
-    # one stage per base: Li2 at z (C = 1), only Log z at -3 (C = P = 0,
-    # Q = -1), and the far-out pass at 2e10 + 1e10j
-    calls = kernel_stages
+def test_volume_report_one_kernel_pass_per_distinct_base(kernel_passes, mode):
+    # one read per base: the whole pass at z (C = 1), only Log z at -3
+    # (C = P = 0, Q = -1), and the far-out pass at 2e10 + 1e10j
+    calls = kernel_passes
     z = 0.5 + 0.8660254037844386j
     t = FlattenedTriangulation((
         (flattened(z), 1), (flattened(z, 1, 0), 1), (flattened(z, 0, -2), -1),
@@ -264,7 +264,7 @@ def test_volume_report_one_kernel_pass_per_distinct_base(kernel_stages, mode):
     ))
     with precision(mode):
         volume_report(t)
-    assert [(name, p.z) for name, p in calls] == [("log", -3 + 0j), ("li2", z), ("far", 2e10 + 1e10j)]
+    assert [(name, p.z) for name, p in calls] == [("log", -3 + 0j), ("pass", z), ("far", 2e10 + 1e10j)]
 
 
 LOADED_FILE = """\
@@ -284,14 +284,14 @@ name: shared
 
 
 @pytest.mark.parametrize("mode", ["double", "high"])
-def test_loaded_file_one_kernel_pass_per_distinct_base(kernel_stages, mode):
+def test_loaded_file_one_kernel_pass_per_distinct_base(kernel_passes, mode):
     # load, the volume report, nu_hat and the wedge check of the whole file
-    # and of a part of it share one pass per distinct (z, side): each stage
-    # runs at most once per point
+    # and of a part of it share one pass per distinct (z, side): each point
+    # takes its pass, and a lone Log z before it, at most once
     from extbloch.bloch import nu_hat, wedge_necessary_zero
     from extbloch.prebloch import FormalSum
 
-    calls = kernel_stages
+    calls = kernel_passes
     with precision(mode):
         t = load(io.StringIO(LOADED_FILE))
         report = volume_report(t)

@@ -414,7 +414,7 @@ def test_constructors_accept_branch_indices_up_to_2_53():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("mode", ["double", "high"])
-def test_log_params_one_kernel_pass_same_values(kernel_stages, mode):
+def test_log_params_one_kernel_pass_same_values(kernel_passes, mode):
     def build():
         return [
             flattened(0.3 + 0.4j, 1, -2), canonicalize(-2 + 0j, Side.BELOW, 2, 1),
@@ -425,25 +425,25 @@ def test_log_params_one_kernel_pass_same_values(kernel_stages, mode):
     with precision(mode):
         # want on equal but distinct points: a point keeps its kernel pass
         want = [(log_param_l(f), log_param_m(f)) for f in build()]
-        calls = kernel_stages
+        calls = kernel_passes
         calls.clear()
         got = [(l, m) for _, l, m in cover._log_params((1, f) for f in points)]
     assert got == want
-    # the two logarithms of each point, and the far-out pass at 1e300
-    assert [name for name, _ in calls] == ["logs"] * 3 + ["far", "logs"]
+    # the whole pass of each point, the far-out pass at 1e300
+    assert [name for name, _ in calls] == ["pass"] * 3 + ["far", "pass"]
 
 
 @pytest.mark.parametrize("mode", ["double", "high"])
-def test_is_flattened_ft_one_kernel_pass_per_entry(kernel_stages, mode):
+def test_is_flattened_ft_one_kernel_pass_per_entry(kernel_passes, mode):
     rng = random.Random(8)
     x, y = sample_ftplus_pair(rng)
     t = make_flattened_ft(x, y, 1, -2, 0, 3, -1)
     with precision(mode):
-        calls = kernel_stages
+        calls = kernel_passes
         calls.clear()
         assert is_flattened_ft(t)
-    # the two logarithms of each entry, and no Li2
-    assert [name for name, _ in calls] == ["logs"] * 5
+    # the whole pass of each entry, once
+    assert [name for name, _ in calls] == ["pass"] * 5
     assert len({p.z for _, p in calls}) == 5
 
 

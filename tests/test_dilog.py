@@ -19,7 +19,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import extbloch
-from extbloch import dilog
+from extbloch import dilog, rogers
 from extbloch.bloch import nu_hat
 from extbloch.cover import FlattenedNumber, canonicalize, flattened, log_param_l, log_param_m
 from extbloch.dilog import (
@@ -607,7 +607,7 @@ def test_inversion_identity_log_one_minus_accuracy_seeded():
     # the reference forms 1 - z exactly, so 40 digits give the same errors as
     # 700 on these points.  Worst seen 2.2e-16, at the first point.
     points = _inversion_points()
-    got = [dilog._stages("li2", p).log_1mz for p in points]
+    got = [dilog._pass(p).log_1mz for p in points]
     errors = []
     with mp.workdps(40):
         for g, p in zip(got, points):
@@ -889,9 +889,9 @@ def test_li2_left_of_minus_one_is_right_part_by_part():
 
 
 @pytest.mark.parametrize("mode", ["double", "high"])
-def test_public_functions_read_the_kept_stages(kernel_primitives, mode):
+def test_public_functions_read_the_kept_pass(kernel_primitives, mode):
     # after a Rogers value, li2, principal_log and log_one_minus of its base
-    # point read the stages it keeps and take no logarithm (they took four)
+    # point read the record its pass keeps and take no logarithm (they took four)
     with precision(mode):
         for z, side in CACHE_POINTS:
             f = canonicalize(CutPoint(z, side), p=1, q=-2)
@@ -904,28 +904,27 @@ def test_public_functions_read_the_kept_stages(kernel_primitives, mode):
             assert (f.base == fresh, hash(f.base) == hash(fresh), repr(f.base) == repr(fresh)) == (True, True, True)
 
 
-# the readers of a point's stages, each on a number over the point, with
-# the logarithms and the series its first read takes
-STAGE_READERS = {
-    "principal_log": (lambda f: principal_log(f.base), {"log z"}),
-    "log_one_minus": (lambda f: log_one_minus(f.base), {"log 1-z"}),
-    "log_param_l": (log_param_l, {"log z"}),
-    "log_param_m": (log_param_m, {"log 1-z"}),
-    "nu_hat": (lambda f: nu_hat(FormalSum.single(f)), {"log z", "log 1-z"}),
-    "li2": (lambda f: li2(f.base), {"log z", "log 1-z", "series"}),
-    "rogers_l_bar": (rogers_l_bar, {"log z", "log 1-z", "series"}),
+# the readers of a point's pass, each on a number over the point, and
+# whether it takes the whole pass (else Log z alone)
+PASS_READERS = {
+    "principal_log": (lambda f: principal_log(f.base), False),
+    "log_one_minus": (lambda f: log_one_minus(f.base), True),
+    "log_param_l": (log_param_l, False),
+    "log_param_m": (log_param_m, True),
+    "nu_hat": (lambda f: nu_hat(FormalSum.single(f)), True),
+    "li2": (lambda f: li2(f.base), True),
+    "rogers_l_bar": (rogers_l_bar, True),
+    "linear-C=P=0": (lambda f: rogers._linear(f.base, 0, 0, 3), False),
+    "linear-C=0": (lambda f: rogers._linear(f.base, 0, -2, 3), True),
 }
 # an interior point, both sides of both cuts, and a point beyond 2**32
-STAGE_POINTS = [(0.3 + 0.4j, Side.INTERIOR), (3 + 0j, Side.ABOVE), (3 + 0j, Side.BELOW),
-                (-2 + 0j, Side.ABOVE), (-2 + 0j, Side.BELOW), (1e12 - 3e11j, Side.INTERIOR)]
+PASS_POINTS = [(0.3 + 0.4j, Side.INTERIOR), (3 + 0j, Side.ABOVE), (3 + 0j, Side.BELOW),
+               (-2 + 0j, Side.ABOVE), (-2 + 0j, Side.BELOW), (1e12 - 3e11j, Side.INTERIOR)]
 
 
-@pytest.mark.parametrize("mode", ["double", "high"])
-def test_every_order_of_readers_takes_each_primitive_once(kernel_primitives, monkeypatch, mode):
-    # every ordered pair of readers on a fresh point, then every reader
-    # again: the pair takes just the logarithms and series its stages need
-    # (far out, the whole far-out pass: three logarithms and the series),
-    # the rest only what the pair left, and each value is a fresh point's
+@pytest.fixture
+def kernel_calls(kernel_primitives, monkeypatch):
+    """What ``kernel_primitives`` records, and ("series", None) for each series."""
     def with_series(arith):
         def series(w):
             kernel_primitives.append(("series", None))
@@ -936,29 +935,73 @@ def test_every_order_of_readers_takes_each_primitive_once(kernel_primitives, mon
     high_arith = dilog._high_arith
     monkeypatch.setattr(dilog, "_DOUBLE", with_series(dilog._DOUBLE))
     monkeypatch.setattr(dilog, "_high_arith", lambda dps: with_series(high_arith(dps)))
+    return kernel_primitives
 
-    def over(point):  # a number over the point itself, below side too
-        return dilog._trusted(FlattenedNumber, base=point, p=1, q=-2)
 
-    def taken():
-        names = [name for name, _ in kernel_primitives]
-        return names.count("log"), names.count("series")
+def _over(point):
+    # a number over the point itself, below side too
+    return dilog._trusted(FlattenedNumber, base=point, p=1, q=-2)
 
+
+def _taken(calls):
+    names = [name for name, _ in calls]
+    return names.count("log"), names.count("series")
+
+
+def _record_is_whole(point):
+    # the point keeps a record of the current mode with every field set
+    record = point.__dict__["_pass"]
+    return record.dps == dilog._DPS.get() and all(type(v) is complex for v in record[1:])
+
+
+@pytest.mark.parametrize("mode", ["double", "high"])
+def test_every_order_of_readers_takes_the_pass_once(kernel_calls, mode):
+    # every ordered pair of readers on a fresh point, then every reader
+    # again.  A whole-pass reader runs the pass unless it is kept (two
+    # logarithms and the series; far out three logarithms), and a Log z
+    # reader takes one logarithm unless a pass is kept; the point keeps no
+    # record until a whole pass ran, then a whole one, and each value is a
+    # fresh point's
+    def taken_by(wholes, far):
+        logs = series = 0
+        for whole in wholes:
+            if whole:
+                return logs + (3 if far else 2), series + 1
+            logs += 1
+        return logs, series
+
+    everyone = [whole for _, whole in PASS_READERS.values()]
     with precision(mode):
-        for z, side in STAGE_POINTS:
-            fresh = {name: repr(read(over(CutPoint(z, side)))) for name, (read, _) in STAGE_READERS.items()}
-            full = (3, 1) if dilog._far(z) else (2, 1)
-            for (a, (read_a, need_a)), (b, (read_b, need_b)) in itertools.product(STAGE_READERS.items(), repeat=2):
-                f = over(CutPoint(z, side))
-                kernel_primitives.clear()
+        for z, side in PASS_POINTS:
+            far = dilog._far(z)
+            fresh = {name: repr(read(_over(CutPoint(z, side)))) for name, (read, _) in PASS_READERS.items()}
+            for (a, (read_a, whole_a)), (b, (read_b, whole_b)) in itertools.product(PASS_READERS.items(), repeat=2):
+                f = _over(CutPoint(z, side))
+                kernel_calls.clear()
                 values = {a: repr(read_a(f)), b: repr(read_b(f))}
-                need = need_a | need_b
-                want = full if dilog._far(z) else (len(need - {"series"}), len(need & {"series"}))
-                assert taken() == want, (z, side, a, b)
+                assert _taken(kernel_calls) == taken_by([whole_a, whole_b], far), (z, side, a, b)
                 assert values == {a: fresh[a], b: fresh[b]}, (z, side, a, b)
-                values = {name: repr(read(f)) for name, (read, _) in STAGE_READERS.items()}
-                assert taken() == full, (z, side, a, b)
+                assert ("_pass" in f.base.__dict__) == (whole_a or whole_b), (z, side, a, b)
+                values = {name: repr(read(f)) for name, (read, _) in PASS_READERS.items()}
+                assert _taken(kernel_calls) == taken_by([whole_a, whole_b, *everyone], far), (z, side, a, b)
                 assert values == fresh, (z, side, a, b)
+                assert _record_is_whole(f.base), (z, side, a, b)
+
+
+@pytest.mark.parametrize("mode", ["double", "high"])
+def test_one_off_principal_log_takes_one_logarithm_and_keeps_nothing(kernel_calls, mode):
+    # principal_log on a fresh point takes one logarithm and no series and
+    # leaves no record; li2 after it runs the whole pass, and each value has
+    # the bits it has on a fresh point
+    with precision(mode):
+        for z, side in PASS_POINTS + CACHE_POINTS:
+            point = CutPoint(z, side)
+            kernel_calls.clear()
+            log_z = principal_log(point)
+            assert _taken(kernel_calls) == (1, 0) and "_pass" not in point.__dict__, (z, side)
+            li = li2(point)
+            assert _record_is_whole(point), (z, side)
+            assert (repr(log_z), repr(li)) == (repr(principal_log(CutPoint(z, side))), repr(li2(CutPoint(z, side))))
 
 
 @pytest.mark.parametrize("mode", ["double", "high"])
@@ -966,7 +1009,7 @@ def test_pass_log_one_minus_is_log_one_minus(mode):
     # log_one_minus reads the Log(1-z) a point's pass keeps
     points = _inversion_points() + _kernel_points()
     with precision(mode):
-        differ = [p for p in points if repr(dilog._stages("li2", p).log_1mz) != repr(log_one_minus(p))]
+        differ = [p for p in points if repr(dilog._pass(p).log_1mz) != repr(log_one_minus(p))]
     assert differ == []
 
 
@@ -1020,8 +1063,8 @@ def test_rogers_l_bar_relative_accuracy_against_mpmath(rogers_cases, mode):
 
 
 @pytest.mark.parametrize("z", [0.3 + 0.4j, 0.9 + 0.1j, -5 + 2j, 40 - 17j, 1e300 + 1e300j])
-def test_one_kernel_pass_per_rogers_value(kernel_stages, z):
-    calls = kernel_stages
+def test_one_kernel_pass_per_rogers_value(kernel_passes, z):
+    calls = kernel_passes
     for mode in ("double", "high"):
         with precision(mode):
             rogers_l_bar(flattened(z, 1, -2))
@@ -1068,10 +1111,10 @@ CACHE_POINTS = [(0.3 + 0.4j, Side.INTERIOR), (-5 + 2j, Side.INTERIOR), (3 + 0j, 
                 (-7e15 + 0j, Side.BELOW)]
 
 
-def _rogers_stages(point):
-    # (R, Log z, Log(1-z)): the slots a Rogers value reads
-    st = dilog._stages("li2", point)
-    return st.rogers, st.log_z, st.log_1mz
+def _rogers_record(point):
+    # (R, Log z, Log(1-z)): the fields a Rogers value reads
+    record = dilog._pass(point)
+    return record.rogers, record.log_z, record.log_1mz
 
 
 def test_point_pass_cache_is_keyed_by_precision():
@@ -1081,15 +1124,15 @@ def test_point_pass_cache_is_keyed_by_precision():
         mode, dps = mode if isinstance(mode, tuple) else (mode, 50)
         with precision(mode, dps):
             for p, (z, side) in zip(shared, CACHE_POINTS):
-                assert _rogers_stages(p) == _rogers_stages(CutPoint(z, side)), (mode, dps, z)
+                assert _rogers_record(p) == _rogers_record(CutPoint(z, side)), (mode, dps, z)
     with precision("high"):
-        high = [_rogers_stages(p) for p in shared]
-    assert high != [_rogers_stages(p) for p in shared]  # the modes can be told apart
+        high = [_rogers_record(p) for p in shared]
+    assert high != [_rogers_record(p) for p in shared]  # the modes can be told apart
 
 
 def test_point_pass_cache_is_invisible_to_equality_hash_and_repr():
     p, q = CutPoint(-5 + 2j), CutPoint(-5 + 2j)
-    _rogers_stages(p)
+    _rogers_record(p)
     assert (p == q, hash(p) == hash(q), repr(p) == repr(q)) == (True, True, True)
 
 
@@ -1103,7 +1146,7 @@ def _points_of(value):
 
 @pytest.mark.parametrize("mode", ["double", "high"])
 def test_values_pickle_and_copy_as_their_fields(mode):
-    # the stages a pass keeps on a point stay behind: a high pass's numbers
+    # the record a pass keeps on a point stays behind: a high pass's numbers
     # are of a class local to the kernel, which pickle cannot name, and a
     # double pass's would more than double a pickled point
     point = CutPoint(-2 + 0j, Side.BELOW)
@@ -1123,11 +1166,11 @@ def test_values_pickle_and_copy_as_their_fields(mode):
     assert len(pickle.dumps(point)) == len(pickle.dumps(CutPoint(-2 + 0j, Side.BELOW)))
 
 
-def test_a_stage_read_while_it_is_stored_is_complete(monkeypatch):
+def test_a_pass_read_while_it_runs_is_complete(monkeypatch):
     # another reader of the same point and mode (another thread, here a
     # re-entrant call from the conversion of the 50-digit Log z to complex)
-    # can run between the stores of a stage: every field it finds set must
-    # be complete, so its Rogers tuple holds no None
+    # can run while the point's pass runs: the point then keeps no record,
+    # so the reader runs a whole pass of its own, with the same values
     point = CutPoint(-5 + 2j)
     entered, seen = [], []
     high_arith = dilog._high_arith
@@ -1143,8 +1186,8 @@ def test_a_stage_read_while_it_is_stored_is_complete(monkeypatch):
 
                 def __complex__(self):
                     if not entered:
-                        entered.append(True)
-                        seen.append(_rogers_stages(point))
+                        entered.append("_pass" in point.__dict__)
+                        seen.append(_rogers_record(point))
                     return super().__complex__()
 
             return Reentrant(out.v)
@@ -1153,8 +1196,8 @@ def test_a_stage_read_while_it_is_stored_is_complete(monkeypatch):
 
     monkeypatch.setattr(dilog, "_high_arith", reentrant)
     with precision("high"):
-        got = _rogers_stages(point)
-    assert seen == [got] and None not in got
+        got = _rogers_record(point)
+    assert entered == [False] and seen == [got] and None not in got
 
 
 def test_point_pass_cache_shared_between_threads_of_two_modes():

@@ -403,11 +403,11 @@ def test_eval_lhat_matches_the_per_term_loop(mode):
             assert repr(l_bar_at(z, side, 2, -3)) == repr(reference_l_bar(chart))
 
 
-def expected_stages(s):
-    """The stages eval_lhat must run on s, sorted: per distinct base, from
-    the moments C = sum c, P = sum c p and Q = sum c q of its charts, none
-    if all three vanish, else the far-out pass beyond 2^32, Li2 if C is not
-    0, and otherwise Log z if Q is not 0 and Log(1-z) if P is not 0."""
+def expected_passes(s):
+    """The passes and lone logarithms eval_lhat must run on s, sorted: per
+    distinct base, from the moments C = sum c, P = sum c p and Q = sum c q
+    of its charts, none if all three vanish, else the far-out pass beyond
+    2^32, the whole pass if C or P is not 0, and otherwise Log z alone."""
     moments = {}
     for c, g in s.terms:
         m = moments.setdefault((g.z, g.base.side), [0, 0, 0, max(abs(g.z.real), abs(g.z.imag)) > 2.0**32])
@@ -415,29 +415,30 @@ def expected_stages(s):
     out = []
     for c, p, q, far in moments.values():
         if c or p or q:
-            out += ["far"] if far else ["li2"] if c else ["log"] * (q != 0) + ["log1m"] * (p != 0)
+            out += ["far"] if far else ["pass"] if c or p else ["log"]
     return sorted(out)
 
 
 @pytest.mark.parametrize("mode", ["double", "high"])
-def test_eval_lhat_one_kernel_pass_per_distinct_base(kernel_stages, mode):
-    calls = kernel_stages
+def test_eval_lhat_one_kernel_pass_per_distinct_base(kernel_passes, mode):
+    calls = kernel_passes
     rng = random.Random(29)
-    terms = bases = li2_runs = 0
+    terms = bases = passes = 0
     with precision(mode):
         for _ in range(20):
-            s = FormalSum(shared_base_pairs(rng))
+            # and a curly term, over a point with C = P = 0 and Q = 1
+            s = FormalSum(shared_base_pairs(rng)) + curly(complex(rng.uniform(-3, 4), rng.uniform(0.1, 3)), 1)
             calls.clear()
             eval_lhat(s)
-            assert sorted(name for name, _ in calls) == expected_stages(s)
-            assert len({(name, p.z, p.side) for name, p in calls}) == len(calls)  # each stage once per base
+            assert sorted(name for name, _ in calls) == expected_passes(s)
+            assert len({(p.z, p.side) for _, p in calls}) == len(calls)  # one read per base
             terms, bases = terms + len(s), bases + distinct_bases(s)
-            li2_runs += sum(name in ("li2", "far") for name, _ in calls)
+            passes += sum(name in ("pass", "far") for name, _ in calls)
         calls.clear()
         eval_lhat(index_relations(CutPoint(-2 + 0j, Side.BELOW), 1, 2, -1, 3, "Q"))
         assert calls == []  # four charts over one point, with C = P = Q = 0
     assert terms > 2 * bases
-    assert li2_runs < bases  # some bases have C = 0
+    assert passes < bases  # some bases have C = P = 0
 
 
 def test_eval_single_half():
@@ -1032,11 +1033,11 @@ def test_far_base_with_several_charts_against_mpmath(z, side, charts, mode):
 
 
 @pytest.mark.parametrize("mode", ["double", "high"])
-def test_curly_runs_one_logarithm_and_no_li2(kernel_stages, mode):
+def test_curly_runs_one_logarithm_and_no_li2(kernel_passes, mode):
     # {z; 2p} = [z; 2p, 2] - [z; 2p, 0] has C = P = 0 and Q = 1: its value
     # pi i (Log z + 2 pi i p) reads Log z only
     point = CutPoint(0.3 + 0.7j)
     with precision(mode):
         v = eval_lhat(curly(point, 2))
-    assert kernel_stages == [("log", point)]
+    assert kernel_passes == [("log", point)]
     assert v.equals(1j * PI * (cmath.log(0.3 + 0.7j) + TWO_PI_I * 2), tol=1e-12)

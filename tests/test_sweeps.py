@@ -5,7 +5,7 @@ import pytest
 from extbloch import sweeps
 from extbloch.cover import make_flattened_ft
 from extbloch.dilog import CutPoint, Side, precision
-from extbloch.prebloch import index_relations
+from extbloch.prebloch import _CHI_E12, index_relations
 from extbloch.rogers import CmodZ2
 from extbloch.sweeps import RELATIONS, SweepConfig, run_sweep
 
@@ -139,30 +139,31 @@ def test_largest_bound_derives_indices_within_2_53():
 
 
 @pytest.mark.parametrize("relation,points", [("five-term", 5), ("kappa", 1)])
-def test_sweep_sample_kernel_passes(kernel_stages, relation, points):
-    # the membership check of a five-term sample takes both logarithms of
-    # each of its 5 points, and its evaluation adds Li2 on each; kappa's
-    # moments C, P and Q vanish on its one point, so its two evaluations run
-    # no stage
-    stages = {"five-term": ["li2", "logs"], "kappa": []}[relation]
-    calls = kernel_stages
+def test_sweep_sample_kernel_passes(kernel_passes, relation, points):
+    # the membership check of a five-term sample runs the whole pass of each
+    # of its 5 points, which its evaluation then reads; kappa's moments C, P
+    # and Q vanish on its one point, so its two evaluations run no pass
+    kinds = {"five-term": ["pass"], "kappa": []}[relation]
+    calls = kernel_passes
     for seed in range(5):
         calls.clear()
         assert run_sweep(SweepConfig(relation, samples=1, seed=seed)).passed
-        assert sorted(name for name, _ in calls) == sorted(stages * points)
-        assert len({p.z for _, p in calls}) == (points if stages else 0)
+        assert sorted(name for name, _ in calls) == sorted(kinds * points)
+        assert len({p.z for _, p in calls}) == (points if kinds else 0)
 
 
-def test_symmetry_5_sample_kernel_passes(kernel_stages):
-    # the correction term chi(e^(i pi/12)) is one sum built at import, whose
-    # point keeps its pass: after the first sample, each sample runs Li2 on
-    # its main point and [z] only
+def test_symmetry_5_sample_kernel_passes(kernel_passes):
+    # the correction term chi(e^(i pi/12)) is one sum built at import, with
+    # C = P = 0 over its one point: each sample runs the whole pass on its
+    # main point and [z], and reads Log z alone at the correction's point,
+    # which keeps no record
     run_sweep(SweepConfig("symmetry-5", samples=1, seed=0))
-    calls = kernel_stages
+    calls = kernel_passes
     for seed in range(1, 6):
         calls.clear()
         assert run_sweep(SweepConfig("symmetry-5", samples=4, seed=seed)).passed
-        assert [name for name, _ in calls] == ["li2"] * (2 * 4)
+        assert sorted(name for name, _ in calls) == ["log"] * 4 + ["pass"] * (2 * 4)
+        assert {p for name, p in calls if name == "log"} == {_CHI_E12.terms[0][1].base}
 
 
 # ---------------------------------------------------------------------------
