@@ -118,10 +118,14 @@ def test_principal_log_examples():
 @given(st.complex_numbers(min_magnitude=1e-6, max_magnitude=1e6,
                           allow_nan=False, allow_infinity=False))
 @example(complex(2.0, 5e-324))  # subnormal imaginary part
+@example(1 + 0j)  # 1 is no point of the cut plane: building it raises, on either sign of zero
+@example(complex(1.0, -0.0))
 def test_principal_log_branch_window(z):
-    p = as_cut_point(z)
-    if p.z in (0, 1):
+    if z == 1:
+        with pytest.raises(ValueError, match="^0 and 1 are excluded from the cut plane$"):
+            as_cut_point(z)
         return
+    p = as_cut_point(z)
     value = principal_log(p)
     assert -PI <= value.imag <= PI
     if value.imag == -PI:
@@ -889,7 +893,7 @@ def test_li2_left_of_minus_one_is_right_part_by_part():
 
 
 @pytest.mark.parametrize("mode", ["double", "high"])
-def test_public_functions_read_the_kept_pass(kernel_primitives, mode):
+def test_public_functions_read_the_kept_stages(kernel_primitives, mode):
     # after a Rogers value, li2, principal_log and log_one_minus of its base
     # point read the record its pass keeps and take no logarithm (they took four)
     with precision(mode):
@@ -1166,7 +1170,7 @@ def test_values_pickle_and_copy_as_their_fields(mode):
     assert len(pickle.dumps(point)) == len(pickle.dumps(CutPoint(-2 + 0j, Side.BELOW)))
 
 
-def test_a_pass_read_while_it_runs_is_complete(monkeypatch):
+def test_a_stage_read_while_it_is_stored_is_complete(monkeypatch):
     # another reader of the same point and mode (another thread, here a
     # re-entrant call from the conversion of the 50-digit Log z to complex)
     # can run while the point's pass runs: the point then keeps no record,
