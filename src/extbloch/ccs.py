@@ -39,7 +39,7 @@ class FlattenedTriangulation:
         object.__setattr__(self, "simplices", tuple(simplices))
         if not isinstance(self.name, str):
             raise TypeError(f"name {self.name!r} is not a string")
-        if "\n" in self.name or "#" in self.name or self.name != self.name.strip():  # dump could not write it
+        if any(c in self.name for c in "\n\r#") or self.name != self.name.strip():  # dump could not write it
             raise ValueError(f"name {self.name!r} holds a newline or '#', or whitespace at an end")
 
     def __len__(self) -> int:
@@ -53,7 +53,7 @@ def load(source: str | Path | TextIO) -> FlattenedTriangulation:
     """Parse a triangulation file or stream: one ``sign z_re z_im side p q`` record per simplex.
 
     Side is i or a; ``#`` starts a comment, and a ``name: <string>`` header may precede the records.
-    Without one, a file's name is its stem read as a header would be: up to a newline or ``#``, stripped.
+    Without one, a file's name is its stem read as a header would be: up to a line end or ``#``, stripped.
     """
     def sign(field: str) -> int:  # a sign not spelled +1, -1 or 1
         try:
@@ -68,7 +68,7 @@ def load(source: str | Path | TextIO) -> FlattenedTriangulation:
         text, name = source.read(), ""
     else:
         path = Path(source)
-        text, name = path.read_text(), path.stem.split("\n")[0].partition("#")[0].strip()
+        text, name = path.read_text(), path.stem.replace("\r", "\n").split("\n")[0].partition("#")[0].strip()
     header, simplices = _records(text, sign, "simplex")
     if not simplices:
         raise TriangulationFormatError("no simplex records found")

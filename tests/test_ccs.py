@@ -118,6 +118,7 @@ def test_a_name_header_overrides_the_file_stem_even_when_empty(tmp_path):
     (5, TypeError),
     (b"fig8", TypeError),
     ("a\nb", ValueError),  # dump would write a second line
+    ("a\rb", ValueError),  # a file read ends the line there
     ("a#b", ValueError),  # load would cut it at the comment
     (" a", ValueError),  # load would strip it
     ("a ", ValueError),
@@ -128,13 +129,19 @@ def test_a_name_dump_cannot_write_is_refused(name, error):
         FlattenedTriangulation(((flattened(0.5), 1),), name)
 
 
-@pytest.mark.parametrize("name", ["", "fig8", "a b", "a\rb", "name: x", "a\x85b", "m004 (4_1)"])
-def test_dump_round_trips_every_name_the_constructor_takes(name):
+@pytest.mark.parametrize("name", ["", "fig8", "a b", "name: x", "a\x85b", "a\x0cb", "a\x1cb", "a\u2028b",
+                                  "m004 (4_1)"])
+def test_dump_round_trips_every_name_the_constructor_takes(tmp_path, name):
+    # through a stream and through a file, where an empty name reads back as the stem
     t = FlattenedTriangulation(((flattened(0.5), 1),), name)
     assert load(io.StringIO(dump(t))).name == name
+    path = tmp_path / "stem.tri"
+    path.write_text(dump(t))
+    assert load(path).name == (name or "stem")
 
 
-@pytest.mark.parametrize("stem,name", [("a#b", "a"), (" a ", "a"), ("\x85a", "a"), ("a\nb", "a"), ("#b", "")])
+@pytest.mark.parametrize("stem,name", [("a#b", "a"), (" a ", "a"), ("\x85a", "a"), ("a\nb", "a"), ("a\rb", "a"),
+                                       ("#b", "")])
 def test_a_file_without_a_header_reads_its_stem_as_a_header_is_read(tmp_path, stem, name):
     path = tmp_path / f"{stem}.tri"
     path.write_text("+1 0.5 0.5 i 0 0\n")
@@ -313,6 +320,14 @@ def test_crlf_text_reads_as_lf_text_through_both_readers(text):
     assert load(io.StringIO(crlf)) == load(io.StringIO(text))
     assert load(io.StringIO(crlf)).name == load(io.StringIO(text)).name != ""
     assert FormalSum.parse(crlf) == FormalSum.parse(text) == load(io.StringIO(text)).as_formal_sum()
+
+
+@pytest.mark.parametrize("text", [FIG8, LOADED_FILE], ids=["fig8", "loaded"])
+@pytest.mark.parametrize("end", ["\r", "\r\n"], ids=["cr", "crlf"])
+def test_cr_and_crlf_files_read_as_lf_files(tmp_path, text, end):
+    path = tmp_path / "ends.tri"
+    path.write_bytes(text.replace("\n", end).encode())
+    assert load(path) == load(io.StringIO(text))
 
 
 def test_formal_sum_parse_ignores_the_name_header_and_keeps_its_place():
