@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cover import _log_params
+from .cover import _check_type, _log_params
 from .dilog import _as_complex, _check_tol, _integer
 from .prebloch import FormalSum
 from .rogers import _coefficient_error
@@ -85,6 +85,7 @@ class WedgeExpr:
 
 def nu_hat(s: FormalSum) -> WedgeExpr:
     """Wedge of the branch logarithms, summed over a formal sum."""
+    _check_type(s, FormalSum, "s")
     return WedgeExpr(_log_params(s.terms))
 
 
@@ -117,6 +118,7 @@ def wedge_necessary_zero(w: WedgeExpr, tol: float = 1e-9) -> NecessaryZeroCheck:
     expression outright.  ``tol`` must be a finite number >= 0.
     """
     _check_tol(tol)  # a negative or NaN tol certifies anything "nonzero", inf "necessary-only"
+    _check_type(w, WedgeExpr, "w")
     if w.is_empty():
         return NecessaryZeroCheck(True, "zero", 0.0, 0.0)
     pairing = w.pairing()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TextIO
 
-from .cover import FlattenedNumber, TriangulationFormatError, _records, serialize_flattened
+from .cover import FlattenedNumber, TriangulationFormatError, _check_type, _records, serialize_flattened
 from .dilog import _integer
 from .prebloch import FormalSum, eval_lhat
 from .rogers import CmodZ2, _render_dict, _render_text, _row, _value_rows, reduce_mod_transfer
@@ -77,6 +77,7 @@ def load(source: str | Path | TextIO) -> FlattenedTriangulation:
 
 def complex_volume(t: FlattenedTriangulation) -> CmodZ2:
     """Signed sum of lifted Rogers values over the simplices."""
+    _check_type(t, FlattenedTriangulation, "t")
     return eval_lhat(t.as_formal_sum())
 
 

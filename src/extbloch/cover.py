@@ -69,6 +69,11 @@ def _check_indices(p: int, q: int) -> tuple[int, int]:
     return p, q
 
 
+def _check_type(value, cls: type, name: str) -> None:
+    if not isinstance(value, cls):  # a TypeError naming the argument
+        raise TypeError(f"{name} must be a {cls.__name__}, not {type(value).__name__}")
+
+
 def canonicalize(
     z: complex | CutPoint,
     side: Side | str = Side.INTERIOR,
@@ -99,11 +104,13 @@ def flattened(z: complex | CutPoint, p: int = 0, q: int = 0) -> FlattenedNumber:
 
 def log_param_l(f: FlattenedNumber) -> complex:
     """The branch logarithm Log z + 2 pi i p."""
+    _check_type(f, FlattenedNumber, "f")
     return _log_z(f.base) + TWO_PI_I * f.p
 
 
 def log_param_m(f: FlattenedNumber) -> complex:
     """The branch logarithm -Log(1-z) + 2 pi i q."""
+    _check_type(f, FlattenedNumber, "f")
     return -_pass(f.base).log_1mz + TWO_PI_I * f.q
 
 
@@ -247,6 +254,7 @@ def is_flattened_ft(
 # ---------------------------------------------------------------------------
 
 def serialize_flattened(f: FlattenedNumber) -> str:
+    _check_type(f, FlattenedNumber, "f")
     return f"{f.z.real!r} {f.z.imag!r} {f.base.side.value} {f.p} {f.q}"
 
 

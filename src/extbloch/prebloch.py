@@ -18,6 +18,7 @@ from .cover import (
     FlattenedFT,
     FlattenedNumber,
     _check_indices,
+    _check_type,
     _records,
     canonicalize,
     flattened,
@@ -114,6 +115,7 @@ def eval_lhat(s: FormalSum) -> CmodZ2:
     with compensated summation, and the lattice part, reduced mod 4, joins
     them once at the end; so k kappa_hat is exact for every int k.
     """
+    _check_type(s, FormalSum, "s")
     return _lhat_sum(s.terms)
 
 

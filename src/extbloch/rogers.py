@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cover import FlattenedNumber, _check_indices
+from .cover import FlattenedNumber, _check_indices, _check_type
 from .dilog import PI, PI_SQ, TWO_PI_I, CutPoint, Side, _as_complex, _check_tol, _int_text, _log_z, _pass
 
 FOUR_PI_SQ = 4.0 * PI_SQ
@@ -151,6 +151,7 @@ def l_bar_at(z: complex, side: Side | str, p: int, q: int) -> complex:
 
 def rogers_l_bar(f: FlattenedNumber) -> complex:
     """Unreduced branch-corrected Rogers value of a canonical cover point."""
+    _check_type(f, FlattenedNumber, "f")
     return _linear(f.base, 1, f.p, f.q) - TWO_PI_SQ * (f.p * f.q)
 
 
@@ -214,4 +215,5 @@ def rogers_l_hat(f: FlattenedNumber) -> CmodZ2:
     The lattice part -2 pi^2 p q is reduced as an integer, so it is exact
     for every chart.
     """
+    _check_type(f, FlattenedNumber, "f")
     return _lhat_sum(((1, f),))

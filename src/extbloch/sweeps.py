@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .cover import make_flattened_ft
+from .cover import _check_type, make_flattened_ft
 from .dilog import PI, TWO_PI_I, CutPoint, Side, _integer, _real, arg_cut, principal_log
 from .prebloch import (
     FormalSum,
@@ -313,6 +313,7 @@ RELATIONS = tuple(_RUNNERS)
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
+    _check_type(config, SweepConfig, "config")
     rng = random.Random(config.seed)
     result = SweepResult(config)
     runner = _RUNNERS[config.relation]

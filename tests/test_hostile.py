@@ -1,23 +1,56 @@
 """Inputs the program cannot hold raise an error that names them.
 
-Each row calls one public callable with one argument replaced by a value
-it cannot handle, and pins the exception type and message.
+Each pinned row calls one public callable with one argument replaced by a
+value it cannot handle, and pins the exception type and message.  The
+table at the end calls every public callable with each argument in turn
+replaced by each of 14 hostile values.
 """
 
 import math
 import re
+from pathlib import Path
 
 import pytest
 
-from extbloch.bloch import WedgeExpr, wedge_necessary_zero
-from extbloch.cover import is_flattened_ft, make_flattened_ft, parse_flattened
-from extbloch.dilog import precision, set_precision
-from extbloch.prebloch import FormalSum, check_chi_homomorphism, chi_hat, root4, symmetry_relation
-from extbloch.rogers import CmodZ2
-from extbloch.sweeps import SweepConfig
+import extbloch
+from extbloch.bloch import NecessaryZeroCheck, WedgeExpr, nu_hat, wedge_necessary_zero
+from extbloch.ccs import FlattenedTriangulation, complex_volume, load, volume_report
+from extbloch.cover import (
+    FlattenedFT,
+    FlattenedNumber,
+    TriangulationFormatError,
+    canonicalize,
+    flattened,
+    is_flattened_ft,
+    log_param_l,
+    log_param_m,
+    make_flattened_ft,
+    parse_flattened,
+    serialize_flattened,
+)
+from extbloch.dilog import CutPoint, Side, as_cut_point, li2, log_one_minus, precision, principal_log, set_precision
+from extbloch.prebloch import (
+    FormalSum,
+    check_chi_homomorphism,
+    chi_hat,
+    curly,
+    curly_product_relation,
+    cycle_relation,
+    eval_lhat,
+    five_term_element,
+    index_relations,
+    kappa_hat,
+    mirror_relation,
+    root4,
+    splitting,
+    symmetry_relation,
+)
+from extbloch.rogers import CmodZ2, reduce_mod_transfer, rogers_l_bar, rogers_l_hat
+from extbloch.sweeps import SweepConfig, SweepResult, run_sweep
 
 BIG = 10**400  # an int beyond the range of a double
 WEDGE = WedgeExpr(((1, 1 + 2j, 3 - 9j),))  # pairing -15.0
+FIG8_PATH = Path(__file__).parent / "data" / "fig8.tri"
 
 
 def _enter_precision(dps):
@@ -86,3 +119,118 @@ def test_an_input_of_the_wrong_kind_is_named(call, exc, message):
     with pytest.raises(exc, match="^" + re.escape(message) + "$") as info:
         call()
     assert type(info.value) is exc
+
+
+# ---------------------------------------------------------------------------
+# the hostile-input table: every public callable that takes values, each
+# argument in turn replaced by each hostile value
+# ---------------------------------------------------------------------------
+
+HOSTILE = [BIG, math.nan, math.inf, -math.inf, complex(math.nan, math.nan), complex(math.inf, math.inf), 5e-324,
+           1e-320j, complex(1.7e308, 1.7e308), "abc", None, [1], True, -2 - 0j]
+
+
+def _enter(mode, dps=50):
+    with precision(mode, dps):
+        pass
+
+
+def _public_calls():
+    # each callable of __all__ that takes values, with arguments it accepts
+    f = flattened(0.3 + 0.4j, 1, -2)
+    ft = make_flattened_ft(0.3 + 0.2j, 0.4 + 0.9j)
+    t = FlattenedTriangulation(((f, 1), (flattened(3 + 0j, 0, 1), -1)), "t")
+    return {
+        "CmodZ2": (CmodZ2, {"value": 1 + 2j}),
+        "CutPoint": (CutPoint, {"z": 3 + 0j, "side": Side.ABOVE}),
+        "FlattenedFT": (FlattenedFT, {"entries": ft.entries}),
+        "FlattenedNumber": (FlattenedNumber, {"base": CutPoint(0.3 + 0.4j), "p": 1, "q": -2}),
+        "FlattenedTriangulation": (FlattenedTriangulation, {"simplices": t.simplices, "name": "t"}),
+        "FormalSum": (FormalSum, {"terms": ((2, f),)}),
+        "NecessaryZeroCheck": (NecessaryZeroCheck, {"passed": True, "certainty": "zero", "pairing": 0.0,
+                                                    "merged_pairing": 0.0}),
+        "Side": (Side, {"value": "a"}),
+        "SweepConfig": (SweepConfig, {"relation": "kappa", "samples": 2, "seed": 0, "tol": 1e-9, "index_bound": 5}),
+        "SweepResult": (SweepResult, {"config": SweepConfig("kappa", samples=2), "max_residual": 0.0,
+                                      "case_counts": {}, "failures": []}),
+        "TriangulationFormatError": (TriangulationFormatError, {"message": "bad", "line": 3}),
+        "WedgeExpr": (WedgeExpr, {"terms": WEDGE.terms}),
+        "as_cut_point": (as_cut_point, {"value": 0.3 + 0.4j}),
+        "canonicalize": (canonicalize, {"z": 3 + 0j, "side": Side.BELOW, "p": 1, "q": -2}),
+        "check_chi_homomorphism": (check_chi_homomorphism, {"z": 0.3 + 0.4j, "w": -2 + 1j}),
+        "chi_hat": (chi_hat, {"z": 0.3 + 0.4j}),
+        "complex_volume": (complex_volume, {"t": t}),
+        "curly": (curly, {"z": 0.3 + 0.4j, "p": 1}),
+        "curly_product_relation": (curly_product_relation, {"z": 0.3 + 0.4j, "p": 1, "w": -2 + 1j, "r": 0}),
+        "cycle_relation": (cycle_relation, {"x": 0.3 + 0.2j, "y": 0.4 + 0.9j, "p0": 0, "p1": 1, "q0": 0, "q1": 1,
+                                            "q2": 0}),
+        "eval_lhat": (eval_lhat, {"s": t.as_formal_sum()}),
+        "five_term_element": (five_term_element, {"t": ft, "tol": 1e-9}),
+        "flattened": (flattened, {"z": 0.3 + 0.4j, "p": 1, "q": -2}),
+        "index_relations": (index_relations, {"z": 0.3 + 0.4j, "p": 1, "q": 2, "p2": -1, "q2": 3, "kind": "Q"}),
+        "is_flattened_ft": (is_flattened_ft, {"t": ft, "tol": 1e-9}),
+        "kappa_hat": (kappa_hat, {"z": 0.5 + 0j, "p": 1}),
+        "li2": (li2, {"p": 0.3 + 0.4j}),
+        "load": (load, {"source": FIG8_PATH}),
+        "log_one_minus": (log_one_minus, {"p": 0.3 + 0.4j}),
+        "log_param_l": (log_param_l, {"f": f}),
+        "log_param_m": (log_param_m, {"f": f}),
+        "make_flattened_ft": (make_flattened_ft, {"x": 0.3 + 0.2j, "y": 0.4 + 0.9j, "p0": 0, "p1": 1, "q0": 0,
+                                                  "q1": 1, "q2": 0}),
+        "mirror_relation": (mirror_relation, {"z": 0.3 + 0.4j, "p": 1, "q": -2}),
+        "nu_hat": (nu_hat, {"s": t.as_formal_sum()}),
+        "parse_flattened": (parse_flattened, {"text": "0.3 0.4 i 1 -2"}),
+        "precision": (_enter, {"mode": "high", "dps": 50}),
+        "principal_log": (principal_log, {"p": 0.3 + 0.4j}),
+        "reduce_mod_transfer": (reduce_mod_transfer, {"v": CmodZ2(1 + 2j)}),
+        "rogers_l_bar": (rogers_l_bar, {"f": f}),
+        "rogers_l_hat": (rogers_l_hat, {"f": f}),
+        "root4": (root4, {"z": 0.3 + 0.4j}),
+        "run_sweep": (run_sweep, {"config": SweepConfig("kappa", samples=2)}),
+        "serialize_flattened": (serialize_flattened, {"f": f}),
+        "set_precision": (set_precision, {"mode": "high", "dps": 50}),
+        "splitting": (splitting, {"s": t.as_formal_sum()}),
+        "symmetry_relation": (symmetry_relation, {"z": 0.3 + 0.4j, "p": 1, "q": -2, "which": 3}),
+        "volume_report": (volume_report, {"t": t}),
+        "wedge_necessary_zero": (wedge_necessary_zero, {"w": WEDGE, "tol": 1e-9}),
+    }
+
+
+# the arguments a value of the wrong type reached only as an AttributeError:
+# the TypeError each raises now names the argument
+TYPED = {("eval_lhat", "s"), ("splitting", "s"), ("nu_hat", "s"), ("complex_volume", "t"), ("volume_report", "t"),
+         ("wedge_necessary_zero", "w"), ("rogers_l_bar", "f"), ("rogers_l_hat", "f"), ("log_param_l", "f"),
+         ("log_param_m", "f"), ("serialize_flattened", "f"), ("run_sweep", "config")}
+TABLE = [(name, arg) for name, (_, kwargs) in _public_calls().items() for arg in kwargs]
+
+
+def test_the_table_covers_every_public_callable():
+    callables = {name for name in extbloch.__all__ if callable(getattr(extbloch, name))}
+    assert callables == set(_public_calls())
+    assert TYPED <= set(TABLE)
+    with precision("double"):
+        for name, (fn, kwargs) in _public_calls().items():
+            fn(**kwargs)  # the arguments each row starts from are accepted
+
+
+@pytest.mark.parametrize("name,arg", TABLE, ids=[f"{name}-{arg}" for name, arg in TABLE])
+def test_a_hostile_value_returns_or_raises_a_named_error(name, arg):
+    # each call returns or raises a ValueError or TypeError (load may also
+    # raise an OSError for a path); a typed argument raises a TypeError
+    # that names it, for every value here
+    fn, kwargs = _public_calls()[name]
+    allowed = (ValueError, TypeError, OSError) if name == "load" else (ValueError, TypeError)
+    escapes = []
+    with precision("double"):  # set_precision's mode ends with the block
+        for value in HOSTILE:
+            try:
+                fn(**{**kwargs, arg: value})
+            except allowed as exc:
+                if (name, arg) in TYPED and not (type(exc) is TypeError and str(exc).startswith(f"{arg} must be a ")):
+                    escapes.append((value, repr(exc)))
+            except Exception as exc:  # noqa: BLE001 -- the escapes the table looks for
+                escapes.append((value, repr(exc)))
+            else:
+                if (name, arg) in TYPED:
+                    escapes.append((value, "returned"))
+    assert escapes == []
