@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from .cover import _check_type, _log_params
 from .dilog import _as_complex, _check_tol, _integer
@@ -19,7 +20,7 @@ from .prebloch import FormalSum
 from .rogers import _coefficient_error
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WedgeExpr:
     """Formal integer combination of wedge pairs of complex numbers.
 
@@ -29,11 +30,11 @@ class WedgeExpr:
 
     terms: tuple[tuple[int, complex, complex], ...] = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, terms: Iterable[tuple[int, complex, complex]] = ()) -> None:
         # Merge and sort on the plain key (Re a, Im a, Re b, Im b); the
         # first-seen pair is kept.
         merged: dict[tuple[float, float, float, float], tuple[int, complex, complex]] = {}
-        for coeff, a, b in self.terms:
+        for coeff, a, b in terms:
             coeff = _integer(coeff, "coefficient")
             a = a if a.__class__ is complex else _as_complex(a)
             b = b if b.__class__ is complex else _as_complex(b)
@@ -46,14 +47,13 @@ class WedgeExpr:
             key = key_a + key_b
             seen = merged.get(key)
             merged[key] = (coeff, a, b) if seen is None else (seen[0] + coeff, seen[1], seen[2])
-        cleaned = tuple(term for term in map(merged.__getitem__, sorted(merged)) if term[0])
-        object.__setattr__(self, "terms", cleaned)
+        self.__dict__["terms"] = tuple([term for term in map(merged.__getitem__, sorted(merged)) if term[0]])
 
     def __add__(self, other: "WedgeExpr") -> "WedgeExpr":
         return WedgeExpr(self.terms + other.terms) if isinstance(other, WedgeExpr) else NotImplemented
 
     def __neg__(self) -> "WedgeExpr":
-        return WedgeExpr(tuple((-c, a, b) for c, a, b in self.terms))
+        return WedgeExpr((-c, a, b) for c, a, b in self.terms)
 
     def __len__(self) -> int:
         return len(self.terms)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TextIO
+from typing import Iterable, TextIO
 
 from .cover import FlattenedNumber, TriangulationFormatError, _check_type, _records, serialize_flattened
 from .dilog import _integer
@@ -20,27 +20,27 @@ from .prebloch import FormalSum, eval_lhat
 from .rogers import CmodZ2, _render_dict, _render_text, _row, _value_rows, reduce_mod_transfer
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FlattenedTriangulation:
     simplices: tuple[tuple[FlattenedNumber, int], ...]
     name: str = ""
 
-    def __post_init__(self) -> None:
-        if not self.simplices:
-            raise ValueError("a triangulation needs at least one simplex")
-        simplices = []
-        for shape, sign in self.simplices:
+    def __init__(self, simplices: Iterable[tuple[FlattenedNumber, int]], name: str = "") -> None:
+        checked = []
+        for shape, sign in simplices:
             if not isinstance(shape, FlattenedNumber):
                 raise TypeError("shapes must be FlattenedNumber values")
             sign = _integer(sign, "simplex sign")  # an int, so True is 1
             if sign not in (1, -1):
                 raise ValueError(f"simplex signs must be +1 or -1, got {sign}")
-            simplices.append((shape, sign))
-        object.__setattr__(self, "simplices", tuple(simplices))
-        if not isinstance(self.name, str):
-            raise TypeError(f"name {self.name!r} is not a string")
-        if any(c in self.name for c in "\n\r#") or self.name != self.name.strip():  # dump could not write it
-            raise ValueError(f"name {self.name!r} holds a newline or '#', or whitespace at an end")
+            checked.append((shape, sign))
+        if not checked:
+            raise ValueError("a triangulation needs at least one simplex")
+        if not isinstance(name, str):
+            raise TypeError(f"name {name!r} is not a string")
+        if any(c in name for c in "\n\r#") or name != name.strip():  # dump could not write it
+            raise ValueError(f"name {name!r} holds a newline or '#', or whitespace at an end")
+        self.__dict__.update(simplices=tuple(checked), name=name)
 
     def __len__(self) -> int:
         return len(self.simplices)

@@ -132,16 +132,17 @@ def _log_params(terms: Iterable[tuple[int, FlattenedNumber]]) -> tuple:
 # five-term tuples
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FlattenedFT:
     """A five-tuple of cover points in the flattened five-term family."""
 
     entries: tuple[FlattenedNumber, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != 5:
+    def __init__(self, entries: Iterable[FlattenedNumber]) -> None:
+        entries = tuple(entries)
+        if len(entries) != 5:
             raise ValueError("a five-term tuple has exactly five entries")
-        object.__setattr__(self, "entries", tuple(self.entries))
+        self.__dict__["entries"] = entries
 
     def __iter__(self):
         return iter(self.entries)

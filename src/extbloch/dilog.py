@@ -144,15 +144,6 @@ def _as_complex(value) -> complex:
         raise ValueError(f"{text} is beyond the range of a double") from None
 
 
-def _trusted(cls, **fields):
-    # A value stored without its type's checks: FormalSum's negation,
-    # multiples and single terms, whose terms are already checked and in
-    # canonical order.  The fields must be what __post_init__ would store.
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
 @dataclass(frozen=True, init=False)
 class CutPoint:
     """A point of the closed cut plane: z together with a boundary side tag.

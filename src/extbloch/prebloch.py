@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .cover import (
     FlattenedFT,
@@ -25,28 +25,27 @@ from .cover import (
     is_flattened_ft,
     serialize_flattened,
 )
-from .dilog import PI, CutPoint, Side, _as_complex, _flip, _integer, _trusted, arg_cut, as_cut_point
+from .dilog import PI, CutPoint, Side, _as_complex, _flip, _integer, arg_cut, as_cut_point
 from .rogers import CmodZ2, _lhat_sum
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FormalSum:
     """An integer linear combination of canonical cover points.
 
     Terms are merged, zero coefficients pruned, and the term order is
-    canonical, so equal sums compare equal structurally.  Each built sum
-    is normalized once: negation, integer multiples and single terms keep
-    the canonical order and skip it.
+    canonical, so equal sums compare equal structurally.  Every sum, a
+    derived one too, is normalized once, by this constructor.
     """
 
     terms: tuple[tuple[int, FlattenedNumber], ...] = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, terms: Iterable[tuple[int, FlattenedNumber]] = ()) -> None:
         # Merge and sort on the plain key (Re z, Im z, side, p, q), not on
         # FlattenedNumber, whose hash goes through CutPoint and Side; the
         # first-seen point is kept.
         merged: dict[tuple, tuple[int, FlattenedNumber]] = {}
-        for coeff, gen in self.terms:
+        for coeff, gen in terms:
             if not isinstance(gen, FlattenedNumber):
                 raise TypeError("generators must be FlattenedNumber values")
             base, coeff = gen.base, _integer(coeff, "coefficient")
@@ -54,8 +53,7 @@ class FormalSum:
             key = (z.real, z.imag, base.side._value_, gen.p, gen.q)
             seen = merged.get(key)
             merged[key] = (coeff, gen) if seen is None else (seen[0] + coeff, seen[1])
-        cleaned = tuple([term for term in map(merged.__getitem__, sorted(merged)) if term[0]])
-        object.__setattr__(self, "terms", cleaned)
+        self.__dict__["terms"] = tuple([term for term in map(merged.__getitem__, sorted(merged)) if term[0]])
 
     @classmethod
     def of(cls, *pairs: tuple[int, FlattenedNumber]) -> "FormalSum":
@@ -63,10 +61,7 @@ class FormalSum:
 
     @classmethod
     def single(cls, gen: FlattenedNumber, coeff: int = 1) -> "FormalSum":
-        if not isinstance(gen, FlattenedNumber):
-            raise TypeError("generators must be FlattenedNumber values")
-        coeff = _integer(coeff, "coefficient")
-        return _trusted(cls, terms=((coeff, gen),) if coeff else ())
+        return cls(((coeff, gen),))
 
     def __add__(self, other: "FormalSum") -> "FormalSum":
         return FormalSum(self.terms + other.terms) if isinstance(other, FormalSum) else NotImplemented
@@ -75,12 +70,10 @@ class FormalSum:
         return self + -other if isinstance(other, FormalSum) else NotImplemented
 
     def __neg__(self) -> "FormalSum":
-        return _trusted(FormalSum, terms=tuple((-c, g) for c, g in self.terms))
+        return FormalSum((-c, g) for c, g in self.terms)
 
     def __rmul__(self, k: int) -> "FormalSum":
-        if not isinstance(k, int):
-            return NotImplemented
-        return _trusted(FormalSum, terms=tuple((k * c, g) for c, g in self.terms) if k else ())
+        return FormalSum((k * c, g) for c, g in self.terms) if isinstance(k, int) else NotImplemented
 
     def __len__(self) -> int:
         return len(self.terms)

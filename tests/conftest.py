@@ -92,7 +92,9 @@ def pass_primitives(kernel_primitives):
     def run(point):
         seen.clear()
         z = point.z if dilog._DPS.get() is not None else _counted(point.z, seen)  # a double pass takes z as it is
-        dilog._pass(dilog._trusted(CutPoint, z=z, side=point.side))
+        fresh = object.__new__(CutPoint)  # unchecked: z may be a counting complex
+        fresh.__dict__.update(z=z, side=point.side)
+        dilog._pass(fresh)
         return list(seen)
 
     return run

@@ -943,8 +943,10 @@ def kernel_calls(kernel_primitives, monkeypatch):
 
 
 def _over(point):
-    # a number over the point itself, below side too
-    return dilog._trusted(FlattenedNumber, base=point, p=1, q=-2)
+    # a number over the point itself, below side too, so built unchecked
+    f = object.__new__(FlattenedNumber)
+    f.__dict__.update(base=point, p=1, q=-2)
+    return f
 
 
 def _taken(calls):

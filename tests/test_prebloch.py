@@ -274,13 +274,13 @@ def test_each_relation_element_is_normalized_once(monkeypatch):
         lambda: chi_hat(0.3 - 2j),
     ]
     calls = []
-    original = FormalSum.__post_init__
+    original = FormalSum.__init__
 
-    def counting(self):
-        calls.append(len(self.terms))
-        original(self)
+    def counting(self, terms=()):
+        calls.append(1)
+        original(self, terms)
 
-    monkeypatch.setattr(FormalSum, "__post_init__", counting)
+    monkeypatch.setattr(FormalSum, "__init__", counting)
     for build in builds:
         calls.clear()
         build()
@@ -291,11 +291,13 @@ def test_each_relation_element_is_normalized_once(monkeypatch):
         # the element and its embedded chi_hat term; symmetry 5's chi_hat
         # term is one constant sum, built at import
         assert len(calls) == (1 if which == 5 else 2)
-    calls.clear()
     s = curly(z, 1)
-    derived = (-s, 3 * s, 0 * s, FormalSum.single(flattened(z)))
-    assert calls == [2]  # the curly alone: the others keep the canonical order
-    assert [len(d) for d in derived] == [2, 2, 0, 1]
+    for derive, size in ((lambda: -s, 2), (lambda: 3 * s, 2), (lambda: 0 * s, 0),
+                         (lambda: FormalSum.single(flattened(z)), 1)):
+        calls.clear()
+        derived = derive()
+        assert len(calls) == 1  # each derived sum goes through the constructor, once
+        assert len(derived) == size
 
 
 # ---------------------------------------------------------------------------
