@@ -11,11 +11,12 @@ part to a Chern-Simons normalization is asserted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from os import PathLike
 from pathlib import Path
 from typing import Iterable, TextIO
 
 from .cover import FlattenedNumber, TriangulationFormatError, _check_type, _records, serialize_flattened
-from .dilog import _integer
+from .dilog import _fields_error, _integer, _iterable
 from .prebloch import FormalSum, eval_lhat
 from .rogers import CmodZ2, _render_dict, _render_text, _row, _value_rows, reduce_mod_transfer
 
@@ -27,7 +28,11 @@ class FlattenedTriangulation:
 
     def __init__(self, simplices: Iterable[tuple[FlattenedNumber, int]], name: str = "") -> None:
         checked = []
-        for shape, sign in simplices:
+        for term in _iterable(simplices, "simplices"):
+            try:
+                shape, sign = term
+            except (TypeError, ValueError):
+                raise _fields_error(term, "simplices", 2) from None
             if not isinstance(shape, FlattenedNumber):
                 raise TypeError("shapes must be FlattenedNumber values")
             sign = _integer(sign, "simplex sign")  # an int, so True is 1
@@ -66,9 +71,11 @@ def load(source: str | Path | TextIO) -> FlattenedTriangulation:
 
     if hasattr(source, "read"):
         text, name = source.read(), ""
-    else:
+    elif isinstance(source, (str, PathLike)):
         path = Path(source)
         text, name = path.read_text(), path.stem.replace("\r", "\n").split("\n")[0].partition("#")[0].strip()
+    else:
+        raise TypeError(f"source must be a path or a text stream, not {type(source).__name__}")
     header, simplices = _records(text, sign, "simplex")
     if not simplices:
         raise TriangulationFormatError("no simplex records found")

@@ -20,7 +20,8 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .dilog import PI, TWO_PI_I, _ABOVE, _BELOW, CutPoint, Side, _as_complex, _check_tol, _log_z, _pass, as_cut_point
+from .dilog import (PI, TWO_PI_I, _ABOVE, _BELOW, CutPoint, Side, _as_complex, _check_tol, _integer, _iterable, _log_z,
+                    _pass, as_cut_point)
 
 
 @dataclass(frozen=True, init=False)
@@ -63,10 +64,19 @@ def _check_indices(p: int, q: int) -> tuple[int, int]:
         p, q = operator.index(p), operator.index(q)
     except TypeError:
         raise TypeError("branch indices p, q must be integers") from None
-    if abs(p) > 2**53 or abs(q) > 2**53:  # beyond 2**53, 2 pi i p is not exact
-        name = "p" if abs(p) > 2**53 else "q"
-        raise ValueError(f"branch index {name} is beyond 2**53 in magnitude")
-    return p, q
+    return _indices(p=p, q=q)
+
+
+def _indices(**indices: int) -> tuple[int, ...]:
+    # the branch indices given by name, each an int within 2**53 (beyond it,
+    # 2 pi i p is not exact), or an error naming the first that is not
+    checked = []
+    for name, value in indices.items():
+        value = _integer(value, name)
+        if abs(value) > 2**53:
+            raise ValueError(f"branch index {name} is beyond 2**53 in magnitude")
+        checked.append(value)
+    return tuple(checked)
 
 
 def _check_type(value, cls: type, name: str) -> None:
@@ -99,7 +109,7 @@ def canonicalize(
 
 def flattened(z: complex | CutPoint, p: int = 0, q: int = 0) -> FlattenedNumber:
     """Convenience constructor; bare reals on a cut become x + 0i."""
-    return canonicalize(as_cut_point(z), p=p, q=q)
+    return canonicalize(as_cut_point(z, "z"), p=p, q=q)
 
 
 def log_param_l(f: FlattenedNumber) -> complex:
@@ -139,9 +149,11 @@ class FlattenedFT:
     entries: tuple[FlattenedNumber, ...]
 
     def __init__(self, entries: Iterable[FlattenedNumber]) -> None:
-        entries = tuple(entries)
+        entries = tuple(_iterable(entries, "entries"))
         if len(entries) != 5:
-            raise ValueError("a five-term tuple has exactly five entries")
+            raise ValueError(f"a five-term tuple has exactly five entries, got {len(entries)}")
+        for entry in entries:
+            _check_type(entry, FlattenedNumber, "each of entries")
         self.__dict__["entries"] = entries
 
     def __iter__(self):
@@ -173,8 +185,8 @@ def make_flattened_ft(
     constructor deliberately does not attempt; validate externally built
     tuples with :func:`is_flattened_ft` instead.
     """
-    x = _as_complex(x)
-    y = _as_complex(y)
+    x, y = _as_complex(x, "x"), _as_complex(y, "y")
+    p0, p1, q0, q1, q2 = _indices(p0=p0, p1=p1, q0=q0, q1=q1, q2=q2)
     if x == 0 or y == 0 or x == 1 or y == 1 or x == y:
         raise ValueError(f"x, y must be distinct and avoid 0 and 1, got x = {x!r}, y = {y!r}")
     coords = ft_projections(x, y)
@@ -218,7 +230,7 @@ def is_flattened_ft(
     be a finite number >= 0.
     """
     _check_tol(tol)
-    entries = tuple(t)
+    entries = tuple(_iterable(t, "t"))
     if len(entries) != 5 or not all(isinstance(e, FlattenedNumber) for e in entries):
         return False
     z = [e.z for e in entries]

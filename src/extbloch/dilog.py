@@ -134,14 +134,35 @@ def _check_tol(tol) -> None:
         raise ValueError(f"tol must be >= 0, got {tol!r}")
 
 
-def _as_complex(value) -> complex:
-    # complex(value), with a number beyond the range of a double (an int
-    # of 309 digits or more) named in a ValueError
+def _as_complex(value, name: str) -> complex:
+    # complex(value), or an error naming it: a ValueError for a number beyond
+    # the range of a double (an int of 309 digits or more) or a malformed
+    # string, a TypeError naming the argument for a value of another type
     try:
         return complex(value)
     except OverflowError:
         text = _int_text(value) if isinstance(value, int) else repr(value)
         raise ValueError(f"{text} is beyond the range of a double") from None
+    except ValueError:
+        raise ValueError(f"{name} {value!r} is not a number") from None
+    except TypeError:
+        raise TypeError(f"{name} must be a number, not {type(value).__name__}") from None
+
+
+def _iterable(value, name: str):
+    # iter(value), or a TypeError naming the argument
+    try:
+        return iter(value)
+    except TypeError:
+        raise TypeError(f"{name} must be iterable, not {type(value).__name__}") from None
+
+
+def _fields_error(term, name: str, width: int) -> Exception:
+    # for a term of the argument name that does not unpack into width fields
+    try:
+        return ValueError(f"each term of {name} must be a tuple of {width} fields, got {len(term)}")
+    except TypeError:  # no length
+        return TypeError(f"each term of {name} must be a tuple of {width} fields, not {type(term).__name__}")
 
 
 @dataclass(frozen=True, init=False)
@@ -159,7 +180,7 @@ class CutPoint:
         # the checks, then the fields stored directly, without the frozen setter;
         # a -0.0 imaginary part is stored as +0.0, so Arg stays in (-pi, pi]
         if z.__class__ is not complex:
-            z = _as_complex(z)
+            z = _as_complex(z, "z")
         if side.__class__ is not Side:
             side = Side.coerce(side)
         if z.imag == 0.0:
@@ -181,16 +202,16 @@ class CutPoint:
         return CutPoint, (self.z, self.side)
 
 
-def as_cut_point(value: complex | CutPoint) -> CutPoint:
+def as_cut_point(value: complex | CutPoint, name: str = "value") -> CutPoint:
     """Coerce a bare complex number to a CutPoint.
 
     Real values on a cut are identified with their upper limit x + 0i,
     matching the convention used throughout for products and squares that
-    land on a cut.
+    land on a cut.  An error for a value that is no number names ``name``.
     """
     if isinstance(value, CutPoint):
         return value
-    z = _as_complex(value)
+    z = _as_complex(value, name)
     return CutPoint(z, _ABOVE if on_cut(z) else _INTERIOR)
 
 
@@ -616,7 +637,7 @@ def _log_z(point: CutPoint) -> complex:
 
 def principal_log(p: CutPoint | complex) -> complex:
     """Log z with Im in (-pi, pi], extended to the cut boundary by side."""
-    return _log_z(as_cut_point(p))
+    return _log_z(as_cut_point(p, "p"))
 
 
 def log_one_minus(p: CutPoint | complex) -> complex:
@@ -625,7 +646,7 @@ def log_one_minus(p: CutPoint | complex) -> complex:
     For z = x +- 0i with x > 1 the value 1-z sits on the negative axis
     approached from the opposite side, so Im = -pi above and +pi below.
     """
-    return _pass(as_cut_point(p)).log_1mz
+    return _pass(as_cut_point(p, "p")).log_1mz
 
 
 def li2(p: CutPoint | complex) -> complex:
@@ -636,7 +657,7 @@ def li2(p: CutPoint | complex) -> complex:
     evaluate to their classical limits 0 and pi^2/6.
     """
     if not isinstance(p, CutPoint):
-        z = _as_complex(p)
+        z = _as_complex(p, "p")
         if z == 0:
             return 0.0 + 0.0j
         if z == 1:

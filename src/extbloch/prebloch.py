@@ -19,13 +19,14 @@ from .cover import (
     FlattenedNumber,
     _check_indices,
     _check_type,
+    _indices,
     _records,
     canonicalize,
     flattened,
     is_flattened_ft,
     serialize_flattened,
 )
-from .dilog import PI, CutPoint, Side, _as_complex, _flip, _integer, arg_cut, as_cut_point
+from .dilog import PI, CutPoint, Side, _as_complex, _fields_error, _flip, _integer, _iterable, arg_cut, as_cut_point
 from .rogers import CmodZ2, _lhat_sum
 
 
@@ -45,7 +46,11 @@ class FormalSum:
         # FlattenedNumber, whose hash goes through CutPoint and Side; the
         # first-seen point is kept.
         merged: dict[tuple, tuple[int, FlattenedNumber]] = {}
-        for coeff, gen in terms:
+        for term in _iterable(terms, "terms"):
+            try:
+                coeff, gen = term
+            except (TypeError, ValueError):
+                raise _fields_error(term, "terms", 2) from None
             if not isinstance(gen, FlattenedNumber):
                 raise TypeError("generators must be FlattenedNumber values")
             base, coeff = gen.base, _integer(coeff, "coefficient")
@@ -118,9 +123,9 @@ def eval_lhat(s: FormalSum) -> CmodZ2:
 
 def five_term_element(t: FlattenedFT | Sequence[FlattenedNumber], tol: float = 1e-9) -> FormalSum:
     """The alternating five-term sum [z0] - [z1] + [z2] - [z3] + [z4]."""
-    entries = tuple(t)
+    entries = tuple(_iterable(t, "t"))
     if not is_flattened_ft(entries, tol):
-        raise ValueError("tuple is not a flattened five-term instance")
+        raise ValueError(f"t is not a flattened five-term instance within tol {tol!r}")
     return FormalSum(tuple(((-1) ** k, entries[k]) for k in range(5)))
 
 
@@ -130,7 +135,7 @@ def _curly_terms(point: CutPoint, p: int, sign: int = 1) -> tuple:
 
 def curly(z: complex | CutPoint, p: int) -> FormalSum:
     """The q-independent difference {z; 2p} = [z; 2p, 2] - [z; 2p, 0]."""
-    return FormalSum(_curly_terms(as_cut_point(z), p))
+    return FormalSum(_curly_terms(as_cut_point(z, "z"), p))
 
 
 def _product_shift(arg_sum: float) -> int:
@@ -153,8 +158,8 @@ def curly_product_relation(
     falls at or below -pi, in (-pi, pi], or above pi.  Products landing on
     a cut are read as the upper limit.
     """
-    zp = as_cut_point(z)
-    wp = as_cut_point(w)
+    zp, wp = as_cut_point(z, "z"), as_cut_point(w, "w")
+    p, r = _indices(p=p, r=r)
     product = zp.z * wp.z
     if not cmath.isfinite(product):
         raise ValueError(f"the product zw is not finite for z = {zp.z!r}, w = {wp.z!r}")
@@ -187,8 +192,8 @@ def cycle_relation(
     > pi.  The right-hand orientation is the one forced by subtracting
     five-term instances that share their last two entries.
     """
-    xp = as_cut_point(x)
-    yp = as_cut_point(y)
+    xp, yp = as_cut_point(x, "x"), as_cut_point(y, "y")
+    p0, p1, q0, q1, q2 = _indices(p0=p0, p1=p1, q0=q0, q1=q1, q2=q2)
     quotient = yp.z / xp.z
     if not cmath.isfinite(quotient):
         raise ValueError(f"the quotient y/x is not finite for x = {xp.z!r}, y = {yp.z!r}")
@@ -222,7 +227,8 @@ def index_relations(
     PQ: [z;2(p+1),2(q-1)] - [z;2p,2q] compared at (p2, q2) with the
         diagonal constraint p + q = p2 + q2.
     """
-    point = as_cut_point(z)
+    point = as_cut_point(z, "z")
+    p, q, p2, q2 = _indices(p=p, q=q, p2=p2, q2=q2)
     if not isinstance(kind, str):
         raise TypeError(f"kind {kind!r} is not a string")
     kind = kind.upper()
@@ -250,13 +256,14 @@ def _one_minus(point: CutPoint) -> tuple[complex, Side]:
 
 def mirror_relation(z: complex | CutPoint, p: int = 0, q: int = 0) -> FormalSum:
     """[z;2p,2q] + [1-z;-2q,-2p] - 2 [1/2;0,0]."""
-    point = as_cut_point(z)
+    point = as_cut_point(z, "z")
+    given = canonicalize(point, p=p, q=q)
     mz, mside = _one_minus(point)
-    return FormalSum((
-        (1, canonicalize(point, p=p, q=q)),
-        (1, canonicalize(mz, mside, p=-q, q=-p)),
-        (-2, _HALF),
-    ))
+    try:
+        image = canonicalize(mz, mside, p=-q, q=-p)
+    except ValueError as err:  # 1 - z rounded onto 1
+        raise ValueError(f"the mirror relation at z = {point.z!r} derives the coordinate {mz!r}: {err}") from None
+    return FormalSum(((1, given), (1, image), (-2, _HALF)))
 
 
 def kappa_hat(z: complex | CutPoint = 0.5 + 0.0j, p: int = 1) -> FormalSum:
@@ -266,7 +273,7 @@ def kappa_hat(z: complex | CutPoint = 0.5 + 0.0j, p: int = 1) -> FormalSum:
     choice z = 1/2, p = 1.  Its lifted-Rogers value is -2 pi^2, which is
     why it survives only until the transfer relation is imposed.
     """
-    point = as_cut_point(z)
+    point = as_cut_point(z, "z")
     return FormalSum(_curly_terms(point, p) + _curly_terms(point, p - 1, -1))
 
 
@@ -278,7 +285,7 @@ def chi_hat(z: complex) -> FormalSum:
     lies in (-pi/2, pi/2] or not.  Composing with the lifted Rogers
     evaluation gives 2 pi i Log z mod 4 pi^2.
     """
-    z = _as_complex(z)
+    z = _as_complex(z, "z")
     if z == 0:
         raise ValueError("chi is defined on nonzero numbers only")
     if z == 1:
@@ -297,6 +304,7 @@ def chi_hat(z: complex) -> FormalSum:
 
 def check_chi_homomorphism(z: complex, w: complex) -> CmodZ2:
     """Residual of chi(z) + chi(w) - chi(zw) under the lifted evaluation."""
+    z, w = _as_complex(z, "z"), _as_complex(w, "w")
     return eval_lhat(chi_hat(z) + chi_hat(w) - chi_hat(z * w))
 
 
@@ -310,7 +318,7 @@ def splitting(s: FormalSum) -> complex:
 
 def root4(z: complex) -> complex:
     """The standard fourth root: the unique w with w^4 = z, Arg w in (-pi/4, pi/4]."""
-    z = _as_complex(z)
+    z = _as_complex(z, "z")
     if z == 0:
         raise ValueError("fourth root of zero is excluded")
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -341,7 +349,7 @@ def symmetry_relation(z: complex, p: int, q: int, which: int) -> FormalSum:
     cross-ratio orderings, with a chi correction term built from a fourth
     root.  Contract: the lifted evaluation of the result is zero.
     """
-    z = _as_complex(z)
+    z = _as_complex(z, "z")
     p, q = _check_indices(p, q)
     if not z.imag > 0.0:
         raise ValueError("these relations require Im z > 0")

@@ -50,7 +50,7 @@ class CmodZ2:
     value: complex
 
     def __init__(self, value: complex) -> None:
-        v = value if value.__class__ is complex else _as_complex(value)
+        v = value if value.__class__ is complex else _as_complex(value, "value")
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
             raise ValueError(f"{v!r} is not a finite value of C mod 4 pi^2")
         self.__dict__["value"] = complex(reduce_into(v.real, FOUR_PI_SQ), v.imag)
@@ -78,7 +78,7 @@ class CmodZ2:
 
     def distance_to(self, other: "CmodZ2 | complex") -> float:
         """Modular distance: wrap-around at the window boundary is free."""
-        w = other.value if isinstance(other, CmodZ2) else _as_complex(other)
+        w = other.value if isinstance(other, CmodZ2) else _as_complex(other, "other")
         d = self.value - w
         return math.hypot(reduce_into(d.real, FOUR_PI_SQ), d.imag)
 

@@ -1,6 +1,7 @@
 import ast
 import cmath
 import copy
+import dataclasses
 import functools
 import itertools
 import math
@@ -20,8 +21,9 @@ from hypothesis import strategies as st
 
 import extbloch
 from extbloch import dilog, rogers
-from extbloch.bloch import nu_hat
-from extbloch.cover import FlattenedNumber, canonicalize, flattened, log_param_l, log_param_m
+from extbloch.bloch import WedgeExpr, nu_hat
+from extbloch.ccs import FlattenedTriangulation
+from extbloch.cover import FlattenedNumber, canonicalize, flattened, log_param_l, log_param_m, make_flattened_ft
 from extbloch.dilog import (
     CutPoint,
     Side,
@@ -35,7 +37,7 @@ from extbloch.dilog import (
     set_precision,
 )
 from extbloch.prebloch import FormalSum, eval_lhat
-from extbloch.rogers import l_bar_at, rogers_l_bar
+from extbloch.rogers import CmodZ2, l_bar_at, rogers_l_bar
 from oracles import _li2_mp, li2_mpmath, li2_reference, li2_series, rogers_mpmath
 
 PI = math.pi
@@ -1170,6 +1172,43 @@ def test_values_pickle_and_copy_as_their_fields(mode):
             assert other == value and type(other) is type(value)
             assert [p for p in _points_of(other) if "_pass" in p.__dict__] == []
     assert len(pickle.dumps(point)) == len(pickle.dumps(CutPoint(-2 + 0j, Side.BELOW)))
+
+
+def _value_of_each_type():
+    # one value of every value type, and a change of one field that it takes
+    f = flattened(0.3 + 0.4j, 2, -1)
+    return [
+        (CutPoint(-2 + 0j, Side.BELOW), {"side": Side.ABOVE}),
+        (f, {"q": 5}),
+        (FormalSum.of((2, f), (-1, flattened(3 + 0j, 0, 1))), {"terms": ((1, f), (2, f))}),
+        (WedgeExpr(((1, 1 + 2j, 3 - 9j), (2, -1j, 0.5 + 0j))), {"terms": ((3, 2 + 0j, 1j),)}),
+        (make_flattened_ft(0.3 + 0.2j, 0.4 + 0.9j), {"entries": make_flattened_ft(0.3 + 0.2j, 0.4 + 0.9j, 1).entries}),
+        (FlattenedTriangulation(((f, 1), (flattened(3 + 0j), -1)), "t"), {"name": "u"}),
+        (CmodZ2(1 + 2j), {"value": 30 + 1j}),
+    ]
+
+
+@pytest.mark.parametrize("value,change", _value_of_each_type(),
+                         ids=[type(value).__name__ for value, _ in _value_of_each_type()])
+def test_every_value_type_round_trips_through_pickle_copy_and_replace(value, change):
+    # the field names are the constructor's keywords: replace builds through
+    # it, with every field given by keyword, and runs its checks again
+    for other in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value), dataclasses.replace(value)):
+        assert other == value and type(other) is type(value)
+        assert (hash(other), repr(other)) == (hash(value), repr(value))
+    changed = dataclasses.replace(value, **change)
+    fields = {field.name: getattr(value, field.name) for field in dataclasses.fields(value)}
+    assert changed != value and changed == type(value)(**{**fields, **change})
+    assert pickle.loads(pickle.dumps(changed)) == copy.deepcopy(changed) == changed
+
+
+def test_replace_normalizes_like_the_constructor():
+    f = flattened(0.3 + 0.4j, 2, -1)
+    assert dataclasses.replace(FormalSum(), terms=((1, f), (2, f), (-3, flattened(2j)))).terms == ((-3, flattened(2j)),
+                                                                                                   (3, f))
+    assert dataclasses.replace(CmodZ2(0j), value=30 + 1j).value == complex(30 - 4 * PI * PI, 1)
+    wedge = dataclasses.replace(WedgeExpr(), terms=((1, 2 + 0j, 1j), (1, 1j, 1j)))
+    assert wedge.terms == ((-1, 1j, 2 + 0j),)
 
 
 def test_a_stage_read_while_it_is_stored_is_complete(monkeypatch):

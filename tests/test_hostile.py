@@ -234,3 +234,115 @@ def test_a_hostile_value_returns_or_raises_a_named_error(name, arg):
                 if (name, arg) in TYPED:
                     escapes.append((value, "returned"))
     assert escapes == []
+
+
+def _names(arg, value, message):
+    # the message names the argument (as a word, or in its option spelling)
+    # or the value; "0 and 1 are excluded" names a value that reads as 0 or 1
+    if any(re.search(rf"\b{re.escape(word)}\b", message) for word in (arg, arg.replace("_", "-"))):
+        return True
+    if message == "0 and 1 are excluded from the cut plane":
+        return value in (0, 1)
+    return repr(value) in message
+
+
+@pytest.mark.parametrize("name,arg", TABLE, ids=[f"{name}-{arg}" for name, arg in TABLE])
+def test_every_error_of_the_table_names_its_argument_or_value(name, arg):
+    # among them were "complex() arg is a malformed string", "'int' object is
+    # not iterable", "too many values to unpack", "branch index p" for p0,
+    # and "unsupported operand type(s) for -" for an index
+    fn, kwargs = _public_calls()[name]
+    unnamed = []
+    with precision("double"):
+        for value in HOSTILE:
+            try:
+                fn(**{**kwargs, arg: value})
+            except Exception as exc:  # noqa: BLE001 -- every message is read
+                if not _names(arg, value, str(exc)):
+                    unnamed.append((value, repr(exc)))
+    assert unnamed == []
+
+
+_F = flattened(0.3 + 0.4j, 1, -2)
+_FT = make_flattened_ft(0.3 + 0.2j, 0.4 + 0.9j)
+
+
+@pytest.mark.parametrize("call,exc,message", [
+    (lambda: FormalSum(5), TypeError, "terms must be iterable, not int"),
+    (lambda: FormalSum(((1, _F, 2),)), ValueError, "each term of terms must be a tuple of 2 fields, got 3"),
+    (lambda: FormalSum((5,)), TypeError, "each term of terms must be a tuple of 2 fields, not int"),
+    (lambda: WedgeExpr(5), TypeError, "terms must be iterable, not int"),
+    (lambda: WedgeExpr(((1, 2j),)), ValueError, "each term of terms must be a tuple of 3 fields, got 2"),
+    (lambda: WedgeExpr((None,)), TypeError, "each term of terms must be a tuple of 3 fields, not NoneType"),
+    (lambda: WedgeExpr(((1, "abc", 2j),)), ValueError, "wedge factor 'abc' is not a number"),
+    (lambda: FlattenedTriangulation(5), TypeError, "simplices must be iterable, not int"),
+    (lambda: FlattenedTriangulation(((_F, 1, 0),)), ValueError,
+     "each term of simplices must be a tuple of 2 fields, got 3"),
+    (lambda: FlattenedTriangulation((_F,)), TypeError, "each term of simplices must be a tuple of 2 fields, "
+                                                       "not FlattenedNumber"),
+    (lambda: FlattenedFT(5), TypeError, "entries must be iterable, not int"),
+    (lambda: FlattenedFT(("a", "b", "c", "d", "e")), TypeError, "each of entries must be a FlattenedNumber, not str"),
+    (lambda: FlattenedFT(_FT.entries[:4]), ValueError, "a five-term tuple has exactly five entries, got 4"),
+    (lambda: five_term_element(5), TypeError, "t must be iterable, not int"),
+    (lambda: is_flattened_ft(5), TypeError, "t must be iterable, not int"),
+    (lambda: load(5), TypeError, "source must be a path or a text stream, not int"),
+], ids=["FormalSum", "FormalSum-long-term", "FormalSum-int-term", "WedgeExpr", "WedgeExpr-short-term",
+        "WedgeExpr-None-term", "WedgeExpr-factor", "FlattenedTriangulation", "FlattenedTriangulation-long-term",
+        "FlattenedTriangulation-bare-shape", "FlattenedFT", "FlattenedFT-str-entries", "FlattenedFT-four",
+        "five_term_element", "is_flattened_ft", "load"])
+def test_a_container_names_its_argument(call, exc, message):
+    # FlattenedFT built from five strings; the others raised "'int' object is
+    # not iterable", "too many values to unpack (expected 2)", "cannot unpack
+    # non-iterable int object", "expected str, bytes or os.PathLike object"
+    with pytest.raises(exc, match="^" + re.escape(message) + "$") as info:
+        call()
+    assert type(info.value) is exc
+
+
+def test_a_five_term_tuple_takes_any_iterable_of_five():
+    assert FlattenedFT(iter(_FT.entries)) == FlattenedFT(list(_FT.entries)) == _FT
+    assert type(FlattenedFT(iter(_FT.entries)).entries) is tuple
+
+
+@pytest.mark.parametrize("call,exc,message", [
+    (lambda: CutPoint("abc"), ValueError, "z 'abc' is not a number"),
+    (lambda: CutPoint([1]), TypeError, "z must be a number, not list"),
+    (lambda: as_cut_point(None), TypeError, "value must be a number, not NoneType"),
+    (lambda: flattened("abc"), ValueError, "z 'abc' is not a number"),
+    (lambda: li2("abc"), ValueError, "p 'abc' is not a number"),
+    (lambda: principal_log([1]), TypeError, "p must be a number, not list"),
+    (lambda: chi_hat("abc"), ValueError, "z 'abc' is not a number"),
+    (lambda: check_chi_homomorphism(1j, [1]), TypeError, "w must be a number, not list"),
+    (lambda: root4([1]), TypeError, "z must be a number, not list"),
+    (lambda: symmetry_relation("abc", 0, 0, 1), ValueError, "z 'abc' is not a number"),
+    (lambda: make_flattened_ft(0.3 + 0.2j, None), TypeError, "y must be a number, not NoneType"),
+    (lambda: curly_product_relation(0.3 + 0.4j, 0, "abc", 0), ValueError, "w 'abc' is not a number"),
+    (lambda: CmodZ2("abc"), ValueError, "value 'abc' is not a number"),
+    (lambda: CmodZ2(1j).distance_to([1]), TypeError, "other must be a number, not list"),
+    (lambda: cycle_relation(0.3 + 0.2j, 0.4 + 0.9j, p0=BIG), ValueError,
+     "branch index p0 is beyond 2**53 in magnitude"),
+    (lambda: cycle_relation(0.3 + 0.2j, 0.4 + 0.9j, q1="abc"), TypeError, "q1 'abc' is not an integer"),
+    (lambda: make_flattened_ft(0.3 + 0.2j, 0.4 + 0.9j, q2=2**53 + 1), ValueError,
+     "branch index q2 is beyond 2**53 in magnitude"),
+    (lambda: make_flattened_ft(0.3 + 0.2j, 0.4 + 0.9j, p1=[1]), TypeError, "p1 [1] is not an integer"),
+    (lambda: index_relations(0.3 + 0.4j, 1, "abc", -1, 3, "Q"), TypeError, "q 'abc' is not an integer"),
+    (lambda: index_relations(0.3 + 0.4j, 1, 2, -1, BIG, "Q"), ValueError,
+     "branch index q2 is beyond 2**53 in magnitude"),
+    (lambda: curly_product_relation(0.3 + 0.4j, 0, -2 + 1j, 1.5), TypeError, "r 1.5 is not an integer"),
+    (lambda: mirror_relation(5e-324), ValueError, "the mirror relation at z = (5e-324+0j) derives the coordinate "
+                                                  "(1+0j): 0 and 1 are excluded from the cut plane"),
+    (lambda: five_term_element(_FT, 5e-324), ValueError, "t is not a flattened five-term instance within tol 5e-324"),
+], ids=["CutPoint-str", "CutPoint-list", "as_cut_point", "flattened", "li2", "principal_log", "chi_hat",
+        "check_chi_homomorphism-w", "root4", "symmetry_relation", "make_flattened_ft-y", "curly_product_relation-w",
+        "CmodZ2", "CmodZ2.distance_to", "cycle_relation-p0", "cycle_relation-q1", "make_flattened_ft-q2",
+        "make_flattened_ft-p1", "index_relations-q", "index_relations-q2", "curly_product_relation-r",
+        "mirror_relation", "five_term_element-tol"])
+def test_a_value_that_is_no_number_or_index_is_named(call, exc, message):
+    # each raised "complex() arg is a malformed string", "complex() first
+    # argument must be a string or a number", "branch index p" for p0,
+    # "branch indices p, q must be integers", "unsupported operand type(s)",
+    # "0 and 1 are excluded from the cut plane" or "tuple is not a flattened
+    # five-term instance"
+    with pytest.raises(exc, match="^" + re.escape(message) + "$") as info:
+        call()
+    assert type(info.value) is exc

@@ -1,8 +1,10 @@
-"""Values built on the package's trusted path against the checked constructors.
+"""Derived values against the same values built by the checked constructors.
 
-Every internal route that builds a CutPoint, FlattenedNumber, FormalSum or
-FlattenedTriangulation without running its checks must store exactly what
-the public constructor would: z with no -0.0 imaginary part, sides as Side
+No route builds a value without its constructor's checks; these tests pin
+that every derived CutPoint, FlattenedNumber, FormalSum or
+FlattenedTriangulation (a below-side flip, a relation element, a negation
+or multiple, a parsed file) stores exactly what the public constructor
+would given the same fields: z with no -0.0 imaginary part, sides as Side
 members, int indices and coefficients.  ``==`` and ``hash`` cannot see a
 -0.0 (it equals and hashes like 0.0), so ``repr`` is compared as well.
 """
