@@ -72,7 +72,9 @@ class FormalSum:
         return FormalSum(self.terms + other.terms) if isinstance(other, FormalSum) else NotImplemented
 
     def __sub__(self, other: "FormalSum") -> "FormalSum":
-        return self + -other if isinstance(other, FormalSum) else NotImplemented
+        if not isinstance(other, FormalSum):
+            return NotImplemented
+        return FormalSum(self.terms + tuple((-c, g) for c, g in other.terms))
 
     def __neg__(self) -> "FormalSum":
         return FormalSum((-c, g) for c, g in self.terms)

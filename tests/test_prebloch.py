@@ -292,7 +292,7 @@ def test_each_relation_element_is_normalized_once(monkeypatch):
         # term is one constant sum, built at import
         assert len(calls) == (1 if which == 5 else 2)
     s = curly(z, 1)
-    for derive, size in ((lambda: -s, 2), (lambda: 3 * s, 2), (lambda: 0 * s, 0),
+    for derive, size in ((lambda: -s, 2), (lambda: 3 * s, 2), (lambda: 0 * s, 0), (lambda: s - s, 0),
                          (lambda: FormalSum.single(flattened(z)), 1)):
         calls.clear()
         derived = derive()
