@@ -1202,15 +1202,6 @@ def test_every_value_type_round_trips_through_pickle_copy_and_replace(value, cha
     assert pickle.loads(pickle.dumps(changed)) == copy.deepcopy(changed) == changed
 
 
-def test_replace_normalizes_like_the_constructor():
-    f = flattened(0.3 + 0.4j, 2, -1)
-    assert dataclasses.replace(FormalSum(), terms=((1, f), (2, f), (-3, flattened(2j)))).terms == ((-3, flattened(2j)),
-                                                                                                   (3, f))
-    assert dataclasses.replace(CmodZ2(0j), value=30 + 1j).value == complex(30 - 4 * PI * PI, 1)
-    wedge = dataclasses.replace(WedgeExpr(), terms=((1, 2 + 0j, 1j), (1, 1j, 1j)))
-    assert wedge.terms == ((-1, 1j, 2 + 0j),)
-
-
 def test_a_stage_read_while_it_is_stored_is_complete(monkeypatch):
     # another reader of the same point and mode (another thread, here a
     # re-entrant call from the conversion of the 50-digit Log z to complex)
