@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .cover import _check_type, _log_params
-from .dilog import _as_complex, _check_tol, _fields_error, _integer, _iterable
+from .cover import _log_params
+from .dilog import _as_complex, _check_tol, _check_type, _integer, _terms
 from .prebloch import FormalSum
 from .rogers import _coefficient_error
 
@@ -34,11 +34,7 @@ class WedgeExpr:
         # Merge and sort on the plain key (Re a, Im a, Re b, Im b); the
         # first-seen pair is kept.
         merged: dict[tuple[float, float, float, float], tuple[int, complex, complex]] = {}
-        for term in _iterable(terms, "terms"):
-            try:
-                coeff, a, b = term
-            except (TypeError, ValueError):
-                raise _fields_error(term, "terms", 3) from None
+        for coeff, a, b in _terms(terms, "terms", 3):
             coeff = _integer(coeff, "coefficient")
             a = a if a.__class__ is complex else _as_complex(a, "wedge factor")
             b = b if b.__class__ is complex else _as_complex(b, "wedge factor")

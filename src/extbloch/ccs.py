@@ -15,8 +15,8 @@ from os import PathLike
 from pathlib import Path
 from typing import Iterable, TextIO
 
-from .cover import FlattenedNumber, TriangulationFormatError, _check_type, _records, serialize_flattened
-from .dilog import _fields_error, _integer, _iterable
+from .cover import FlattenedNumber, TriangulationFormatError, _records, serialize_flattened
+from .dilog import _check_type, _integer, _terms
 from .prebloch import FormalSum, eval_lhat
 from .rogers import CmodZ2, _render_dict, _render_text, _row, _value_rows, reduce_mod_transfer
 
@@ -28,21 +28,15 @@ class FlattenedTriangulation:
 
     def __init__(self, simplices: Iterable[tuple[FlattenedNumber, int]], name: str = "") -> None:
         checked = []
-        for term in _iterable(simplices, "simplices"):
-            try:
-                shape, sign = term
-            except (TypeError, ValueError):
-                raise _fields_error(term, "simplices", 2) from None
-            if not isinstance(shape, FlattenedNumber):
-                raise TypeError("shapes must be FlattenedNumber values")
+        for shape, sign in _terms(simplices, "simplices", 2):
+            _check_type(shape, FlattenedNumber, "each shape of simplices")
             sign = _integer(sign, "simplex sign")  # an int, so True is 1
             if sign not in (1, -1):
                 raise ValueError(f"simplex signs must be +1 or -1, got {sign}")
             checked.append((shape, sign))
         if not checked:
             raise ValueError("a triangulation needs at least one simplex")
-        if not isinstance(name, str):
-            raise TypeError(f"name {name!r} is not a string")
+        _check_type(name, str, "name")
         if any(c in name for c in "\n\r#") or name != name.strip():  # dump could not write it
             raise ValueError(f"name {name!r} holds a newline or '#', or whitespace at an end")
         self.__dict__.update(simplices=tuple(checked), name=name)

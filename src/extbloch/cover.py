@@ -16,12 +16,11 @@ leave l and m unchanged.  Canonical form never stores a below-side tag.
 from __future__ import annotations
 
 import cmath
-import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .dilog import (PI, TWO_PI_I, _ABOVE, _BELOW, CutPoint, Side, _as_complex, _check_tol, _integer, _iterable, _log_z,
-                    _pass, as_cut_point)
+from .dilog import (PI, TWO_PI_I, _ABOVE, _BELOW, CutPoint, Side, _as_complex, _check_tol, _check_type, _index,
+                    _iterable, _log_z, _pass, as_cut_point)
 
 
 @dataclass(frozen=True, init=False)
@@ -35,12 +34,11 @@ class FlattenedNumber:
     def __init__(self, base: CutPoint, p: int = 0, q: int = 0) -> None:
         # the checks, then the fields stored directly, without the frozen
         # setter; ints p, q within 2**53 are tested inline first
-        if not isinstance(base, CutPoint):
-            raise TypeError("base must be a CutPoint")
+        _check_type(base, CutPoint, "base")
         if base.side is _BELOW:
             raise ValueError("below-side points are not stored; build via canonicalize()")
         if not (p.__class__ is int and q.__class__ is int and -2**53 <= p <= 2**53 and -2**53 <= q <= 2**53):
-            p, q = _check_indices(p, q)
+            p, q = _index(p, "p"), _index(q, "q")
         fields = self.__dict__
         fields["base"], fields["p"], fields["q"] = base, p, q
 
@@ -58,32 +56,6 @@ class FlattenedNumber:
         return f"[{self.z}{side}; {2 * self.p}, {2 * self.q}]"
 
 
-def _check_indices(p: int, q: int) -> tuple[int, int]:
-    # p and q as plain ints, through __index__ (so True is 1)
-    try:
-        p, q = operator.index(p), operator.index(q)
-    except TypeError:
-        raise TypeError("branch indices p, q must be integers") from None
-    return _indices(p=p, q=q)
-
-
-def _indices(**indices: int) -> tuple[int, ...]:
-    # the branch indices given by name, each an int within 2**53 (beyond it,
-    # 2 pi i p is not exact), or an error naming the first that is not
-    checked = []
-    for name, value in indices.items():
-        value = _integer(value, name)
-        if abs(value) > 2**53:
-            raise ValueError(f"branch index {name} is beyond 2**53 in magnitude")
-        checked.append(value)
-    return tuple(checked)
-
-
-def _check_type(value, cls: type, name: str) -> None:
-    if not isinstance(value, cls):  # a TypeError naming the argument
-        raise TypeError(f"{name} must be a {cls.__name__}, not {type(value).__name__}")
-
-
 def canonicalize(
     z: complex | CutPoint,
     side: Side | str = Side.INTERIOR,
@@ -96,9 +68,8 @@ def canonicalize(
     p decreases by one on the left cut, q decreases by one on the right.
     """
     point = z if isinstance(z, CutPoint) else CutPoint(z, side)
-    if not (p.__class__ is int and q.__class__ is int):
-        p, q = _check_indices(p, q)
-    if point.side is _BELOW:
+    if point.side is _BELOW:  # FlattenedNumber checks the indices of any other point
+        p, q = _index(p, "p"), _index(q, "q")
         if point.z.real < 0.0:
             p -= 1
         else:
@@ -186,7 +157,7 @@ def make_flattened_ft(
     tuples with :func:`is_flattened_ft` instead.
     """
     x, y = _as_complex(x, "x"), _as_complex(y, "y")
-    p0, p1, q0, q1, q2 = _indices(p0=p0, p1=p1, q0=q0, q1=q1, q2=q2)
+    p0, p1, q0, q1, q2 = _index(p0, "p0"), _index(p1, "p1"), _index(q0, "q0"), _index(q1, "q1"), _index(q2, "q2")
     if x == 0 or y == 0 or x == 1 or y == 1 or x == y:
         raise ValueError(f"x, y must be distinct and avoid 0 and 1, got x = {x!r}, y = {y!r}")
     coords = ft_projections(x, y)
@@ -272,8 +243,7 @@ def serialize_flattened(f: FlattenedNumber) -> str:
 
 
 def parse_flattened(text: str) -> FlattenedNumber:
-    if not isinstance(text, str):
-        raise TypeError(f"text {text!r} is not a string")
+    _check_type(text, str, "text")
     parts = text.split()
     if len(parts) != 5:
         raise ValueError(
@@ -316,8 +286,7 @@ def _records(text: str, coefficient: Callable[[str], int], word: str) -> tuple[s
     ``#`` starts a comment.  ``coefficient`` reads a first field not in _SIGNS, and its name is that
     field's in messages; ``word`` numbers a record whose point fields are bad ("simplex 2: ...").
     """
-    if not isinstance(text, str):
-        raise TypeError(f"text {text!r} is not a string")
+    _check_type(text, str, "text")
     name, pairs, points = None, [], {}
     for lineno, line in enumerate(text.split("\n"), start=1):
         if "#" in line:

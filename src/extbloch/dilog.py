@@ -117,6 +117,14 @@ def _integer(value, name: str) -> int:
         raise TypeError(f"{name} {value!r} is not an integer") from None
 
 
+def _index(value, name: str) -> int:
+    # a branch index: an int within 2**53 (beyond it, 2 pi i p is not exact), or an error naming it
+    value = _integer(value, name)
+    if abs(value) > 2**53:
+        raise ValueError(f"branch index {name} is beyond 2**53 in magnitude")
+    return value
+
+
 def _real(value, name: str) -> float:
     # an int or float value as a float, or an error naming it: a TypeError for
     # any other type, a ValueError for an int beyond the range of a double
@@ -149,6 +157,11 @@ def _as_complex(value, name: str) -> complex:
         raise TypeError(f"{name} must be a number, not {type(value).__name__}") from None
 
 
+def _check_type(value, cls: type, name: str) -> None:
+    if not isinstance(value, cls):  # a TypeError naming the argument
+        raise TypeError(f"{name} must be a {cls.__name__}, not {type(value).__name__}")
+
+
 def _iterable(value, name: str):
     # iter(value), or a TypeError naming the argument
     try:
@@ -157,12 +170,17 @@ def _iterable(value, name: str):
         raise TypeError(f"{name} must be iterable, not {type(value).__name__}") from None
 
 
-def _fields_error(term, name: str, width: int) -> Exception:
-    # for a term of the argument name that does not unpack into width fields
-    try:
-        return ValueError(f"each term of {name} must be a tuple of {width} fields, got {len(term)}")
-    except TypeError:  # no length
-        return TypeError(f"each term of {name} must be a tuple of {width} fields, not {type(term).__name__}")
+def _terms(value, name: str, width: int):
+    # each term of the argument name as a tuple of width fields, or an error naming it
+    for term in _iterable(value, name):
+        try:
+            fields = tuple(term)
+        except TypeError:
+            raise TypeError(f"each term of {name} must be a tuple of {width} fields, "
+                            f"not {type(term).__name__}") from None
+        if len(fields) != width:
+            raise ValueError(f"each term of {name} must be a tuple of {width} fields, got {len(fields)}")
+        yield fields
 
 
 @dataclass(frozen=True, init=False)

@@ -17,16 +17,14 @@ from typing import Iterable, Sequence
 from .cover import (
     FlattenedFT,
     FlattenedNumber,
-    _check_indices,
-    _check_type,
-    _indices,
     _records,
     canonicalize,
     flattened,
     is_flattened_ft,
     serialize_flattened,
 )
-from .dilog import PI, CutPoint, Side, _as_complex, _fields_error, _flip, _integer, _iterable, arg_cut, as_cut_point
+from .dilog import (PI, CutPoint, Side, _as_complex, _check_type, _flip, _index, _integer, _iterable, _terms,
+                    arg_cut, as_cut_point)
 from .rogers import CmodZ2, _lhat_sum
 
 
@@ -46,13 +44,8 @@ class FormalSum:
         # FlattenedNumber, whose hash goes through CutPoint and Side; the
         # first-seen point is kept.
         merged: dict[tuple, tuple[int, FlattenedNumber]] = {}
-        for term in _iterable(terms, "terms"):
-            try:
-                coeff, gen = term
-            except (TypeError, ValueError):
-                raise _fields_error(term, "terms", 2) from None
-            if not isinstance(gen, FlattenedNumber):
-                raise TypeError("generators must be FlattenedNumber values")
+        for coeff, gen in _terms(terms, "terms", 2):
+            _check_type(gen, FlattenedNumber, "each generator of terms")
             base, coeff = gen.base, _integer(coeff, "coefficient")
             z = base.z
             key = (z.real, z.imag, base.side._value_, gen.p, gen.q)
@@ -161,7 +154,7 @@ def curly_product_relation(
     a cut are read as the upper limit.
     """
     zp, wp = as_cut_point(z, "z"), as_cut_point(w, "w")
-    p, r = _indices(p=p, r=r)
+    p, r = _index(p, "p"), _index(r, "r")
     product = zp.z * wp.z
     if not cmath.isfinite(product):
         raise ValueError(f"the product zw is not finite for z = {zp.z!r}, w = {wp.z!r}")
@@ -195,7 +188,7 @@ def cycle_relation(
     five-term instances that share their last two entries.
     """
     xp, yp = as_cut_point(x, "x"), as_cut_point(y, "y")
-    p0, p1, q0, q1, q2 = _indices(p0=p0, p1=p1, q0=q0, q1=q1, q2=q2)
+    p0, p1, q0, q1, q2 = _index(p0, "p0"), _index(p1, "p1"), _index(q0, "q0"), _index(q1, "q1"), _index(q2, "q2")
     quotient = yp.z / xp.z
     if not cmath.isfinite(quotient):
         raise ValueError(f"the quotient y/x is not finite for x = {xp.z!r}, y = {yp.z!r}")
@@ -230,9 +223,8 @@ def index_relations(
         diagonal constraint p + q = p2 + q2.
     """
     point = as_cut_point(z, "z")
-    p, q, p2, q2 = _indices(p=p, q=q, p2=p2, q2=q2)
-    if not isinstance(kind, str):
-        raise TypeError(f"kind {kind!r} is not a string")
+    p, q, p2, q2 = _index(p, "p"), _index(q, "q"), _index(p2, "p2"), _index(q2, "q2")
+    _check_type(kind, str, "kind")
     kind = kind.upper()
     if kind == "Q":
         charts = ((p, q - 1), (p, q), (p, q2 - 1), (p, q2))
@@ -352,7 +344,7 @@ def symmetry_relation(z: complex, p: int, q: int, which: int) -> FormalSum:
     root.  Contract: the lifted evaluation of the result is zero.
     """
     z = _as_complex(z, "z")
-    p, q = _check_indices(p, q)
+    p, q = _index(p, "p"), _index(q, "q")
     if not z.imag > 0.0:
         raise ValueError("these relations require Im z > 0")
     if which == 1:

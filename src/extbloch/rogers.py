@@ -21,8 +21,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cover import FlattenedNumber, _check_indices, _check_type
-from .dilog import PI, PI_SQ, TWO_PI_I, CutPoint, Side, _as_complex, _check_tol, _int_text, _log_z, _pass
+from .cover import FlattenedNumber
+from .dilog import (PI, PI_SQ, TWO_PI_I, CutPoint, Side, _as_complex, _check_tol, _check_type, _index, _int_text,
+                    _log_z, _pass)
 
 FOUR_PI_SQ = 4.0 * PI_SQ
 TWO_PI_SQ = 2.0 * PI_SQ
@@ -108,8 +109,7 @@ def reduce_mod_transfer(v: CmodZ2) -> complex:
     This is the coarser normalization used when the transfer relation is
     imposed; the order-two torsion class dies under it.
     """
-    if not isinstance(v, CmodZ2):
-        raise TypeError(f"{v!r} is not a CmodZ2")
+    _check_type(v, CmodZ2, "v")
     return complex(reduce_into(v.value.real, TWO_PI_SQ), v.value.imag)
 
 
@@ -145,7 +145,7 @@ def l_bar_at(z: complex, side: Side | str, p: int, q: int) -> complex:
     4 pi^2 p across the right cut.  Prefer :func:`rogers_l_bar` for
     canonical cover points.
     """
-    p, q = _check_indices(p, q)
+    p, q = _index(p, "p"), _index(q, "q")
     return _linear(CutPoint(z, side), 1, p, q) - TWO_PI_SQ * (p * q)
 
 

@@ -16,8 +16,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .cover import _check_type, make_flattened_ft
-from .dilog import PI, TWO_PI_I, CutPoint, Side, _integer, _real, arg_cut, principal_log
+from .cover import make_flattened_ft
+from .dilog import PI, TWO_PI_I, CutPoint, Side, _check_type, _integer, _real, arg_cut, principal_log
 from .prebloch import (
     FormalSum,
     chi_hat,

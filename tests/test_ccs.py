@@ -125,7 +125,8 @@ def test_a_name_header_overrides_the_file_stem_even_when_empty(tmp_path):
     ("\x85a", ValueError),  # str.strip() counts U+0085 as whitespace
 ])
 def test_a_name_dump_cannot_write_is_refused(name, error):
-    with pytest.raises(error, match=re.escape(repr(name))):
+    message = re.escape(repr(name)) if error is ValueError else f"^name must be a str, not {type(name).__name__}$"
+    with pytest.raises(error, match=message):
         FlattenedTriangulation(((flattened(0.5), 1),), name)
 
 

@@ -91,13 +91,13 @@ def test_a_number_beyond_a_double_is_named(call, message):
 
 
 @pytest.mark.parametrize("call,exc,message", [
-    (lambda: parse_flattened(5), TypeError, "text 5 is not a string"),
-    (lambda: FormalSum.parse(5), TypeError, "text 5 is not a string"),
-    (lambda: symmetry_relation(0.3 + 0.4j, 1.5, 0, 1), TypeError, "branch indices p, q must be integers"),
-    (lambda: symmetry_relation(0.3 + 0.4j, "2", 0, 2), TypeError, "branch indices p, q must be integers"),
-    (lambda: symmetry_relation(0.3 + 0.4j, 0, "2", 3), TypeError, "branch indices p, q must be integers"),
-    (lambda: symmetry_relation(0.3 + 0.4j, 0, "2", 4), TypeError, "branch indices p, q must be integers"),
-    (lambda: symmetry_relation(0.3 + 0.4j, "2", 0, 5), TypeError, "branch indices p, q must be integers"),
+    (lambda: parse_flattened(5), TypeError, "text must be a str, not int"),
+    (lambda: FormalSum.parse(5), TypeError, "text must be a str, not int"),
+    (lambda: symmetry_relation(0.3 + 0.4j, 1.5, 0, 1), TypeError, "p 1.5 is not an integer"),
+    (lambda: symmetry_relation(0.3 + 0.4j, "2", 0, 2), TypeError, "p '2' is not an integer"),
+    (lambda: symmetry_relation(0.3 + 0.4j, 0, "2", 3), TypeError, "q '2' is not an integer"),
+    (lambda: symmetry_relation(0.3 + 0.4j, 0, "2", 4), TypeError, "q '2' is not an integer"),
+    (lambda: symmetry_relation(0.3 + 0.4j, "2", 0, 5), TypeError, "p '2' is not an integer"),
     (lambda: symmetry_relation(0.3 + 0.4j, BIG, 0, 2), ValueError, "branch index p is beyond 2**53 in magnitude"),
     (lambda: is_flattened_ft(make_flattened_ft(0.3 + 0.2j, 0.4 + 0.9j), "x"), TypeError, "tol 'x' is not a number"),
     (lambda: wedge_necessary_zero(WEDGE, tol="x"), TypeError, "tol 'x' is not a number"),

@@ -651,7 +651,7 @@ def test_index_relation_unknown_kind():
 
 def test_index_relation_kind_that_is_not_a_string_is_named():
     # was an AttributeError: 'int' object has no attribute 'upper'
-    with pytest.raises(TypeError, match="^kind 1 is not a string$"):
+    with pytest.raises(TypeError, match="^kind must be a str, not int$"):
         index_relations(0.3 + 0.4j, 0, 0, 1, 1, kind=1)
 
 

@@ -215,7 +215,7 @@ def test_reduce_mod_transfer_examples():
 
 def test_reduce_mod_transfer_names_a_value_that_is_not_a_cmodz2():
     # was an AttributeError: 'complex' object has no attribute 'value'
-    with pytest.raises(TypeError, match=re.escape("1j is not a CmodZ2")):
+    with pytest.raises(TypeError, match=re.escape("v must be a CmodZ2, not complex")):
         reduce_mod_transfer(1j)
 
 
