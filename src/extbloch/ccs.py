@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, TextIO
 
 from .cover import FlattenedNumber, TriangulationFormatError, _records, serialize_flattened
-from .dilog import _check_type, _integer, _terms
+from .dilog import _check_type, _field, _integer, _terms
 from .prebloch import FormalSum, eval_lhat
 from .rogers import CmodZ2, _render_dict, _render_text, _row, _value_rows, reduce_mod_transfer
 
@@ -55,10 +55,7 @@ def load(source: str | Path | TextIO) -> FlattenedTriangulation:
     Without one, a file's name is its stem read as a header would be: up to a line end or ``#``, stripped.
     """
     def sign(field: str) -> int:  # a sign not spelled +1, -1 or 1
-        try:
-            value = int(field)
-        except ValueError:
-            raise ValueError(f"bad sign {field!r}") from None
+        value = _field(field, int, "sign")
         if value not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {value}")
         return value

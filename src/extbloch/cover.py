@@ -19,8 +19,8 @@ import cmath
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .dilog import (PI, TWO_PI_I, _ABOVE, _BELOW, CutPoint, Side, _as_complex, _check_tol, _check_type, _index,
-                    _iterable, _log_z, _pass, as_cut_point)
+from .dilog import (PI, TWO_PI_I, _ABOVE, _BELOW, CutPoint, Side, _as_complex, _check_tol, _check_type, _field,
+                    _index, _iterable, _log_z, _pass, as_cut_point)
 
 
 @dataclass(frozen=True, init=False)
@@ -264,9 +264,13 @@ def _from_fields(re_s: str, im_s: str, side_s: str, p_s: str, q_s: str, points: 
         side = _FIELD_SIDES.get(side_s)
         if side is None:
             raise ValueError(f"side must be 'i' or 'a', got {side_s!r}")
-        point = CutPoint(complex(float(re_s), float(im_s)), side)
+        point = CutPoint(complex(_field(re_s, float, "z_re"), _field(im_s, float, "z_im")), side)
         base = points[re_s, im_s, side_s] = points.setdefault(point.z, point)
-    return FlattenedNumber(base, int(p_s), int(q_s))
+    try:
+        p, q = int(p_s), int(q_s)
+    except ValueError:  # read again to name the field
+        p, q = _field(p_s, int, "p"), _field(q_s, int, "q")
+    return FlattenedNumber(base, p, q)
 
 
 class TriangulationFormatError(ValueError):

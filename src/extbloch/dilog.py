@@ -125,6 +125,14 @@ def _index(value, name: str) -> int:
     return value
 
 
+def _field(text: str, kind: type, name: str):
+    # a record's field read by int or float, or a ValueError naming the field
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{name} {text!r} is not {'an integer' if kind is int else 'a number'}") from None
+
+
 def _real(value, name: str) -> float:
     # an int or float value as a float, or an error naming it: a TypeError for
     # any other type, a ValueError for an int beyond the range of a double

@@ -23,7 +23,7 @@ from .cover import (
     is_flattened_ft,
     serialize_flattened,
 )
-from .dilog import (PI, CutPoint, Side, _as_complex, _check_type, _flip, _index, _integer, _iterable, _terms,
+from .dilog import (PI, CutPoint, Side, _as_complex, _check_type, _field, _flip, _index, _integer, _iterable, _terms,
                     arg_cut, as_cut_point)
 from .rogers import CmodZ2, _lhat_sum
 
@@ -91,7 +91,7 @@ class FormalSum:
     def parse(cls, text: str) -> "FormalSum":
         """Read a ``ccs`` file's records with any int coefficients; a name header is ignored."""
         def coeff(field: str) -> int:  # the rule is named for the field it reads
-            return int(field)
+            return _field(field, int, "coefficient")
         return cls(tuple((c, f) for f, c in _records(text, coeff, "term")[1]))
 
 
@@ -345,6 +345,7 @@ def symmetry_relation(z: complex, p: int, q: int, which: int) -> FormalSum:
     """
     z = _as_complex(z, "z")
     p, q = _index(p, "p"), _index(q, "q")
+    which = _integer(which, "which")
     if not z.imag > 0.0:
         raise ValueError("these relations require Im z > 0")
     if which == 1:

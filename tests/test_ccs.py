@@ -84,7 +84,7 @@ def test_load_bad_sign():
 
 
 def test_load_names_a_sign_that_is_not_a_number():
-    with pytest.raises(TriangulationFormatError, match=r"^line 1: bad sign 'x'$"):
+    with pytest.raises(TriangulationFormatError, match=r"^line 1: sign 'x' is not an integer$"):
         load(io.StringIO("x 0.5 0.86 i 0 0\n"))
 
 
@@ -343,7 +343,7 @@ def test_formal_sum_parse_ignores_the_name_header_and_keeps_its_place():
     ("1 0.5 0.5 i 0 0\n1 nan 0.5 i 0 0\n", "line 2: term 2: (nan+0.5j) is not a finite point of the cut plane"),
     ("# header\n\nx\n", "line 3: expected 'coeff z_re z_im side p q', got 1 fields"),
     ("1 0.5 0.5 i 0\n", "line 1: expected 'coeff z_re z_im side p q', got 5 fields"),
-    ("1 0.5 0.5 i 0 0\n\nz 0.5 0.5 i 0 0\n", "line 3: invalid literal for int() with base 10: 'z'"),
+    ("1 0.5 0.5 i 0 0\n\nz 0.5 0.5 i 0 0\n", "line 3: coefficient 'z' is not an integer"),
     ("0 0.5 0.5 i 0 0\n-7 0.25 0.5 b 0 0\n", "line 2: term 2: side must be 'i' or 'a', got 'b'"),
 ], ids=["point", "one-field", "five-fields", "coefficient", "side"])
 def test_formal_sum_parse_messages_follow_the_ccs_ones(text, message):

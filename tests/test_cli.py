@@ -141,7 +141,7 @@ def test_eval_bad_point(capsys):
 
 @pytest.mark.parametrize("operand,message", [
     (("0.5", "0.5", "b", "0", "0"), "side must be"),
-    (("0.5", "0.5", "i", "x", "0"), "invalid literal"),
+    (("0.5", "0.5", "i", "x", "0"), "p 'x' is not an integer"),
     (("0.5", "0.5", "i", "0", str(2**53 + 1)), "branch index q is beyond 2**53"),
 ])
 def test_eval_bad_inline_operand_exits_2(capsys, operand, message):

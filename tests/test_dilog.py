@@ -749,6 +749,31 @@ def test_every_imported_name_is_used():
     assert unused == []
 
 
+def _type_error_raisers(node, function, found):
+    # (function, line) of each "raise TypeError" under node, by its innermost enclosing function
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            _type_error_raisers(child, child.name, found)
+            continue
+        if isinstance(child, ast.Raise) and child.exc is not None:
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            if isinstance(exc, ast.Name) and exc.id == "TypeError":
+                found.append((function, child.lineno))
+        _type_error_raisers(child, function, found)
+
+
+def test_every_type_check_is_one_of_dilogs_helpers():
+    # no hand-written isinstance-then-raise: a TypeError comes from dilog's
+    # argument checks, or from ccs.load for a source of neither accepted kind
+    helpers = {("dilog.py", name) for name in ("_integer", "_real", "_as_complex", "_check_type", "_iterable", "_terms")}
+    raisers = set()
+    for path in sorted(Path(extbloch.__file__).parent.glob("*.py")):
+        found = []
+        _type_error_raisers(ast.parse(path.read_text(encoding="utf-8")), None, found)
+        raisers |= {(path.name, function) for function, _ in found}
+    assert raisers == helpers | {("ccs.py", "load")}
+
+
 # ---------------------------------------------------------------------------
 # accuracy against mpmath over the whole double range
 # ---------------------------------------------------------------------------

@@ -99,6 +99,12 @@ def test_a_number_beyond_a_double_is_named(call, message):
     (lambda: symmetry_relation(0.3 + 0.4j, 0, "2", 4), TypeError, "q '2' is not an integer"),
     (lambda: symmetry_relation(0.3 + 0.4j, "2", 0, 5), TypeError, "p '2' is not an integer"),
     (lambda: symmetry_relation(0.3 + 0.4j, BIG, 0, 2), ValueError, "branch index p is beyond 2**53 in magnitude"),
+    (lambda: symmetry_relation(0.3 + 0.4j, 0, 0, 1.0), TypeError, "which 1.0 is not an integer"),
+    (lambda: symmetry_relation(0.3 + 0.4j, 0, 0, 6), ValueError, "which must be 1..5"),
+    (lambda: parse_flattened("x 0.5 i 1 0"), ValueError, "z_re 'x' is not a number"),
+    (lambda: parse_flattened("0.5 y i 1 0"), ValueError, "z_im 'y' is not a number"),
+    (lambda: parse_flattened("0.5 0.5 i 1.5 0"), ValueError, "p '1.5' is not an integer"),
+    (lambda: parse_flattened("0.5 0.5 i 1 0x1"), ValueError, "q '0x1' is not an integer"),
     (lambda: is_flattened_ft(make_flattened_ft(0.3 + 0.2j, 0.4 + 0.9j), "x"), TypeError, "tol 'x' is not a number"),
     (lambda: wedge_necessary_zero(WEDGE, tol="x"), TypeError, "tol 'x' is not a number"),
     (lambda: CmodZ2(1j).equals(1j, tol="x"), TypeError, "tol 'x' is not a number"),
@@ -108,11 +114,14 @@ def test_a_number_beyond_a_double_is_named(call, message):
     (lambda: _enter_precision(10**308), ValueError, f"dps {10**308} is too large to count in bits"),
 ], ids=["parse_flattened", "FormalSum.parse", "symmetry_relation-1", "symmetry_relation-2",
         "symmetry_relation-3", "symmetry_relation-4", "symmetry_relation-5", "symmetry_relation-p-big",
+        "symmetry_relation-which-float", "symmetry_relation-which-6", "parse_flattened-z_re", "parse_flattened-z_im",
+        "parse_flattened-p", "parse_flattened-q",
         "is_flattened_ft-tol", "wedge_necessary_zero-tol", "CmodZ2.equals-tol", "CmodZ2.equals-negative-tol",
         "CmodZ2.equals-infinite-tol", "set_precision-dps-bits", "precision-dps-bits"])
 def test_an_input_of_the_wrong_kind_is_named(call, exc, message):
     # each raised an error naming neither the argument nor its value:
     # AttributeError from str.split, a TypeError from indexing a tuple,
+    # int() or float() naming the text but not its field,
     # from arithmetic on a str or from comparing it, or an OverflowError
     # (for the dps, at the first high-precision pass); CmodZ2.equals took a
     # negative or infinite tol
@@ -271,29 +280,38 @@ _FT = make_flattened_ft(0.3 + 0.2j, 0.4 + 0.9j)
     (lambda: FormalSum(5), TypeError, "terms must be iterable, not int"),
     (lambda: FormalSum(((1, _F, 2),)), ValueError, "each term of terms must be a tuple of 2 fields, got 3"),
     (lambda: FormalSum((5,)), TypeError, "each term of terms must be a tuple of 2 fields, not int"),
+    (lambda: FormalSum([iter((1, _F, 2))]), ValueError, "each term of terms must be a tuple of 2 fields, got 3"),
+    (lambda: FormalSum(((1, 5),)), TypeError, "each generator of terms must be a FlattenedNumber, not int"),
     (lambda: WedgeExpr(5), TypeError, "terms must be iterable, not int"),
     (lambda: WedgeExpr(((1, 2j),)), ValueError, "each term of terms must be a tuple of 3 fields, got 2"),
     (lambda: WedgeExpr((None,)), TypeError, "each term of terms must be a tuple of 3 fields, not NoneType"),
+    (lambda: WedgeExpr([iter((1, 2j, 3j, 4j))]), ValueError, "each term of terms must be a tuple of 3 fields, got 4"),
     (lambda: WedgeExpr(((1, "abc", 2j),)), ValueError, "wedge factor 'abc' is not a number"),
     (lambda: FlattenedTriangulation(5), TypeError, "simplices must be iterable, not int"),
     (lambda: FlattenedTriangulation(((_F, 1, 0),)), ValueError,
      "each term of simplices must be a tuple of 2 fields, got 3"),
     (lambda: FlattenedTriangulation((_F,)), TypeError, "each term of simplices must be a tuple of 2 fields, "
                                                        "not FlattenedNumber"),
+    (lambda: FlattenedTriangulation([iter((_F, 1, 0))]), ValueError,
+     "each term of simplices must be a tuple of 2 fields, got 3"),
+    (lambda: FlattenedTriangulation(((5, 1),)), TypeError, "each shape of simplices must be a FlattenedNumber, not int"),
     (lambda: FlattenedFT(5), TypeError, "entries must be iterable, not int"),
     (lambda: FlattenedFT(("a", "b", "c", "d", "e")), TypeError, "each of entries must be a FlattenedNumber, not str"),
     (lambda: FlattenedFT(_FT.entries[:4]), ValueError, "a five-term tuple has exactly five entries, got 4"),
     (lambda: five_term_element(5), TypeError, "t must be iterable, not int"),
     (lambda: is_flattened_ft(5), TypeError, "t must be iterable, not int"),
     (lambda: load(5), TypeError, "source must be a path or a text stream, not int"),
-], ids=["FormalSum", "FormalSum-long-term", "FormalSum-int-term", "WedgeExpr", "WedgeExpr-short-term",
-        "WedgeExpr-None-term", "WedgeExpr-factor", "FlattenedTriangulation", "FlattenedTriangulation-long-term",
-        "FlattenedTriangulation-bare-shape", "FlattenedFT", "FlattenedFT-str-entries", "FlattenedFT-four",
+], ids=["FormalSum", "FormalSum-long-term", "FormalSum-int-term", "FormalSum-long-iterator", "FormalSum-generator",
+        "WedgeExpr", "WedgeExpr-short-term", "WedgeExpr-None-term", "WedgeExpr-long-iterator", "WedgeExpr-factor",
+        "FlattenedTriangulation", "FlattenedTriangulation-long-term", "FlattenedTriangulation-bare-shape",
+        "FlattenedTriangulation-long-iterator", "FlattenedTriangulation-shape", "FlattenedFT", "FlattenedFT-str-entries", "FlattenedFT-four",
         "five_term_element", "is_flattened_ft", "load"])
 def test_a_container_names_its_argument(call, exc, message):
     # FlattenedFT built from five strings; the others raised "'int' object is
     # not iterable", "too many values to unpack (expected 2)", "cannot unpack
-    # non-iterable int object", "expected str, bytes or os.PathLike object"
+    # non-iterable int object", "expected str, bytes or os.PathLike object";
+    # a generator of another type was named by neither the argument nor the
+    # value, and an iterator term of too many fields was a TypeError
     with pytest.raises(exc, match="^" + re.escape(message) + "$") as info:
         call()
     assert type(info.value) is exc
@@ -302,6 +320,12 @@ def test_a_container_names_its_argument(call, exc, message):
 def test_a_five_term_tuple_takes_any_iterable_of_five():
     assert FlattenedFT(iter(_FT.entries)) == FlattenedFT(list(_FT.entries)) == _FT
     assert type(FlattenedFT(iter(_FT.entries)).entries) is tuple
+
+
+def test_a_term_may_be_any_iterable_of_its_width():
+    assert FormalSum([iter((2, _F))]) == FormalSum([[2, _F]]) == FormalSum(((2, _F),))
+    assert WedgeExpr([iter((1, 2j, 3j))]) == WedgeExpr(((1, 2j, 3j),))
+    assert FlattenedTriangulation([iter((_F, -1))]) == FlattenedTriangulation(((_F, -1),))
 
 
 @pytest.mark.parametrize("call,exc,message", [

@@ -86,7 +86,7 @@ def test_formal_sum_parse_skips_trailing_comments():
 @pytest.mark.parametrize("text,lineno,message", [
     ("1 0.5 0.5 i 0 0\n1 nan 0.5 i 0 0\n", 2, "not a finite point"),
     ("# header\n\nx\n", 3, "expected 'coeff z_re z_im side p q'"),
-    ("1 0.5 0.5 i 0 0\n1 0.5 0.5 i 0 0\n  \nz 0.5 0.5 i 0 0\n", 4, "invalid literal"),
+    ("1 0.5 0.5 i 0 0\n1 0.5 0.5 i 0 0\n  \nz 0.5 0.5 i 0 0\n", 4, "coefficient 'z' is not an integer"),
 ])
 def test_formal_sum_parse_error_names_the_line(text, lineno, message):
     with pytest.raises(ValueError) as info:
