@@ -63,6 +63,55 @@ def test_serialize_lines():
     assert w.serialize() == "-2 0.0 1.0 1.0 0.0"
 
 
+def reference_wedge(terms):
+    """The normal form as a dict keyed on the ordered pair, sorted by real and imaginary parts."""
+    merged = {}
+    for c, a, b in terms:
+        if a == b:
+            continue
+        if (b.real, b.imag) < (a.real, a.imag):
+            c, a, b = -c, b, a
+        merged.setdefault((a, b), [0, a, b])[0] += c
+    order = lambda kv: (kv[0][0].real, kv[0][0].imag, kv[0][1].real, kv[0][1].imag)
+    return tuple((c, a, b) for _, (c, a, b) in sorted(merged.items(), key=order) if c)
+
+
+def assert_same_wedge(got, want):
+    # == on terms, and the very factor objects kept: == does not see the
+    # sign of a zero part, and the first-seen factor is the one kept
+    assert got.terms == want
+    assert all(a is x and b is y for (_, a, b), (_, x, y) in zip(got.terms, want))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_wedge_normalizes_like_the_reference(seed):
+    rng = random.Random(seed)
+    pool = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(5)]
+    pool += [complex(0.0, 0.7), complex(-0.0, 0.7), complex(1.5, 0.0), complex(1.5, -0.0),  # equal keys
+             complex(-0.0, -0.0), complex(0.0, 0.0), complex(0.0, 1.5), complex(1.5, 1.5)]
+
+    def random_terms(n):
+        return tuple((rng.choice((-3, -2, -1, 1, 1, 2, 4)), rng.choice(pool), rng.choice(pool)) for _ in range(n))
+
+    for _ in range(40):
+        terms = random_terms(rng.randint(0, 12))
+        a, b = pool[rng.randrange(len(pool))], pool[rng.randrange(len(pool))]
+        terms += ((2, a, b), (-2, b, a), (1, a, a), (3, a, b), (-3, a, b))  # a repeat, a swap, a ^ a, a zero sum
+        w = WedgeExpr(terms)
+        assert_same_wedge(w, reference_wedge(terms))
+        v = WedgeExpr(random_terms(rng.randint(0, 6)))
+        assert_same_wedge(w + v, reference_wedge(w.terms + v.terms))
+        assert_same_wedge(-w, reference_wedge(tuple((-c, x, y) for c, x, y in w.terms)))
+        assert (w + -w).is_empty() and len(w) == len(reference_wedge(terms))
+
+
+def test_a_formal_sum_and_a_wedge_do_not_add():
+    s, w = FormalSum.single(flattened(0.5)), WedgeExpr(((1, 1j, 2 + 0j),))
+    for op in (lambda: s + w, lambda: w + s):
+        with pytest.raises(TypeError):
+            op()
+
+
 # ---------------------------------------------------------------------------
 # the wedge of the branch logarithms
 # ---------------------------------------------------------------------------
