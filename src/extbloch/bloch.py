@@ -12,54 +12,34 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from .cover import _log_params
-from .dilog import _as_complex, _check_tol, _check_type, _integer, _terms
-from .prebloch import FormalSum
+from .dilog import _as_complex, _check_tol, _check_type, _integer
+from .prebloch import FormalSum, _Combination
 from .rogers import _coefficient_error
 
 
-@dataclass(frozen=True, init=False)
-class WedgeExpr:
+class WedgeExpr(_Combination):
     """Formal integer combination of wedge pairs of complex numbers.
 
-    Normal form: no a ^ a terms, each pair ordered lexicographically with
-    antisymmetry absorbed into the coefficient, like terms merged.
+    Normal form, the one ``prebloch.FormalSum`` has: no a ^ a terms, each
+    pair ordered on the plain key (Re a, Im a, Re b, Im b) with
+    antisymmetry absorbed into the coefficient, like terms merged into the
+    first-seen pair, zero sums dropped, and terms sorted on that key.
     """
 
-    terms: tuple[tuple[int, complex, complex], ...] = ()
+    _width = 3
 
-    def __init__(self, terms: Iterable[tuple[int, complex, complex]] = ()) -> None:
-        # Merge and sort on the plain key (Re a, Im a, Re b, Im b); the
-        # first-seen pair is kept.
-        merged: dict[tuple[float, float, float, float], tuple[int, complex, complex]] = {}
-        for coeff, a, b in _terms(terms, "terms", 3):
-            coeff = _integer(coeff, "coefficient")
-            a = a if a.__class__ is complex else _as_complex(a, "wedge factor")
-            b = b if b.__class__ is complex else _as_complex(b, "wedge factor")
-            key_a, key_b = (a.real, a.imag), (b.real, b.imag)
-            if key_a == key_b:
-                continue
-            if not key_a <= key_b:
-                a, b, key_a, key_b = b, a, key_b, key_a
-                coeff = -coeff
-            key = key_a + key_b
-            seen = merged.get(key)
-            merged[key] = (coeff, a, b) if seen is None else (seen[0] + coeff, seen[1], seen[2])
-        self.__dict__["terms"] = tuple([term for term in map(merged.__getitem__, sorted(merged)) if term[0]])
-
-    def __add__(self, other: "WedgeExpr") -> "WedgeExpr":
-        return WedgeExpr(self.terms + other.terms) if isinstance(other, WedgeExpr) else NotImplemented
-
-    def __neg__(self) -> "WedgeExpr":
-        return WedgeExpr((-c, a, b) for c, a, b in self.terms)
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def is_empty(self) -> bool:
-        return not self.terms
+    @staticmethod
+    def _keyed(term: tuple) -> tuple | None:
+        coeff, a, b = term
+        coeff = _integer(coeff, "coefficient")
+        a = a if a.__class__ is complex else _as_complex(a, "wedge factor")
+        b = b if b.__class__ is complex else _as_complex(b, "wedge factor")
+        key_a, key_b = (a.real, a.imag), (b.real, b.imag)
+        if key_a == key_b:
+            return None
+        return (key_a + key_b, (coeff, a, b)) if key_a <= key_b else (key_b + key_a, (-coeff, b, a))
 
     def pairing(self) -> float:
         """The real antisymmetric pairing sum c (Re a Im b - Im a Re b)."""

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, TextIO
 
 from .cover import FlattenedNumber, TriangulationFormatError, _records, serialize_flattened
-from .dilog import _check_type, _field, _integer, _terms
+from .dilog import _check_type, _field, _fields, _integer, _iterable
 from .prebloch import FormalSum, eval_lhat
 from .rogers import CmodZ2, _render_dict, _render_text, _row, _value_rows, reduce_mod_transfer
 
@@ -28,7 +28,8 @@ class FlattenedTriangulation:
 
     def __init__(self, simplices: Iterable[tuple[FlattenedNumber, int]], name: str = "") -> None:
         checked = []
-        for shape, sign in _terms(simplices, "simplices", 2):
+        for term in _iterable(simplices, "simplices"):
+            shape, sign = term if term.__class__ is tuple and len(term) == 2 else _fields(term, "simplices", 2)
             _check_type(shape, FlattenedNumber, "each shape of simplices")
             sign = _integer(sign, "simplex sign")  # an int, so True is 1
             if sign not in (1, -1):

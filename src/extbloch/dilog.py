@@ -66,6 +66,7 @@ import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, Callable, Iterator, NamedTuple
 
 PI = math.pi
@@ -178,17 +179,17 @@ def _iterable(value, name: str):
         raise TypeError(f"{name} must be iterable, not {type(value).__name__}") from None
 
 
-def _terms(value, name: str, width: int):
-    # each term of the argument name as a tuple of width fields, or an error naming it
-    for term in _iterable(value, name):
-        try:
-            fields = tuple(term)
-        except TypeError:
-            raise TypeError(f"each term of {name} must be a tuple of {width} fields, "
-                            f"not {type(term).__name__}") from None
-        if len(fields) != width:
-            raise ValueError(f"each term of {name} must be a tuple of {width} fields, got {len(fields)}")
-        yield fields
+def _fields(term, name: str, width: int) -> tuple:
+    # a term of the argument name as a tuple of width fields, or an error naming it;
+    # an iterator is read at most width + 1 fields, a tuple or list is measured whole
+    try:
+        fields = tuple(term if isinstance(term, (tuple, list)) else islice(term, width + 1))
+    except TypeError:
+        raise TypeError(f"each term of {name} must be a tuple of {width} fields, "
+                        f"not {type(term).__name__}") from None
+    if len(fields) != width:
+        raise ValueError(f"each term of {name} must be a tuple of {width} fields, got {len(fields)}")
+    return fields
 
 
 @dataclass(frozen=True, init=False)

@@ -23,35 +23,64 @@ from .cover import (
     is_flattened_ft,
     serialize_flattened,
 )
-from .dilog import (PI, CutPoint, Side, _as_complex, _check_type, _field, _flip, _index, _integer, _iterable, _terms,
+from .dilog import (PI, CutPoint, Side, _as_complex, _check_type, _field, _fields, _flip, _index, _integer, _iterable,
                     arg_cut, as_cut_point)
 from .rogers import CmodZ2, _lhat_sum
 
 
 @dataclass(frozen=True, init=False)
-class FormalSum:
+class _Combination:
+    # Terms (coeff, ...) of _width fields in one normal form: each is read once,
+    # and _keyed(term) gives its (plain key, checked term), or None where it is
+    # zero by itself; like keys merge into the first-seen term, zero sums drop,
+    # and terms sort on the key.
+    terms: tuple = ()
+
+    def __init__(self, terms: Iterable[tuple] = ()) -> None:
+        keyed, width = self._keyed, self._width
+        merged: dict[tuple, tuple] = {}
+        for term in _iterable(terms, "terms"):
+            if term.__class__ is not tuple or len(term) != width:
+                term = _fields(term, "terms", width)
+            found = keyed(term)
+            if found is not None:
+                key, term = found
+                seen = merged.get(key)
+                merged[key] = term if seen is None else (seen[0] + term[0],) + seen[1:]
+        self.__dict__["terms"] = tuple([term for term in map(merged.__getitem__, sorted(merged)) if term[0]])
+
+    def __add__(self, other):
+        return type(self)(self.terms + other.terms) if isinstance(other, type(self)) else NotImplemented
+
+    def __neg__(self):
+        return type(self)((-term[0],) + term[1:] for term in self.terms)
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+    def is_empty(self) -> bool:
+        return not self.terms
+
+
+class FormalSum(_Combination):
     """An integer linear combination of canonical cover points.
 
-    Terms are merged, zero coefficients pruned, and the term order is
-    canonical, so equal sums compare equal structurally.  Every sum, a
-    derived one too, is normalized once, by this constructor.
+    Every sum, a derived one too, is normalized once, by the constructor it
+    shares with ``bloch.WedgeExpr``: like terms merge into the first-seen
+    point on the plain key (Re z, Im z, side, p, q), not on FlattenedNumber,
+    whose hash goes through CutPoint and Side; zero sums drop, and terms
+    sort on that key, so equal sums compare equal structurally.
     """
 
-    terms: tuple[tuple[int, FlattenedNumber], ...] = ()
+    _width = 2
 
-    def __init__(self, terms: Iterable[tuple[int, FlattenedNumber]] = ()) -> None:
-        # Merge and sort on the plain key (Re z, Im z, side, p, q), not on
-        # FlattenedNumber, whose hash goes through CutPoint and Side; the
-        # first-seen point is kept.
-        merged: dict[tuple, tuple[int, FlattenedNumber]] = {}
-        for coeff, gen in _terms(terms, "terms", 2):
-            _check_type(gen, FlattenedNumber, "each generator of terms")
-            base, coeff = gen.base, _integer(coeff, "coefficient")
-            z = base.z
-            key = (z.real, z.imag, base.side._value_, gen.p, gen.q)
-            seen = merged.get(key)
-            merged[key] = (coeff, gen) if seen is None else (seen[0] + coeff, seen[1])
-        self.__dict__["terms"] = tuple([term for term in map(merged.__getitem__, sorted(merged)) if term[0]])
+    @staticmethod
+    def _keyed(term: tuple) -> tuple:
+        coeff, gen = term
+        _check_type(gen, FlattenedNumber, "each generator of terms")
+        base = gen.base
+        z = base.z
+        return (z.real, z.imag, base.side._value_, gen.p, gen.q), (_integer(coeff, "coefficient"), gen)
 
     @classmethod
     def of(cls, *pairs: tuple[int, FlattenedNumber]) -> "FormalSum":
@@ -61,28 +90,16 @@ class FormalSum:
     def single(cls, gen: FlattenedNumber, coeff: int = 1) -> "FormalSum":
         return cls(((coeff, gen),))
 
-    def __add__(self, other: "FormalSum") -> "FormalSum":
-        return FormalSum(self.terms + other.terms) if isinstance(other, FormalSum) else NotImplemented
-
     def __sub__(self, other: "FormalSum") -> "FormalSum":
         if not isinstance(other, FormalSum):
             return NotImplemented
         return FormalSum(self.terms + tuple((-c, g) for c, g in other.terms))
 
-    def __neg__(self) -> "FormalSum":
-        return FormalSum((-c, g) for c, g in self.terms)
-
     def __rmul__(self, k: int) -> "FormalSum":
         return FormalSum((k * c, g) for c, g in self.terms) if isinstance(k, int) else NotImplemented
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
     def __iter__(self):
         return iter(self.terms)
-
-    def is_empty(self) -> bool:
-        return not self.terms
 
     def serialize(self) -> str:
         return "\n".join(f"{c} {serialize_flattened(g)}" for c, g in self.terms)

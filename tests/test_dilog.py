@@ -765,7 +765,7 @@ def _type_error_raisers(node, function, found):
 def test_every_type_check_is_one_of_dilogs_helpers():
     # no hand-written isinstance-then-raise: a TypeError comes from dilog's
     # argument checks, or from ccs.load for a source of neither accepted kind
-    helpers = {("dilog.py", name) for name in ("_integer", "_real", "_as_complex", "_check_type", "_iterable", "_terms")}
+    helpers = {("dilog.py", name) for name in ("_integer", "_real", "_as_complex", "_check_type", "_iterable", "_fields")}
     raisers = set()
     for path in sorted(Path(extbloch.__file__).parent.glob("*.py")):
         found = []

@@ -328,6 +328,18 @@ def test_a_term_may_be_any_iterable_of_its_width():
     assert FlattenedTriangulation([iter((_F, -1))]) == FlattenedTriangulation(((_F, -1),))
 
 
+@pytest.mark.parametrize("build,name,width", [
+    (FormalSum, "terms", 2), (WedgeExpr, "terms", 3), (FlattenedTriangulation, "simplices", 2),
+], ids=["FormalSum", "WedgeExpr", "FlattenedTriangulation"])
+def test_an_iterator_term_is_read_at_most_one_field_past_its_width(build, name, width):
+    # tuple(term) read a million fields before the width check said "got 1000000"
+    it = iter(range(10**6))
+    message = f"each term of {name} must be a tuple of {width} fields, got {width + 1}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        build([it])
+    assert next(it) == width + 1
+
+
 @pytest.mark.parametrize("call,exc,message", [
     (lambda: CutPoint("abc"), ValueError, "z 'abc' is not a number"),
     (lambda: CutPoint([1]), TypeError, "z must be a number, not list"),
