@@ -19,7 +19,7 @@ _HOMES = {
     "FlattenedTriangulation": "ccs", "FormalSum": "prebloch", "NecessaryZeroCheck": "bloch",
     "RELATIONS": "sweeps", "Side": "dilog", "SweepConfig": "sweeps", "SweepResult": "sweeps",
     "TriangulationFormatError": "cover", "WedgeExpr": "bloch", "as_cut_point": "dilog",
-    "canonicalize": "cover", "check_chi_homomorphism": "prebloch", "chi_hat": "prebloch",
+    "canonicalize": "cover", "chi_hat": "prebloch",
     "complex_volume": "ccs", "curly": "prebloch", "curly_product_relation": "prebloch",
     "cycle_relation": "prebloch", "eval_lhat": "prebloch", "five_term_element": "prebloch",
     "flattened": "cover", "index_relations": "prebloch", "is_flattened_ft": "cover",

@@ -33,7 +33,7 @@ class WedgeExpr(_Combination):
     @staticmethod
     def _keyed(term: tuple) -> tuple | None:
         coeff, a, b = term
-        coeff = _integer(coeff, "coefficient")
+        coeff = coeff if coeff.__class__ is int else _integer(coeff, "coefficient")
         a = a if a.__class__ is complex else _as_complex(a, "wedge factor")
         b = b if b.__class__ is complex else _as_complex(b, "wedge factor")
         key_a, key_b = (a.real, a.imag), (b.real, b.imag)
@@ -57,11 +57,6 @@ class WedgeExpr(_Combination):
             total = new_total
         return total
 
-    def serialize(self) -> str:
-        return "\n".join(
-            f"{c} {a.real!r} {a.imag!r} {b.real!r} {b.imag!r}" for c, a, b in self.terms
-        )
-
 
 def nu_hat(s: FormalSum) -> WedgeExpr:
     """Wedge of the branch logarithms, summed over a formal sum."""
@@ -76,14 +71,12 @@ class NecessaryZeroCheck:
     ``certainty`` is "zero" (exact cancellation emptied the expression),
     "nonzero" (the pairing certifies a nonzero element), or
     "necessary-only" (the pairing vanished; the element may still be
-    nonzero torsion invisible to floating point).  ``merged_pairing``
-    equals ``pairing`` and stays for API compatibility.
+    nonzero torsion invisible to floating point).
     """
 
     passed: bool
     certainty: str
     pairing: float
-    merged_pairing: float
 
     def __bool__(self) -> bool:
         return self.passed
@@ -100,8 +93,8 @@ def wedge_necessary_zero(w: WedgeExpr, tol: float = 1e-9) -> NecessaryZeroCheck:
     _check_tol(tol)  # a negative or NaN tol certifies anything "nonzero", inf "necessary-only"
     _check_type(w, WedgeExpr, "w")
     if w.is_empty():
-        return NecessaryZeroCheck(True, "zero", 0.0, 0.0)
+        return NecessaryZeroCheck(True, "zero", 0.0)
     pairing = w.pairing()
     passed = abs(pairing) <= tol
     certainty = "necessary-only" if passed else "nonzero"
-    return NecessaryZeroCheck(passed, certainty, pairing, pairing)
+    return NecessaryZeroCheck(passed, certainty, pairing)

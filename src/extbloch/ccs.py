@@ -18,7 +18,7 @@ from typing import Iterable, TextIO
 from .cover import FlattenedNumber, TriangulationFormatError, _records, serialize_flattened
 from .dilog import _check_type, _field, _fields, _integer, _iterable
 from .prebloch import FormalSum, eval_lhat
-from .rogers import CmodZ2, _render_dict, _render_text, _row, _value_rows, reduce_mod_transfer
+from .rogers import CmodZ2, _row, _value_rows, reduce_mod_transfer
 
 
 @dataclass(frozen=True, init=False)
@@ -67,6 +67,8 @@ def load(source: str | Path | TextIO) -> FlattenedTriangulation:
         path = Path(source)
         text, name = path.read_text(), path.stem.replace("\r", "\n").split("\n")[0].partition("#")[0].strip()
     else:
+        text = None
+    if not isinstance(text, str):  # neither a path nor a stream that reads text
         raise TypeError(f"source must be a path or a text stream, not {type(source).__name__}")
     header, simplices = _records(text, sign, "simplex")
     if not simplices:
@@ -100,12 +102,6 @@ class VolumeReport:
                          complex(self.split_re, self.split_im), "value-mod-2pi2"),
             _row("note", self.NOTE, note=self.NOTE),
         ]
-
-    def render_text(self) -> str:
-        return _render_text(self.rows())
-
-    def to_dict(self) -> dict:
-        return _render_dict(self.rows())
 
 
 def volume_report(t: FlattenedTriangulation) -> VolumeReport:

@@ -506,11 +506,6 @@ def set_precision(mode: str = "double", dps: int = 50) -> None:
     _DPS.set(dps)
 
 
-def get_precision() -> tuple[str, int | None]:
-    dps = _DPS.get()
-    return ("double", None) if dps is None else ("high", dps)
-
-
 @contextmanager
 def precision(mode: str, dps: int = 50) -> Iterator[None]:
     token = _DPS.set(_DPS.get())

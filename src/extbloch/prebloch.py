@@ -77,14 +77,12 @@ class FormalSum(_Combination):
     @staticmethod
     def _keyed(term: tuple) -> tuple:
         coeff, gen = term
-        _check_type(gen, FlattenedNumber, "each generator of terms")
+        if coeff.__class__ is not int or gen.__class__ is not FlattenedNumber:  # an exact pair is kept as given
+            _check_type(gen, FlattenedNumber, "each generator of terms")
+            term = (_integer(coeff, "coefficient"), gen)
         base = gen.base
         z = base.z
-        return (z.real, z.imag, base.side._value_, gen.p, gen.q), (_integer(coeff, "coefficient"), gen)
-
-    @classmethod
-    def of(cls, *pairs: tuple[int, FlattenedNumber]) -> "FormalSum":
-        return cls(pairs)
+        return (z.real, z.imag, base.side._value_, gen.p, gen.q), term
 
     @classmethod
     def single(cls, gen: FlattenedNumber, coeff: int = 1) -> "FormalSum":
@@ -311,12 +309,6 @@ def chi_hat(z: complex) -> FormalSum:
     ph = arg_cut(z)
     p = 0 if (-PI / 2 < ph <= PI / 2) else 1
     return curly(as_cut_point(square), p)
-
-
-def check_chi_homomorphism(z: complex, w: complex) -> CmodZ2:
-    """Residual of chi(z) + chi(w) - chi(zw) under the lifted evaluation."""
-    z, w = _as_complex(z, "z"), _as_complex(w, "w")
-    return eval_lhat(chi_hat(z) + chi_hat(w) - chi_hat(z * w))
 
 
 def splitting(s: FormalSum) -> complex:

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cover import FlattenedNumber
-from .dilog import (PI, PI_SQ, TWO_PI_I, CutPoint, Side, _as_complex, _check_tol, _check_type, _index, _int_text,
-                    _log_z, _pass)
+from .dilog import PI, PI_SQ, TWO_PI_I, CutPoint, _as_complex, _check_type, _int_text, _log_z, _pass
 
 FOUR_PI_SQ = 4.0 * PI_SQ
 TWO_PI_SQ = 2.0 * PI_SQ
@@ -88,13 +87,6 @@ class CmodZ2:
         v = self.value  # canonical: no wrap-around is nearer
         return math.hypot(v.real, v.imag)
 
-    def equals(self, other: "CmodZ2 | complex", tol: float = 1e-9) -> bool:
-        _check_tol(tol)
-        return self.distance_to(other) <= tol
-
-    def serialize(self) -> str:
-        return f"{self.value.real!r} {self.value.imag!r}"
-
     def split(self) -> complex:
         """exp(value / 2 pi i), well defined since exp(4 pi^2 / 2 pi i) = 1."""
         try:
@@ -136,17 +128,6 @@ def _value_rows(value: complex, mod_2pi2_re: float, split: complex, mod_label: s
         _row(mod_label, f"{mod_2pi2_re!r} {value.imag!r}", value_mod_2pi2_re=mod_2pi2_re),
         _row("split", f"{split.real!r} {split.imag!r}", split_re=split.real, split_im=split.imag),
     ]
-
-
-def l_bar_at(z: complex, side: Side | str, p: int, q: int) -> complex:
-    """Branch-corrected Rogers value on an explicit chart, below side allowed.
-
-    This is the unreduced function of (z, side, p, q); it is what jumps by
-    4 pi^2 p across the right cut.  Prefer :func:`rogers_l_bar` for
-    canonical cover points.
-    """
-    p, q = _index(p, "p"), _index(q, "q")
-    return _linear(CutPoint(z, side), 1, p, q) - TWO_PI_SQ * (p * q)
 
 
 def rogers_l_bar(f: FlattenedNumber) -> complex:

@@ -30,7 +30,7 @@ from .prebloch import (
     mirror_relation,
     symmetry_relation,
 )
-from .rogers import TWO_PI_SQ, _render_dict, _render_text, _row
+from .rogers import TWO_PI_SQ, _row
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -82,12 +82,6 @@ class SweepResult:
             _row("status", "PASS" if self.passed else "FAIL", passed=self.passed),
             (self.failures, {"failures": list(self.failures)}),  # a line each, unlabelled
         ]
-
-    def render_text(self) -> str:
-        return _render_text(self.rows())
-
-    def to_dict(self) -> dict:
-        return _render_dict(self.rows())
 
 
 # ---------------------------------------------------------------------------

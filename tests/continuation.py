@@ -5,7 +5,7 @@ continuing the function along the commutator of the loops around 0 and 1
 returns to the same cover chart on another sheet, one lattice period
 4 pi^2 away.  The package reduces by that period exactly; the path
 continuation that shows the period exists lives here, with the tests that
-use it.  It reads the function on each chart through ``rogers.l_bar_at``.
+use it.  It reads the function on each chart through ``oracles.l_bar_at``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from extbloch.dilog import PI, Side, _integer
-from extbloch.rogers import FOUR_PI_SQ, l_bar_at
+from extbloch.rogers import FOUR_PI_SQ
+from oracles import l_bar_at
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Everything here is deliberately built from different algorithms than the
 package: plain power series, the Lobachevsky-function zeta expansion, and
 mpmath's own polylog.  Oracle values are compared against package output,
-never derived from it.
+never derived from it.  The one exception is ``l_bar_at``, the package's own
+chart formula on a chart that no cover point holds.
 """
 
 from __future__ import annotations
@@ -14,7 +15,20 @@ import math
 
 import mpmath as mp
 
+from extbloch import rogers
+from extbloch.dilog import CutPoint
+
 PI = math.pi
+
+
+def l_bar_at(z: complex, side, p: int, q: int) -> complex:
+    """The package's unreduced Rogers value on an explicit chart, below side allowed.
+
+    Not an oracle: it is ``rogers_l_bar``'s formula, read on a chart that a
+    ``FlattenedNumber`` cannot hold.  It is what jumps by 4 pi^2 p across
+    the right cut.
+    """
+    return rogers._linear(CutPoint(z, side), 1, p, q) - rogers.TWO_PI_SQ * (p * q)
 
 
 def li2_series(z: complex, terms: int = 200) -> complex:

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from extbloch import rogers
 from extbloch.ccs import (
     FlattenedTriangulation,
     TriangulationFormatError,
@@ -162,7 +163,7 @@ def test_figure_eight_volume_against_independent_oracle():
 def test_single_simplex_at_half():
     t = FlattenedTriangulation(((flattened(0.5), 1),))
     v = complex_volume(t)
-    assert v.equals(complex(-PI**2 / 12, 0.0), tol=1e-12)
+    assert v.distance_to(complex(-PI**2 / 12, 0.0)) <= 1e-12
 
 
 def test_sign_negation_cancels():
@@ -228,13 +229,13 @@ def test_volume_report_fields():
     assert -PI**2 < report.value_mod_2pi2_re <= PI**2
     split = complex(report.split_re, report.split_im)
     assert abs(split) == pytest.approx(math.exp(report.value_im / (2 * PI)), rel=1e-9)
-    payload = report.to_dict()
+    payload = rogers._render_dict(report.rows())
     assert set(payload) == {
         "name", "simplices", "value_re", "value_im",
         "value_mod_2pi2_re", "split_re", "split_im", "note",
     }
     json.dumps(payload)
-    text = report.render_text()
+    text = rogers._render_text(report.rows())
     assert "value:" in text and "split:" in text and "note:" in text
 
 

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import extbloch
+from extbloch import dilog
 from extbloch.cli import main
-from extbloch.dilog import get_precision, precision
+from extbloch.dilog import precision
 from extbloch.rogers import TWO_PI_SQ
 from extbloch.sweeps import RELATIONS
 from test_ccs import LOADED_FILE
@@ -184,12 +185,12 @@ def test_eval_coefficient_beyond_a_double_is_an_input_error(capsys, tmp_path):
 def test_caller_precision_survives_main(capsys):
     with precision("high", 60):
         code, out, _ = run_cli(capsys, "eval", "kappa")
-        assert get_precision() == ("high", 60)
+        assert dilog._DPS.get() == 60
     assert code == 0
-    assert get_precision() == ("double", None)
+    assert dilog._DPS.get() is None
     with precision("high"):
         assert run_cli(capsys, "eval", "kappa", "--precision", "double")[0] == 0
-        assert get_precision() == ("high", 50)
+        assert dilog._DPS.get() == 50
 
 
 @pytest.mark.parametrize("flag", [("--tol", "1e-3"), ("--seed", "3"), ("--samples", "7"), ("--index-bound", "2")])

@@ -483,11 +483,3 @@ def test_index_like_branch_indices_are_stored_as_ints_and_round_trip(p, q, want)
         assert FormalSum.parse(s.serialize()) == s
         t = ccs.FlattenedTriangulation(((f, -1), (f, 1)), "indices")
         assert ccs.load(io.StringIO(ccs.dump(t))) == t
-
-
-def test_index_like_branch_indices_in_l_bar_at():
-    from extbloch.rogers import l_bar_at
-
-    assert l_bar_at(0.3 + 0.4j, "i", True, Index(2)) == l_bar_at(0.3 + 0.4j, "i", 1, 2)
-    with pytest.raises(TypeError, match="^p 1.0 is not an integer$"):
-        l_bar_at(0.3 + 0.4j, "i", 1.0, 2)

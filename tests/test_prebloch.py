@@ -18,7 +18,6 @@ from extbloch.cover import (
 from extbloch.dilog import CutPoint, Side, TWO_PI_I, arg_cut, as_cut_point, li2, log_one_minus, precision, principal_log
 from extbloch.prebloch import (
     FormalSum,
-    check_chi_homomorphism,
     chi_hat,
     curly,
     curly_product_relation,
@@ -32,7 +31,7 @@ from extbloch.prebloch import (
     splitting,
     symmetry_relation,
 )
-from extbloch.rogers import TWO_PI_SQ, CmodZ2, l_bar_at, rogers_l_bar
+from extbloch.rogers import TWO_PI_SQ, CmodZ2, rogers_l_bar
 
 import oracles
 
@@ -55,9 +54,9 @@ def sample_ftplus_pair(rng):
 
 def test_formal_sum_merges_and_prunes():
     g = flattened(0.5 + 0.5j, 1, 2)
-    s = FormalSum.of((2, g), (-2, g))
+    s = FormalSum(((2, g), (-2, g)))
     assert s.is_empty()
-    s2 = FormalSum.of((1, g), (3, g))
+    s2 = FormalSum(((1, g), (3, g)))
     assert s2.terms == ((4, g),)
 
 
@@ -144,11 +143,10 @@ def test_formal_sum_normalizes_like_the_reference(seed):
     pool = normalization_pool(rng)
     for _ in range(40):
         pairs = random_pairs(rng, pool, rng.randint(0, 12))
-        a = FormalSum.of(*pairs)
+        a = FormalSum(pairs)
         assert_same_terms(a, reference_normalize(pairs))
         assert all(g is h for (_, g), (_, h) in zip(a.terms, reference_normalize(pairs)))
-        assert_same_terms(FormalSum(pairs), reference_normalize(pairs))
-        b = FormalSum.of(*random_pairs(rng, pool, rng.randint(0, 6)))
+        b = FormalSum(random_pairs(rng, pool, rng.randint(0, 6)))
         assert_same_terms(a + b, reference_normalize(a.terms + b.terms))
         neg_b = reference_normalize(tuple((-c, g) for c, g in b.terms))
         assert_same_terms(a - b, reference_normalize(a.terms + neg_b))
@@ -168,16 +166,16 @@ def test_formal_sum_normalizes_like_the_reference(seed):
 def test_formal_sum_normalization_keeps_the_first_seen_point():
     plus, minus = flattened(complex(0.0, 0.7)), flattened(complex(-0.0, 0.7))
     for first, second in ((plus, minus), (minus, plus)):
-        s = FormalSum.of((1, first), (2, second))
+        s = FormalSum(((1, first), (2, second)))
         assert s.terms == ((3, first),) and s.terms[0][1] is first
         assert (FormalSum.single(first) + FormalSum.single(second)).terms[0][1] is first
-    assert FormalSum.of((1, plus), (-1, minus)).is_empty()
+    assert FormalSum(((1, plus), (-1, minus))).is_empty()
     assert (0 * FormalSum.single(plus)).is_empty()
     assert FormalSum.single(plus, 0).is_empty()
     with pytest.raises(TypeError):
         FormalSum.single(plus.base)
     with pytest.raises(TypeError):
-        FormalSum.of((1, plus.base))
+        FormalSum(((1, plus.base),))
 
 
 def test_formal_sum_refuses_a_non_integral_coefficient():
@@ -219,11 +217,11 @@ def test_relation_elements_match_their_chained_definitions():
             assert_same_terms(curly_product_relation(z, p, w, r), chained.terms)
         if abs(w.z / z.z - 1) > 1e-6:
             d = prebloch._product_shift(arg_cut(w) - arg_cut(z))
-            lhs = FormalSum.of((1, canonicalize(z, p=p, q=q - 1)), (-1, canonicalize(z, p=p, q=q)),
-                               (-1, canonicalize(w, p=r, q=p2 - 1)), (1, canonicalize(w, p=r, q=p2)))
+            lhs = FormalSum(((1, canonicalize(z, p=p, q=q - 1)), (-1, canonicalize(z, p=p, q=q)),
+                             (-1, canonicalize(w, p=r, q=p2 - 1)), (1, canonicalize(w, p=r, q=p2))))
             qp = as_cut_point(w.z / z.z)
-            rhs = FormalSum.of((1, canonicalize(qp, p=r - p + d, q=q)),
-                               (-1, canonicalize(qp, p=r - p + d, q=q - 1)))
+            rhs = FormalSum(((1, canonicalize(qp, p=r - p + d, q=q)),
+                             (-1, canonicalize(qp, p=r - p + d, q=q - 1))))
             assert_same_terms(cycle_relation(z, w, p, r, q, p2, q), (lhs - rhs).terms)
         for kind, (a, b, c, d) in (("Q", (p, q, p, p2)), ("P", (p, q, p2, q)), ("PQ", (p, q, p2, p + q - p2))):
             shift = {"Q": (0, -1), "P": (-1, 0), "PQ": (1, -1)}[kind]
@@ -402,7 +400,7 @@ def test_eval_lhat_matches_the_per_term_loop(mode):
             assert eval_lhat(s).distance_to(reference_eval_lhat(s)) <= rounding_bound(s)
         for z, side in ((-2 + 0j, Side.BELOW), (3e10 + 0j, Side.BELOW), (-7e12 + 0j, Side.BELOW), (0.3 - 4e9j, "i")):
             chart = SimpleNamespace(base=CutPoint(z, side), p=2, q=-3)
-            assert repr(l_bar_at(z, side, 2, -3)) == repr(reference_l_bar(chart))
+            assert repr(oracles.l_bar_at(z, side, 2, -3)) == repr(reference_l_bar(chart))
 
 
 def expected_passes(s):
@@ -445,30 +443,30 @@ def test_eval_lhat_one_kernel_pass_per_distinct_base(kernel_passes, mode):
 
 def test_eval_single_half():
     v = eval_lhat(FormalSum.single(flattened(0.5)))
-    assert v.equals(complex(-PI**2 / 12, 0), tol=1e-12)
+    assert v.distance_to(complex(-PI**2 / 12, 0)) <= 1e-12
 
 
 def test_eval_kappa_is_minus_two_pi_sq():
-    assert eval_lhat(kappa_hat()).equals(complex(-TWO_PI_SQ, 0), tol=1e-12)
+    assert eval_lhat(kappa_hat()).distance_to(complex(-TWO_PI_SQ, 0)) <= 1e-12
 
 
 def test_curly_value_is_pi_i_times_branch_log():
     # subtracting adjacent-q instances leaves pi i (Log z + 2 pi i p)
     v = eval_lhat(curly(0.5 + 0j, 0))
-    assert v.equals(1j * PI * complex(-math.log(2), 0), tol=1e-12)
+    assert v.distance_to(1j * PI * complex(-math.log(2), 0)) <= 1e-12
     v2 = eval_lhat(curly(0.3 + 0.7j, 2))
     expected = 1j * PI * (cmath.log(0.3 + 0.7j) + TWO_PI_I * 2)
-    assert v2.equals(expected, tol=1e-12)
+    assert v2.distance_to(expected) <= 1e-12
 
 
 def test_curly_q_representative_free():
     # {z; 2p} with any other q pair evaluates identically
     z = CutPoint(0.4 + 1.1j)
     for q in (-3, 0, 5):
-        alt = FormalSum.of(
+        alt = FormalSum((
             (1, canonicalize(z, p=1, q=q)),
             (-1, canonicalize(z, p=1, q=q - 1)),
-        )
+        ))
         assert eval_lhat(alt).distance_to(eval_lhat(curly(z, 1))) <= 1e-12
 
 
@@ -601,9 +599,7 @@ def test_cycle_printed_orientation_would_fail():
     elem = cycle_relation(x, y)
     q_gen = [g for c, g in elem if abs(g.z - y / x) < 1e-12]
     assert len(q_gen) == 2
-    flipped = elem - 2 * FormalSum.of(
-        *(((c, g)) for c, g in elem if abs(g.z - y / x) < 1e-12)
-    )
+    flipped = elem - 2 * FormalSum((c, g) for c, g in elem if abs(g.z - y / x) < 1e-12)
     assert eval_lhat(flipped).magnitude() > 1.0
 
 
@@ -678,7 +674,7 @@ def test_mirror_relation_boundary():
 
 def test_double_half_value():
     v = eval_lhat(2 * FormalSum.single(flattened(0.5)))
-    assert v.equals(complex(-PI**2 / 6, 0), tol=1e-12)
+    assert v.distance_to(complex(-PI**2 / 6, 0)) <= 1e-12
 
 
 def test_mirror_lhat_identity():
@@ -690,7 +686,7 @@ def test_mirror_lhat_identity():
         s = FormalSum.single(flattened(z, p, q)) + FormalSum.single(
             flattened(1 - z, -q, -p)
         )
-        assert eval_lhat(s).equals(complex(-PI**2 / 6, 0), tol=1e-10)
+        assert eval_lhat(s).distance_to(complex(-PI**2 / 6, 0)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +695,7 @@ def test_mirror_lhat_identity():
 
 def test_kappa_value_and_torsion():
     k = kappa_hat()
-    assert eval_lhat(k).equals(complex(-TWO_PI_SQ, 0), tol=1e-10)
+    assert eval_lhat(k).distance_to(complex(-TWO_PI_SQ, 0)) <= 1e-10
     assert eval_lhat(2 * k).magnitude() <= 1e-10
 
 
@@ -708,8 +704,8 @@ def test_kappa_representative_independent():
     for _ in range(20):
         z = complex(rng.uniform(-3, 4), rng.uniform(0.1, 3) * rng.choice((1, -1)))
         p = rng.randint(-5, 5)
-        assert eval_lhat(kappa_hat(z, p)).equals(complex(-TWO_PI_SQ, 0), tol=1e-10)
-    assert eval_lhat(kappa_hat(1j, 1)).equals(complex(-TWO_PI_SQ, 0), tol=1e-12)
+        assert eval_lhat(kappa_hat(z, p)).distance_to(complex(-TWO_PI_SQ, 0)) <= 1e-10
+    assert eval_lhat(kappa_hat(1j, 1)).distance_to(complex(-TWO_PI_SQ, 0)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -752,14 +748,17 @@ def test_chi_lhat_is_twice_pi_i_log():
 
 
 def test_chi_homomorphism_examples():
-    assert check_chi_homomorphism(1j, 1j).magnitude() <= 1e-12
-    assert check_chi_homomorphism(1 + 0j, 0.3 - 0.8j).magnitude() <= 1e-12
+    def residual(z, w):
+        return eval_lhat(chi_hat(z) + chi_hat(w) - chi_hat(z * w))
+
+    assert residual(1j, 1j).magnitude() <= 1e-12
+    assert residual(1 + 0j, 0.3 - 0.8j).magnitude() <= 1e-12
     rng = random.Random(61)
     for _ in range(100):
         a, b = rng.uniform(-PI, PI), rng.uniform(-PI, PI)
         z = cmath.exp(1j * a)
         w = cmath.exp(1j * b)
-        assert check_chi_homomorphism(z, w).magnitude() <= 1e-10
+        assert residual(z, w).magnitude() <= 1e-10
 
 
 def test_squared_curly_period_four():
@@ -1042,4 +1041,4 @@ def test_curly_runs_one_logarithm_and_no_li2(kernel_passes, mode):
     with precision(mode):
         v = eval_lhat(curly(point, 2))
     assert kernel_passes == [("log", point)]
-    assert v.equals(1j * PI * (cmath.log(0.3 + 0.7j) + TWO_PI_I * 2), tol=1e-12)
+    assert v.distance_to(1j * PI * (cmath.log(0.3 + 0.7j) + TWO_PI_I * 2)) <= 1e-12

@@ -1,18 +1,21 @@
 """Names and examples that files outside the package rely on.
 
-The benchmark under ``perfbench/`` wraps package functions by name, and the
-README's quick start shows results in comments.  These tests read those
-files (they change nothing there), so a rename in ``src/`` or a drifted
-comment fails here instead of in a benchmark run or a reader's session.
+The benchmark under ``perfbench/`` wraps package functions by name, the
+README's quick start shows results in comments, and the README names every
+public name.  These tests read those files (they change nothing there), so a
+rename in ``src/`` or a drifted comment fails here instead of in a benchmark
+run or a reader's session.
 """
 
 import ast
 import cmath
 import importlib
 import math
+import re
 import types
 from pathlib import Path
 
+import extbloch
 from extbloch.rogers import CmodZ2
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,3 +73,8 @@ def test_readme_quick_start_runs_as_written():
     assert magnitude <= 1e-15  # ~1e-15
     assert isinstance(kappa, CmodZ2) and kappa.distance_to(-2 * PI**2) <= 1e-12  # -2 pi^2 mod 4 pi^2
     assert abs(split - 0.7j) <= 1e-15 and cmath.isfinite(split)  # 0.7j
+
+
+def test_readme_names_every_public_name():
+    text = (ROOT / "README.md").read_text()
+    assert [name for name in extbloch.__all__ if not re.search(rf"\b{re.escape(name)}\b", text)] == []

@@ -12,14 +12,13 @@ from extbloch.rogers import (
     FOUR_PI_SQ,
     TWO_PI_SQ,
     CmodZ2,
-    l_bar_at,
     reduce_into,
     reduce_mod_transfer,
     rogers_l_bar,
     rogers_l_hat,
 )
 from continuation import commutator_monodromy, continue_rogers
-from oracles import classical_rogers
+from oracles import classical_rogers, l_bar_at
 
 PI = math.pi
 
@@ -51,7 +50,7 @@ def test_canonical_form_in_window(re, im):
 def test_wraparound_equality_at_window_edge():
     a = CmodZ2(complex(TWO_PI_SQ - 1e-13, 0))
     b = CmodZ2(complex(-TWO_PI_SQ + 1e-13, 0))
-    assert a.equals(b, tol=1e-9)
+    assert a.distance_to(b) <= 1e-9
 
 
 def test_imaginary_part_never_reduced():
@@ -66,10 +65,6 @@ def test_algebra():
     assert (a - b).value == pytest.approx(-2 + 3j)
     assert (3 * a).value == pytest.approx(3 + 6j)
     assert (-a).value == pytest.approx(-1 - 2j)
-
-
-def test_serialize():
-    assert CmodZ2(1.5 + 0.25j).serialize() == "1.5 0.25"
 
 
 def test_split_overflow_names_the_value():
@@ -127,21 +122,6 @@ def test_l_bar_at_half():
     assert rogers_l_bar(flattened(0.5)) == pytest.approx(-PI**2 / 12)
 
 
-@pytest.mark.parametrize("p,q,error", [
-    (10**400, 1, ValueError),  # raised a bare OverflowError
-    (10**200, 10**200, ValueError),  # raised a bare OverflowError
-    (1.5, 0, TypeError),  # returned a value
-    (2**60, 0, ValueError),  # returned a value
-], ids=["p=10**400", "p=q=10**200", "p=1.5", "p=2**60"])
-def test_l_bar_at_checks_the_indices_as_flattened_does(p, q, error):
-    with pytest.raises(error) as info:
-        l_bar_at(0.3 + 0.4j, "i", p, q)
-    if error is ValueError:
-        assert str(info.value) == "branch index p is beyond 2**53 in magnitude"
-    with pytest.raises(error):
-        flattened(0.3 + 0.4j, p, q)
-
-
 def test_l_bar_direct_formula_interior():
     from extbloch.dilog import CutPoint, li2, log_one_minus, principal_log
 
@@ -170,10 +150,10 @@ def test_left_cut_no_jump():
 def test_lhat_well_defined_on_identifications():
     a = rogers_l_hat(canonicalize(-2 + 0j, Side.ABOVE, 0, 0))
     b = rogers_l_hat(canonicalize(-2 + 0j, Side.BELOW, 1, 0))
-    assert a.equals(b, tol=1e-12)
+    assert a.distance_to(b) <= 1e-12
     c = rogers_l_hat(canonicalize(2 + 0j, Side.ABOVE, 1, 0))
     d = rogers_l_hat(canonicalize(2 + 0j, Side.BELOW, 1, 1))
-    assert c.equals(d, tol=1e-12)
+    assert c.distance_to(d) <= 1e-12
 
 
 def test_lhat_well_defined_random_boundary():
@@ -183,13 +163,13 @@ def test_lhat_well_defined_random_boundary():
         p, q = rng.randint(-5, 5), rng.randint(-5, 5)
         above = CmodZ2(l_bar_at(x + 0j, Side.ABOVE, p, q))
         below = CmodZ2(l_bar_at(x + 0j, Side.BELOW, p + 1, q))
-        assert above.equals(below, tol=1e-10)
+        assert above.distance_to(below) <= 1e-10
     for _ in range(200):
         x = rng.uniform(1.01, 40.0)
         p, q = rng.randint(-5, 5), rng.randint(-5, 5)
         above = CmodZ2(l_bar_at(x + 0j, Side.ABOVE, p, q))
         below = CmodZ2(l_bar_at(x + 0j, Side.BELOW, p, q + 1))
-        assert above.equals(below, tol=1e-10)
+        assert above.distance_to(below) <= 1e-10
 
 
 def test_matches_classical_rogers_on_unit_interval():
@@ -197,7 +177,7 @@ def test_matches_classical_rogers_on_unit_interval():
     for _ in range(50):
         x = rng.uniform(0.01, 0.99)
         mine = rogers_l_hat(flattened(complex(x, 0.0)))
-        assert mine.equals(complex(classical_rogers(x), 0.0), tol=1e-12)
+        assert mine.distance_to(complex(classical_rogers(x), 0.0)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from extbloch import sweeps
+from extbloch import rogers, sweeps
 from extbloch.cover import make_flattened_ft
 from extbloch.dilog import CutPoint, Side, precision
 from extbloch.prebloch import _CHI_E12, index_relations
@@ -109,7 +109,7 @@ def test_config_stores_sizes_as_ints_and_tol_as_a_float():
     assert (config.samples, config.seed, config.index_bound, config.tol) == (1, 1, 1, 1.0)
     assert all(type(v) is int for v in (config.samples, config.seed, config.index_bound))
     assert type(config.tol) is float
-    report = run_sweep(config).render_text()
+    report = rogers._render_text(run_sweep(config).rows())
     assert "samples: 1\n" in report and "seed: 1\n" in report and "tol: 1.0\n" in report
 
 
