@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .cover import _log_params
 from .dilog import _as_complex, _check_tol, _check_type, _integer
@@ -28,18 +29,18 @@ class WedgeExpr(_Combination):
     first-seen pair, zero sums dropped, and terms sorted on that key.
     """
 
+    __slots__ = ()
     _width = 3
 
     @staticmethod
-    def _keyed(term: tuple) -> tuple | None:
-        coeff, a, b = term
-        coeff = coeff if coeff.__class__ is int else _integer(coeff, "coefficient")
-        a = a if a.__class__ is complex else _as_complex(a, "wedge factor")
-        b = b if b.__class__ is complex else _as_complex(b, "wedge factor")
-        key_a, key_b = (a.real, a.imag), (b.real, b.imag)
-        if key_a == key_b:
-            return None
-        return (key_a + key_b, (coeff, a, b)) if key_a <= key_b else (key_b + key_a, (-coeff, b, a))
+    def _keyed(terms: Iterator[tuple]) -> Iterator[tuple]:
+        for coeff, a, b in terms:
+            coeff = coeff if coeff.__class__ is int else _integer(coeff, "coefficient")
+            a = a if a.__class__ is complex else _as_complex(a, "wedge factor")
+            b = b if b.__class__ is complex else _as_complex(b, "wedge factor")
+            key_a, key_b = (a.real, a.imag), (b.real, b.imag)
+            if key_a != key_b:  # a ^ a is zero by itself
+                yield (key_a + key_b, (coeff, a, b)) if key_a <= key_b else (key_b + key_a, (-coeff, b, a))
 
     def pairing(self) -> float:
         """The real antisymmetric pairing sum c (Re a Im b - Im a Re b)."""

@@ -21,7 +21,7 @@ from .prebloch import FormalSum, eval_lhat
 from .rogers import CmodZ2, _row, _value_rows, reduce_mod_transfer
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class FlattenedTriangulation:
     simplices: tuple[tuple[FlattenedNumber, int], ...]
     name: str = ""
@@ -40,7 +40,8 @@ class FlattenedTriangulation:
         _check_type(name, str, "name")
         if any(c in name for c in "\n\r#") or name != name.strip():  # dump could not write it
             raise ValueError(f"name {name!r} holds a newline or '#', or whitespace at an end")
-        self.__dict__.update(simplices=tuple(checked), name=name)
+        object.__setattr__(self, "simplices", tuple(checked))
+        object.__setattr__(self, "name", name)
 
     def __len__(self) -> int:
         return len(self.simplices)

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .dilog import (PI, TWO_PI_I, _ABOVE, _BELOW, CutPoint, Side, _as_complex, _check_tol, _check_type, _field,
                     _index, _iterable, _log_z, _pass, as_cut_point)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class FlattenedNumber:
     """A cover point (z; 2p, 2q) in canonical (above-side) form."""
 
@@ -39,8 +39,9 @@ class FlattenedNumber:
             raise ValueError("below-side points are not stored; build via canonicalize()")
         if not (p.__class__ is int and q.__class__ is int and -2**53 <= p <= 2**53 and -2**53 <= q <= 2**53):
             p, q = _index(p, "p"), _index(q, "q")
-        fields = self.__dict__
-        fields["base"], fields["p"], fields["q"] = base, p, q
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     @property
     def z(self) -> complex:
@@ -95,25 +96,23 @@ def log_param_m(f: FlattenedNumber) -> complex:
     return -_pass(f.base).log_1mz + TWO_PI_I * f.q
 
 
-def _log_params(terms: Iterable[tuple[int, FlattenedNumber]]) -> tuple:
-    # (c, l, m) for each term (c, f); the logarithms of one pass per run of
-    # equal base points
-    out = []
+def _log_params(terms: Iterable[tuple[int, FlattenedNumber]]) -> Iterator[tuple]:
+    # yields (c, l, m) for each term (c, f); the logarithms of one pass per
+    # run of equal base points
     z = side = None
     for coeff, f in terms:
         base = f.base
         if base.z != z or base.side is not side:  # a new (z, side), compared without CutPoint.__eq__
             z, side = base.z, base.side
             st = _pass(base)
-        out.append((coeff, st.log_z + TWO_PI_I * f.p, -st.log_1mz + TWO_PI_I * f.q))
-    return tuple(out)
+        yield coeff, st.log_z + TWO_PI_I * f.p, -st.log_1mz + TWO_PI_I * f.q
 
 
 # ---------------------------------------------------------------------------
 # five-term tuples
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class FlattenedFT:
     """A five-tuple of cover points in the flattened five-term family."""
 
@@ -125,7 +124,7 @@ class FlattenedFT:
             raise ValueError(f"a five-term tuple has exactly five entries, got {len(entries)}")
         for entry in entries:
             _check_type(entry, FlattenedNumber, "each of entries")
-        self.__dict__["entries"] = entries
+        object.__setattr__(self, "entries", entries)
 
     def __iter__(self):
         return iter(self.entries)
@@ -285,7 +284,7 @@ _SIGNS = {"+1": 1, "-1": -1, "1": 1}  # the usual coefficients, read without the
 
 
 def _records(text: str, coefficient: Callable[[str], int], word: str) -> tuple[str | None, list]:
-    """The ``name:`` header (None without one) and (shape, coeff) pairs of ``coeff z_re z_im side p q`` lines.
+    """The one ``name:`` header (None without one) and (shape, coeff) pairs of ``coeff z_re z_im side p q`` lines.
 
     ``#`` starts a comment.  ``coefficient`` reads a first field not in _SIGNS, and its name is that
     field's in messages; ``word`` numbers a record whose point fields are bad ("simplex 2: ...").
@@ -299,6 +298,8 @@ def _records(text: str, coefficient: Callable[[str], int], word: str) -> tuple[s
         if not parts:
             continue
         if parts[0].startswith("name:"):
+            if name is not None:
+                raise TriangulationFormatError("a second name header; a file has at most one", lineno)
             if pairs:
                 raise TriangulationFormatError("name header must precede all records", lineno)
             name = line.strip()[len("name:"):].strip()

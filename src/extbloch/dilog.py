@@ -47,8 +47,8 @@ from those two logarithms at working precision, with the Rogers constant
 R = Li2 z + Log z Log(1-z)/2 - pi^2/6; beyond 2**32 the far-out pass, where
 Li2 z comes from its inversion form, formed in the mode's numbers and
 rounded once, and R from its parts with the cancellation done exactly.  A
-point's first read in a mode runs the pass, and its record is kept on the
-point, stored only when complete.  Every value, ``li2`` and
+point's first read in a mode runs the pass, and its record is kept in the
+point's ``_pass`` slot, stored only when complete.  Every value, ``li2`` and
 ``log_one_minus`` included, reads that record through one reader, except
 where Log z alone is wanted (``principal_log``, ``log_param_l``, and a
 Rogers sum over a point whose moments C and P vanish): that reader takes a
@@ -192,8 +192,12 @@ def _fields(term, name: str, width: int) -> tuple:
     return fields
 
 
-@dataclass(frozen=True, init=False)
-class CutPoint:
+class _Kept:
+    __slots__ = ("_pass",)  # the record of the point's kernel pass, not a field: see _run_pass
+
+
+@dataclass(frozen=True, init=False, slots=True)
+class CutPoint(_Kept):
     """A point of the closed cut plane: z together with a boundary side tag.
 
     Interior points must lie off both cuts; boundary points must sit exactly
@@ -204,8 +208,8 @@ class CutPoint:
     side: Side = Side.INTERIOR
 
     def __init__(self, z: complex, side: Side | str = Side.INTERIOR) -> None:
-        # the checks, then the fields stored directly, without the frozen setter;
-        # a -0.0 imaginary part is stored as +0.0, so Arg stays in (-pi, pi]
+        # the checks, then the fields and an empty record slot stored without the frozen
+        # setter; a -0.0 imaginary part is stored as +0.0, so Arg stays in (-pi, pi]
         if z.__class__ is not complex:
             z = _as_complex(z, "z")
         if side.__class__ is not Side:
@@ -221,12 +225,9 @@ class CutPoint:
                 raise ValueError(f"{z} lies on a cut; an interior point needs a side tag")
         elif not on_cut(z):
             raise ValueError(f"side tag {side.value!r} given but {z} is not on a cut")
-        fields = self.__dict__
-        fields["z"], fields["side"] = z, side
-
-    def __reduce__(self):
-        # a pickle or copy holds z and side, not the record a pass keeps on the point
-        return CutPoint, (self.z, self.side)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "_pass", None)
 
 
 def as_cut_point(value: complex | CutPoint, name: str = "value") -> CutPoint:
@@ -605,10 +606,10 @@ class _Pass(NamedTuple):
 def _run_pass(point: CutPoint) -> _Pass:
     # The miss path of _pass, and the one place that picks a mode's
     # primitives and runs a whole pass: Log z, Log(1-z) and Li2 z from the
-    # two in the current mode (far out, the far-out pass).  Its record is
-    # kept on the point, keyed by the mode, and stored only when complete, so
-    # a thread of the same mode finds no record or a whole one; equality,
-    # hashing and repr see z and side.
+    # two in the current mode (far out, the far-out pass).  Its record goes in
+    # the point's _pass slot, keyed by the mode, only when complete, so a thread
+    # of the same mode finds no record or a whole one.  The slot is no field:
+    # ==, hash, repr, pickle and copy see z and side (an unpickled point: unset).
     dps = _DPS.get()
     z, side = point.z, point.side
     k = _DOUBLE if dps is None else _high_arith(dps)
@@ -628,14 +629,14 @@ def _run_pass(point: CutPoint) -> _Pass:
         if dps is not None:
             li, log_z, log_1mz = complex(li), complex(log_z), complex(log_1mz)
         rogers = li + 0.5 * log_z * log_1mz - PI_SQ / 6.0
-    record = point.__dict__["_pass"] = _Pass(dps, log_z, log_1mz, li, rogers)
+    object.__setattr__(point, "_pass", record := _Pass(dps, log_z, log_1mz, li, rogers))
     return record
 
 
 def _pass(point: CutPoint) -> _Pass:
     # The reader of a point's whole pass: its record of the current mode, the
     # pass run first unless kept.
-    record = point.__dict__.get("_pass")
+    record = getattr(point, "_pass", None)
     if record is None or record.dps != _DPS.get():
         record = _run_pass(point)
     return record
@@ -644,7 +645,7 @@ def _pass(point: CutPoint) -> _Pass:
 def _log_z(point: CutPoint) -> complex:
     # Log z alone, for the readers that need nothing more: the kept record's,
     # or one logarithm of the mode, the pass's own bits, kept nowhere.
-    record, dps = point.__dict__.get("_pass"), _DPS.get()
+    record, dps = getattr(point, "_pass", None), _DPS.get()
     if record is not None and record.dps == dps:
         return record.log_z
     if dps is None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .cover import (
     FlattenedFT,
@@ -28,26 +28,22 @@ from .dilog import (PI, CutPoint, Side, _as_complex, _check_type, _field, _field
 from .rogers import CmodZ2, _lhat_sum
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class _Combination:
     # Terms (coeff, ...) of _width fields in one normal form: each is read once,
-    # and _keyed(term) gives its (plain key, checked term), or None where it is
-    # zero by itself; like keys merge into the first-seen term, zero sums drop,
-    # and terms sort on the key.
+    # its width checked here, then one _keyed(terms) generator a sum yields its
+    # (plain key, checked term) and skips one zero by itself; like keys merge
+    # into the first-seen term, zero sums drop, and terms sort on the key.
     terms: tuple = ()
 
     def __init__(self, terms: Iterable[tuple] = ()) -> None:
-        keyed, width = self._keyed, self._width
+        width = self._width
         merged: dict[tuple, tuple] = {}
-        for term in _iterable(terms, "terms"):
-            if term.__class__ is not tuple or len(term) != width:
-                term = _fields(term, "terms", width)
-            found = keyed(term)
-            if found is not None:
-                key, term = found
-                seen = merged.get(key)
-                merged[key] = term if seen is None else (seen[0] + term[0],) + seen[1:]
-        self.__dict__["terms"] = tuple([term for term in map(merged.__getitem__, sorted(merged)) if term[0]])
+        for key, term in self._keyed(t if t.__class__ is tuple and len(t) == width else _fields(t, "terms", width)
+                                     for t in _iterable(terms, "terms")):
+            seen = merged.get(key)
+            merged[key] = term if seen is None else (seen[0] + term[0],) + seen[1:]
+        object.__setattr__(self, "terms", tuple([term for term in map(merged.__getitem__, sorted(merged)) if term[0]]))
 
     def __add__(self, other):
         return type(self)(self.terms + other.terms) if isinstance(other, type(self)) else NotImplemented
@@ -72,17 +68,19 @@ class FormalSum(_Combination):
     sort on that key, so equal sums compare equal structurally.
     """
 
+    __slots__ = ()
     _width = 2
 
     @staticmethod
-    def _keyed(term: tuple) -> tuple:
-        coeff, gen = term
-        if coeff.__class__ is not int or gen.__class__ is not FlattenedNumber:  # an exact pair is kept as given
-            _check_type(gen, FlattenedNumber, "each generator of terms")
-            term = (_integer(coeff, "coefficient"), gen)
-        base = gen.base
-        z = base.z
-        return (z.real, z.imag, base.side._value_, gen.p, gen.q), term
+    def _keyed(terms: Iterator[tuple]) -> Iterator[tuple]:
+        for term in terms:
+            coeff, gen = term
+            if coeff.__class__ is not int or gen.__class__ is not FlattenedNumber:  # an exact pair is kept as given
+                _check_type(gen, FlattenedNumber, "each generator of terms")
+                term = (_integer(coeff, "coefficient"), gen)
+            base = gen.base
+            z = base.z
+            yield (z.real, z.imag, base.side._value_, gen.p, gen.q), term
 
     @classmethod
     def single(cls, gen: FlattenedNumber, coeff: int = 1) -> "FormalSum":

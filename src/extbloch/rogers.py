@@ -43,7 +43,7 @@ def _coefficient_error(coeff: int) -> ValueError:
     return ValueError(f"coefficient {_int_text(coeff)} is too large for double arithmetic")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class CmodZ2:
     """An element of C / 4 pi^2 Z in canonical form, Re in (-2 pi^2, 2 pi^2]."""
 
@@ -53,7 +53,7 @@ class CmodZ2:
         v = value if value.__class__ is complex else _as_complex(value, "value")
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
             raise ValueError(f"{v!r} is not a finite value of C mod 4 pi^2")
-        self.__dict__["value"] = complex(reduce_into(v.real, FOUR_PI_SQ), v.imag)
+        object.__setattr__(self, "value", complex(reduce_into(v.real, FOUR_PI_SQ), v.imag))
 
     def __add__(self, other: "CmodZ2") -> "CmodZ2":
         if not isinstance(other, CmodZ2):

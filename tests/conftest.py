@@ -33,7 +33,7 @@ def kernel_passes(monkeypatch):
         return run_pass(point)
 
     def counting_log_z(point):
-        record = point.__dict__.get("_pass")
+        record = getattr(point, "_pass", None)
         if record is None or record.dps != dilog._DPS.get():
             calls.append(("log", point))
         return log_z(point)
@@ -93,7 +93,8 @@ def pass_primitives(kernel_primitives):
         seen.clear()
         z = point.z if dilog._DPS.get() is not None else _counted(point.z, seen)  # a double pass takes z as it is
         fresh = object.__new__(CutPoint)  # unchecked: z may be a counting complex
-        fresh.__dict__.update(z=z, side=point.side)
+        object.__setattr__(fresh, "z", z)
+        object.__setattr__(fresh, "side", point.side)
         dilog._pass(fresh)
         return list(seen)
 

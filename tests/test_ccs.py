@@ -99,6 +99,17 @@ def test_load_late_name_header_rejected():
         load(io.StringIO("+1 0.5 0.5 i 0 0\nname: too-late\n"))
 
 
+@pytest.mark.parametrize("first", ["name: a", "name:"])
+def test_a_second_name_header_is_refused(first):
+    # a second header replaced the first: the name read 'b'
+    text = f"{first}\nname: b\n+1 0.5 0.5 i 0 0\n"
+    message = r"^line 2: a second name header; a file has at most one$"
+    with pytest.raises(TriangulationFormatError, match=message):
+        load(io.StringIO(text))
+    with pytest.raises(TriangulationFormatError, match=message):
+        FormalSum.parse(text)
+
+
 def test_load_from_path(tmp_path):
     path = tmp_path / "two.tri"
     path.write_text("+1 0.5 0.5 i 0 0\n-1 0.25 0.5 i 1 0\n")

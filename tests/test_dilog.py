@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import extbloch
 from extbloch import dilog, rogers
 from extbloch.bloch import WedgeExpr, nu_hat
-from extbloch.ccs import FlattenedTriangulation
+from extbloch.ccs import FlattenedTriangulation, load
 from extbloch.cover import FlattenedNumber, canonicalize, flattened, log_param_l, log_param_m, make_flattened_ft
 from extbloch.dilog import (
     CutPoint,
@@ -773,6 +773,19 @@ def test_every_type_check_is_one_of_dilogs_helpers():
     assert raisers == helpers | {("ccs.py", "load")}
 
 
+def test_no_module_names_an_instance_dict():
+    # every value type keeps its fields in slots, and a point its kernel record
+    # in the _pass slot, so no module reads or writes an instance dict
+    named = []
+    for path in sorted(Path(extbloch.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr == "__dict__"
+                    or isinstance(node, ast.Name) and node.id == "__dict__"
+                    or isinstance(node, ast.Constant) and node.value == "__dict__"):
+                named.append(f"{path.name}:{node.lineno}")
+    assert named == []
+
+
 # ---------------------------------------------------------------------------
 # accuracy against mpmath over the whole double range
 # ---------------------------------------------------------------------------
@@ -971,7 +984,9 @@ def kernel_calls(kernel_primitives, monkeypatch):
 def _over(point):
     # a number over the point itself, below side too, so built unchecked
     f = object.__new__(FlattenedNumber)
-    f.__dict__.update(base=point, p=1, q=-2)
+    object.__setattr__(f, "base", point)
+    object.__setattr__(f, "p", 1)
+    object.__setattr__(f, "q", -2)
     return f
 
 
@@ -982,7 +997,7 @@ def _taken(calls):
 
 def _record_is_whole(point):
     # the point keeps a record of the current mode with every field set
-    record = point.__dict__["_pass"]
+    record = getattr(point, "_pass", None)
     return record.dps == dilog._DPS.get() and all(type(v) is complex for v in record[1:])
 
 
@@ -1013,7 +1028,7 @@ def test_every_order_of_readers_takes_the_pass_once(kernel_calls, mode):
                 values = {a: repr(read_a(f)), b: repr(read_b(f))}
                 assert _taken(kernel_calls) == taken_by([whole_a, whole_b], far), (z, side, a, b)
                 assert values == {a: fresh[a], b: fresh[b]}, (z, side, a, b)
-                assert ("_pass" in f.base.__dict__) == (whole_a or whole_b), (z, side, a, b)
+                assert (getattr(f.base, "_pass", None) is not None) == (whole_a or whole_b), (z, side, a, b)
                 values = {name: repr(read(f)) for name, (read, _) in PASS_READERS.items()}
                 assert _taken(kernel_calls) == taken_by([whole_a, whole_b, *everyone], far), (z, side, a, b)
                 assert values == fresh, (z, side, a, b)
@@ -1030,7 +1045,7 @@ def test_one_off_principal_log_takes_one_logarithm_and_keeps_nothing(kernel_call
             point = CutPoint(z, side)
             kernel_calls.clear()
             log_z = principal_log(point)
-            assert _taken(kernel_calls) == (1, 0) and "_pass" not in point.__dict__, (z, side)
+            assert _taken(kernel_calls) == (1, 0) and getattr(point, "_pass", None) is None, (z, side)
             li = li2(point)
             assert _record_is_whole(point), (z, side)
             assert (repr(log_z), repr(li)) == (repr(principal_log(CutPoint(z, side))), repr(li2(CutPoint(z, side))))
@@ -1168,6 +1183,32 @@ def test_point_pass_cache_is_invisible_to_equality_hash_and_repr():
     assert (p == q, hash(p) == hash(q), repr(p) == repr(q)) == (True, True, True)
 
 
+@pytest.mark.parametrize("mode", ["double", "high"])
+def test_a_copied_point_keeps_no_record_and_runs_its_own_pass(mode):
+    # the record is in a slot that is no field: a pickle or copy of a point
+    # leaves it unset, and the first read of the copy runs the same pass
+    point = CutPoint(-2 + 0j, Side.BELOW)
+    with precision(mode):
+        want = li2(point)
+        for other in (pickle.loads(pickle.dumps(point)), copy.copy(point), copy.deepcopy(point)):
+            assert other == point and getattr(other, "_pass", None) is None
+            assert li2(other) == want and other._pass == point._pass
+
+
+def test_the_record_slot_is_no_field_and_no_value_has_an_instance_dict():
+    # each value type stores its fields in slots, and the fields are the constructor's
+    values = [value for value, _ in _value_of_each_type()]
+    assert {type(v).__name__: [f.name for f in dataclasses.fields(v)] for v in values} == {
+        "CutPoint": ["z", "side"], "FlattenedNumber": ["base", "p", "q"], "FormalSum": ["terms"],
+        "WedgeExpr": ["terms"], "FlattenedFT": ["entries"], "FlattenedTriangulation": ["simplices", "name"],
+        "CmodZ2": ["value"],
+    }
+    t = load(Path(__file__).parent / "data" / "volume_excerpt.tri")
+    values += [t, *(shape for shape, _ in t.simplices), *(shape.base for shape, _ in t.simplices)]
+    assert all(li2(shape.base) == shape.base._pass.li2 for shape, _ in t.simplices)  # each point keeps its record
+    assert [v for v in values if hasattr(v, "__dict__")] == []
+
+
 def _points_of(value):
     if isinstance(value, CutPoint):
         return [value]
@@ -1188,13 +1229,13 @@ def test_values_pickle_and_copy_as_their_fields(mode):
         li2(point)
         eval_lhat(total)
     for value in (point, gen, total):
-        assert all("_pass" in p.__dict__ for p in _points_of(value))
+        assert all(getattr(p, "_pass", None) is not None for p in _points_of(value))
         copies = [pickle.loads(pickle.dumps(value)), copy.deepcopy(value)]
         if isinstance(value, CutPoint):
             copies.append(copy.copy(value))
         for other in copies:
             assert other == value and type(other) is type(value)
-            assert [p for p in _points_of(other) if "_pass" in p.__dict__] == []
+            assert [p for p in _points_of(other) if getattr(p, "_pass", None) is not None] == []
     assert len(pickle.dumps(point)) == len(pickle.dumps(CutPoint(-2 + 0j, Side.BELOW)))
 
 
@@ -1246,7 +1287,7 @@ def test_a_stage_read_while_it_is_stored_is_complete(monkeypatch):
 
                 def __complex__(self):
                     if not entered:
-                        entered.append("_pass" in point.__dict__)
+                        entered.append(getattr(point, "_pass", None) is not None)
                         seen.append(_rogers_record(point))
                     return super().__complex__()
 
