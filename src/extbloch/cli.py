@@ -16,23 +16,14 @@ from .prebloch import FormalSum, eval_lhat, kappa_hat
 from .rogers import _render_dict, _render_text, _value_rows, reduce_mod_transfer
 from .sweeps import RELATIONS, SweepConfig, run_sweep
 
-TOL_ENV_VAR = "EXTBLOCH_TOL"
 # Negative numbers in any float notation; argparse itself takes only -12
 # and -1.5, and would read an operand such as -3e9 as an unknown option.
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|nan)$", re.IGNORECASE)
 
 
-def _default_tol() -> float:
-    raw = os.environ.get(TOL_ENV_VAR, "1e-9")
-    try:
-        return float(raw)  # SweepConfig checks that it is positive
-    except ValueError:
-        raise ValueError(f"{TOL_ENV_VAR}={raw!r} is not a number") from None
-
-
 def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--precision", choices=("double", "high"), default="double",
-                     help="numeric backend (high = >=50 digits internally)")
+                     help="numeric backend (high = 50 digits internally)")
     sub.add_argument("--format", choices=("text", "structured"), default="text",
                      help="report format (structured = JSON)")
 
@@ -58,8 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run a seeded randomized relation sweep")
     p_check.add_argument("relation", choices=RELATIONS)
-    p_check.add_argument("--tol", type=float, default=None,
-                         help=f"tolerance (default 1e-9, override via ${TOL_ENV_VAR})")
+    p_check.add_argument("--tol", type=float, default=1e-9, help="tolerance (default 1e-9)")
     p_check.add_argument("--seed", type=int, default=0, help="sweep seed (default 0)")
     p_check.add_argument("--samples", type=int, default=500,
                          help="sweep sample count (default 500)")
@@ -122,7 +112,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             relation=args.relation,
             samples=args.samples,
             seed=args.seed,
-            tol=_default_tol() if args.tol is None else args.tol,
+            tol=args.tol,
             index_bound=args.index_bound,
         )
         result = run_sweep(config)

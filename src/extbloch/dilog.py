@@ -34,9 +34,10 @@ over two per-mode primitives.
 In high precision the whole pass runs on Python integers: a number is two
 ints at a binary scale s, (re + i im) 2^-s, so a sum is two integer adds
 and a product one multiply and one shift a part.  A pass picks s from its
-point: 20 guard bits over the working precision, plus the depth below 1 of
-the smallest part of a value the pass forms (tiny Re z or Im z, |z| or
-|1-z| near 1, 1/z far out), so every part keeps its relative accuracy.
+point: 20 guard bits over the working precision of 50 digits, plus the
+depth below 1 of the smallest part of a value the pass forms (tiny Re z or
+Im z, |z| or |1-z| near 1, 1/z far out), so every part keeps its relative
+accuracy.
 The kernel sums its own constants on the same integers: pi by Machin's
 formula, ln 2 and each table entry (on its first use) by the atanh and
 atan series, and the Bernoulli numbers by their recurrence; no numerics
@@ -61,6 +62,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 import operator
 from contextlib import contextmanager
@@ -297,200 +299,185 @@ def _double_log(x: complex, side: Side, one_plus: bool = False) -> complex:
 
 
 _DOUBLE = _Arith(complex, _double_log, _double_series, PI_SQ / 6.0, complex(0.0, PI))
-_HIGH: dict[int, _Arith] = {}
-_DPS: ContextVar[int | None] = ContextVar("extbloch_dps", default=None)  # None: double
+_DPS: ContextVar[int | None] = ContextVar("extbloch_dps", default=None)  # None: double, 50: high
 
 
-def _bits(dps: int) -> int:
-    # the binary digits that carry dps decimal ones, round((dps + 1) log2 10),
-    # or a ValueError naming a dps whose count overflows a double
-    try:
-        return round((dps + 1) * 3.3219280948873626)
-    except OverflowError:
-        raise ValueError(f"dps {_int_text(dps)} is too large to count in bits") from None
+@functools.cache
+def _high_arith() -> _Arith:
+    # Built on the first high pass.  Fixed point at 2^-bits, 20 guard bits
+    # over the 169 = round(51 log2 10) that carry 50 digits, holds the
+    # constants, the tables and the sums of the series.  Each constant is
+    # summed at 2^-wide and floored to 2^-bits.
+    bits = 169 + 20
+    one, wide = 1 << bits, bits + 32
+
+    def odd_sum(p, q, sign):
+        # atanh(p/q) (sign 1) or atan(p/q) (sign -1) at 2^-wide for |p/q| <= 1/2:
+        # the terms (sign p^2/q^2)^k (p/q) / (2k+1) down to 2^-wide, at most
+        # wide / 2 of them, each off by under 3 of 2^-wide: far below 2^-bits
+        power, total, k, term_sign = (abs(p) << wide) // q, 0, 1, 1 if p > 0 else -1
+        while power:
+            total += term_sign * (power // k)
+            power, k, term_sign = power * p * p // (q * q), k + 2, sign * term_sign
+        return total
+
+    pi_wide = 16 * odd_sum(1, 5, -1) - 4 * odd_sum(1, 239, -1)  # Machin's formula
+    pi, ln2 = pi_wide >> wide - bits, 2 * odd_sum(1, 3, 1) >> wide - bits
+
+    class Num:
+        # The mode's number: v = (re, im, s) for (re + i im) 2^-s.  Two meet at
+        # the larger scale, so a constant (at bits) meets a pass's exactly.
+        __slots__ = ("v",)
+
+        def __init__(self, v):
+            self.v = v
+
+        def __add__(self, other):
+            (a, b, s), (c, d, t) = self.v, other.v
+            return Num(((a << t - s) + c, (b << t - s) + d, t) if s < t else (a + (c << s - t), b + (d << s - t), s))
+
+        def __sub__(self, other):
+            (a, b, s), (c, d, t) = self.v, other.v
+            return Num(((a << t - s) - c, (b << t - s) - d, t) if s < t else (a - (c << s - t), b - (d << s - t), s))
+
+        def __mul__(self, other):
+            (a, b, s), (c, d, t) = self.v, other.v
+            low, high = (s, t) if s < t else (t, s)
+            return Num(((a * c - b * d) >> low, (a * d + b * c) >> low, high))
+
+        def __rmul__(self, x: float):
+            (a, b, s), (n, d) = self.v, x.as_integer_ratio()
+            return Num((a * n // d, b * n // d, s))
+
+        def __rtruediv__(self, x: float):
+            (a, b, s), (n, d) = self.v, x.as_integer_ratio()
+            den = d * (a * a + b * b)
+            return Num(((n * a << 2 * s) // den, (-n * b << 2 * s) // den, s))
+
+        def __neg__(self):
+            return -1.0 * self
+
+        def __complex__(self):
+            # each part the int quotient, rounded once: ldexp rounds to 53 bits,
+            # then again below 2^-1022, and overflows on a part of over 1024 bits
+            a, b, s = self.v
+            return complex(a / (1 << s), b / (1 << s))
+
+    def point(z):
+        # z, exactly, at the scale of its pass: bits plus the depth of the
+        # smallest part of a value the pass forms.  The parts of z, 1/z and
+        # the arguments of z and 1-z lie above 2^(e_min - 2 max(e_max, 0))
+        # for the exponents e of z's parts; Re Log v near |v| = 1 is about
+        # |v|^2 - 1, taken exactly.
+        x, y = z.real, z.imag
+        (mx, ex), (my, ey) = math.frexp(x), math.frexp(y)
+        lo, hi = (ex, ex) if not y else (ey, ey) if not x else (ex, ey) if ex < ey else (ey, ex)
+        depth = (2 * hi if hi > 0 else 0) - lo
+        near = x * x + y * y
+        if abs(near - 1) < 2**-20 or abs(near - 2 * x) < 2**-20:  # |z| or |1-z| near 1: at 2^-1126
+            u, w = int(mx * 2.0**53) << ex + 1073, int(my * 2.0**53) << ey + 1073
+            for t in (u * u + w * w - (1 << 2252), u * u + w * w - (u << 1127)):
+                depth = max(depth, 2252 - t.bit_length()) if t else depth
+        s = bits + depth
+        return Num((int(mx * 2.0**53) << s + ex - 53, int(my * 2.0**53) << s + ey - 53, s))
+
+    # 1/(2k+1), highest k first, and the tables ln(j/2^8) = 2 atanh((j - 2^8)
+    # / (j + 2^8)), j = 192 .. 384, and atan(j/2^8), j = 0 .. 256, past 2^8/3
+    # as pi/4 - atan((2^8 - j) / (2^8 + j)), each entry summed on first use
+    odd = [one // (2 * k + 1) for k in range(bits // 18 + 1, -1, -1)]
+    logs, atans = {}, {}
+
+    def ln_entry(j):
+        return 2 * odd_sum(j - 256, j + 256, 1)
+
+    def atan_entry(j):
+        return odd_sum(j, 256, -1) if 3 * j <= 256 else (pi_wide >> 2) - odd_sum(256 - j, 256 + j, -1)
+
+    def entry(table, j, fill):
+        c = table.get(j)
+        if c is None:
+            c = table[j] = fill(j) >> wide - bits
+        return c
+
+    def odd_series(t, s, sign):
+        # atanh t (sign 1) or atan t (sign -1) at scale s for |t| <= 2^-9:
+        # t sum (sign t^2)^k / (2k+1), the sum at bits
+        t2 = sign * ((t * t) >> 2 * s - bits)
+        acc = 0
+        for c in odd[-(bits // (bits - t2.bit_length()) + 1):]:
+            acc = c + ((acc * t2) >> bits)
+        return (t * acc) >> bits
+
+    def log(x, side, one_plus=False):
+        # Log v = ln|v|^2 / 2 + i arg v, v = x or 1 + x formed exactly.  n =
+        # |v|^2 2^2s = 2^e m exactly, m in [3/4, 3/2), and ln m = ln c + 2
+        # atanh((m - c) / (m + c)) at the nearest c = j/2^8 (c = 1 near |v| =
+        # 1).  arg v: atan of the smaller part over the larger, reduced
+        # alike, put in its octant; the side decides +-pi on the negative axis.
+        a, b, s = x.v
+        if one_plus:
+            a += 1 << s
+        pi_s = pi << s - bits
+        n = a * a + b * b
+        e = n.bit_length() - 1
+        e += n >> e - 1 == 3
+        j = (n >> e - 9) + 1 >> 1
+        num, den = (n << 8) - (j << e), (n << 8) + (j << e)
+        re = (((e - 2 * s) * ln2 + entry(logs, j, ln_entry)) << s - bits >> 1) + odd_series(
+            (num << s) // den, s, 1)
+        swap = abs(b) > abs(a)
+        q, p = (abs(a), abs(b)) if swap else (abs(b), abs(a))
+        j = ((q << 9) // p + 1) >> 1
+        arg = (entry(atans, j, atan_entry) << s - bits) + odd_series(
+            ((q << 8) - j * p << s) // ((p << 8) + j * q), s, -1)
+        if swap:
+            arg = (pi_s >> 1) - arg
+        if a < 0:
+            arg = pi_s - arg
+        return Num((re, -arg if b < 0 or side is _BELOW else arg, s))  # the below side: -pi on the negative axis
+
+    # The series' c_k = B_2k / (2k+1)!, about 2 (2 pi)^-2k / (2k+1): at |w| the terms
+    # past k = bits / log2(4 pi^2 / |w|^2) are below 2^-bits, top = 34 at pi/3.
+    # b_n = B_n / n! at 2^-wide from sum_(j <= n) b_j / (n+1-j)! = 0, where
+    # b_0 = 1, b_1 = -1/2 and b_j = 0 for odd j > 1, over 1/m! at 2^-wide.
+    # The floors of the recurrence below reach its sum multiplied by up to
+    # |x|^top, |x| <= (pi/3)^2, which is below 2^5: well inside the 20 guard bits.
+    top = 34
+    inv = [1 << wide]
+    for m in range(1, 2 * top + 2):
+        inv.append(inv[-1] // m)
+    evens = [1 << wide]  # b_0, b_2, b_4, ...
+    for n in range(2, 2 * top + 1, 2):
+        evens.append((inv[n] << wide - 1) - sum(b * inv[n + 1 - 2 * i] for i, b in enumerate(evens)) >> wide)
+    coeffs = [evens[k] // (2 * k + 1) >> wide - bits for k in range(top, 0, -1)]
+
+    def series(w):
+        # Li2 = w (1 - w/4 + x P(x)), x = w^2, P(x) = sum c_k x^(k-1), at 2^-bits:
+        # on |w| <= pi/3 the bracket is near 1 (at least 0.7), so its error of a
+        # few 2^-bits is relative.  P takes two real products a step, b_j = c_(j+1)
+        # + 2 Re(x) b_(j+1) - |x|^2 b_(j+2), x P = x b_0 - |x|^2 b_1; Im of the
+        # bracket, Im w (2 Re w b_0 - 1/4), is at the scale of w.
+        a, b, s = w.v
+        wr, wi = a >> s - bits, b >> s - bits
+        r2 = wr * wr + wi * wi  # |w|^2 2^(2 bits)
+        xr = (wr * wr - wi * wi) >> bits
+        s2, t = xr << 1, (r2 >> bits) ** 2 >> bits
+        b0 = b1 = 0
+        for c in coeffs[-(int(bits / (5.3 + 2 * bits - math.log2(r2 or 1))) + 2):]:
+            b0, b1 = c + ((s2 * b0 - t * b1) >> bits), b0
+        re = (1 << bits) - (wr >> 2) + ((xr * b0 - t * b1) >> bits)
+        im = (b * (((wr * b0) >> bits - 1) - (1 << bits - 2))) >> bits
+        return Num(((a * re >> bits) - (b * im >> s), (a * im >> s) + (b * re >> bits), s))
+
+    zeta2 = pi_wide**2 // 6 >> 2 * wide - bits
+    return _Arith(point, log, series, Num((zeta2, 0, bits)), Num((0, pi, bits)))
 
 
-def _high_arith(dps: int) -> _Arith:
-    arith = _HIGH.get(dps)
-    if arith is None:
-        # Fixed point at 2^-bits, 20 guard bits over the working precision,
-        # holds the constants, the tables and the sums of the series.  Each
-        # constant is summed at 2^-wide and floored to 2^-bits.
-        bits = _bits(dps) + 20
-        one, wide = 1 << bits, bits + 32
-
-        def odd_sum(p, q, sign):
-            # atanh(p/q) (sign 1) or atan(p/q) (sign -1) at 2^-wide for |p/q| <= 1/2:
-            # the terms (sign p^2/q^2)^k (p/q) / (2k+1) down to 2^-wide, at most
-            # wide / 2 of them, each off by under 3 of 2^-wide: far below 2^-bits
-            power, total, k, term_sign = (abs(p) << wide) // q, 0, 1, 1 if p > 0 else -1
-            while power:
-                total += term_sign * (power // k)
-                power, k, term_sign = power * p * p // (q * q), k + 2, sign * term_sign
-            return total
-
-        pi_wide = 16 * odd_sum(1, 5, -1) - 4 * odd_sum(1, 239, -1)  # Machin's formula
-        pi, ln2 = pi_wide >> wide - bits, 2 * odd_sum(1, 3, 1) >> wide - bits
-
-        class Num:
-            # The mode's number: v = (re, im, s) for (re + i im) 2^-s.  Two meet at
-            # the larger scale, so a constant (at bits) meets a pass's exactly.
-            __slots__ = ("v",)
-
-            def __init__(self, v):
-                self.v = v
-
-            def __add__(self, other):
-                (a, b, s), (c, d, t) = self.v, other.v
-                return Num(((a << t - s) + c, (b << t - s) + d, t) if s < t else (a + (c << s - t), b + (d << s - t), s))
-
-            def __sub__(self, other):
-                (a, b, s), (c, d, t) = self.v, other.v
-                return Num(((a << t - s) - c, (b << t - s) - d, t) if s < t else (a - (c << s - t), b - (d << s - t), s))
-
-            def __mul__(self, other):
-                (a, b, s), (c, d, t) = self.v, other.v
-                low, high = (s, t) if s < t else (t, s)
-                return Num(((a * c - b * d) >> low, (a * d + b * c) >> low, high))
-
-            def __rmul__(self, x: float):
-                (a, b, s), (n, d) = self.v, x.as_integer_ratio()
-                return Num((a * n // d, b * n // d, s))
-
-            def __rtruediv__(self, x: float):
-                (a, b, s), (n, d) = self.v, x.as_integer_ratio()
-                den = d * (a * a + b * b)
-                return Num(((n * a << 2 * s) // den, (-n * b << 2 * s) // den, s))
-
-            def __neg__(self):
-                return -1.0 * self
-
-            def __complex__(self):
-                a, b, s = self.v
-                try:
-                    return complex(math.ldexp(a, -s), math.ldexp(b, -s))
-                except OverflowError:  # a part of over 1024 bits: the int quotient, rounded once
-                    return complex(a / (1 << s), b / (1 << s))
-
-        def point(z):
-            # z, exactly, at the scale of its pass: bits plus the depth of the
-            # smallest part of a value the pass forms.  The parts of z, 1/z and
-            # the arguments of z and 1-z lie above 2^(e_min - 2 max(e_max, 0))
-            # for the exponents e of z's parts; Re Log v near |v| = 1 is about
-            # |v|^2 - 1, taken exactly.
-            x, y = z.real, z.imag
-            (mx, ex), (my, ey) = math.frexp(x), math.frexp(y)
-            lo, hi = (ex, ex) if not y else (ey, ey) if not x else (ex, ey) if ex < ey else (ey, ex)
-            depth = (2 * hi if hi > 0 else 0) - lo
-            near = x * x + y * y
-            if abs(near - 1) < 2**-20 or abs(near - 2 * x) < 2**-20:  # |z| or |1-z| near 1: at 2^-1126
-                u, w = int(mx * 2.0**53) << ex + 1073, int(my * 2.0**53) << ey + 1073
-                for t in (u * u + w * w - (1 << 2252), u * u + w * w - (u << 1127)):
-                    depth = max(depth, 2252 - t.bit_length()) if t else depth
-            s = bits + depth
-            return Num((int(mx * 2.0**53) << s + ex - 53, int(my * 2.0**53) << s + ey - 53, s))
-
-        # 1/(2k+1), highest k first, and the tables ln(j/2^8) = 2 atanh((j - 2^8)
-        # / (j + 2^8)), j = 192 .. 384, and atan(j/2^8), j = 0 .. 256, past 2^8/3
-        # as pi/4 - atan((2^8 - j) / (2^8 + j)), each entry summed on first use
-        odd = [one // (2 * k + 1) for k in range(bits // 18 + 1, -1, -1)]
-        logs, atans = {}, {}
-
-        def ln_entry(j):
-            return 2 * odd_sum(j - 256, j + 256, 1)
-
-        def atan_entry(j):
-            return odd_sum(j, 256, -1) if 3 * j <= 256 else (pi_wide >> 2) - odd_sum(256 - j, 256 + j, -1)
-
-        def entry(table, j, fill):
-            c = table.get(j)
-            if c is None:
-                c = table[j] = fill(j) >> wide - bits
-            return c
-
-        def odd_series(t, s, sign):
-            # atanh t (sign 1) or atan t (sign -1) at scale s for |t| <= 2^-9:
-            # t sum (sign t^2)^k / (2k+1), the sum at bits
-            t2 = sign * ((t * t) >> 2 * s - bits)
-            acc = 0
-            for c in odd[-(bits // (bits - t2.bit_length()) + 1):]:
-                acc = c + ((acc * t2) >> bits)
-            return (t * acc) >> bits
-
-        def log(x, side, one_plus=False):
-            # Log v = ln|v|^2 / 2 + i arg v, v = x or 1 + x formed exactly.  n =
-            # |v|^2 2^2s = 2^e m exactly, m in [3/4, 3/2), and ln m = ln c + 2
-            # atanh((m - c) / (m + c)) at the nearest c = j/2^8 (c = 1 near |v| =
-            # 1).  arg v: atan of the smaller part over the larger, reduced
-            # alike, put in its octant; the side decides +-pi on the negative axis.
-            a, b, s = x.v
-            if one_plus:
-                a += 1 << s
-            pi_s = pi << s - bits
-            n = a * a + b * b
-            e = n.bit_length() - 1
-            e += n >> e - 1 == 3
-            j = (n >> e - 9) + 1 >> 1
-            num, den = (n << 8) - (j << e), (n << 8) + (j << e)
-            re = (((e - 2 * s) * ln2 + entry(logs, j, ln_entry)) << s - bits >> 1) + odd_series(
-                (num << s) // den, s, 1)
-            swap = abs(b) > abs(a)
-            q, p = (abs(a), abs(b)) if swap else (abs(b), abs(a))
-            j = ((q << 9) // p + 1) >> 1
-            arg = (entry(atans, j, atan_entry) << s - bits) + odd_series(
-                ((q << 8) - j * p << s) // ((p << 8) + j * q), s, -1)
-            if swap:
-                arg = (pi_s >> 1) - arg
-            if a < 0:
-                arg = pi_s - arg
-            return Num((re, -arg if b < 0 or side is _BELOW else arg, s))  # the below side: -pi on the negative axis
-
-        # The series' c_k = B_2k / (2k+1)!, about 2 (2 pi)^-2k / (2k+1): at |w| the terms
-        # past k = bits / log2(4 pi^2 / |w|^2) are below 2^-bits, 2 dps / 3 + 1 at pi/3.
-        # b_n = B_n / n! at 2^-wide from sum_(j <= n) b_j / (n+1-j)! = 0, where
-        # b_0 = 1, b_1 = -1/2 and b_j = 0 for odd j > 1, over 1/m! at 2^-wide.
-        # The floors of the recurrence below reach its sum multiplied by up to
-        # |x|^top, |x| <= (pi/3)^2; past 2^14 that outruns the 20 guard bits, so
-        # the bracket runs guard bits deeper (none up to dps 157).
-        top = 2 * dps // 3 + 1
-        guard = max(0, math.ceil(top * 2 * math.log2(PI / 3)) - 14)
-        deep, wider = bits + guard, wide + guard
-        inv = [1 << wider]
-        for m in range(1, 2 * top + 2):
-            inv.append(inv[-1] // m)
-        evens = [1 << wider]  # b_0, b_2, b_4, ...
-        for n in range(2, 2 * top + 1, 2):
-            evens.append((inv[n] << wider - 1) - sum(b * inv[n + 1 - 2 * i] for i, b in enumerate(evens)) >> wider)
-        coeffs = [evens[k] // (2 * k + 1) >> wider - deep for k in range(top, 0, -1)]
-
-        def series(w):
-            # Li2 = w (1 - w/4 + x P(x)), x = w^2, P(x) = sum c_k x^(k-1), at 2^-deep:
-            # on |w| <= pi/3 the bracket is near 1 (at least 0.7), so its error of a
-            # few 2^-bits is relative.  P takes two real products a step, b_j = c_(j+1)
-            # + 2 Re(x) b_(j+1) - |x|^2 b_(j+2), x P = x b_0 - |x|^2 b_1; Im of the
-            # bracket, Im w (2 Re w b_0 - 1/4), is at the scale of w.
-            a, b, s = w.v
-            wr, wi = (a << guard) >> s - bits, (b << guard) >> s - bits
-            r2 = wr * wr + wi * wi  # |w|^2 2^(2 deep)
-            xr = (wr * wr - wi * wi) >> deep
-            s2, t = xr << 1, (r2 >> deep) ** 2 >> deep
-            b0 = b1 = 0
-            for c in coeffs[-(int(bits / (5.3 + 2 * deep - math.log2(r2 or 1))) + 2):]:
-                b0, b1 = c + ((s2 * b0 - t * b1) >> deep), b0
-            re = (1 << deep) - (wr >> 2) + ((xr * b0 - t * b1) >> deep)
-            im = (b * (((wr * b0) >> deep - 1) - (1 << deep - 2))) >> deep
-            return Num(((a * re >> deep) - (b * im >> s), (a * im >> s) + (b * re >> deep), s))
-
-        zeta2 = pi_wide**2 // 6 >> 2 * wide - bits
-        arith = _HIGH[dps] = _Arith(point, log, series, Num((zeta2, 0, bits)), Num((0, pi, bits)))
-    return arith
-
-
-def set_precision(mode: str = "double", dps: int = 50) -> None:
+def set_precision(mode: str = "double") -> None:
     """Select the evaluation backend: "double" (default) or "high".
 
     In high mode each pass runs on Python integers at a binary scale of at
-    least ``dps`` digits, deeper for a point's tiny parts; logarithms reduce
+    least 50 digits, deeper for a point's tiny parts; logarithms reduce
     by tables of ln(j/2^8) and atan(j/2^8) to short series.  The kernel sums
     its constants itself (pi, ln 2, the table entries and the Bernoulli
     numbers), so the mode imports no numerics library.  Returned values are
@@ -499,19 +486,14 @@ def set_precision(mode: str = "double", dps: int = 50) -> None:
     """
     if mode not in ("double", "high"):
         raise ValueError(f"unknown precision mode {mode!r}")
-    dps = _integer(dps, "dps") if mode == "high" else None
-    if dps is not None:
-        if _real(dps, "dps") < 50:  # a dps beyond a double has no count in bits
-            raise ValueError("high-precision mode requires dps >= 50")
-        _bits(dps)  # nor one whose count overflows
-    _DPS.set(dps)
+    _DPS.set(50 if mode == "high" else None)
 
 
 @contextmanager
-def precision(mode: str, dps: int = 50) -> Iterator[None]:
+def precision(mode: str) -> Iterator[None]:
     token = _DPS.set(_DPS.get())
     try:
-        set_precision(mode, dps)
+        set_precision(mode)
         yield
     finally:
         _DPS.reset(token)
@@ -593,7 +575,7 @@ def _far(z: complex) -> bool:
 
 
 class _Pass(NamedTuple):
-    # One point's whole pass in one precision mode (dps None for double), as
+    # One point's whole pass in one precision mode (dps None for double, 50 for high), as
     # machine complex: Log z, Log(1-z), Li2 z and the Rogers constant
     # R = Li2 z + Log z Log(1-z)/2 - pi^2/6.
     dps: int | None
@@ -612,7 +594,7 @@ def _run_pass(point: CutPoint) -> _Pass:
     # ==, hash, repr, pickle and copy see z and side (an unpickled point: unset).
     dps = _DPS.get()
     z, side = point.z, point.side
-    k = _DOUBLE if dps is None else _high_arith(dps)
+    k = _DOUBLE if dps is None else _high_arith()
     zk = z if dps is None else k.point(z)
     if _far(z):
         # Out here the direct sum loses digits: the (Log -z)^2 / 2 in Li2 z
@@ -650,7 +632,7 @@ def _log_z(point: CutPoint) -> complex:
         return record.log_z
     if dps is None:
         return _DOUBLE.log(point.z, point.side)
-    k = _high_arith(dps)
+    k = _high_arith()
     return complex(k.log(k.point(point.z), point.side))
 
 

@@ -79,6 +79,8 @@ class CmodZ2:
     def distance_to(self, other: "CmodZ2 | complex") -> float:
         """Modular distance: wrap-around at the window boundary is free."""
         w = other.value if isinstance(other, CmodZ2) else _as_complex(other, "other")
+        if not cmath.isfinite(w):  # a NaN distance, or a math domain error from the reduction
+            raise ValueError(f"other {other!r} is not a finite value of C mod 4 pi^2")
         d = self.value - w
         return math.hypot(reduce_into(d.real, FOUR_PI_SQ), d.imag)
 

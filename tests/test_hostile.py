@@ -53,11 +53,6 @@ WEDGE = WedgeExpr(((1, 1 + 2j, 3 - 9j),))  # pairing -15.0
 FIG8_PATH = Path(__file__).parent / "data" / "fig8.tri"
 
 
-def _enter_precision(dps):
-    with precision("high", dps):
-        pass
-
-
 @pytest.mark.parametrize("call,message", [
     (lambda: chi_hat(BIG), f"{BIG} is beyond the range of a double"),
     (lambda: root4(BIG), f"{BIG} is beyond the range of a double"),
@@ -71,17 +66,14 @@ def _enter_precision(dps):
     (lambda: wedge_necessary_zero(WEDGE, tol=BIG), f"tol {BIG} is beyond the range of a double"),
     (lambda: is_flattened_ft(make_flattened_ft(0.3 + 0.2j, 0.4 + 0.9j), BIG),
      f"tol {BIG} is beyond the range of a double"),
-    (lambda: set_precision("high", BIG), f"dps {BIG} is beyond the range of a double"),
-    (lambda: _enter_precision(BIG), f"dps {BIG} is beyond the range of a double"),
 ], ids=["chi_hat", "root4", "symmetry_relation",
         "make_flattened_ft-x", "make_flattened_ft-y", "SweepConfig-tol", "WedgeExpr-a", "WedgeExpr-b",
         "CmodZ2.distance_to", "wedge_necessary_zero-tol",
-        "is_flattened_ft-tol", "set_precision-dps", "precision-dps"])
+        "is_flattened_ft-tol"])
 def test_a_number_beyond_a_double_is_named(call, message):
     # each raised a bare "OverflowError: int too large to convert to float",
-    # or took the value: a dps until the next high-precision pass, a wedge
-    # tol to certify a pairing of -15 "necessary-only"; is_flattened_ft
-    # called its tol "not >= 0"
+    # or took the value: a wedge tol to certify a pairing of -15
+    # "necessary-only"; is_flattened_ft called its tol "not >= 0"
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         call()
 
@@ -103,19 +95,16 @@ def test_a_number_beyond_a_double_is_named(call, message):
     (lambda: parse_flattened("0.5 0.5 i 1 0x1"), ValueError, "q '0x1' is not an integer"),
     (lambda: is_flattened_ft(make_flattened_ft(0.3 + 0.2j, 0.4 + 0.9j), "x"), TypeError, "tol 'x' is not a number"),
     (lambda: wedge_necessary_zero(WEDGE, tol="x"), TypeError, "tol 'x' is not a number"),
-    (lambda: set_precision("high", 10**308), ValueError, f"dps {10**308} is too large to count in bits"),
-    (lambda: _enter_precision(10**308), ValueError, f"dps {10**308} is too large to count in bits"),
 ], ids=["parse_flattened", "FormalSum.parse", "symmetry_relation-1", "symmetry_relation-2",
         "symmetry_relation-3", "symmetry_relation-4", "symmetry_relation-5", "symmetry_relation-p-big",
         "symmetry_relation-which-float", "symmetry_relation-which-6", "parse_flattened-z_re", "parse_flattened-z_im",
         "parse_flattened-p", "parse_flattened-q",
-        "is_flattened_ft-tol", "wedge_necessary_zero-tol", "set_precision-dps-bits", "precision-dps-bits"])
+        "is_flattened_ft-tol", "wedge_necessary_zero-tol"])
 def test_an_input_of_the_wrong_kind_is_named(call, exc, message):
     # each raised an error naming neither the argument nor its value:
     # AttributeError from str.split, a TypeError from indexing a tuple,
     # int() or float() naming the text but not its field,
-    # from arithmetic on a str or from comparing it, or an OverflowError
-    # (for the dps, at the first high-precision pass)
+    # from arithmetic on a str or from comparing it
     with pytest.raises(exc, match="^" + re.escape(message) + "$") as info:
         call()
     assert type(info.value) is exc
@@ -130,8 +119,8 @@ HOSTILE = [BIG, math.nan, math.inf, -math.inf, complex(math.nan, math.nan), comp
            1e-320j, complex(1.7e308, 1.7e308), "abc", None, [1], True, -2 - 0j]
 
 
-def _enter(mode, dps=50):
-    with precision(mode, dps):
+def _enter(mode):
+    with precision(mode):
         pass
 
 
@@ -178,7 +167,7 @@ def _public_calls():
         "mirror_relation": (mirror_relation, {"z": 0.3 + 0.4j, "p": 1, "q": -2}),
         "nu_hat": (nu_hat, {"s": t.as_formal_sum()}),
         "parse_flattened": (parse_flattened, {"text": "0.3 0.4 i 1 -2"}),
-        "precision": (_enter, {"mode": "high", "dps": 50}),
+        "precision": (_enter, {"mode": "high"}),
         "principal_log": (principal_log, {"p": 0.3 + 0.4j}),
         "reduce_mod_transfer": (reduce_mod_transfer, {"v": CmodZ2(1 + 2j)}),
         "rogers_l_bar": (rogers_l_bar, {"f": f}),
@@ -186,7 +175,7 @@ def _public_calls():
         "root4": (root4, {"z": 0.3 + 0.4j}),
         "run_sweep": (run_sweep, {"config": SweepConfig("kappa", samples=2)}),
         "serialize_flattened": (serialize_flattened, {"f": f}),
-        "set_precision": (set_precision, {"mode": "high", "dps": 50}),
+        "set_precision": (set_precision, {"mode": "high"}),
         "splitting": (splitting, {"s": t.as_formal_sum()}),
         "symmetry_relation": (symmetry_relation, {"z": 0.3 + 0.4j, "p": 1, "q": -2, "which": 3}),
         "volume_report": (volume_report, {"t": t}),
@@ -345,6 +334,11 @@ def test_an_iterator_term_is_read_at_most_one_field_past_its_width(build, name, 
     (lambda: curly_product_relation(0.3 + 0.4j, 0, "abc", 0), ValueError, "w 'abc' is not a number"),
     (lambda: CmodZ2("abc"), ValueError, "value 'abc' is not a number"),
     (lambda: CmodZ2(1j).distance_to([1]), TypeError, "other must be a number, not list"),
+    (lambda: CmodZ2(1).distance_to(math.nan), ValueError, "other nan is not a finite value of C mod 4 pi^2"),
+    (lambda: CmodZ2(1).distance_to(math.inf), ValueError, "other inf is not a finite value of C mod 4 pi^2"),
+    (lambda: CmodZ2(1).distance_to(-math.inf), ValueError, "other -inf is not a finite value of C mod 4 pi^2"),
+    (lambda: CmodZ2(1).distance_to(complex(math.nan, math.nan)), ValueError,
+     "other (nan+nanj) is not a finite value of C mod 4 pi^2"),
     (lambda: cycle_relation(0.3 + 0.2j, 0.4 + 0.9j, p0=BIG), ValueError,
      "branch index p0 is beyond 2**53 in magnitude"),
     (lambda: cycle_relation(0.3 + 0.2j, 0.4 + 0.9j, q1="abc"), TypeError, "q1 'abc' is not an integer"),
@@ -360,7 +354,8 @@ def test_an_iterator_term_is_read_at_most_one_field_past_its_width(build, name, 
     (lambda: five_term_element(_FT, 5e-324), ValueError, "t is not a flattened five-term instance within tol 5e-324"),
 ], ids=["CutPoint-str", "CutPoint-list", "as_cut_point", "flattened", "li2", "principal_log", "chi_hat",
         "root4", "symmetry_relation", "make_flattened_ft-y", "curly_product_relation-w",
-        "CmodZ2", "CmodZ2.distance_to", "cycle_relation-p0", "cycle_relation-q1", "make_flattened_ft-q2",
+        "CmodZ2", "CmodZ2.distance_to", "CmodZ2.distance_to-nan", "CmodZ2.distance_to-inf",
+        "CmodZ2.distance_to-minus-inf", "CmodZ2.distance_to-nan-nan", "cycle_relation-p0", "cycle_relation-q1", "make_flattened_ft-q2",
         "make_flattened_ft-p1", "index_relations-q", "index_relations-q2", "curly_product_relation-r",
         "mirror_relation", "five_term_element-tol"])
 def test_a_value_that_is_no_number_or_index_is_named(call, exc, message):
@@ -368,7 +363,8 @@ def test_a_value_that_is_no_number_or_index_is_named(call, exc, message):
     # argument must be a string or a number", "branch index p" for p0,
     # "branch indices p, q must be integers", "unsupported operand type(s)",
     # "0 and 1 are excluded from the cut plane" or "tuple is not a flattened
-    # five-term instance"
+    # five-term instance"; distance_to returned nan for a NaN other, and raised
+    # "math domain error" for an infinite one
     with pytest.raises(exc, match="^" + re.escape(message) + "$") as info:
         call()
     assert type(info.value) is exc

@@ -315,7 +315,7 @@ def reference_l_bar(gen):
     if max(abs(z.real), abs(z.imag)) > 2.0**32:
         # R from the far-out parts, u = Log(-z), v = Log(1-1/z) and Log z = u + i pi s
         dps = dilog._DPS.get()
-        arith = dilog._DOUBLE if dps is None else dilog._high_arith(dps)
+        arith = dilog._DOUBLE if dps is None else dilog._high_arith()
         _, inverse, u, v, log_z, log_1mz = map(complex, dilog._far_out(arith, arith.point(z), point.side))
         s = 1 if z.imag > 0 or point.side is Side.ABOVE else -1
         r = -inverse - PI**2 / 3.0 + 0.5 * u * v + complex(0.0, 0.5 * PI * s) * log_1mz
