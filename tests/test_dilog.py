@@ -339,17 +339,19 @@ def test_series_matches_mpc_horner():
             assert abs(got - want) <= bound * abs(want), z
 
 
-@pytest.mark.parametrize("dps", [50])
-def test_series_at_both_ends_of_its_length(dps):
+@pytest.mark.parametrize("ref_dps", [50, 80, 150])
+def test_series_at_both_ends_of_its_length(ref_dps):
     # the series runs more terms as |w| grows: all of them at |w| = pi/3
-    # and just inside it, the fewest at |w| = 1e-300
+    # and just inside it, the fewest at |w| = 1e-300; the kernel works at 50
+    # digits, the reference at 50 digits and at two finer precisions
     arith = dilog._high_arith()
-    with mp.workdps(dps):
+    with mp.workdps(50):
         bound = mp.ldexp(1, -(mp.mp.prec - 4))
+    with mp.workdps(ref_dps):
         for r in (PI / 3, PI / 3 * (1 - 1e-12), 1e-300):
             for theta in (0.0, 0.3, PI / 2, 1.9, PI, -0.8, -2.6):
                 z = cmath.rect(r, theta)
-                got, want = _mpc(arith.series(arith.point(z))), reference_series(dps, mp.mpc(z))
+                got, want = _mpc(arith.series(arith.point(z))), reference_series(ref_dps, mp.mpc(z))
                 assert complex(got) == complex(want), z
                 assert abs(got - want) <= bound * abs(want), z
 
